@@ -27,7 +27,6 @@ from repro.lattice.hamiltonian import HamiltonianWeights, LatticeHamiltonian
 from repro.lattice.reconstruction import reconstruct_structure
 from repro.quantum.backend import Backend
 from repro.utils.rng import child_seed
-from repro.vqe.optimizer import CobylaOptimizer
 from repro.vqe.vqe import VQE
 
 
@@ -75,14 +74,7 @@ def fold_fragment(
     seq = sequence if isinstance(sequence, ProteinSequence) else ProteinSequence(str(sequence))
     hamiltonian = LatticeHamiltonian(seq, weights=weights)
     seed = child_seed(config.seed, "quantum-fold", pdb_id.lower(), str(seq))
-    vqe = VQE(
-        hamiltonian,
-        backend=backend,
-        config=config,
-        optimizer=CobylaOptimizer(max_iterations=config.vqe_iterations),
-        register=register,
-        seed=seed,
-    )
+    vqe = VQE(hamiltonian, backend=backend, config=config, register=register, seed=seed)
     result = vqe.run()
     assert result.best_conformation is not None
     conformation_coords = np.asarray(result.best_conformation.ca_coords, dtype=float)
