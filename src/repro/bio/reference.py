@@ -21,6 +21,7 @@ builder uses to construct a ligand complementary to the experimental geometry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,22 @@ class ReferenceRecord:
     ground_state_energy: float
 
 
+@functools.lru_cache(maxsize=256)
+def _ground_state(sequence: str, master_seed: int, annealing_sweeps: int):
+    """The classical ground state behind a reference, memoised per process
+    and shared by every caller, hence its read-only Cα trace.  PDB ID,
+    numbering and jitter are applied per ``generate`` call."""
+    # Imported lazily to keep the bio <-> lattice package graph acyclic.
+    from repro.lattice.classical import ClassicalFoldingSolver
+    from repro.lattice.hamiltonian import LatticeHamiltonian
+
+    result = ClassicalFoldingSolver(LatticeHamiltonian(sequence)).solve(
+        seed=master_seed, sweeps=annealing_sweeps
+    )
+    result.ca_coords.setflags(write=False)
+    return result
+
+
 class ReferenceStructureGenerator:
     """Deterministic per-PDB-ID reference ("experimental") structure factory.
 
@@ -73,41 +90,24 @@ class ReferenceStructureGenerator:
         self.jitter = float(jitter)
         self.annealing_sweeps = int(annealing_sweeps)
         self.master_seed = int(master_seed)
-        self._cache: dict[tuple[str, str], ReferenceRecord] = {}
 
     # -- public API ------------------------------------------------------------
 
     def generate(self, pdb_id: str, sequence: ProteinSequence | str, start_seq_id: int = 1) -> ReferenceRecord:
-        """Generate (or fetch from cache) the reference record for a fragment."""
-        seq = sequence if isinstance(sequence, ProteinSequence) else ProteinSequence(str(sequence))
-        key = (pdb_id.lower(), str(seq))
-        if key in self._cache:
-            return self._cache[key]
-        record = self._build(pdb_id.lower(), seq, start_seq_id)
-        self._cache[key] = record
-        return record
+        """Generate the reference record for a fragment.
 
-    def structure(self, pdb_id: str, sequence: ProteinSequence | str) -> Structure:
-        """Convenience accessor returning only the reference structure."""
-        return self.generate(pdb_id, sequence).structure
-
-    # -- implementation ----------------------------------------------------------
-
-    def _build(self, pdb_id: str, seq: ProteinSequence, start_seq_id: int) -> ReferenceRecord:
-        # Imported lazily to keep the bio <-> lattice package graph acyclic.
-        from repro.lattice.classical import ClassicalFoldingSolver
-        from repro.lattice.hamiltonian import LatticeHamiltonian
+        The ground-state solve is memoised per process (:func:`_ground_state`);
+        the jitter, reconstruction and pocket are derived on every call.
+        """
         from repro.lattice.reconstruction import reconstruct_structure
 
-        hamiltonian = LatticeHamiltonian(seq)
-        solver = ClassicalFoldingSolver(hamiltonian)
-        seed = self.master_seed
-        result = solver.solve(seed=seed, sweeps=self.annealing_sweeps)
-
+        seq = sequence if isinstance(sequence, ProteinSequence) else ProteinSequence(str(sequence))
+        pdb_id = pdb_id.lower()
+        ground = _ground_state(str(seq), self.master_seed, self.annealing_sweeps)
         rng = rng_for(self.master_seed, "reference-jitter", pdb_id, str(seq))
         structure = reconstruct_structure(
             seq,
-            result.ca_coords,
+            ground.ca_coords,
             structure_id=f"{pdb_id}_ref",
             start_seq_id=start_seq_id,
             center=True,
@@ -115,16 +115,16 @@ class ReferenceStructureGenerator:
             rng=rng,
         )
         ca = structure.ca_coords()
-        pocket = self._pocket_from_ca(ca, rng)
-        record = ReferenceRecord(
+        return ReferenceRecord(
             pdb_id=pdb_id,
             sequence=seq,
             structure=structure,
             ca_coords=ca,
-            pocket=pocket,
-            ground_state_energy=result.energy,
+            pocket=self._pocket_from_ca(ca, rng),
+            ground_state_energy=ground.energy,
         )
-        return record
+
+    # -- implementation ----------------------------------------------------------
 
     @staticmethod
     def _pocket_from_ca(ca: np.ndarray, rng: np.random.Generator) -> BindingPocket:

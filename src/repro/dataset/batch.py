@@ -86,8 +86,10 @@ class _ContextTask:
 def prepare_context(task: _ContextTask) -> tuple[ReferenceRecord, Ligand]:
     """Derive the reference structure and synthetic ligand for one fragment.
 
-    Cheap and fully deterministic in ``(fragment, config.seed)`` — this is the
-    docking phase's input preparation, not engine-cached work.
+    Fully deterministic in ``(fragment, config.seed)`` — this is the docking
+    phase's input preparation, not engine-cached work.  Cheap once the
+    fragment's baseline folds ran in this process: the reference's
+    ground-state solve is memoised per process.
     """
     fragment = task.fragment
     reference = ReferenceStructureGenerator(master_seed=task.config.seed).generate(

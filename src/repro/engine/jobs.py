@@ -36,7 +36,11 @@ from repro.lattice.hamiltonian import HamiltonianWeights
 #: Schema versions of the content hashes / cache payloads, one per job kind.
 #: Bump a kind's version whenever its pipeline changes in a way that
 #: invalidates previously cached results of that kind.
-FOLD_SCHEMA_VERSION = "fold/v1"
+#: fold/v2: the batched lattice-energy kernel sums strictly left to right,
+#: where the scalar path used NumPy's pairwise sum and a BLAS dot whose order
+#: depends on the length and the run-time kernel.  Energies (and so the
+#: energy metadata) can differ in the last bits from fold/v1 at equal knobs.
+FOLD_SCHEMA_VERSION = "fold/v2"
 BASELINE_SCHEMA_VERSION = "baseline_fold/v1"
 #: dock/v2: multi-walker Monte-Carlo search gives every restart its own RNG
 #: substream (previously all restarts shared one sequential stream), so

@@ -1,7 +1,6 @@
 """Coarse-grained tetrahedral-lattice protein model and its quantum encoding."""
 
 from repro.lattice.tetrahedral import (
-    TetrahedralLattice,
     CA_VIRTUAL_BOND,
     turns_to_coords,
     is_self_avoiding,
@@ -14,7 +13,6 @@ from repro.lattice.reconstruction import reconstruct_structure
 from repro.lattice.classical import ClassicalFoldingSolver
 
 __all__ = [
-    "TetrahedralLattice",
     "CA_VIRTUAL_BOND",
     "turns_to_coords",
     "is_self_avoiding",

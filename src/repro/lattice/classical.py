@@ -58,45 +58,36 @@ class ClassicalFoldingSolver:
 
     # -- exhaustive search -----------------------------------------------------
 
-    def _iter_turn_sequences(self):
-        n_free = self.encoding.num_free_turns
-        length = self.encoding.length
-        fixed = [0, 1][: length - 1]
-        n_fixed = len(fixed)
-        total_turns = length - 1
-        for code in range(4**n_free):
-            free = []
-            c = code
-            for _ in range(n_free):
-                free.append(c & 3)
-                c >>= 2
-            turns = (fixed + free)[:total_turns]
-            yield turns
-
     def solve_exact(self) -> ClassicalFoldingResult:
         """Enumerate every conformation and return the exact ground state.
 
-        Degenerate ground states are resolved by the lexicographically smallest
-        turn sequence (the same tie-break the quantum decoder applies).
+        All ``4^n`` conformations are scored in one kernel call; the scan stays
+        sequential, so degenerate ground states resolve to the
+        lexicographically smallest turn sequence (the same tie-break the
+        quantum decoder applies).
         """
-        best_turns: list[int] | None = None
+        n_free = self.encoding.num_free_turns
+        # Row c: the fixed turns (0, 1), then c's base-4 digits, least significant first.
+        codes = np.arange(4**n_free)[:, None]
+        free = ((codes >> (2 * np.arange(n_free))) & 3).astype(np.uint8)
+        fixed = np.broadcast_to(np.array([0, 1], dtype=np.uint8), (len(codes), 2))
+        turns = np.concatenate([fixed, free], axis=1)[:, : self.encoding.length - 1]
+        energies = self.hamiltonian.energies(turns).tolist()
+        best = 0
         best_energy = np.inf
-        count = 0
-        for turns in self._iter_turn_sequences():
-            count += 1
-            e = self.hamiltonian.energy(turns)
+        for i, e in enumerate(energies):
             if e < best_energy - 1e-9 or (
-                abs(e - best_energy) <= 1e-9 and best_turns is not None and tuple(turns) < tuple(best_turns)
+                abs(e - best_energy) <= 1e-9 and turns[i].tolist() < turns[best].tolist()
             ):
                 best_energy = min(e, best_energy)
-                best_turns = list(turns)
-        assert best_turns is not None
+                best = i
+        best_turns = turns[best].tolist()
         return ClassicalFoldingResult(
             turns=tuple(best_turns),
             energy=float(best_energy),
             ca_coords=turns_to_coords(best_turns, bond_length=self.hamiltonian.bond_length),
             exact=True,
-            evaluations=count,
+            evaluations=len(energies),
         )
 
     # -- simulated annealing ---------------------------------------------------

@@ -29,11 +29,6 @@ class DecodedConformation:
     bitstring: str
     valid: bool
 
-    @property
-    def length(self) -> int:
-        """Number of residues."""
-        return self.ca_coords.shape[0]
-
 
 class ConformationDecoder:
     """Maps measurement outcomes of one fragment's circuit to conformations."""
@@ -42,19 +37,6 @@ class ConformationDecoder:
         self.hamiltonian = hamiltonian
         self.encoding = hamiltonian.encoding
 
-    def decode_bitstring(self, bits: str) -> DecodedConformation:
-        """Decode one bitstring into a conformation (no validity filtering)."""
-        turns = self.encoding.turns_from_bits(bits)
-        coords = turns_to_coords(np.asarray(turns), bond_length=self.hamiltonian.bond_length)
-        breakdown = self.hamiltonian.breakdown(turns)
-        return DecodedConformation(
-            turns=tuple(turns),
-            ca_coords=coords,
-            energy=breakdown.total,
-            bitstring=bits[: self.encoding.configuration_qubits],
-            valid=(breakdown.clash == 0.0 and breakdown.geometric == 0.0),
-        )
-
     def decode_counts(self, counts: dict[str, int]) -> DecodedConformation:
         """Decode a whole counts dictionary and return the best conformation.
 
@@ -62,41 +44,45 @@ class ConformationDecoder:
         measured bitstring decodes to an invalid conformation, the lowest-energy
         invalid one is returned (mirroring the pragmatic behaviour needed on
         noisy hardware).
+
+        Every distinct configuration register is scored in one kernel call,
+        then scanned in counts order: the 1e-9 energy tie-break is not
+        transitive, so a vectorised argmin could pick a different winner.
         """
         if not counts:
             raise LatticeError("cannot decode an empty counts dictionary")
-        best_valid: DecodedConformation | None = None
-        best_any: DecodedConformation | None = None
-        # Deduplicate on the configuration register to avoid re-decoding
-        # bitstrings that differ only in interaction-register bits.
-        seen: set[str] = set()
+        # Bitstrings that differ only in interaction-register bits decode alike.
         width = self.encoding.configuration_qubits
+        keys = list(dict.fromkeys(bits[:width] for bits in counts))
+        turns = self.encoding.turns_from_keys(keys)
+        terms = self.hamiltonian.terms(turns)
+        energies = self.hamiltonian.total(terms).tolist()
+        valid = ((terms[:, 1] == 0.0) & (terms[:, 2] == 0.0)).tolist()
 
-        def better(candidate: DecodedConformation, incumbent: DecodedConformation | None) -> bool:
+        def better(candidate: int, incumbent: int | None) -> bool:
             # Degenerate ground states are resolved by the lexicographically
             # smallest turn sequence, the same tie-break the classical solver
             # uses, so quantum and classical pipelines agree on ties.
             if incumbent is None:
                 return True
-            if candidate.energy < incumbent.energy - 1e-9:
+            if energies[candidate] < energies[incumbent] - 1e-9:
                 return True
-            if abs(candidate.energy - incumbent.energy) <= 1e-9:
-                return candidate.turns < incumbent.turns
+            if abs(energies[candidate] - energies[incumbent]) <= 1e-9:
+                return turns[candidate].tolist() < turns[incumbent].tolist()
             return False
 
-        for bits in counts:
-            key = bits[:width]
-            if key in seen:
-                continue
-            seen.add(key)
-            conf = self.decode_bitstring(bits)
-            if better(conf, best_any):
-                best_any = conf
-            if conf.valid and better(conf, best_valid):
-                best_valid = conf
-        assert best_any is not None
-        return best_valid if best_valid is not None else best_any
-
-    def decode_many(self, bitstrings: list[str]) -> list[DecodedConformation]:
-        """Decode a list of bitstrings (no deduplication, order preserved)."""
-        return [self.decode_bitstring(b) for b in bitstrings]
+        best_valid = best_any = None
+        for i in range(len(keys)):
+            if better(i, best_any):
+                best_any = i
+            if valid[i] and better(i, best_valid):
+                best_valid = i
+        best = best_valid if best_valid is not None else best_any
+        best_turns = turns[best].tolist()
+        return DecodedConformation(
+            turns=tuple(best_turns),
+            ca_coords=turns_to_coords(best_turns, bond_length=self.hamiltonian.bond_length),
+            energy=energies[best],
+            bitstring=keys[best],
+            valid=valid[best],
+        )

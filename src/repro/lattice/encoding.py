@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.bio.sequence import ProteinSequence
 from repro.exceptions import EncodingError
 
@@ -61,12 +63,6 @@ def configuration_qubits_for_length(length: int) -> int:
         raise EncodingError(f"cannot encode a fragment of length {length}")
     free_turns = max(1, length - 1 - FIXED_TURNS)
     return QUBITS_PER_TURN * free_turns
-
-
-def interaction_qubits_for_length(length: int) -> int:
-    """Interaction / slack qubits carried by the hardware encoding."""
-    total = qubit_count_for_length(length)
-    return max(0, total - configuration_qubits_for_length(length))
 
 
 def qubit_count_for_length(length: int) -> int:
@@ -155,11 +151,19 @@ class FragmentEncoding:
                 f"bitstring of length {len(bits)} is shorter than the "
                 f"{self.configuration_qubits}-qubit configuration register"
             )
-        turns: list[int] = [0, 1][: self.length - 1]
-        for k in range(self.num_free_turns):
-            chunk = bits[2 * k : 2 * k + 2]
-            turns.append(int(chunk, 2))
-        return turns[: self.length - 1]
+        return self.turns_from_keys([bits[: self.configuration_qubits]])[0].tolist()
+
+    def turns_from_keys(self, keys: list[str]) -> np.ndarray:
+        """Turn sequences ``[N, L-1]`` (fixed turns ``0, 1`` first) of keys of
+        exactly ``configuration_qubits`` ``0``/``1`` characters each."""
+        width = self.configuration_qubits
+        bits = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8) - np.uint8(48)
+        if bits.size != len(keys) * width:
+            raise EncodingError(f"configuration keys must have {width} bits each")
+        bits = bits.reshape(len(keys), width)
+        fixed = np.broadcast_to(np.arange(FIXED_TURNS, dtype=np.uint8), (len(keys), FIXED_TURNS))
+        free = 2 * bits[:, 0::2] + bits[:, 1::2]
+        return np.concatenate([fixed, free], axis=1)[:, : self.length - 1]
 
     def bits_from_turns(self, turns: list[int]) -> str:
         """Inverse of :meth:`turns_from_bits` (configuration register only)."""

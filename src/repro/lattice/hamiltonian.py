@@ -28,6 +28,11 @@ encoded problem.  We reproduce the same behaviour by adding a per-fragment
 scaling the penalty weights with the same offset.  The *physics* (which
 conformation is the ground state) is unaffected: the offset is constant and
 the penalty scaling preserves ordering.
+
+:meth:`LatticeHamiltonian.terms` is the one energy kernel (every other entry
+point is a batch of one).  Its sums over residues or pairs run strictly left
+to right, never through ``np.sum``/``np.dot``/``@`` (whose order depends on
+length, batch size and BLAS kernel), so a row's bits are batch-independent.
 """
 
 from __future__ import annotations
@@ -38,17 +43,17 @@ import numpy as np
 
 from repro.bio.miyazawa_jernigan import interaction_matrix_for_sequence
 from repro.bio.sequence import ProteinSequence
-from repro.exceptions import HamiltonianError
+from repro.exceptions import HamiltonianError, LatticeError
 from repro.lattice.encoding import FragmentEncoding
-from repro.lattice.tetrahedral import (
-    CA_VIRTUAL_BOND,
-    backtracking_count,
-    turns_to_coords,
-)
+from repro.lattice.tetrahedral import CA_VIRTUAL_BOND, coords_from_turns, step_table
 
 #: Calibration constants of the encoding offset (see module docstring).
 OFFSET_COEFF = 0.00135
 OFFSET_EXPONENT = 3.6
+
+#: Conformations per kernel pass: bounds the (rows, pairs, 3) distance tensor
+#: to a few MB whatever the batch size.
+CHUNK_ROWS = 1024
 
 
 def encoding_offset(total_qubits: int) -> float:
@@ -56,6 +61,24 @@ def encoding_offset(total_qubits: int) -> float:
     if total_qubits <= 0:
         raise HamiltonianError(f"qubit count must be positive, got {total_qubits}")
     return OFFSET_COEFF * float(total_qubits) ** OFFSET_EXPONENT
+
+
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 1, strictly left to right (see the module docstring)."""
+    return np.cumsum(values, axis=1)[:, -1]
+
+
+def _left_handed_table(bond_length: float) -> np.ndarray:
+    """``table[p, a, b, c]``: do consecutive steps with turns ``a, b, c``, the
+    first at a step of parity ``p``, form a left-handed triad?  Handedness
+    depends only on those, so ``H_c`` is a lookup, not a triple product."""
+    steps = step_table(4, bond_length)
+    a, b, c = np.indices((4, 4, 4))
+    table = np.empty((2, 4, 4, 4), dtype=bool)
+    for p in (0, 1):
+        cross = np.cross(steps[p][a], steps[p + 1][b])
+        table[p] = np.einsum("...i,...i->...", cross, steps[p + 2][c]) < -1e-9
+    return table
 
 
 @dataclass(frozen=True)
@@ -136,7 +159,6 @@ class LatticeHamiltonian:
         self._geometric_penalty = 0.05 * self.offset + 5.0
         self._chirality_penalty = 0.01 * self.offset + 1.0
         self._interaction_scale = 0.02 * self.offset + 1.0
-        self._mj = interaction_matrix_for_sequence(str(self.sequence))
         # Hydrophobic-burial field (part of H_i): hydrophobic residues prefer
         # the core of the fold.  Scaled well below the contact energies, its
         # role is to make the ground state sequence-specific (and unique) even
@@ -146,63 +168,83 @@ class LatticeHamiltonian:
         self._hydropathy = np.array(
             [_get_aa(c).hydropathy / 4.5 for c in str(self.sequence)]
         )
+        # Kernel tables.  Residue pairs are i < j in row-major order; the
+        # non-local ones (j >= i + 3) carry the MJ contact energies.
+        n = len(self.sequence)
+        self._steps = step_table(n - 1, self.bond_length)
+        self._left_handed = _left_handed_table(self.bond_length)
+        self._triad_parity = np.arange(n - 3) % 2
+        self._pair_i, self._pair_j = np.triu_indices(n, k=1)
+        self._contacts = np.flatnonzero(self._pair_j - self._pair_i >= 3)
+        mj = interaction_matrix_for_sequence(str(self.sequence))
+        self._contact_mj = mj[self._pair_i[self._contacts], self._pair_j[self._contacts]]
+        w = self.weights
+        self._term_scale = np.array([
+            w.chirality * self._chirality_penalty,
+            w.geometric * self._geometric_penalty,
+            w.clash * self._clash_penalty,
+            w.interaction * self._interaction_scale,
+        ])
 
-    # -- per-term evaluation ---------------------------------------------------
+    # -- the kernel ------------------------------------------------------------
 
-    def _clash_energy(self, coords: np.ndarray) -> float:
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        iu = np.triu_indices(coords.shape[0], k=1)
-        overlaps = int(np.count_nonzero(dist2[iu] < 1e-6))
-        return self.weights.clash * self._clash_penalty * overlaps
+    def terms(self, turns: np.ndarray) -> np.ndarray:
+        """Per-term energies ``[N, 4]`` (chirality, geometric, clash,
+        interaction) of the conformations ``turns[N, L-1]``."""
+        turns = np.asarray(turns)
+        n_turns = len(self.sequence) - 1
+        if turns.ndim != 2 or turns.shape[1] != n_turns:
+            raise HamiltonianError(f"expected turns of shape (N, {n_turns}), got {turns.shape}")
+        if turns.size and (turns.min() < 0 or turns.max() > 3):
+            raise LatticeError("turn indices must be in {0, 1, 2, 3}")
+        out = np.empty((len(turns), 4))
+        for start in range(0, len(turns), CHUNK_ROWS):
+            out[start : start + CHUNK_ROWS] = self._terms_chunk(turns[start : start + CHUNK_ROWS])
+        return out
 
-    def _geometric_energy(self, turns: np.ndarray) -> float:
-        return self.weights.geometric * self._geometric_penalty * backtracking_count(turns)
+    def _terms_chunk(self, turns: np.ndarray) -> np.ndarray:
+        coords = coords_from_turns(self._steps, turns)
+        raw = np.empty((len(turns), 4))
+        # H_c: left-handed consecutive triads.  H_g: immediate reversals.
+        left = self._left_handed[self._triad_parity, turns[:, :-2], turns[:, 1:-1], turns[:, 2:]]
+        raw[:, 0] = np.count_nonzero(left, axis=1)
+        raw[:, 1] = np.count_nonzero(turns[:, 1:] == turns[:, :-1], axis=1)
+        # H_d: residue pairs on the same site.
+        diff = coords[:, self._pair_j] - coords[:, self._pair_i]
+        dist2 = np.einsum("npk,npk->np", diff, diff)
+        raw[:, 2] = np.count_nonzero(dist2 < 1e-6, axis=1)
+        # H_i: MJ energies of non-local nearest-neighbour contacts ...
+        if self._contacts.size:
+            contact = np.abs(np.sqrt(dist2[:, self._contacts]) - self.bond_length) < 1e-3
+            energy = _row_sums(np.where(contact, self._contact_mj, 0.0))
+        else:
+            energy = np.zeros(len(turns))
+        # ... plus the burial field: positive-hydropathy residues are
+        # penalised for sitting far from the fold's centroid.
+        centred = coords - (_row_sums(coords) / coords.shape[1])[:, None, :]
+        square = centred * centred
+        to_centroid = np.sqrt(square[..., 0] + square[..., 1] + square[..., 2]) / self.bond_length
+        raw[:, 3] = energy + 0.05 * _row_sums(self._hydropathy * to_centroid)
+        return raw * self._term_scale
 
-    def _chirality_energy(self, coords: np.ndarray) -> float:
-        """Symmetry-breaking term: penalise left-handed consecutive triads."""
-        if coords.shape[0] < 4:
-            return 0.0
-        v1 = coords[1:-2] - coords[:-3]
-        v2 = coords[2:-1] - coords[1:-2]
-        v3 = coords[3:] - coords[2:-1]
-        handedness = np.einsum("ij,ij->i", np.cross(v1, v2), v3)
-        left_handed = int(np.count_nonzero(handedness < -1e-9))
-        return self.weights.chirality * self._chirality_penalty * left_handed
+    def total(self, terms: np.ndarray) -> np.ndarray:
+        """Total energies of :meth:`terms` rows, added in the order of
+        :attr:`EnergyBreakdown.total` (so both give the same bits)."""
+        return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3] + self.offset
 
-    def _interaction_energy(self, coords: np.ndarray) -> float:
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        contact = np.abs(dist - self.bond_length) < 1e-3
-        # Only non-bonded pairs separated by >= 3 along the chain.
-        n = coords.shape[0]
-        sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-        mask = np.triu(contact & (sep >= 3), k=3)
-        energy = float(np.sum(self._mj[mask]))
-        # Hydrophobic burial field: positive-hydropathy residues are penalised
-        # for sitting far from the fold's centroid.
-        centroid = coords.mean(axis=0)
-        dist_to_centroid = np.linalg.norm(coords - centroid, axis=1) / self.bond_length
-        energy += 0.05 * float(np.dot(self._hydropathy, dist_to_centroid))
-        return self.weights.interaction * self._interaction_scale * energy
+    def energies(self, turns: np.ndarray) -> np.ndarray:
+        """Total (offset-included) energies ``[N]`` of a batch of conformations."""
+        return self.total(self.terms(turns))
 
-    # -- public API ------------------------------------------------------------
+    # -- one conformation: a batch of one ---------------------------------------
 
     def breakdown(self, turns: np.ndarray | list[int]) -> EnergyBreakdown:
         """Evaluate all four terms (plus offset) for a turn sequence."""
         turns = np.asarray(turns, dtype=int)
         if turns.size != len(self.sequence) - 1:
-            raise HamiltonianError(
-                f"expected {len(self.sequence) - 1} turns, got {turns.size}"
-            )
-        coords = turns_to_coords(turns, bond_length=self.bond_length)
-        return EnergyBreakdown(
-            chirality=self._chirality_energy(coords),
-            geometric=self._geometric_energy(turns),
-            clash=self._clash_energy(coords),
-            interaction=self._interaction_energy(coords),
-            offset=self.offset,
-        )
+            raise HamiltonianError(f"expected {len(self.sequence) - 1} turns, got {turns.size}")
+        chirality, geometric, clash, interaction = self.terms(turns.reshape(1, -1))[0].tolist()
+        return EnergyBreakdown(chirality, geometric, clash, interaction, offset=self.offset)
 
     def energy(self, turns: np.ndarray | list[int]) -> float:
         """Total (offset-included) energy of a conformation."""
@@ -211,10 +253,6 @@ class LatticeHamiltonian:
     def energy_of_bits(self, bits: str) -> float:
         """Total energy of the conformation encoded by a configuration bitstring."""
         return self.energy(self.encoding.turns_from_bits(bits))
-
-    def energies_of_bitstrings(self, bitstrings: list[str]) -> np.ndarray:
-        """Vector of energies for a batch of bitstrings (used by VQE sampling)."""
-        return np.array([self.energy_of_bits(b) for b in bitstrings], dtype=float)
 
     def is_valid(self, turns: np.ndarray | list[int]) -> bool:
         """True when the conformation has no clashes and no backtracking."""

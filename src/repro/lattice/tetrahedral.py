@@ -21,7 +21,8 @@ from repro.exceptions import LatticeError
 #: Cα–Cα virtual bond length in Angstroms.
 CA_VIRTUAL_BOND: float = 3.8
 
-#: The four tetrahedral directions of the A sublattice (unnormalised).
+#: The four tetrahedral directions of the A sublattice (unnormalised); the B
+#: sublattice uses their negatives.
 _DIRECTIONS_A = np.array(
     [
         [1.0, 1.0, 1.0],
@@ -30,41 +31,26 @@ _DIRECTIONS_A = np.array(
         [-1.0, -1.0, 1.0],
     ]
 )
-#: B-sublattice directions are the negatives of the A directions.
-_DIRECTIONS_B = -_DIRECTIONS_A
-
-#: Ideal tetrahedral bond angle in degrees.
-TETRAHEDRAL_ANGLE_DEG: float = 109.4712206
 
 
-class TetrahedralLattice:
-    """Geometry helper exposing step vectors and conformation utilities."""
+def step_table(n_steps: int, bond_length: float = CA_VIRTUAL_BOND) -> np.ndarray:
+    """Step vectors by chain position: ``table[k, t]`` is step ``k`` taken with
+    turn ``t`` (A-sublattice directions at even ``k``, their negatives at odd)."""
+    signs = np.where(np.arange(n_steps) % 2 == 0, 1.0, -1.0)
+    return (_DIRECTIONS_A * (bond_length / np.sqrt(3.0)))[None] * signs[:, None, None]
 
-    def __init__(self, bond_length: float = CA_VIRTUAL_BOND):
-        if bond_length <= 0:
-            raise LatticeError(f"bond length must be positive, got {bond_length}")
-        self.bond_length = float(bond_length)
-        scale = self.bond_length / np.sqrt(3.0)
-        self._steps_a = _DIRECTIONS_A * scale
-        self._steps_b = _DIRECTIONS_B * scale
 
-    def step_vectors(self, step_index: int) -> np.ndarray:
-        """The four candidate step vectors for step ``step_index`` (0-based)."""
-        return self._steps_a if step_index % 2 == 0 else self._steps_b
-
-    def turns_to_coords(self, turns: np.ndarray | list[int]) -> np.ndarray:
-        """Convert a turn sequence into (L, 3) Cα coordinates starting at the origin."""
-        return turns_to_coords(turns, bond_length=self.bond_length)
-
-    def num_conformations(self, length: int) -> int:
-        """Total number of (not necessarily self-avoiding) conformations with the
-        first two turns fixed."""
-        free_turns = max(0, length - 3)
-        return 4**free_turns
+def coords_from_turns(table: np.ndarray, turns: np.ndarray) -> np.ndarray:
+    """Cα coordinates ``[N, L, 3]`` of turn rows ``[N, L-1]`` under a
+    :func:`step_table`, every chain starting at the origin."""
+    steps = table[np.arange(turns.shape[1]), turns]
+    coords = np.zeros((turns.shape[0], turns.shape[1] + 1, 3))
+    np.cumsum(steps, axis=1, out=coords[:, 1:])
+    return coords
 
 
 def turns_to_coords(turns: np.ndarray | list[int], bond_length: float = CA_VIRTUAL_BOND) -> np.ndarray:
-    """Vectorised conversion of a turn sequence to Cα coordinates.
+    """Cα coordinates of one turn sequence (a batch of one of :func:`coords_from_turns`).
 
     ``turns`` has ``L - 1`` entries in ``{0,1,2,3}``; the returned array has
     shape ``(L, 3)`` with the first residue at the origin.
@@ -76,17 +62,7 @@ def turns_to_coords(turns: np.ndarray | list[int], bond_length: float = CA_VIRTU
         raise LatticeError("a conformation needs at least one turn")
     if np.any((turns < 0) | (turns > 3)):
         raise LatticeError("turn indices must be in {0, 1, 2, 3}")
-
-    scale = bond_length / np.sqrt(3.0)
-    n_steps = turns.size
-    parities = np.arange(n_steps) % 2
-    # steps[k] = +/- direction[turns[k]] depending on parity
-    dirs = _DIRECTIONS_A[turns] * scale
-    signs = np.where(parities == 0, 1.0, -1.0)[:, None]
-    steps = dirs * signs
-    coords = np.zeros((n_steps + 1, 3))
-    np.cumsum(steps, axis=0, out=coords[1:])
-    return coords
+    return coords_from_turns(step_table(turns.size, bond_length), turns[None])[0]
 
 
 def is_self_avoiding(coords: np.ndarray, tol: float = 1e-6) -> bool:

@@ -4,8 +4,9 @@ The folding Hamiltonian is diagonal in the computational basis, so the
 expectation value ⟨ψ(θ)|H|ψ(θ)⟩ is estimated by sampling bitstrings from the
 ansatz and averaging their classical energies — exactly the estimator the
 paper's hybrid workflow uses on hardware.  Energies are cached per distinct
-configuration-register value, so repeated evaluation across optimiser
-iterations stays cheap even with large shot counts.
+configuration-register value, and each call's cache misses are scored in one
+batched kernel call, so repeated evaluation across optimiser iterations stays
+cheap even with large shot counts.
 """
 
 from __future__ import annotations
@@ -58,19 +59,32 @@ class DiagonalExpectation:
         dict insertion order is the arrival order, so the oldest configuration
         is dropped first.
         """
-        key = bits[: self.encoding.configuration_qubits]
-        cached = self._cache.get(key)
-        if cached is None:
-            self._misses += 1
-            cached = self.hamiltonian.energy_of_bits(key)
-            self._cache[key] = cached
-            if self.max_entries is not None:
-                while len(self._cache) > self.max_entries:
+        return self._energies([bits[: self.encoding.configuration_qubits]])[0]
+
+    def _energies(self, keys: list[str]) -> list[float]:
+        """Cached energies of configuration keys.  Keys missing from the cache
+        are scored in one kernel call, then the cache is updated key by key
+        exactly as one-at-a-time lookups would (hits, misses, FIFO order)."""
+        missing = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        scored = dict(zip(missing, self._score(missing))) if missing else {}
+        energies = []
+        for key in keys:
+            energy = self._cache.get(key)
+            if energy is not None:
+                self._hits += 1
+            else:
+                self._misses += 1
+                # A key cached at the start may have been evicted by this call.
+                energy = scored[key] if key in scored else self._score([key])[0]
+                self._cache[key] = energy
+                while self.max_entries is not None and len(self._cache) > self.max_entries:
                     self._cache.pop(next(iter(self._cache)))
                     self._evictions += 1
-        else:
-            self._hits += 1
-        return cached
+            energies.append(energy)
+        return energies
+
+    def _score(self, keys: list[str]) -> list[float]:
+        return self.hamiltonian.energies(self.encoding.turns_from_keys(keys)).tolist()
 
     def estimate_from_counts(self, counts: dict[str, int]) -> float:
         """Shot-weighted mean energy of a counts dictionary."""
@@ -124,9 +138,7 @@ class DiagonalExpectation:
             uniq, inverse, counts = np.unique(
                 config, axis=0, return_inverse=True, return_counts=True
             )
-        energies = np.array(
-            [self.energy_of_bits(bits) for bits in samples_to_bitstrings(uniq)]
-        )
+        energies = np.array(self._energies(samples_to_bitstrings(uniq)))
         return energies, np.ravel(inverse), counts
 
     def estimate_from_samples(self, samples: np.ndarray) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bio.reference import ReferenceStructureGenerator
+from repro.bio.reference import ReferenceStructureGenerator, _ground_state
 from repro.bio.rmsd import ca_rmsd
 from repro.config import PipelineConfig
 from repro.folding.baselines import (
@@ -26,10 +26,30 @@ def refgen():
 
 def test_reference_is_deterministic_and_cached(refgen):
     a = refgen.generate("3eax", "RYRDV")
+    hits = _ground_state.cache_info().hits
     b = refgen.generate("3eax", "RYRDV")
-    assert a is b  # cached
+    assert _ground_state.cache_info().hits == hits + 1  # the solve is memoised
     fresh = ReferenceStructureGenerator().generate("3eax", "RYRDV")
-    assert np.allclose(a.ca_coords, fresh.ca_coords)
+    assert np.array_equal(a.ca_coords, b.ca_coords)
+    assert np.array_equal(a.ca_coords, fresh.ca_coords)
+
+
+def test_reference_numbering_follows_each_call():
+    """Regression: a record generated with ``start_seq_id=37`` was served to a
+    later call on the same generator that asked for the default numbering."""
+    generator = ReferenceStructureGenerator()
+    shifted = generator.generate("1e2l", "AQITMGMPY", start_seq_id=37)
+    plain = generator.generate("1e2l", "AQITMGMPY")
+    fresh = ReferenceStructureGenerator().generate("1e2l", "AQITMGMPY")
+    assert [r.seq_id for r in shifted.structure.residues] == list(range(37, 46))
+    assert [r.seq_id for r in plain.structure.residues] == list(range(1, 10))
+    assert np.array_equal(plain.structure.all_coords(), fresh.structure.all_coords())
+
+
+def test_memoised_ground_state_is_read_only():
+    trace = _ground_state("RYRDV", 7, 400).ca_coords
+    with pytest.raises(ValueError):
+        trace[0, 0] = 1.0
 
 
 def test_reference_differs_between_pdb_ids(refgen):
