@@ -89,11 +89,6 @@ def main(argv: list[str] | None = None) -> int:
              "published result wins)",
     )
     parser.add_argument(
-        "--max-workers", type=int, default=None,
-        help="filequeue elastic ceiling: grow the spawned fleet with queue "
-             "depth up to this many daemons, retiring idle extras",
-    )
-    parser.add_argument(
         "--baseline-priority", type=int, default=None,
         help="priority class stamped on the baseline-fold jobs (higher "
              "drains first; hash-neutral, the fold jobs keep priority 0)",
@@ -130,8 +125,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.speculate is not None:
         config = config.with_updates(transport_speculate=args.speculate)
-    if args.max_workers is not None:
-        config = config.with_updates(transport_max_workers=args.max_workers)
     if args.serve_host:
         config = config.with_updates(serve_host=args.serve_host)
     if args.serve_port is not None:

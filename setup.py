@@ -16,7 +16,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    # Generator.spawn (multi-walker docking RNG substreams) needs NumPy 1.25.
+    install_requires=["numpy>=1.25", "scipy", "networkx"],
     entry_points={
         "console_scripts": [
             "repro-cache=repro.cli.cache:main",

@@ -2,8 +2,9 @@
 
 Each benchmark is a module-level function taking ``(config, smoke)`` and
 returning ``{metric_name: value}`` for **one** repeat; :func:`run_suite`
-executes every benchmark ``config.bench_repeats`` times and summarises each
-metric as median/p10/p90.  The suite covers the engine's hot paths:
+executes every benchmark :data:`REPEATS` times (:data:`SMOKE_REPEATS` in
+smoke mode) and summarises each metric as median/p10/p90.  The suite covers
+the engine's hot paths:
 
 * ``vqe.objective_evals_per_sec.{compiled,rebuild}`` — one CVaR objective
   evaluation through the compiled replay plan vs per-iteration circuit
@@ -15,8 +16,6 @@ metric as median/p10/p90.  The suite covers the engine's hot paths:
   batch self-checks bit-identity against the scalar scores);
 * ``docking.searches_per_sec`` — complete multi-seed Monte-Carlo dock
   searches (each seed is one full search over every pocket);
-* ``dataset.build_seconds.{cold,warm}`` — one-fragment dataset build against
-  an empty vs freshly warmed result cache;
 * ``transport.ms_per_job.{serial,pool,filequeue}`` — per-job wall overhead of
   a small baseline-fold batch on each executor transport (worker spawn and
   spool polling included: that *is* the overhead being measured);
@@ -32,7 +31,9 @@ metric as median/p10/p90.  The suite covers the engine's hot paths:
 
 Smoke mode shrinks repeat counts and workload sizes so the whole suite runs
 in well under a minute; the derived speedup ratios stay meaningful because
-the pose batch size and circuit shapes are unchanged.
+the pose batch size and circuit shapes are unchanged.  Dataset-build wall
+time is measured by ``perfbench`` (the 9-fragment slice, cold and warm), not
+here.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ from repro.quantum.backend import StatevectorBackend
 from repro.quantum.statevector import StatevectorSimulator
 from repro.utils.rng import rng_for
 from repro.vqe.expectation import DiagonalExpectation
+
+#: Repeats per benchmark, and in smoke mode.
+REPEATS = 5
+SMOKE_REPEATS = 2
+
+#: Poses scored per call by the docking-throughput benchmark.
+POSE_BATCH = 128
 
 #: Fragment used by the quantum/docking micro-benchmarks (smallest S-group).
 _BENCH_PDB = "3eax"
@@ -97,11 +105,10 @@ def bench_docking_scoring(config: PipelineConfig, smoke: bool) -> dict[str, floa
     scorer = VinaScoringFunction(record.structure, ligand)
     pocket = find_pocket(record.structure)
     rng = rng_for(config.seed, "bench-docking-scoring")
-    pose_batch = max(2, int(config.bench_pose_batch))
     coords = np.stack(
         [
             ligand.transformed(random_rotation(rng), pocket.center + rng.normal(scale=4.0, size=3))
-            for _ in range(pose_batch)
+            for _ in range(POSE_BATCH)
         ]
     )
     batch_loops = 2 if smoke else 5
@@ -116,8 +123,8 @@ def bench_docking_scoring(config: PipelineConfig, smoke: bool) -> dict[str, floa
     if not np.array_equal(batch_scores, scalar_scores):
         raise ReproError("batched docking scores diverged from the scalar path")
     return {
-        "docking.poses_scored_per_sec.batch": pose_batch * batch_loops / elapsed_batch,
-        "docking.poses_scored_per_sec.scalar": pose_batch / elapsed_scalar,
+        "docking.poses_scored_per_sec.batch": POSE_BATCH * batch_loops / elapsed_batch,
+        "docking.poses_scored_per_sec.scalar": POSE_BATCH / elapsed_scalar,
     }
 
 
@@ -131,7 +138,6 @@ def bench_docking_search(config: PipelineConfig, smoke: bool) -> dict[str, float
         num_poses=min(5, config.docking_poses),
         mc_steps=steps,
         master_seed=config.seed,
-        batch=config.docking_batch,
     )
     elapsed = _timed(
         lambda: engine.dock(record.structure, ligand, receptor_id=f"{_BENCH_PDB}:BENCH"), 1
@@ -201,7 +207,7 @@ def bench_statevector(config: PipelineConfig, smoke: bool) -> dict[str, float]:
     }
 
 
-def _dataset_bench_config(config: PipelineConfig, smoke: bool) -> PipelineConfig:
+def _batch_bench_config(config: PipelineConfig, smoke: bool) -> PipelineConfig:
     iterations = 6 if smoke else 12
     return config.with_updates(
         vqe_iterations=iterations,
@@ -216,31 +222,12 @@ def _dataset_bench_config(config: PipelineConfig, smoke: bool) -> PipelineConfig
     )
 
 
-def bench_dataset_build(config: PipelineConfig, smoke: bool) -> dict[str, float]:
-    """Cold vs warm one-fragment dataset build wall time (seconds)."""
-    from repro.dataset.builder import DatasetBuilder
-
-    build_config = _dataset_bench_config(config, smoke)
-    fragments = DatasetBuilder.select_fragments(pdb_ids=[_BENCH_PDB])
-    tmp = tempfile.mkdtemp(prefix="repro-bench-cache-")
-    try:
-        builder = DatasetBuilder(config=build_config, processes=0, cache_dir=tmp)
-        cold = _timed(lambda: builder.build(fragments, include_baselines=True), 1)
-        warm = _timed(lambda: builder.build(fragments, include_baselines=True), 1)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return {
-        "dataset.build_seconds.cold": cold,
-        "dataset.build_seconds.warm": warm,
-    }
-
-
 def bench_transport_overhead(config: PipelineConfig, smoke: bool) -> dict[str, float]:
     """Per-job wall overhead (ms) of one baseline-fold batch per transport."""
     from repro.engine.core import Engine
 
     jobs = _TRANSPORT_FRAGMENTS[: 3 if smoke else len(_TRANSPORT_FRAGMENTS)]
-    base = _dataset_bench_config(config, smoke)
+    base = _batch_bench_config(config, smoke)
     results: dict[str, float] = {}
 
     def run_batch(engine: Engine) -> float:
@@ -352,8 +339,6 @@ METRIC_UNITS: dict[str, str] = {
     "docking.poses_scored_per_sec.batch": "poses/s",
     "docking.poses_scored_per_sec.scalar": "poses/s",
     "docking.searches_per_sec": "searches/s",
-    "dataset.build_seconds.cold": "s",
-    "dataset.build_seconds.warm": "s",
     "transport.ms_per_job.serial": "ms",
     "transport.ms_per_job.pool": "ms",
     "transport.ms_per_job.filequeue": "ms",
@@ -371,7 +356,6 @@ BENCHMARKS: tuple[tuple[str, object], ...] = (
     ("vqe-objective", bench_vqe_objective),
     ("docking-search", bench_docking_search),
     ("cache-remote", bench_cache_remote),
-    ("dataset-build", bench_dataset_build),
     ("transport-overhead", bench_transport_overhead),
 )
 
@@ -401,11 +385,6 @@ def derived_metrics(results: dict[str, dict]) -> dict[str, float]:
         "quantum.statevector_gates_per_sec.compiled",
         "quantum.statevector_gates_per_sec.run",
     )
-    ratio(
-        "dataset.warm_cache_speedup",
-        "dataset.build_seconds.cold",
-        "dataset.build_seconds.warm",
-    )
     # Stub completions trade payload bytes through the spool (the shared
     # filesystem) for direct cache-tier writes; wall clock stays flat on a
     # local disk, so the portable ratio is the spool-traffic shrink.
@@ -427,12 +406,14 @@ def run_suite(
     """Run the suite and return ``(benchmark_results, derived_metrics)``.
 
     ``benchmark_results`` maps metric name to ``{unit, repeats, values,
-    median, p10, p90}``.  ``only`` filters benchmarks by substring of their
-    suite name; ``progress`` (when given) receives one line per benchmark.
+    median, p10, p90}``.  ``repeats`` defaults to :data:`REPEATS`
+    (:data:`SMOKE_REPEATS` in smoke mode).  ``only`` filters benchmarks by
+    substring of their suite name; ``progress`` (when given) receives one
+    line per benchmark.
     """
     config = config or PipelineConfig()
     if repeats is None:
-        repeats = 2 if smoke else max(1, config.bench_repeats)
+        repeats = SMOKE_REPEATS if smoke else REPEATS
     repeats = max(1, int(repeats))
     selected = [
         (name, fn) for name, fn in BENCHMARKS if only is None or only in name

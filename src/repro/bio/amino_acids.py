@@ -125,11 +125,6 @@ def residue_charge(code: str) -> int:
     return get(code).charge
 
 
-def is_polar(code: str) -> bool:
-    """True for polar residues."""
-    return get(code).polar
-
-
 def is_hydrophobic(code: str) -> bool:
     """True for hydrophobic (positive hydropathy) residues."""
     return get(code).hydrophobic

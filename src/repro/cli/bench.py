@@ -33,7 +33,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench.suite import run_suite
+from repro.bench.suite import POSE_BATCH, REPEATS, SMOKE_REPEATS, run_suite
 from repro.bench.trajectory import (
     build_report,
     compare_reports,
@@ -44,7 +44,6 @@ from repro.bench.trajectory import (
     validate_report,
     write_report,
 )
-from repro.config import PipelineConfig
 from repro.exceptions import ReproError
 
 
@@ -83,12 +82,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not root.is_dir():
         print(f"repro-bench: trajectory root {args.root!r} does not exist", file=sys.stderr)
         return 2
-    config = PipelineConfig()
-    repeats = args.repeats if args.repeats is not None else (2 if args.smoke else config.bench_repeats)
+    repeats = args.repeats
+    if repeats is None:
+        repeats = SMOKE_REPEATS if args.smoke else REPEATS
     bench_id = args.bench_id if args.bench_id is not None else next_bench_id(root)
     try:
         results, derived = run_suite(
-            config=config,
             smoke=args.smoke,
             repeats=repeats,
             only=args.only,
@@ -102,7 +101,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         results=results,
         derived=derived,
         repeats=repeats,
-        pose_batch=config.bench_pose_batch,
+        pose_batch=POSE_BATCH,
         smoke=args.smoke,
     )
     previous_path = find_previous_report(root, before_id=bench_id)
@@ -148,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--repeats", type=int, default=None,
-        help="repeats per benchmark (default: config.bench_repeats, 2 with --smoke)",
+        help=f"repeats per benchmark (default: {REPEATS}, {SMOKE_REPEATS} with --smoke)",
     )
     parser.add_argument(
         "--only", default=None,

@@ -135,37 +135,12 @@ class PipelineConfig:
         is cloned into a shadow task for another worker to race (first
         published result wins; the loser is discarded).  ``None`` (the
         default) disables speculation.  Never enters any job hash.
-    transport_max_workers:
-        Elastic ceiling on the ``filequeue`` fleet: the transport grows the
-        spawned-worker count toward the queue depth up to this cap and
-        retires surplus workers as the queue drains.  ``None`` (the default)
-        pins the fleet at ``transport_workers``.  Never enters any job hash.
     serve_host / serve_port:
         Address of the ``repro-serve`` daemon the ``network`` transport
         submits to (start one with ``repro-serve``).
     serve_max_inflight:
         Per-client in-flight job window of the ``network`` transport (the
         server clamps it to its own advertised admission cap).
-    docking_batch:
-        Whether Monte-Carlo pose search advances its restart walkers in
-        lock-step, scoring every walker's proposal in one batched
-        ``score_coords_batch`` call.  The batched and scalar paths are
-        bit-identical (the determinism harness asserts it), so this knob is
-        pure speed and never enters any job hash.
-    quantum_compiled_plans:
-        Whether statevector-backed VQE evaluations reuse a compiled replay
-        plan of the ansatz structure instead of re-binding and re-walking the
-        circuit every optimiser iteration.  Bit-identical either way; never
-        enters any job hash.
-    expectation_cache_entries:
-        Optional cap on the diagonal-expectation energy cache (FIFO eviction
-        beyond the cap).  ``None`` (the default) leaves it unbounded.
-        Eviction only ever costs recompute time, never correctness.
-    bench_repeats:
-        Repeats per benchmark in the ``repro-bench`` suite (median/p10/p90
-        are reported over these).
-    bench_pose_batch:
-        Pose-batch size used by the docking-throughput benchmark.
     """
 
     vqe_iterations: int = 60
@@ -197,15 +172,9 @@ class PipelineConfig:
     transport_poll_interval: float = 0.05
     transport_priority: int = 0
     transport_speculate: float | None = None
-    transport_max_workers: int | None = None
     serve_host: str = "127.0.0.1"
     serve_port: int = 7377
     serve_max_inflight: int = 32
-    docking_batch: bool = True
-    quantum_compiled_plans: bool = True
-    expectation_cache_entries: int | None = None
-    bench_repeats: int = 5
-    bench_pose_batch: int = 128
     #: CVaR fraction used by the stage-1 objective (1.0 = plain expectation).
     cvar_alpha: float = 0.2
     #: Cap applied to the width-scaled stage-2 shot count.

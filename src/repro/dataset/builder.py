@@ -111,10 +111,3 @@ class DatasetBuilder:
         bank = QDockBank(entries=entries)
         logger.info("finished %d entries; engine stats: %s", len(bank), self.engine.stats())
         return bank
-
-    def build_and_save(self, output_dir: str | Path, **kwargs) -> QDockBank:
-        """Build and persist the dataset in the published folder layout."""
-        bank = self.build(**kwargs)
-        path = bank.save(output_dir)
-        logger.info("dataset written to %s", path)
-        return bank

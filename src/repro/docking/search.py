@@ -15,10 +15,10 @@ Metropolis step scores all walkers' proposals in one
 :meth:`~repro.docking.scoring.VinaScoringFunction.score_coords_batch` call.
 Each walker owns its own RNG substream — walker 0 uses the caller's generator
 directly and walkers 1..W-1 are spawned children — so the draw sequence per
-walker does not depend on whether the walkers run batched (lock-step) or
-scalar (one walker at a time): ``batch=True`` and ``batch=False`` return
-bit-identical poses, and a single-walker search consumes the caller's
-generator exactly as the historical sequential implementation did.
+walker does not depend on how the walkers interleave: the lock-step walk
+returns bit-identical poses to advancing the walkers one at a time, and a
+single-walker search consumes the caller's generator exactly as a sequential
+implementation would.
 """
 
 from __future__ import annotations
@@ -57,15 +57,7 @@ def walker_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generato
     """
     if count <= 1:
         return [rng]
-    try:
-        children = rng.spawn(count - 1)
-    except AttributeError:  # older numpy: spawn via the seed sequence directly
-        bit_generator = type(rng.bit_generator)
-        children = [
-            np.random.Generator(bit_generator(seed))
-            for seed in rng.bit_generator.seed_seq.spawn(count - 1)
-        ]
-    return [rng, *children]
+    return [rng, *rng.spawn(count - 1)]
 
 
 class MonteCarloPoseSearch:
@@ -139,31 +131,14 @@ class MonteCarloPoseSearch:
 
     # -- walkers -----------------------------------------------------------------
 
-    def _walk_scalar(
-        self, walkers: int, steps: int, rngs: list[np.random.Generator]
-    ) -> list[Pose]:
-        """Advance the walkers one at a time (reference path)."""
-        candidates: list[Pose] = []
-        for walker in range(walkers):
-            rng = rngs[walker]
-            rotation, translation = self._initial_state(walker, rng)
-            current = Pose(rotation, translation, self.scorer.score_pose(rotation, translation))
-            candidates.append(current)
-            for _ in range(steps):
-                proposal = self._perturb(current, rng)
-                if self._accept(proposal.score - current.score, rng):
-                    current = proposal
-                    candidates.append(current)
-        return candidates
-
     def _walk_batch(
         self, walkers: int, steps: int, rngs: list[np.random.Generator]
     ) -> list[Pose]:
         """Advance all walkers in lock-step, scoring each step as one batch.
 
         Candidates are collected per walker and concatenated walker-major, so
-        the candidate order — and with it every downstream stable sort —
-        matches the scalar path exactly.
+        the candidate order — and with it every downstream stable sort — is
+        that of advancing the walkers one after another.
         """
         states = [self._initial_state(walker, rngs[walker]) for walker in range(walkers)]
         scores = self._score_states(states)
@@ -195,31 +170,23 @@ class MonteCarloPoseSearch:
         num_poses: int = 10,
         restarts: int = 3,
         refine_steps: int = 25,
-        batch: bool = True,
     ) -> list[Pose]:
         """Run the search and return the best ``num_poses`` distinct poses.
 
         Poses are deduplicated on their translation (two poses closer than
         1.0 Å are considered the same binding mode and only the better one is
-        kept), mirroring how Vina clusters its output modes.  ``batch``
-        selects lock-step batched walker advancement; it changes wall time
-        only, never the returned poses.
+        kept), mirroring how Vina clusters its output modes.
         """
         if steps <= 0:
             raise DockingError(f"steps must be positive, got {steps}")
         restarts = max(restarts, len(self.initial_rotations) + 1)
         walkers = max(1, restarts)
         steps_per_restart = max(1, steps // walkers)
-        rngs = walker_rngs(rng, walkers)
-
-        if batch and walkers > 1:
-            candidates = self._walk_batch(walkers, steps_per_restart, rngs)
-        else:
-            candidates = self._walk_scalar(walkers, steps_per_restart, rngs)
+        candidates = self._walk_batch(walkers, steps_per_restart, walker_rngs(rng, walkers))
 
         # Keep the best candidates, deduplicated by binding mode.  Selection
         # and refinement consume the caller's generator (walker 0's stream)
-        # sequentially in both modes.
+        # sequentially.
         candidates.sort(key=lambda p: p.score)
         selected: list[Pose] = []
         for pose in candidates:

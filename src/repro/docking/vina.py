@@ -206,7 +206,6 @@ def dock_structure(
         num_poses=config.docking_poses,
         mc_steps=config.docking_mc_steps,
         master_seed=config.seed,
-        batch=config.docking_batch,
     )
     return engine.dock(receptor, ligand, receptor_id=receptor_id)
 
@@ -239,7 +238,6 @@ class DockingEngine:
         weights: ScoringWeights | None = None,
         master_seed: int = 101,
         site_radius: float = 6.0,
-        batch: bool = True,
     ):
         if num_seeds <= 0 or num_poses <= 0:
             raise DockingError("num_seeds and num_poses must be positive")
@@ -249,7 +247,6 @@ class DockingEngine:
         self.weights = weights or ScoringWeights()
         self.master_seed = int(master_seed)
         self.site_radius = float(site_radius)
-        self.batch = bool(batch)
 
     def prepare(self, receptor: Structure, ligand: Ligand) -> PreparedDock:
         """Build the seed-invariant task state: scorer, pockets, searches."""
@@ -287,9 +284,7 @@ class DockingEngine:
             poses: list[Pose] = []
             for search in prepared.searches:
                 poses.extend(
-                    search.search(
-                        prepared.steps_per_site, rng, num_poses=self.num_poses, batch=self.batch
-                    )
+                    search.search(prepared.steps_per_site, rng, num_poses=self.num_poses)
                 )
             poses.sort(key=lambda p: p.score)
             run = self._build_run(seed, poses[: self.num_poses], prepared.ligand)

@@ -49,7 +49,6 @@ from repro.engine.cache import (
 from repro.engine.jobs import (
     BASELINE_SCHEMA_VERSION,
     DOCK_SCHEMA_VERSION,
-    ENGINE_SCHEMA_VERSION,
     FOLD_SCHEMA_VERSION,
     JOB_KINDS,
     BaselineFoldSpec,
@@ -72,7 +71,6 @@ from repro.engine.scheduler import (
     DurationTracker,
     PendingTask,
     capabilities_match,
-    desired_fleet_size,
     job_priority,
     job_requirements,
     parse_tags,
@@ -111,7 +109,6 @@ from repro.engine.core import (
 __all__ = [
     "BASELINE_SCHEMA_VERSION",
     "DOCK_SCHEMA_VERSION",
-    "ENGINE_SCHEMA_VERSION",
     "FOLD_SCHEMA_VERSION",
     "JOB_KINDS",
     "SESSION_SCHEMA_VERSION",
@@ -146,7 +143,6 @@ __all__ = [
     "backend_names",
     "capabilities_match",
     "config_fingerprint",
-    "desired_fleet_size",
     "execute_baseline_job",
     "execute_dock_job",
     "execute_fold_job",

@@ -47,9 +47,6 @@ BASELINE_SCHEMA_VERSION = "baseline_fold/v1"
 #: docking outputs differ from dock/v1 at equal knobs.
 DOCK_SCHEMA_VERSION = "dock/v2"
 
-#: Backwards-compatible alias (PR 1 exposed the fold schema under this name).
-ENGINE_SCHEMA_VERSION = FOLD_SCHEMA_VERSION
-
 #: The job kinds the engine knows how to execute.
 JOB_KINDS: tuple[str, ...] = ("fold", "baseline_fold", "dock")
 

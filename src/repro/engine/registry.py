@@ -136,19 +136,10 @@ def make_backend(name: str | None = None, config: PipelineConfig | None = None) 
     return builder(config)
 
 
-def _plan_cache_size(config: PipelineConfig) -> int:
-    # A zero-sized plan cache disables the compiled replay path entirely; the
-    # statevector backend then falls back to bind-and-sample.
-    return 64 if config.quantum_compiled_plans else 0
-
-
 def _build_statevector(config: PipelineConfig) -> Backend:
     # An explicit statevector choice should not be capped below the simulator's
     # own default limit just because the auto-dispatch threshold is small.
-    return StatevectorBackend(
-        max_qubits=max(24, config.max_statevector_qubits),
-        plan_cache_size=_plan_cache_size(config),
-    )
+    return StatevectorBackend(max_qubits=max(24, config.max_statevector_qubits))
 
 
 def _build_mps(config: PipelineConfig) -> Backend:
@@ -159,7 +150,6 @@ def _build_auto(config: PipelineConfig) -> Backend:
     return AutoBackend(
         max_statevector_qubits=config.max_statevector_qubits,
         max_bond_dimension=config.mps_bond_dimension,
-        plan_cache_size=_plan_cache_size(config),
     )
 
 

@@ -1,9 +1,9 @@
-"""Fleet scheduling policy: priorities, capability tags, stragglers, sizing.
+"""Fleet scheduling policy: priorities, capability tags, stragglers.
 
 The file-queue fleet (:mod:`repro.engine.transports.filequeue`) coordinates
 entirely through atomic filesystem operations; *which* task a worker claims
 next, *whether* it may claim it at all, and *when* the submitting transport
-should clone a straggling task or grow the fleet are pure policy decisions.
+should clone a straggling task are pure policy decisions.
 This module holds that policy so the spool, the worker loop and the
 transport all schedule by the same rules:
 
@@ -38,11 +38,6 @@ as a shadow copy of the same task id.  Safe because results are
 content-addressed and idempotent: the first publisher wins the result file
 (:meth:`FileQueueSpool.publish_result` is create-exclusive) and the loser's
 copy is discarded by the existing claim-ownership machinery.
-
-**Elastic sizing.**  :func:`desired_fleet_size` maps queue depth to a worker
-count between the configured floor and ``transport_max_workers``; the
-transport spawns extras (with an idle-exit so they retire themselves when
-the queue drains) and retires clean exits without charging the respawn cap.
 
 None of this affects results: scheduling decides *where and when* a job
 runs, never *what it computes* — the determinism harness asserts scheduler
@@ -218,18 +213,3 @@ def speculation_threshold(
         return None
     return max(float(floor), float(multiplier) * median)
 
-
-# -- elastic fleet sizing -------------------------------------------------------------
-
-
-def desired_fleet_size(pending: int, minimum: int, maximum: int | None) -> int:
-    """Queue-depth-driven worker count, clamped to ``[minimum, maximum]``.
-
-    One worker per runnable task, never below the configured floor and never
-    above the elastic ceiling; ``maximum=None`` (elastic sizing off) pins the
-    fleet at the floor.
-    """
-    minimum = max(0, int(minimum))
-    if maximum is None:
-        return minimum
-    return max(minimum, min(int(maximum), max(0, int(pending))))

@@ -446,7 +446,7 @@ class Session:
         #: starts; exposed so tests and tools can inspect/steer the fleet).
         self.transport: Any = None
         #: The transport's own counters (reclaimed leases, speculated shadow
-        #: tasks, elastic spawns, ...), captured when the stream drains.
+        #: tasks, respawns, ...), captured when the stream drains.
         self.transport_stats: dict[str, Any] | None = None
         self.cached = 0
         self.executed = 0

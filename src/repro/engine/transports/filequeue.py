@@ -105,7 +105,6 @@ from repro.engine.scheduler import (
     DurationTracker,
     PendingTask,
     capabilities_match,
-    desired_fleet_size,
     job_priority,
     job_requirements,
     order_pending,
@@ -344,14 +343,6 @@ class FileQueueSpool:
         # reappears (stale-lease reclaim) re-reads its unchanged header.
         self._meta_cache = {t: m for t, m in self._meta_cache.items() if t in seen}
         return order_pending(entries)
-
-    def pending_count(self) -> int:
-        """How many tasks are runnable right now (one cheap directory scan)."""
-        try:
-            with os.scandir(self.tasks_dir) as it:
-                return sum(1 for entry in it if entry.name.endswith(".task"))
-        except OSError:
-            return 0
 
     def task_ids(self) -> list[str]:
         """Pending task ids in claim order: priority desc, then oldest first.
@@ -875,10 +866,7 @@ class FileQueueTransport(Transport):
     with ``set_priority`` (``PipelineConfig.transport_priority``);
     ``speculate`` re-dispatches a shadow copy of any task claimed for longer
     than that multiple of the fleet's rolling median job duration
-    (``transport_speculate``; ``None`` disables); ``max_workers`` lets
-    ``_maintain`` grow the spawned fleet with queue depth up to that ceiling
-    and retire idle extras (``transport_max_workers``; ``None`` pins the
-    fleet at ``workers``).
+    (``transport_speculate``; ``None`` disables).
     """
 
     name: ClassVar[str] = "filequeue"
@@ -896,7 +884,6 @@ class FileQueueTransport(Transport):
         cache_spec: str | None = None,
         default_priority: int = DEFAULT_PRIORITY,
         speculate: float | None = None,
-        max_workers: int | None = None,
     ):
         self.spool = FileQueueSpool(spool_dir)
         self.cache_spec = str(cache_spec) if cache_spec else None
@@ -907,9 +894,6 @@ class FileQueueTransport(Transport):
         self.respawn_limit = int(respawn_limit)
         self.default_priority = int(default_priority)
         self.speculate = float(speculate) if speculate else None
-        self.max_workers = (
-            None if max_workers is None else max(self.worker_count, int(max_workers))
-        )
         self.batch_id = uuid.uuid4().hex[:8]
         self.workers: list[subprocess.Popen] = []
         self.reclaimed = 0
@@ -920,8 +904,6 @@ class FileQueueTransport(Transport):
         #: Task ids already shadow-dispatched (at most one shadow per task).
         self._speculated: set[str] = set()
         self.speculated = 0
-        self.elastic_spawned = 0
-        self.retired = 0
         self._outstanding: dict[str, int] = {}
         self._bad_reads: dict[str, int] = {}
         self._log_handles: list[Any] = []
@@ -974,7 +956,7 @@ class FileQueueTransport(Transport):
         self._last_activity = time.monotonic()
         return len(self._outstanding)
 
-    def _spawn_worker(self, idle_exit: float | None = None) -> None:
+    def _spawn_worker(self) -> None:
         import repro
 
         worker_id = f"{self.batch_id}-w{len(self.workers)}-{uuid.uuid4().hex[:4]}"
@@ -989,11 +971,6 @@ class FileQueueTransport(Transport):
             "--lease-timeout", str(self.lease_timeout),
             "--poll-interval", str(max(0.02, min(self.poll_interval, 0.5))),
         ]
-        if idle_exit is not None:
-            # Elastic extras retire themselves when the queue drains; the
-            # fleet tender then drops their clean exit without charging the
-            # respawn cap.
-            args += ["--idle-exit", str(idle_exit)]
         log = (self.spool.log_dir / f"{worker_id}.out").open("ab")
         self._log_handles.append(log)
         proc = subprocess.Popen(args, env=env, stdout=log, stderr=subprocess.STDOUT)
@@ -1207,29 +1184,11 @@ class FileQueueTransport(Transport):
             )
 
     def _tend_fleet(self) -> None:
-        """Reap exited workers (respawn crashes, retire clean surplus exits)
-        and grow the fleet toward the queue-depth-desired size."""
-        if not self.workers and self.max_workers is None:
-            return  # external fleet: nothing spawned, nothing to tend
-        desired = desired_fleet_size(
-            self.spool.pending_count(),
-            minimum=self.worker_count,
-            maximum=self.max_workers,
-        )
+        """Respawn spawned workers that exited while work remains (an
+        external fleet has nothing spawned, so nothing to tend)."""
         for i, proc in enumerate(self.workers):
             if proc.poll() is None:
                 continue
-            if proc.returncode == 0 and len(self.workers) > desired:
-                # A surplus elastic extra retired itself (idle-exit after the
-                # queue drained): planned shrinkage, not a crash — it does
-                # not charge the respawn cap.
-                del self.workers[i]
-                self.retired += 1
-                logger.info(
-                    "filequeue %s: retired a surplus worker (%d left, %d desired)",
-                    self.batch_id, len(self.workers), desired,
-                )
-                return  # list mutated; the next _maintain pass checks the rest
             self.respawned += 1
             if self.respawned > self.respawn_limit:
                 raise EngineError(
@@ -1244,15 +1203,6 @@ class FileQueueTransport(Transport):
             del self.workers[i]
             self._spawn_worker()
             return  # list mutated; the next _maintain pass checks the rest
-        if len(self.workers) < desired:
-            # Grow by at most one per pass: queue depth is re-measured each
-            # cycle, so a burst that drains quickly never over-spawns.
-            self._spawn_worker(idle_exit=max(2.0, 10 * self.poll_interval))
-            self.elastic_spawned += 1
-            logger.info(
-                "filequeue %s: queue depth grew the fleet to %d workers (%d desired)",
-                self.batch_id, len(self.workers), desired,
-            )
 
     def _warn_if_stalled(self) -> None:
         """Log (periodically) when nothing is completing *and* nothing is
@@ -1319,8 +1269,6 @@ class FileQueueTransport(Transport):
             "respawned": self.respawned,
             "spawned_workers": len(self.workers),
             "speculated": self.speculated,
-            "elastic_spawned": self.elastic_spawned,
-            "retired": self.retired,
         }
 
 
@@ -1361,7 +1309,6 @@ def _build_filequeue(config: Any, processes: int) -> FileQueueTransport:
         cache_spec=cache_spec,
         default_priority=getattr(config, "transport_priority", DEFAULT_PRIORITY),
         speculate=getattr(config, "transport_speculate", None),
-        max_workers=getattr(config, "transport_max_workers", None),
     )
 
 

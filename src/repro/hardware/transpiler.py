@@ -29,6 +29,9 @@ MEASUREMENT_LAYERS = 5
 #: Depth added on the critical path by one routed SWAP (3 ECR + dressing).
 SWAP_DEPTH = 12
 
+#: Transpilations a :class:`Transpiler` keeps (FIFO), one per structure key.
+CACHE_SIZE = 128
+
 
 @dataclass(frozen=True)
 class TranspiledCircuit:
@@ -65,13 +68,11 @@ class Transpiler:
         self,
         router: LinearChainRouter | None = None,
         ancilla_margin: int = 5,
-        cache_size: int = 128,
     ):
         if ancilla_margin < 0:
             raise TranspilerError(f"ancilla margin must be >= 0, got {ancilla_margin}")
         self.router = router if router is not None else LinearChainRouter()
         self.ancilla_margin = int(ancilla_margin)
-        self.cache_size = int(cache_size)
         self._cache: dict[tuple, TranspiledCircuit] = {}
         self._hits = 0
         self._misses = 0
@@ -82,7 +83,7 @@ class Transpiler:
             "entries": len(self._cache),
             "hits": self._hits,
             "misses": self._misses,
-            "max_entries": self.cache_size,
+            "max_entries": CACHE_SIZE,
         }
 
     def scheduled_depth(self, circuit: QuantumCircuit, swap_count: int = 0) -> int:
@@ -119,18 +120,12 @@ class Transpiler:
         swapped for the caller's own circuit object.
         """
         margin = self.ancilla_margin if margin is None else int(margin)
-        key = None
-        if self.cache_size > 0:
-            key = (
-                circuit_structure_key(circuit),
-                margin,
-                tuple(int(q) for q in defective_qubits),
-            )
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._hits += 1
-                return replace(cached, logical_circuit=circuit)
-            self._misses += 1
+        key = (circuit_structure_key(circuit), margin, tuple(int(q) for q in defective_qubits))
+        cached = self._cache.get(key)
+        if cached is not None:
+            self._hits += 1
+            return replace(cached, logical_circuit=circuit)
+        self._misses += 1
         routing = self.router.route(circuit.num_qubits, margin=margin, defective_qubits=defective_qubits)
         reported_depth = self.scheduled_depth(circuit, swap_count=routing.swap_count)
 
@@ -147,8 +142,7 @@ class Transpiler:
             reported_depth=reported_depth,
             native_gate_counts=counts,
         )
-        if key is not None:
-            self._cache[key] = result
-            while len(self._cache) > self.cache_size:
-                self._cache.pop(next(iter(self._cache)))
+        self._cache[key] = result
+        while len(self._cache) > CACHE_SIZE:
+            self._cache.pop(next(iter(self._cache)))
         return result

@@ -27,6 +27,9 @@ from repro.quantum.compiled import CompiledCircuit, circuit_structure_key
 from repro.quantum.mps import MPSSimulator
 from repro.quantum.statevector import StatevectorSimulator
 
+#: Compiled plans a statevector backend keeps (FIFO); one per circuit structure.
+PLAN_CACHE_SIZE = 64
+
 
 def samples_to_bitstrings(samples: np.ndarray) -> list[str]:
     """Convert a (shots, n) 0/1 array into bitstring form."""
@@ -89,9 +92,8 @@ class StatevectorBackend(Backend):
 
     name = "statevector"
 
-    def __init__(self, max_qubits: int = 24, plan_cache_size: int = 64):
+    def __init__(self, max_qubits: int = 24):
         self._sim = StatevectorSimulator(max_qubits=max_qubits)
-        self.plan_cache_size = int(plan_cache_size)
         self._plans: dict[tuple, "CompiledCircuit"] = {}
         self._plan_hits = 0
         self._plan_misses = 0
@@ -102,8 +104,6 @@ class StatevectorBackend(Backend):
     def sample_parameterised(
         self, circuit: QuantumCircuit, values, shots: int, rng: np.random.Generator
     ) -> np.ndarray:
-        if self.plan_cache_size <= 0:
-            return super().sample_parameterised(circuit, values, shots, rng)
         try:
             plan = self._plan_for(circuit)
         except CircuitError:
@@ -118,7 +118,7 @@ class StatevectorBackend(Backend):
             self._plan_misses += 1
             plan = CompiledCircuit(circuit, max_qubits=self._sim.max_qubits)
             self._plans[key] = plan
-            while len(self._plans) > self.plan_cache_size:
+            while len(self._plans) > PLAN_CACHE_SIZE:
                 self._plans.pop(next(iter(self._plans)))
         else:
             self._plan_hits += 1
@@ -130,7 +130,7 @@ class StatevectorBackend(Backend):
             "entries": len(self._plans),
             "hits": self._plan_hits,
             "misses": self._plan_misses,
-            "max_entries": self.plan_cache_size,
+            "max_entries": PLAN_CACHE_SIZE,
         }
 
 
@@ -156,12 +156,9 @@ class AutoBackend(Backend):
         self,
         max_statevector_qubits: int = 16,
         max_bond_dimension: int = 16,
-        plan_cache_size: int = 64,
     ):
         self.max_statevector_qubits = int(max_statevector_qubits)
-        self._sv = StatevectorBackend(
-            max_qubits=max(max_statevector_qubits, 1), plan_cache_size=plan_cache_size
-        )
+        self._sv = StatevectorBackend(max_qubits=max(max_statevector_qubits, 1))
         self._mps = MPSBackend(max_bond_dimension=max_bond_dimension)
 
     def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,8 +10,6 @@ when it records per-run seeds for reproducibility (Sec. 6.2).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -51,17 +49,3 @@ def stable_fraction(*keys: object) -> float:
     per-fragment spread without any global RNG state.
     """
     return (child_seed(0, *keys) >> 11) / float(1 << 53)
-
-
-def choice_weighted(rng: np.random.Generator, items: Iterable, weights: Iterable[float]):
-    """Weighted random choice that tolerates zero-sum weights gracefully."""
-    items = list(items)
-    w = np.asarray(list(weights), dtype=float)
-    if len(items) != w.size:
-        raise ValueError("items and weights must have the same length")
-    if len(items) == 0:
-        raise ValueError("cannot choose from an empty sequence")
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        return items[int(rng.integers(len(items)))]
-    return items[int(rng.choice(len(items), p=w / total))]

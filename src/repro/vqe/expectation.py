@@ -21,50 +21,30 @@ from repro.quantum.backend import samples_to_bitstrings
 class DiagonalExpectation:
     """Estimates ⟨H⟩ from sampled bitstrings for a diagonal folding Hamiltonian."""
 
-    def __init__(self, hamiltonian: LatticeHamiltonian, max_entries: int | None = None):
-        if max_entries is not None and int(max_entries) <= 0:
-            raise VQEError(f"max_entries must be positive or None, got {max_entries}")
+    def __init__(self, hamiltonian: LatticeHamiltonian):
         self.hamiltonian = hamiltonian
         self.encoding = hamiltonian.encoding
-        self.max_entries = int(max_entries) if max_entries is not None else None
         self._cache: dict[str, float] = {}
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
 
     @property
     def cache_size(self) -> int:
         """Number of distinct configuration bitstrings currently cached."""
         return len(self._cache)
 
-    def cache_info(self) -> dict[str, int | None]:
-        """Hit/miss/eviction counters for the energy cache.
-
-        Eviction never changes results — an evicted configuration that
-        reappears is simply re-decoded to the same energy — so the cap only
-        trades CPU for bounded memory on wide (100-qubit) fragments.
-        """
-        return {
-            "entries": len(self._cache),
-            "hits": self._hits,
-            "misses": self._misses,
-            "evictions": self._evictions,
-            "max_entries": self.max_entries,
-        }
+    def cache_info(self) -> dict[str, int]:
+        """Hit/miss counters for the energy cache."""
+        return {"entries": len(self._cache), "hits": self._hits, "misses": self._misses}
 
     def energy_of_bits(self, bits: str) -> float:
-        """Energy of one bitstring (configuration register prefix), cached.
-
-        The cache is capped at ``max_entries`` (when set) with FIFO eviction:
-        dict insertion order is the arrival order, so the oldest configuration
-        is dropped first.
-        """
+        """Energy of one bitstring (configuration register prefix), cached."""
         return self._energies([bits[: self.encoding.configuration_qubits]])[0]
 
     def _energies(self, keys: list[str]) -> list[float]:
         """Cached energies of configuration keys.  Keys missing from the cache
         are scored in one kernel call, then the cache is updated key by key
-        exactly as one-at-a-time lookups would (hits, misses, FIFO order)."""
+        exactly as one-at-a-time lookups would (hits, misses, insertion order)."""
         missing = [key for key in dict.fromkeys(keys) if key not in self._cache]
         scored = dict(zip(missing, self._score(missing))) if missing else {}
         energies = []
@@ -74,12 +54,7 @@ class DiagonalExpectation:
                 self._hits += 1
             else:
                 self._misses += 1
-                # A key cached at the start may have been evicted by this call.
-                energy = scored[key] if key in scored else self._score([key])[0]
-                self._cache[key] = energy
-                while self.max_entries is not None and len(self._cache) > self.max_entries:
-                    self._cache.pop(next(iter(self._cache)))
-                    self._evictions += 1
+                energy = self._cache[key] = scored[key]
             energies.append(energy)
         return energies
 

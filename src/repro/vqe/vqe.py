@@ -65,9 +65,7 @@ class VQE:
         self.optimizer = optimizer
         self.register = register
         self.seed = self.config.seed if seed is None else int(seed)
-        self.expectation = DiagonalExpectation(
-            hamiltonian, max_entries=self.config.expectation_cache_entries
-        )
+        self.expectation = DiagonalExpectation(hamiltonian)
         self.decoder = ConformationDecoder(hamiltonian)
 
         width = (
@@ -106,11 +104,9 @@ class VQE:
 
         ``sample_parameterised`` is bit-identical to binding and calling
         ``sample_array`` — backends without a compiled path fall back to
-        exactly that — so enabling/disabling plan reuse never changes results.
+        exactly that.
         """
-        if self.config.quantum_compiled_plans:
-            return self.backend.sample_parameterised(self.ansatz.circuit, parameters, shots, rng)
-        return self.backend.sample_array(self.ansatz.bound(parameters), shots, rng)
+        return self.backend.sample_parameterised(self.ansatz.circuit, parameters, shots, rng)
 
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:
         """Initial parameters: uniform-superposition RY angles plus small noise.

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.suite import BENCHMARKS, METRIC_UNITS, derived_metrics, run_suite
+from repro.bench.suite import BENCHMARKS, METRIC_UNITS, POSE_BATCH, derived_metrics, run_suite
 from repro.bench.trajectory import (
     BENCH_SCHEMA_VERSION,
     build_report,
@@ -18,21 +18,19 @@ from repro.bench.trajectory import (
     write_report,
 )
 from repro.cli.bench import main
-from repro.config import PipelineConfig
 from repro.exceptions import ReproError
 
 
 @pytest.fixture(scope="module")
 def scoring_results():
     """One cheap real suite run (docking scoring only, single repeat)."""
-    config = PipelineConfig(bench_pose_batch=16)
-    return run_suite(config=config, smoke=True, repeats=1, only="docking-scoring")
+    return run_suite(smoke=True, repeats=1, only="docking-scoring")
 
 
 def _report_from(results, derived, bench_id=3):
     return build_report(
         bench_id=bench_id, results=results, derived=derived,
-        repeats=1, pose_batch=16, smoke=True,
+        repeats=1, pose_batch=POSE_BATCH, smoke=True,
     )
 
 
@@ -59,12 +57,11 @@ def test_run_suite_unknown_filter_raises():
 
 
 def test_every_benchmark_has_units_registered():
-    assert len(BENCHMARKS) == 7
+    assert len(BENCHMARKS) == 6
     names = {name for name, _fn in BENCHMARKS}
     assert names == {
         "docking-scoring", "statevector", "vqe-objective",
-        "docking-search", "cache-remote", "dataset-build",
-        "transport-overhead",
+        "docking-search", "cache-remote", "transport-overhead",
     }
     # derived_metrics only emits ratios whose inputs exist.
     assert derived_metrics({}) == {}

@@ -11,7 +11,7 @@ One mixed fold / baseline-fold / dock batch — including an in-batch duplicate
   cold, and with one fleet member SIGKILLed mid-sweep followed by an
   interrupt and a cross-engine resume,
 * with the fleet scheduler fully armed (priority classes, speculative
-  straggler re-dispatch, an elastic worker ceiling) versus every knob off —
+  straggler re-dispatch) versus every knob off —
   plus a warm rerun executing zero jobs — and on a heterogeneous
   capability-tagged fleet (one fold-only worker, one generalist) versus the
   homogeneous fleet,
@@ -195,9 +195,9 @@ def test_filequeue_worker_kill_then_resume_is_bit_identical_to_serial(
 
 
 def test_scheduler_knobs_on_are_bit_identical_to_scheduler_off(reference_run, tmp_path):
-    """The scheduler clause: priority classes, speculation and elastic sizing
-    decide *where and when* jobs run, never what they compute — every knob on
-    must equal every knob off, and a warm rerun executes zero jobs."""
+    """The scheduler clause: priority classes and speculation decide *where
+    and when* jobs run, never what they compute — every knob on must equal
+    every knob off, and a warm rerun executes zero jobs."""
     from repro.engine import set_priority
 
     config = _filequeue_config(
@@ -205,7 +205,6 @@ def test_scheduler_knobs_on_are_bit_identical_to_scheduler_off(reference_run, tm
         cache_dir=str(tmp_path / "cache"),
         transport_priority=3,
         transport_speculate=50.0,  # armed, but no job is 50x the median here
-        transport_max_workers=3,
     )
     engine = Engine(config=config)
     jobs = _mixed_jobs(engine)
@@ -373,21 +372,6 @@ def test_network_server_kill_then_restart_resume_is_bit_identical_to_serial(
         restarted.shutdown()
 
 
-@pytest.mark.parametrize(
-    "updates",
-    [
-        {"docking_batch": False},
-        {"quantum_compiled_plans": False},
-    ],
-    ids=["scalar-docking", "uncompiled-vqe"],
-)
-def test_fast_path_toggles_are_bit_identical_to_serial(reference_run, updates):
-    """The batched-docking and compiled-ansatz fast paths are pure speed: the
-    same batch with either disabled reproduces the reference bit-for-bit."""
-    engine = Engine(config=CONFIG.with_updates(**updates), processes=0)
-    assert _canonical(engine.run(_mixed_jobs(engine))) == reference_run
-
-
 def test_cache_topology_flat_vs_tiered_is_bit_identical(reference_run, tmp_path):
     """The cache-topology clause, local half: a serial run over a flat
     ``ResultCache`` and a pool run over a ``TieredCache`` wrapping the same
@@ -474,9 +458,8 @@ def test_cache_topology_remote_tier_is_bit_identical(reference_run, tmp_path):
 
 
 def test_session_knobs_never_enter_job_hashes():
-    """session_dir / on_error / transport / performance knobs are orchestration
-    detail: switching transports (or retuning the fleet, or toggling the fast
-    paths) must not invalidate caches."""
+    """session_dir / on_error / transport knobs are orchestration detail:
+    switching transports (or retuning the fleet) must not invalidate caches."""
     engine = Engine(config=CONFIG)
     tweaked = Engine(
         config=CONFIG.with_updates(
@@ -489,18 +472,12 @@ def test_session_knobs_never_enter_job_hashes():
             transport_poll_interval=0.5,
             transport_priority=9,
             transport_speculate=2.5,
-            transport_max_workers=16,
             serve_host="10.1.2.3",
             serve_port=9999,
             serve_max_inflight=2,
             cache_tiers=("/tiers/elsewhere",),
             cache_remote="10.1.2.3:7401",
             spool_payloads=False,
-            docking_batch=False,
-            quantum_compiled_plans=False,
-            expectation_cache_entries=32,
-            bench_repeats=9,
-            bench_pose_batch=64,
         )
     )
     for base_job, tweaked_job in zip(_mixed_jobs(engine), _mixed_jobs(tweaked)):

@@ -8,7 +8,7 @@ from repro.bio.reference import ReferenceStructureGenerator
 from repro.docking.ligand import Ligand, SyntheticLigandGenerator
 from repro.docking.pocket import find_pocket, find_pockets
 from repro.docking.scoring import CUTOFF, ScoringWeights, VinaScoringFunction
-from repro.docking.search import MonteCarloPoseSearch, walker_rngs
+from repro.docking.search import MonteCarloPoseSearch, Pose, walker_rngs
 from repro.docking.vina import DockingEngine, pose_rmsd_lower, pose_rmsd_upper
 from repro.exceptions import DockingError
 
@@ -263,25 +263,45 @@ def test_walker_rngs_single_walker_is_callers_generator():
     assert many[0] is rng and len(many) == 4
 
 
-def test_search_batch_matches_scalar(reference_record, ligand):
+def _scalar_walk(search, walkers, steps, rngs):
+    """Reference walk: advance the walkers one at a time, scoring each pose alone."""
+    candidates = []
+    for walker in range(walkers):
+        rng = rngs[walker]
+        rotation, translation = search._initial_state(walker, rng)
+        current = Pose(rotation, translation, search.scorer.score_pose(rotation, translation))
+        candidates.append(current)
+        for _ in range(steps):
+            proposal = search._perturb(current, rng)
+            if search._accept(proposal.score - current.score, rng):
+                current = proposal
+                candidates.append(current)
+    return candidates
+
+
+def test_search_batch_matches_scalar(reference_record, ligand, monkeypatch):
     scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
     pocket = find_pocket(reference_record.structure)
-    search = MonteCarloPoseSearch(scorer, pocket.center)
-    batched = search.search(80, np.random.default_rng(3), num_poses=5, batch=True)
-    scalar = search.search(80, np.random.default_rng(3), num_poses=5, batch=False)
-    assert len(batched) == len(scalar)
-    for a, b in zip(batched, scalar):
-        assert a.score == b.score
-        assert np.array_equal(a.rotation, b.rotation)
-        assert np.array_equal(a.translation, b.translation)
+    # The default 5 lock-step walkers, and a single walker.
+    for initial_rotations, restarts in ((None, 3), ([], 1)):
+        search = MonteCarloPoseSearch(scorer, pocket.center, initial_rotations=initial_rotations)
+        batched = search.search(80, np.random.default_rng(3), num_poses=5, restarts=restarts)
+        with monkeypatch.context() as patch:
+            patch.setattr(MonteCarloPoseSearch, "_walk_batch", _scalar_walk)
+            scalar = search.search(80, np.random.default_rng(3), num_poses=5, restarts=restarts)
+        assert len(batched) == len(scalar)
+        for a, b in zip(batched, scalar):
+            assert a.score == b.score
+            assert np.array_equal(a.rotation, b.rotation)
+            assert np.array_equal(a.translation, b.translation)
 
 
-def test_docking_engine_batch_flag_does_not_change_results(reference_record, ligand):
-    on = DockingEngine(num_seeds=2, num_poses=3, mc_steps=40, batch=True)
-    off = DockingEngine(num_seeds=2, num_poses=3, mc_steps=40, batch=False)
-    r_on = on.dock(reference_record.structure, ligand, receptor_id="3eax:REF")
-    r_off = off.dock(reference_record.structure, ligand, receptor_id="3eax:REF")
-    assert r_on.as_dict() == r_off.as_dict()
+def test_docking_engine_matches_scalar_reference_walk(reference_record, ligand, monkeypatch):
+    engine = DockingEngine(num_seeds=2, num_poses=3, mc_steps=40)
+    batched = engine.dock(reference_record.structure, ligand, receptor_id="3eax:REF")
+    monkeypatch.setattr(MonteCarloPoseSearch, "_walk_batch", _scalar_walk)
+    scalar = engine.dock(reference_record.structure, ligand, receptor_id="3eax:REF")
+    assert batched.as_dict() == scalar.as_dict()
 
 
 def test_prepared_dock_replays_identically(reference_record, ligand):

@@ -242,10 +242,3 @@ def test_transpiler_cache_keys_cover_margin_defects_and_bindings():
         "entries": 5, "hits": 0, "misses": 5, "max_entries": 128,
     }
 
-
-def test_transpiler_cache_disabled():
-    transpiler = Transpiler(cache_size=0)
-    circuit = EfficientSU2(4, reps=1).circuit
-    transpiler.transpile(circuit)
-    transpiler.transpile(circuit)
-    assert transpiler.cache_info() == {"entries": 0, "hits": 0, "misses": 0, "max_entries": 0}

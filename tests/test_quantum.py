@@ -309,12 +309,11 @@ def test_backend_plan_cache_shared_across_instances():
     assert info["misses"] == 1 and info["hits"] == 1
 
 
-def test_backend_plan_cache_disabled_is_bit_identical():
-    cached = StatevectorBackend(plan_cache_size=64)
-    uncached = StatevectorBackend(plan_cache_size=0)
+def test_sample_parameterised_matches_sampling_the_bound_circuit():
+    backend = StatevectorBackend()
     ansatz = EfficientSU2(5, reps=2)
     values = _random_values(ansatz.num_parameters, 4)
-    with_plan = cached.sample_parameterised(ansatz.circuit, values, 48, np.random.default_rng(2))
-    without = uncached.sample_parameterised(ansatz.circuit, values, 48, np.random.default_rng(2))
-    assert np.array_equal(with_plan, without)
-    assert uncached.plan_cache_info()["entries"] == 0
+    compiled = backend.sample_parameterised(ansatz.circuit, values, 48, np.random.default_rng(2))
+    bound = backend.sample_array(ansatz.circuit.bind(values), 48, np.random.default_rng(2))
+    assert np.array_equal(compiled, bound)
+    assert backend.plan_cache_info()["entries"] == 1

@@ -1,7 +1,7 @@
 """The fleet-scheduler battery: claim order (priority classes + the age-order
 FIFO fix), hash-neutral priority/requirement stamping, capability-tag
 matching, speculative straggler re-dispatch (first publisher wins, loser
-superseded), and elastic fleet sizing against the respawn cap."""
+superseded), and crash respawn against the respawn cap."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from repro.engine import (
     FileQueueTransport,
     FileQueueWorker,
     capabilities_match,
-    desired_fleet_size,
     job_priority,
     job_requirements,
     parse_tags,
@@ -138,14 +137,6 @@ def test_duration_tracker_and_speculation_threshold():
     assert speculation_threshold(None, 10.0) is None
     assert speculation_threshold(0.0, 10.0) is None
     assert speculation_threshold(2.0, None) is None
-
-
-def test_desired_fleet_size_clamps_to_floor_and_ceiling():
-    assert desired_fleet_size(100, minimum=2, maximum=None) == 2  # elastic off
-    assert desired_fleet_size(0, minimum=2, maximum=8) == 2
-    assert desired_fleet_size(5, minimum=2, maximum=8) == 5
-    assert desired_fleet_size(100, minimum=2, maximum=8) == 8
-    assert desired_fleet_size(-3, minimum=0, maximum=8) == 0
 
 
 # -- spool claim order ---------------------------------------------------------------
@@ -343,7 +334,7 @@ def test_result_records_carry_durations_that_arm_the_tracker(tmp_path):
     transport.cancel()
 
 
-# -- elastic fleet sizing ------------------------------------------------------------
+# -- fleet tending -------------------------------------------------------------------
 
 
 class _FakeProc:
@@ -354,54 +345,36 @@ class _FakeProc:
         return self.returncode
 
 
-def test_elastic_fleet_grows_retires_and_respects_the_respawn_cap(tmp_path):
-    transport = FileQueueTransport(
-        tmp_path / "spool", workers=0, max_workers=2, respawn_limit=2
-    )
-    spawned: list[tuple[_FakeProc, float | None]] = []
+def test_fleet_respawns_crashed_workers_up_to_the_cap(tmp_path):
+    transport = FileQueueTransport(tmp_path / "spool", workers=1, respawn_limit=2)
+    spawned: list[_FakeProc] = []
 
-    def fake_spawn(idle_exit: float | None = None) -> None:
+    def fake_spawn() -> None:
         proc = _FakeProc()
-        spawned.append((proc, idle_exit))
+        spawned.append(proc)
         transport.workers.append(proc)
 
     transport._spawn_worker = fake_spawn
     transport.submit([EchoSpec("a"), EchoSpec("b"), EchoSpec("c")])
-    # Growth: one extra per pass, up to the ceiling, with an idle-exit.
     transport._tend_fleet()
-    assert len(transport.workers) == 1 and transport.elastic_spawned == 1
-    assert spawned[0][1] is not None
-    transport._tend_fleet()
-    assert len(transport.workers) == 2 and transport.elastic_spawned == 2
-    transport._tend_fleet()
-    assert len(transport.workers) == 2  # pinned at max_workers
-    # The queue drains; a surplus extra exits cleanly -> retired, not charged.
-    for task_id in list(transport._outstanding):
-        transport.spool.remove_task(task_id)
-    transport.workers[0].returncode = 0
-    transport._tend_fleet()
-    assert transport.retired == 1 and transport.respawned == 0
-    assert len(transport.workers) == 1
-    # A crash (nonzero exit) still burns the respawn budget ...
-    transport.workers[0].returncode = 1
-    transport._tend_fleet()
-    assert transport.respawned == 1
-    transport.workers[0].returncode = 1
-    transport._tend_fleet()
-    assert transport.respawned == 2
-    # ... and exhausting it raises, exactly like the pre-elastic fleet.
+    assert len(spawned) == 1 and transport.respawned == 0  # a live worker is left alone
+    # A crash (nonzero exit) is replaced and burns the respawn budget ...
+    for expected in (1, 2):
+        transport.workers[0].returncode = 1
+        transport._tend_fleet()
+        assert transport.respawned == expected and len(transport.workers) == 1
+    # ... and exhausting it raises.
     transport.workers[0].returncode = 1
     with pytest.raises(EngineError, match="died"):
         transport._tend_fleet()
-    stats = transport.stats()
-    assert stats["retired"] == 1 and stats["elastic_spawned"] == 2
+    assert len(spawned) == 3
 
 
-def test_external_fleet_without_elastic_ceiling_is_left_alone(tmp_path):
-    transport = FileQueueTransport(tmp_path / "spool", workers=0)  # max_workers=None
+def test_external_fleet_is_left_alone(tmp_path):
+    transport = FileQueueTransport(tmp_path / "spool", workers=0)
     transport.submit([EchoSpec("a"), EchoSpec("b")])
     transport._tend_fleet()
-    assert transport.workers == [] and transport.elastic_spawned == 0
+    assert transport.workers == [] and transport.respawned == 0
 
 
 # -- transport stats surface through the session -------------------------------------
@@ -422,4 +395,4 @@ def test_session_summary_carries_transport_stats(tmp_path):
     stats = session.summary()["transport"]
     assert stats["outstanding"] == 0
     assert stats["speculated"] == 0  # speculation off by default
-    assert {"reclaimed", "respawned", "elastic_spawned", "retired"} <= set(stats)
+    assert {"reclaimed", "respawned"} <= set(stats)

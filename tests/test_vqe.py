@@ -136,43 +136,7 @@ def test_effective_final_shots_scales_with_length(tiny_config_module):
     assert large.effective_final_shots() <= tiny_config_module.max_final_shots
 
 
-# -- expectation cache cap and grouping ---------------------------------------------------
-
-
-def test_expectation_cache_cap_validation():
-    h = LatticeHamiltonian("ACDEF")
-    with pytest.raises(VQEError):
-        DiagonalExpectation(h, max_entries=0)
-    with pytest.raises(VQEError):
-        DiagonalExpectation(h, max_entries=-3)
-
-
-def test_expectation_cache_fifo_eviction_and_counters():
-    h = LatticeHamiltonian("ACDEF")
-    exp = DiagonalExpectation(h, max_entries=2)
-    turns = ([0, 1, 2, 1], [0, 1, 1, 1], [0, 2, 1, 2])
-    keys = [h.encoding.bits_from_turns(t) for t in turns]
-    exp.energy_of_bits(keys[0])
-    exp.energy_of_bits(keys[1])
-    exp.energy_of_bits(keys[1])  # hit
-    exp.energy_of_bits(keys[2])  # evicts keys[0] (oldest)
-    info = exp.cache_info()
-    assert info == {"entries": 2, "hits": 1, "misses": 3, "evictions": 1, "max_entries": 2}
-    exp.energy_of_bits(keys[0])  # re-decodes the evicted configuration
-    assert exp.cache_info()["misses"] == 4
-
-
-def test_expectation_capped_cache_never_changes_estimates():
-    h = LatticeHamiltonian("PWWERYQP")
-    rng = np.random.default_rng(2)
-    samples = rng.integers(0, 2, size=(300, h.encoding.configuration_qubits)).astype(np.uint8)
-    capped = DiagonalExpectation(h, max_entries=4)
-    uncapped = DiagonalExpectation(h)
-    assert capped.estimate_from_samples(samples) == uncapped.estimate_from_samples(samples)
-    assert capped.cvar_from_samples(samples, alpha=0.2) == uncapped.cvar_from_samples(
-        samples, alpha=0.2
-    )
-    assert capped.cache_info()["evictions"] > 0
+# -- expectation grouping ----------------------------------------------------------------
 
 
 def test_packed_grouping_matches_row_unique():
