@@ -33,6 +33,28 @@ def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     )
 
 
+def rotation_matrices(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Stacked :func:`rotation_matrix`: ``(N, 3)`` axes, ``(N,)`` angles -> ``(N, 3, 3)``.
+
+    Bit-identical to :func:`rotation_matrix` row by row: each row norm is a
+    stacked ``matmul`` of the row with itself (the ``dot`` kernel behind
+    ``np.linalg.norm``), and every entry keeps the scalar operation order.
+    """
+    axes = np.asarray(axes, dtype=float)
+    norms = np.sqrt(np.matmul(axes[:, None, :], axes[:, :, None])[:, 0, 0])
+    if np.any(norms == 0):
+        raise ValueError("rotation axis must be non-zero")
+    x, y, z = (axes / norms[:, None]).T
+    c, s = np.cos(angles), np.sin(angles)
+    C = 1.0 - c
+    rows = (
+        x * x * C + c, x * y * C - z * s, x * z * C + y * s,
+        y * x * C + z * s, y * y * C + c, y * z * C - x * s,
+        z * x * C - y * s, z * y * C + x * s, z * z * C + c,
+    )
+    return np.stack(rows, axis=-1).reshape(-1, 3, 3)
+
+
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """A uniformly distributed random rotation matrix (via QR of a Gaussian)."""
     m = rng.normal(size=(3, 3))

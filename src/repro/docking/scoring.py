@@ -253,7 +253,3 @@ class VinaScoringFunction:
 
         totals = (pair_sum + w.hbond * hbond_sum) * w.scale
         return totals / (1.0 + w.rotor_penalty * self.ligand.num_rotatable_bonds)
-
-    def score_pose(self, rotation: np.ndarray, translation: np.ndarray) -> float:
-        """Score the ligand after applying a rigid transform."""
-        return self.score_coords(self.ligand.transformed(rotation, translation))

@@ -8,17 +8,18 @@ distinct poses it visits, and polishes each of them with a short greedy local
 refinement.  Every run is fully determined by its seed, which is how the
 paper's per-seed docking reproducibility is achieved.
 
-Multi-walker batching
----------------------
-The restarts are independent walkers, so they advance in *lock-step*: every
-Metropolis step scores all walkers' proposals in one
+Multi-seed lock-step
+--------------------
+One :meth:`MonteCarloPoseSearch.search` call runs every seed at one site.
+All seeds × walkers (20 × 5 under the paper preset) advance in lock-step:
+a Metropolis step is one batched proposal and one
 :meth:`~repro.docking.scoring.VinaScoringFunction.score_coords_batch` call.
-Each walker owns its own RNG substream — walker 0 uses the caller's generator
-directly and walkers 1..W-1 are spawned children — so the draw sequence per
-walker does not depend on how the walkers interleave: the lock-step walk
-returns bit-identical poses to advancing the walkers one at a time, and a
-single-walker search consumes the caller's generator exactly as a sequential
-implementation would.
+Refinement runs in rounds: each seed picks its next candidate distinct from
+its refined poses, and all picks refine together.  Each walker draws from
+its own stream (walker 0: the seed's generator; others: spawned children)
+in the order a one-seed, one-walker-at-a-time search would, so the output
+is bit-identical to it.  Sites stay sequential: walker 0's draws carry from
+one site to the next.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bio.geometry import random_rotation, rotation_matrix
+from repro.bio.geometry import random_rotation, rotation_matrices, rotation_matrix
 from repro.docking.ligand import Ligand
 from repro.docking.scoring import VinaScoringFunction
 from repro.exceptions import DockingError
@@ -104,74 +105,65 @@ class MonteCarloPoseSearch:
             offset = rng.normal(scale=self.site_radius / 2.0, size=3)
         return rotation, self.site_center + offset
 
-    def _proposal_state(
-        self, pose: Pose, rng: np.random.Generator, scale: float = 1.0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Perturbed (rotation, translation) of one pose (scoring separate)."""
-        axis = rng.normal(size=3)
-        angle = rng.normal(scale=self.rotation_step * scale)
-        rotation = rotation_matrix(axis, angle) @ pose.rotation
-        translation = pose.translation + rng.normal(scale=self.translation_step * scale, size=3)
-        return rotation, translation
+    def _propose(
+        self, rotations: np.ndarray, translations: np.ndarray, rngs: list, scale: float = 1.0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Perturb and score stacked poses; row ``i`` draws ``standard_normal(7)`` from ``rngs[i]``.
 
-    def _perturb(self, pose: Pose, rng: np.random.Generator, scale: float = 1.0) -> Pose:
-        rotation, translation = self._proposal_state(pose, rng, scale)
-        score = self.scorer.score_pose(rotation, translation)
-        return Pose(rotation=rotation, translation=translation, score=score)
-
-    def _score_states(self, states: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Score many (rotation, translation) states in one batched call."""
-        ligand = self.scorer.ligand
-        coords = np.stack([ligand.transformed(r, t) for r, t in states])
-        return self.scorer.score_coords_batch(coords)
-
-    def _accept(self, delta: float, rng: np.random.Generator) -> bool:
-        """Metropolis acceptance; draws a uniform only for uphill moves."""
-        return delta <= 0 or rng.random() < np.exp(-delta / self.temperature)
-
-    # -- walkers -----------------------------------------------------------------
-
-    def _walk_batch(
-        self, walkers: int, steps: int, rngs: list[np.random.Generator]
-    ) -> list[Pose]:
-        """Advance all walkers in lock-step, scoring each step as one batch.
-
-        Candidates are collected per walker and concatenated walker-major, so
-        the candidate order — and with it every downstream stable sort — is
-        that of advancing the walkers one after another.
+        Axis (3), angle (1), shift (3): the bits of separate ``normal`` calls.
         """
-        states = [self._initial_state(walker, rngs[walker]) for walker in range(walkers)]
-        scores = self._score_states(states)
-        current = [
-            Pose(rotation, translation, float(score))
-            for (rotation, translation), score in zip(states, scores)
-        ]
-        per_walker: list[list[Pose]] = [[pose] for pose in current]
-        for _ in range(steps):
-            proposals = [
-                self._proposal_state(current[walker], rngs[walker])
-                for walker in range(walkers)
-            ]
-            scores = self._score_states(proposals)
-            for walker in range(walkers):
-                rotation, translation = proposals[walker]
-                proposal = Pose(rotation, translation, float(scores[walker]))
-                if self._accept(proposal.score - current[walker].score, rngs[walker]):
-                    current[walker] = proposal
-                    per_walker[walker].append(proposal)
-        return [pose for walker_poses in per_walker for pose in walker_poses]
+        z = np.stack([rng.standard_normal(7) for rng in rngs])
+        turns = rotation_matrices(z[:, :3], (self.rotation_step * scale) * z[:, 3])
+        rotations = np.matmul(turns, rotations)
+        translations = translations + (self.translation_step * scale) * z[:, 4:]
+        return rotations, translations, self._score(rotations, translations)
+
+    def _score(self, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+        """Score stacked poses in one batched call."""
+        coords = np.matmul(self.scorer.ligand.coords, rotations.transpose(0, 2, 1))
+        return self.scorer.score_coords_batch(coords + translations[:, None, :])
 
     # -- search ------------------------------------------------------------------
+
+    def _walk(self, walkers: int, steps: int, rngs: list) -> tuple[np.ndarray, ...]:
+        """Advance all streams in lock-step; stream ``i`` is walker ``i % walkers`` of its seed.
+
+        Returns every visited pose as rows of ``(stream, rotations,
+        translations, scores)`` in step order: stacked arrays rather than a
+        :class:`Pose` per visit keep a many-seed walk's memory small.
+        """
+        states = [self._initial_state(i % walkers, rng) for i, rng in enumerate(rngs)]
+        rotations = np.stack([rotation for rotation, _ in states])
+        translations = np.stack([translation for _, translation in states])
+        current = (rotations, translations, self._score(rotations, translations))
+        visited = [(np.arange(len(rngs)), *(part.copy() for part in current))]
+        for _ in range(steps):
+            proposed = self._propose(rotations, translations, rngs)
+            # Metropolis acceptance draws a uniform only for uphill moves.
+            accepted = np.array([
+                delta <= 0 or rng.random() < np.exp(-delta / self.temperature)
+                for delta, rng in zip(proposed[2] - current[2], rngs)
+            ])
+            _update(current, proposed, accepted)
+            visited.append((np.flatnonzero(accepted), *(part[accepted] for part in proposed)))
+        return tuple(np.concatenate(parts) for parts in zip(*visited))
+
+    def _refine(self, current: tuple, rngs: list, steps: int) -> list[Pose]:
+        """Greedy lock-step refinement of stacked ``(rotations, translations, scores)``."""
+        for i in range(max(0, steps)):
+            proposed = self._propose(current[0], current[1], rngs, scale=0.5 / (1.0 + i))
+            _update(current, proposed, proposed[2] < current[2])
+        return [Pose(r.copy(), t.copy(), float(s)) for r, t, s in zip(*current)]
 
     def search(
         self,
         steps: int,
-        rng: np.random.Generator,
+        rngs: list[np.random.Generator],
         num_poses: int = 10,
         restarts: int = 3,
         refine_steps: int = 25,
-    ) -> list[Pose]:
-        """Run the search and return the best ``num_poses`` distinct poses.
+    ) -> list[list[Pose]]:
+        """Run one search per seed generator; return each seed's best distinct poses.
 
         Poses are deduplicated on their translation (two poses closer than
         1.0 Å are considered the same binding mode and only the better one is
@@ -179,32 +171,46 @@ class MonteCarloPoseSearch:
         """
         if steps <= 0:
             raise DockingError(f"steps must be positive, got {steps}")
-        restarts = max(restarts, len(self.initial_rotations) + 1)
-        walkers = max(1, restarts)
-        steps_per_restart = max(1, steps // walkers)
-        candidates = self._walk_batch(walkers, steps_per_restart, walker_rngs(rng, walkers))
-
-        # Keep the best candidates, deduplicated by binding mode.  Selection
-        # and refinement consume the caller's generator (walker 0's stream)
-        # sequentially.
-        candidates.sort(key=lambda p: p.score)
-        selected: list[Pose] = []
-        for pose in candidates:
-            if len(selected) >= num_poses:
+        if not rngs:
+            raise DockingError("pose search needs at least one seed generator")
+        walkers = max(restarts, len(self.initial_rotations) + 1)
+        streams = [stream for rng in rngs for stream in walker_rngs(rng, walkers)]
+        stream, *poses = self._walk(walkers, max(1, steps // walkers), streams)
+        translations, scores = poses[1:]
+        # Each seed's candidates best first; ties keep walker-major visit order.
+        queues = []
+        for seed in range(len(rngs)):
+            rows = np.flatnonzero(stream // walkers == seed)
+            queues.append(iter(rows[np.lexsort((stream[rows], scores[rows]))]))
+        # Selection and refinement consume each seed's own generator (its
+        # walker 0 stream): every round picks each seed's next candidate that
+        # is distinct from its refined poses, then refines all picks together.
+        selected: list[list[Pose]] = [[] for _ in rngs]
+        while True:
+            picks: dict[int, int] = {}
+            for seed, (kept, queue) in enumerate(zip(selected, queues)):
+                if len(kept) < num_poses:
+                    row = next((r for r in queue if _distinct(translations[r], kept)), None)
+                    if row is not None:
+                        picks[seed] = row
+            if not picks:
                 break
-            if all(np.linalg.norm(pose.translation - kept.translation) > 1.0 for kept in selected):
-                selected.append(self._refine(pose, rng, refine_steps))
-        if not selected:
+            current = tuple(part[list(picks.values())] for part in poses)
+            for seed, pose in zip(picks, self._refine(current, [rngs[s] for s in picks], refine_steps)):
+                selected[seed].append(pose)
+        if not all(selected):
             raise DockingError("pose search produced no candidates")
-        selected.sort(key=lambda p: p.score)
+        for kept in selected:
+            kept.sort(key=lambda p: p.score)
         return selected
 
-    def _refine(self, pose: Pose, rng: np.random.Generator, steps: int) -> Pose:
-        """Greedy local refinement with shrinking step size."""
-        best = pose
-        for i in range(max(0, steps)):
-            scale = 0.5 / (1.0 + i)
-            trial = self._perturb(best, rng, scale=scale)
-            if trial.score < best.score:
-                best = trial
-        return best
+
+def _update(current: tuple, proposed: tuple, mask: np.ndarray) -> None:
+    """Overwrite the masked rows of the current pose arrays with the proposed ones."""
+    for now, new in zip(current, proposed):
+        now[mask] = new[mask]
+
+
+def _distinct(translation: np.ndarray, kept: list[Pose]) -> bool:
+    """Whether a pose at ``translation`` is over 1.0 Å from every kept pose."""
+    return all(np.linalg.norm(translation - other.translation) > 1.0 for other in kept)

@@ -273,22 +273,21 @@ class DockingEngine:
     def dock_prepared(
         self, prepared: PreparedDock, receptor_id: str, ligand_name: str | None = None
     ) -> DockingResult:
-        """Run every seed against an already-prepared docking task."""
+        """Run every seed against an already-prepared docking task, one search per site."""
         result = DockingResult(
             receptor_id=receptor_id,
             ligand_name=ligand_name if ligand_name is not None else prepared.ligand.name,
         )
-        for i in range(self.num_seeds):
-            seed = child_seed(self.master_seed, "docking", receptor_id, i)
-            rng = rng_for(seed, "run")
-            poses: list[Pose] = []
-            for search in prepared.searches:
-                poses.extend(
-                    search.search(prepared.steps_per_site, rng, num_poses=self.num_poses)
-                )
-            poses.sort(key=lambda p: p.score)
-            run = self._build_run(seed, poses[: self.num_poses], prepared.ligand)
-            result.runs.append(run)
+        seeds = [child_seed(self.master_seed, "docking", receptor_id, i) for i in range(self.num_seeds)]
+        rngs = [rng_for(seed, "run") for seed in seeds]
+        poses: list[list[Pose]] = [[] for _ in seeds]
+        for search in prepared.searches:
+            found = search.search(prepared.steps_per_site, rngs, num_poses=self.num_poses)
+            for run_poses, site_poses in zip(poses, found):
+                run_poses.extend(site_poses)
+        for seed, run_poses in zip(seeds, poses):
+            run_poses.sort(key=lambda p: p.score)
+            result.runs.append(self._build_run(seed, run_poses[: self.num_poses], prepared.ligand))
         return result
 
     def _build_run(self, seed: int, poses: list[Pose], ligand: Ligand) -> DockingRun:

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.bio.geometry import random_rotation
+from repro.bio.geometry import random_rotation, rotation_matrices, rotation_matrix
 from repro.bio.reference import ReferenceStructureGenerator
 from repro.docking.ligand import Ligand, SyntheticLigandGenerator
 from repro.docking.pocket import find_pocket, find_pockets
 from repro.docking.scoring import CUTOFF, ScoringWeights, VinaScoringFunction
 from repro.docking.search import MonteCarloPoseSearch, Pose, walker_rngs
-from repro.docking.vina import DockingEngine, pose_rmsd_lower, pose_rmsd_upper
+from repro.docking.vina import DockingEngine, DockingResult, pose_rmsd_lower, pose_rmsd_upper
 from repro.exceptions import DockingError
+from repro.utils.rng import child_seed, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +220,7 @@ def test_monte_carlo_search_returns_sorted_poses(reference_record, ligand):
     scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
     pocket = find_pocket(reference_record.structure)
     search = MonteCarloPoseSearch(scorer, pocket.center)
-    poses = search.search(60, np.random.default_rng(0), num_poses=5)
+    (poses,) = search.search(60, [np.random.default_rng(0)], num_poses=5)
     scores = [p.score for p in poses]
     assert scores == sorted(scores)
     assert 1 <= len(poses) <= 5
@@ -245,7 +246,7 @@ def test_docking_engine_deterministic(reference_record, ligand):
     engine = DockingEngine(num_seeds=2, num_poses=3, mc_steps=40)
     r1 = engine.dock(reference_record.structure, ligand, receptor_id="3eax:REF")
     r2 = engine.dock(reference_record.structure, ligand, receptor_id="3eax:REF")
-    assert r1.mean_best_affinity == pytest.approx(r2.mean_best_affinity)
+    assert r1.as_dict() == r2.as_dict()
 
 
 def test_docking_engine_validation():
@@ -253,7 +254,7 @@ def test_docking_engine_validation():
         DockingEngine(num_seeds=0)
 
 
-# -- batched walkers ----------------------------------------------------------------------
+# -- multi-seed lock-step search ----------------------------------------------------------
 
 
 def test_walker_rngs_single_walker_is_callers_generator():
@@ -263,45 +264,158 @@ def test_walker_rngs_single_walker_is_callers_generator():
     assert many[0] is rng and len(many) == 4
 
 
+def test_rotation_matrices_match_scalar_rodrigues_bitwise():
+    rng = np.random.default_rng(11)
+    count = 12_000
+    axes = rng.standard_normal((count, 3))
+    axes[:1000] *= 1e-9
+    axes[1000:2000] *= 1e9
+    angles = np.concatenate(
+        [
+            rng.standard_normal(3000) * 1e-10,  # tiny
+            rng.standard_normal(3000) * 0.5,  # the search's step scale
+            rng.uniform(-np.pi, np.pi, 3000),
+            rng.uniform(-1e6, 1e6, count - 9000),  # large
+        ]
+    )
+    batched = rotation_matrices(axes, angles)
+    assert batched.shape == (count, 3, 3)
+    for axis, angle, matrix in zip(axes, angles, batched):
+        assert np.array_equal(matrix, rotation_matrix(axis, float(angle)))
+    with pytest.raises(ValueError):
+        rotation_matrices(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), np.ones(2))
+
+
+def _score_pose(search, rotation, translation):
+    return search.scorer.score_coords(search.scorer.ligand.transformed(rotation, translation))
+
+
+def _perturb(search, pose, rng, scale=1.0):
+    axis = rng.normal(size=3)
+    angle = rng.normal(scale=search.rotation_step * scale)
+    rotation = rotation_matrix(axis, angle) @ pose.rotation
+    translation = pose.translation + rng.normal(scale=search.translation_step * scale, size=3)
+    return Pose(rotation, translation, _score_pose(search, rotation, translation))
+
+
 def _scalar_walk(search, walkers, steps, rngs):
     """Reference walk: advance the walkers one at a time, scoring each pose alone."""
     candidates = []
     for walker in range(walkers):
         rng = rngs[walker]
         rotation, translation = search._initial_state(walker, rng)
-        current = Pose(rotation, translation, search.scorer.score_pose(rotation, translation))
+        current = Pose(rotation, translation, _score_pose(search, rotation, translation))
         candidates.append(current)
         for _ in range(steps):
-            proposal = search._perturb(current, rng)
-            if search._accept(proposal.score - current.score, rng):
+            proposal = _perturb(search, current, rng)
+            delta = proposal.score - current.score
+            if delta <= 0 or rng.random() < np.exp(-delta / search.temperature):
                 current = proposal
                 candidates.append(current)
     return candidates
 
 
-def test_search_batch_matches_scalar(reference_record, ligand, monkeypatch):
+def _scalar_refine(search, pose, rng, steps):
+    best = pose
+    for i in range(max(0, steps)):
+        trial = _perturb(search, best, rng, scale=0.5 / (1.0 + i))
+        if trial.score < best.score:
+            best = trial
+    return best
+
+
+def _reference_search(search, steps, rng, num_poses=10, restarts=3, refine_steps=25):
+    """Reference one-seed search: scalar walk, then sequential dedup-then-refine."""
+    walkers = max(restarts, len(search.initial_rotations) + 1)
+    candidates = _scalar_walk(search, walkers, max(1, steps // walkers), walker_rngs(rng, walkers))
+    candidates.sort(key=lambda p: p.score)
+    selected = []
+    for pose in candidates:
+        if len(selected) >= num_poses:
+            break
+        if all(np.linalg.norm(pose.translation - kept.translation) > 1.0 for kept in selected):
+            selected.append(_scalar_refine(search, pose, rng, refine_steps))
+    selected.sort(key=lambda p: p.score)
+    return selected
+
+
+def _reference_dock(engine, prepared, receptor_id):
+    """Reference engine loop: every seed searched on its own, site after site."""
+    result = DockingResult(receptor_id=receptor_id, ligand_name=prepared.ligand.name)
+    for i in range(engine.num_seeds):
+        seed = child_seed(engine.master_seed, "docking", receptor_id, i)
+        rng = rng_for(seed, "run")
+        poses = []
+        for search in prepared.searches:
+            poses.extend(
+                _reference_search(search, prepared.steps_per_site, rng, num_poses=engine.num_poses)
+            )
+        poses.sort(key=lambda p: p.score)
+        result.runs.append(engine._build_run(seed, poses[: engine.num_poses], prepared.ligand))
+    return result
+
+
+def _assert_same_poses(batched, reference):
+    assert len(batched) == len(reference)
+    for a, b in zip(batched, reference):
+        assert a.score == b.score
+        assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(a.translation, b.translation)
+
+
+def _seed_rngs(count, base=3):
+    return [np.random.default_rng(base + k) for k in range(count)]
+
+
+def test_search_batch_matches_scalar(reference_record, ligand):
     scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
     pocket = find_pocket(reference_record.structure)
-    # The default 5 lock-step walkers, and a single walker.
-    for initial_rotations, restarts in ((None, 3), ([], 1)):
-        search = MonteCarloPoseSearch(scorer, pocket.center, initial_rotations=initial_rotations)
-        batched = search.search(80, np.random.default_rng(3), num_poses=5, restarts=restarts)
-        with monkeypatch.context() as patch:
-            patch.setattr(MonteCarloPoseSearch, "_walk_batch", _scalar_walk)
-            scalar = search.search(80, np.random.default_rng(3), num_poses=5, restarts=restarts)
-        assert len(batched) == len(scalar)
-        for a, b in zip(batched, scalar):
-            assert a.score == b.score
-            assert np.array_equal(a.rotation, b.rotation)
-            assert np.array_equal(a.translation, b.translation)
+    # The default 5 lock-step walkers per seed, a single walker, and a site
+    # beyond the scoring cutoff, where every pose scores exactly 0.0 and the
+    # candidate order rests on the tie-break alone.
+    far = pocket.center + np.array([100.0, 0.0, 0.0])
+    for center, initial_rotations, restarts in (
+        (pocket.center, None, 3), (pocket.center, [], 1), (far, None, 3)
+    ):
+        search = MonteCarloPoseSearch(scorer, center, initial_rotations=initial_rotations)
+        for seeds in (1, 2, 5):
+            batched = search.search(80, _seed_rngs(seeds), num_poses=5, restarts=restarts)
+            assert len(batched) == seeds
+            for poses, rng in zip(batched, _seed_rngs(seeds)):
+                reference = _reference_search(search, 80, rng, num_poses=5, restarts=restarts)
+                _assert_same_poses(poses, reference)
+                # Returned poses own their arrays: a view would keep the
+                # refinement round's stacked arrays alive.
+                assert all(p.rotation.base is None and p.translation.base is None for p in poses)
 
 
-def test_docking_engine_matches_scalar_reference_walk(reference_record, ligand, monkeypatch):
-    engine = DockingEngine(num_seeds=2, num_poses=3, mc_steps=40)
-    batched = engine.dock(reference_record.structure, ligand, receptor_id="3eax:REF")
-    monkeypatch.setattr(MonteCarloPoseSearch, "_walk_batch", _scalar_walk)
-    scalar = engine.dock(reference_record.structure, ligand, receptor_id="3eax:REF")
-    assert batched.as_dict() == scalar.as_dict()
+def test_search_seed_running_out_of_candidates_matches_scalar(reference_record, ligand):
+    scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
+    pocket = find_pocket(reference_record.structure)
+    search = MonteCarloPoseSearch(scorer, pocket.center)
+    # One Metropolis step per walker leaves at most 10 candidates per seed,
+    # and the four near-identity starts collapse under the 1 Å dedup.
+    batched = search.search(5, _seed_rngs(6), num_poses=6)
+    lengths = [len(poses) for poses in batched]
+    assert min(lengths) < 6 and max(lengths) > min(lengths)
+    for poses, rng in zip(batched, _seed_rngs(6)):
+        _assert_same_poses(poses, _reference_search(search, 5, rng, num_poses=6))
+
+
+def test_search_validation(reference_record, ligand):
+    scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
+    search = MonteCarloPoseSearch(scorer, find_pocket(reference_record.structure).center)
+    with pytest.raises(DockingError):
+        search.search(0, _seed_rngs(1))
+    with pytest.raises(DockingError):
+        search.search(20, [])
+
+
+def test_docking_engine_matches_scalar_reference_walk(reference_record, ligand):
+    engine = DockingEngine(num_seeds=3, num_poses=3, mc_steps=40)
+    prepared = engine.prepare(reference_record.structure, ligand)
+    batched = engine.dock_prepared(prepared, "3eax:REF")
+    assert batched.as_dict() == _reference_dock(engine, prepared, "3eax:REF").as_dict()
 
 
 def test_prepared_dock_replays_identically(reference_record, ligand):
