@@ -67,31 +67,38 @@ class EagleEmulatorBackend(Backend):
         max_bond_dimension: int = 16,
         noise_enabled: bool = True,
     ):
+        super().__init__()
         self.device = device or EagleDevice()
         self.noise_enabled = bool(noise_enabled)
         self._transpiler = self.device.transpiler(ancilla_margin=ancilla_margin)
         self._mps = MPSBackend(max_bond_dimension=max_bond_dimension)
-        self._transpile_cache: dict[tuple[str, int], TranspiledCircuit] = {}
         self.job_records: list[JobRecord] = []
 
     # -- transpilation -----------------------------------------------------------
 
     def transpile(self, circuit: QuantumCircuit) -> TranspiledCircuit:
-        """Transpile (with caching keyed on circuit name and width)."""
-        key = (circuit.name, circuit.num_qubits)
-        cached = self._transpile_cache.get(key)
-        if cached is None:
-            cached = self._transpiler.transpile(
-                circuit, defective_qubits=self.device.defective_qubits
-            )
-            self._transpile_cache[key] = cached
-        return cached
+        """Transpile for this device (the transpiler caches per circuit structure)."""
+        return self._transpiler.transpile(circuit, defective_qubits=self.device.defective_qubits)
 
     # -- execution -----------------------------------------------------------------
 
     def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
         transpiled = self.transpile(circuit)
-        samples = self._mps.sample_array(circuit, shots, rng)
+        return self._emulate(transpiled, self._mps.sample_array(circuit, shots, rng), rng)
+
+    def sample_parameterised(
+        self, circuit: QuantumCircuit, values, shots: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        # Transpiling the template (not each binding) keeps every evaluation a
+        # transpiler cache hit; the resource numbers do not depend on values.
+        transpiled = self.transpile(circuit)
+        samples = self._mps.sample_parameterised(circuit, values, shots, rng)
+        return self._emulate(transpiled, samples, rng)
+
+    def _emulate(
+        self, transpiled: TranspiledCircuit, samples: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Apply the device noise to ideal samples and record the job."""
         if self.noise_enabled:
             samples = self.device.noise_model.apply(
                 samples,
@@ -101,8 +108,8 @@ class EagleEmulatorBackend(Backend):
             )
         self.job_records.append(
             JobRecord(
-                num_qubits=circuit.num_qubits,
-                shots=shots,
+                num_qubits=transpiled.num_qubits,
+                shots=samples.shape[0],
                 reported_depth=transpiled.reported_depth,
                 swap_count=transpiled.routing.swap_count,
                 noisy=self.noise_enabled,

@@ -11,8 +11,8 @@ uses on IBM hardware.  Three backends are provided:
   small enough and falls back to MPS otherwise.
 
 The noisy hardware emulator (:class:`repro.hardware.eagle.EagleEmulatorBackend`)
-derives from :class:`MPSBackend` and adds transpilation metadata, noise and
-timing.
+samples through an :class:`MPSBackend` and adds transpilation metadata, noise
+and timing.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import numpy as np
 from repro.exceptions import BackendError, CircuitError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.compiled import CompiledCircuit, circuit_structure_key
-from repro.quantum.mps import MPSSimulator
+from repro.quantum.mps import MPSPlan, MPSSimulator
 from repro.quantum.statevector import StatevectorSimulator
 
-#: Compiled plans a statevector backend keeps (FIFO); one per circuit structure.
+#: Compiled plans a backend keeps (FIFO); one per circuit structure.
 PLAN_CACHE_SIZE = 64
 
 
@@ -40,30 +40,68 @@ def samples_to_bitstrings(samples: np.ndarray) -> list[str]:
     return [row.tobytes().decode("ascii") for row in chars.astype(np.uint8)]
 
 
+def unique_rows(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group a (shots, n) 0/1 array by row.
+
+    Returns ``(rows, inverse, counts)`` exactly as ``np.unique(samples,
+    axis=0, return_inverse=True, return_counts=True)`` would: the distinct
+    rows in lexicographic order, each shot's row index and each row's
+    multiplicity.  Rows up to 63 qubits wide are packed into one MSB-first
+    int64 code each, and a 1-D ``np.unique`` over the codes replaces the row
+    sort: numeric order of the codes *is* lexicographic order of the rows.
+    Wider rows fall back to ``axis=0``.
+    """
+    samples = np.asarray(samples, dtype=np.uint8)
+    width = samples.shape[1]
+    if width > 63:
+        rows, inverse, counts = np.unique(
+            samples, axis=0, return_inverse=True, return_counts=True
+        )
+        return rows, np.ravel(inverse), counts
+    codes = np.zeros(samples.shape[0], dtype=np.int64)
+    for column in samples.T:
+        codes <<= 1
+        codes |= column
+    uniq, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    rows = ((uniq[:, None] >> shifts) & 1).astype(np.uint8)
+    return rows, inverse, counts
+
+
 def counts_from_samples(samples: np.ndarray) -> dict[str, int]:
     """Aggregate a (shots, n) sample array into a counts dictionary.
 
-    Aggregation happens in NumPy (one ``np.unique`` over the rows) so that the
-    per-shot Python work is proportional to the number of *distinct*
-    bitstrings, not the shot count — this runs on every 100k-shot stage-2
-    sample.
+    Aggregation happens in NumPy (:func:`unique_rows`) so that the per-shot
+    Python work is proportional to the number of *distinct* bitstrings, not
+    the shot count — this runs on every 100k-shot stage-2 sample.  Keys come
+    in lexicographic order.
     """
     samples = np.asarray(samples, dtype=np.uint8)
     if samples.ndim != 2:
         raise BackendError(f"samples must be 2-D, got shape {samples.shape}")
     if samples.shape[0] == 0:
         return {}
-    uniq, counts = np.unique(samples, axis=0, return_counts=True)
+    rows, _, counts = unique_rows(samples)
     return {
         bits: int(freq)
-        for bits, freq in zip(samples_to_bitstrings(uniq), counts)
+        for bits, freq in zip(samples_to_bitstrings(rows), counts)
     }
 
 
 class Backend(ABC):
-    """Interface of every execution backend."""
+    """Interface of every execution backend.
+
+    Every backend owns one compiled-plan cache: :meth:`sample_parameterised`
+    compiles a template once per :func:`circuit_structure_key` (through the
+    :meth:`_compile` hook) and replays the plan at each parameter vector.
+    """
 
     name: str = "backend"
+
+    def __init__(self) -> None:
+        self._plans: dict[tuple, object] = {}
+        self._plan_hits = 0
+        self._plan_misses = 0
 
     @abstractmethod
     def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -79,49 +117,36 @@ class Backend(ABC):
         """Sample a parameterised *template* circuit at ``values``.
 
         This is the hot-loop entry point for optimisers that evaluate one
-        circuit structure at many parameter vectors.  The base implementation
-        simply binds and delegates, so every backend accepts it; backends with
-        a plan-reuse path (see :class:`StatevectorBackend`) override it.  The
-        contract is strict bit-identity with ``sample_array(circuit.bind(values))``.
+        circuit structure at many parameter vectors.  The template's replay
+        plan comes from the plan cache; backends without a plan compiler
+        (``_compile`` returns ``None``), and structures a compiler does not
+        cover, bind and call :meth:`sample_array` instead.  The contract is
+        strict bit-identity with ``sample_array(circuit.bind(values))``.
         """
-        return self.sample_array(circuit.bind(values), shots, rng)
-
-
-class StatevectorBackend(Backend):
-    """Exact dense-statevector execution (small circuits)."""
-
-    name = "statevector"
-
-    def __init__(self, max_qubits: int = 24):
-        self._sim = StatevectorSimulator(max_qubits=max_qubits)
-        self._plans: dict[tuple, "CompiledCircuit"] = {}
-        self._plan_hits = 0
-        self._plan_misses = 0
-
-    def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
-        return self._sim.sample(circuit, shots, rng)
-
-    def sample_parameterised(
-        self, circuit: QuantumCircuit, values, shots: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        try:
-            plan = self._plan_for(circuit)
-        except CircuitError:
-            # Structures the plan compiler does not cover fall back to binding.
-            return super().sample_parameterised(circuit, values, shots, rng)
+        plan = self._plan_for(circuit)
+        if plan is None:
+            return self.sample_array(circuit.bind(values), shots, rng)
         return plan.sample(values, shots, rng)
 
-    def _plan_for(self, circuit: QuantumCircuit) -> "CompiledCircuit":
+    def _compile(self, circuit: QuantumCircuit):
+        """A replay plan for ``circuit`` (an object with ``sample(values,
+        shots, rng)``), or ``None`` to bind on every call."""
+        return None
+
+    def _plan_for(self, circuit: QuantumCircuit):
         key = circuit_structure_key(circuit)
-        plan = self._plans.get(key)
-        if plan is None:
-            self._plan_misses += 1
-            plan = CompiledCircuit(circuit, max_qubits=self._sim.max_qubits)
-            self._plans[key] = plan
-            while len(self._plans) > PLAN_CACHE_SIZE:
-                self._plans.pop(next(iter(self._plans)))
-        else:
+        if key in self._plans:
             self._plan_hits += 1
+            return self._plans[key]
+        self._plan_misses += 1
+        try:
+            plan = self._compile(circuit)
+        except CircuitError:
+            # Structures the plan compilers do not cover fall back to binding.
+            plan = None
+        self._plans[key] = plan
+        while len(self._plans) > PLAN_CACHE_SIZE:
+            self._plans.pop(next(iter(self._plans)))
         return plan
 
     def plan_cache_info(self) -> dict[str, int]:
@@ -134,21 +159,44 @@ class StatevectorBackend(Backend):
         }
 
 
+class StatevectorBackend(Backend):
+    """Exact dense-statevector execution (small circuits)."""
+
+    name = "statevector"
+
+    def __init__(self, max_qubits: int = 24):
+        super().__init__()
+        self._sim = StatevectorSimulator(max_qubits=max_qubits)
+
+    def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
+        return self._sim.sample(circuit, shots, rng)
+
+    def _compile(self, circuit: QuantumCircuit) -> CompiledCircuit:
+        return self._sim.compile(circuit)
+
+
 class MPSBackend(Backend):
     """Bounded-bond-dimension MPS execution (scales to 100+ qubits)."""
 
     name = "mps"
 
     def __init__(self, max_bond_dimension: int = 16):
+        super().__init__()
         self._sim = MPSSimulator(max_bond_dimension=max_bond_dimension)
         self.max_bond_dimension = max_bond_dimension
 
     def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
         return self._sim.sample(circuit, shots, rng)
 
+    def _compile(self, circuit: QuantumCircuit) -> MPSPlan:
+        return self._sim.compile(circuit)
+
 
 class AutoBackend(Backend):
-    """Statevector when feasible, MPS otherwise."""
+    """Statevector when feasible, MPS otherwise.
+
+    Plans of both kinds live in this backend's one plan cache.
+    """
 
     name = "auto"
 
@@ -157,22 +205,20 @@ class AutoBackend(Backend):
         max_statevector_qubits: int = 16,
         max_bond_dimension: int = 16,
     ):
+        super().__init__()
         self.max_statevector_qubits = int(max_statevector_qubits)
         self._sv = StatevectorBackend(max_qubits=max(max_statevector_qubits, 1))
         self._mps = MPSBackend(max_bond_dimension=max_bond_dimension)
 
-    def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
-        if circuit.num_qubits <= self.max_statevector_qubits:
-            return self._sv.sample_array(circuit, shots, rng)
-        return self._mps.sample_array(circuit, shots, rng)
+    def _pick(self, circuit: QuantumCircuit) -> Backend:
+        return self._sv if circuit.num_qubits <= self.max_statevector_qubits else self._mps
 
-    def sample_parameterised(
-        self, circuit: QuantumCircuit, values, shots: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        if circuit.num_qubits <= self.max_statevector_qubits:
-            return self._sv.sample_parameterised(circuit, values, shots, rng)
-        return self._mps.sample_parameterised(circuit, values, shots, rng)
+    def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
+        return self._pick(circuit).sample_array(circuit, shots, rng)
+
+    def _compile(self, circuit: QuantumCircuit):
+        return self._pick(circuit)._compile(circuit)
 
     def chosen_backend(self, circuit: QuantumCircuit) -> str:
         """Name of the backend that would execute this circuit."""
-        return "statevector" if circuit.num_qubits <= self.max_statevector_qubits else "mps"
+        return self._pick(circuit).name

@@ -13,6 +13,8 @@ internally, precomputes the unitary of every parameter-independent gate, and
 notes which parameter slot feeds each parameterised rotation.  Evaluating the
 plan is then just "refresh the parameterised gate matrices and replay":
 no circuit copy, no parameter scan, no per-gate axis bookkeeping.
+:func:`resolve_gates` is the gate-resolution half of that walk, shared with
+the MPS replay plan (:class:`repro.quantum.mps.MPSPlan`).
 
 Bit-identity contract
 ---------------------
@@ -78,6 +80,53 @@ def circuit_structure_key(circuit: QuantumCircuit) -> tuple:
     return key
 
 
+def resolve_gates(circuit: QuantumCircuit) -> list[tuple]:
+    """Resolve every non-barrier instruction of ``circuit`` once, for replay.
+
+    Returns one ``(qubits, matrix, builder, param_index)`` tuple per
+    instruction.  A fixed gate carries its unitary, produced by the same
+    :func:`~repro.quantum.gates.gate_matrix` call the simulators make, and
+    ``None`` for the other two.  A parameterised rotation carries ``None``, its
+    matrix constructor (the exact function ``gate_matrix`` dispatches to) and
+    the slot of its parameter in the order :meth:`QuantumCircuit.bind`
+    consumes a value vector.  Rebuilding ``builder(values[param_index])`` per
+    evaluation therefore yields the matrix a bound copy would carry, bit for
+    bit.  Raises :class:`CircuitError` for parameterised gates a plan cannot
+    replay.
+    """
+    index = {p: i for i, p in enumerate(circuit.parameters)}
+    gates: list[tuple] = []
+    for inst in circuit.instructions:
+        if inst.name == "barrier":
+            continue
+        if not inst.is_parameterised:
+            matrix = gate_matrix(inst.name, tuple(float(p) for p in inst.params))
+            gates.append((inst.qubits, np.ascontiguousarray(matrix), None, None))
+            continue
+        if len(inst.params) != 1 or not isinstance(inst.params[0], Parameter):
+            raise CircuitError(
+                f"cannot compile instruction {inst.name!r}: parameterised "
+                "gates must carry exactly one free parameter"
+            )
+        builder = _PARAMETRIC.get(inst.name.lower())
+        if builder is None:
+            raise CircuitError(
+                f"cannot compile instruction {inst.name!r}: no parametric "
+                "matrix builder for this gate"
+            )
+        gates.append((inst.qubits, None, builder, index[inst.params[0]]))
+    return gates
+
+
+def parameter_values(values, num_parameters: int) -> list[float]:
+    """A plan's parameter vector as Python floats, converted exactly as
+    :meth:`QuantumCircuit.bind` converts it."""
+    vals = np.asarray(values, dtype=float).ravel().tolist()
+    if len(vals) != num_parameters:
+        raise CircuitError(f"expected {num_parameters} parameter values, got {len(vals)}")
+    return vals
+
+
 class CompiledCircuit:
     """A reusable statevector replay plan for one circuit structure."""
 
@@ -91,48 +140,24 @@ class CompiledCircuit:
             raise BackendError(
                 f"{n} qubits exceeds the statevector limit of {max_qubits}"
             )
-        params = circuit.parameters
-        index = {p: i for i, p in enumerate(params)}
         self.num_qubits = n
-        self.num_parameters = len(params)
+        self.num_parameters = circuit.num_parameters
         self.structure_key = circuit_structure_key(circuit)
         # One step per non-barrier instruction:
         # (fixed_matrix | None, builder | None, param_index | None, 2**k, fwd, back)
-        # where ``builder`` is the gate's matrix constructor (the exact
-        # function :func:`gate_matrix` would dispatch to, resolved once here)
-        # and ``fwd``/``back`` are the transpose permutations reproducing
-        # tensordot's operand layout and moveaxis restoration exactly.
+        # (see :func:`resolve_gates`), where ``fwd``/``back`` are the transpose
+        # permutations reproducing tensordot's operand layout and moveaxis
+        # restoration exactly.
         self._steps: list[tuple] = []
-        for inst in circuit.instructions:
-            if inst.name == "barrier":
-                continue
-            qubits = inst.qubits
-            k = len(qubits)
+        for qubits, matrix, builder, param_index in resolve_gates(circuit):
             others = [axis for axis in range(n) if axis not in qubits]
             fwd = tuple(qubits) + tuple(others)
             back = [0] * n
             for position, axis in enumerate(fwd):
                 back[axis] = position
-            if inst.is_parameterised:
-                if len(inst.params) != 1 or not isinstance(inst.params[0], Parameter):
-                    raise CircuitError(
-                        f"cannot compile instruction {inst.name!r}: parameterised "
-                        "gates must carry exactly one free parameter"
-                    )
-                builder = _PARAMETRIC.get(inst.name.lower())
-                if builder is None:
-                    raise CircuitError(
-                        f"cannot compile instruction {inst.name!r}: no parametric "
-                        "matrix builder for this gate"
-                    )
-                self._steps.append(
-                    (None, builder, index[inst.params[0]], 2**k, fwd, tuple(back))
-                )
-            else:
-                matrix = gate_matrix(inst.name, tuple(float(p) for p in inst.params))
-                self._steps.append(
-                    (np.ascontiguousarray(matrix), None, None, 2**k, fwd, tuple(back))
-                )
+            self._steps.append(
+                (matrix, builder, param_index, 2 ** len(qubits), fwd, tuple(back))
+            )
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -142,11 +167,7 @@ class CompiledCircuit:
     def statevector(self, values=()) -> np.ndarray:
         """Evolve |0...0> through the plan at ``values``; bit-identical to
         binding the template and running :meth:`StatevectorSimulator.run`."""
-        vals = np.asarray(values, dtype=float).ravel().tolist()
-        if len(vals) != self.num_parameters:
-            raise CircuitError(
-                f"expected {self.num_parameters} parameter values, got {len(vals)}"
-            )
+        vals = parameter_values(values, self.num_parameters)
         n = self.num_qubits
         shape = (2,) * n
         state = np.zeros(shape, dtype=complex)

@@ -10,11 +10,22 @@ simulated for 100+ qubits — which is how this reproduction executes the
 Implementation notes
 --------------------
 * Site tensors ``A[k]`` have shape ``(chi_left, 2, chi_right)``.
+* Every contraction is an explicit transpose → reshape → ``matmul`` sequence
+  in a fixed order; nothing searches for a contraction path per call.  Gate
+  application performs the operations NumPy's path-optimised contraction
+  performed, so site tensors are bit-identical to it; environments and
+  outcome probabilities fix one order where that path changed with operand
+  shape (bond dimension 1 at the chain ends).
 * Two-qubit gates act on adjacent sites via a theta-tensor SVD with truncation
   to the configured maximum bond dimension.
 * Sampling uses exact right environments plus a *vectorised* left-to-right
   conditional sweep: all shots advance through the chain simultaneously, so
-  the inner loop is O(n_sites) einsum calls regardless of the shot count.
+  the inner loop is a handful of array operations per site regardless of the
+  shot count.
+* :class:`MPSPlan` resolves a circuit's gates once per structure (see
+  :func:`~repro.quantum.compiled.resolve_gates`) and replays them at any
+  parameter vector; :meth:`MPSSimulator.run` is the same replay of a bound
+  circuit, so a plan's samples are bit-identical to sampling the bound copy.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import numpy as np
 
 from repro.exceptions import BackendError
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.gates import gate_matrix
+from repro.quantum.compiled import parameter_values, resolve_gates
 
 
 class MPSState:
@@ -46,9 +57,11 @@ class MPSState:
     # -- gate application ---------------------------------------------------------
 
     def apply_single(self, matrix: np.ndarray, qubit: int) -> None:
-        """Apply a 2x2 unitary to one site."""
+        """Apply a 2x2 unitary to one site: ``A'[a, i, b] = sum_j A[a, j, b] U[i, j]``."""
         a = self.tensors[qubit]
-        self.tensors[qubit] = np.einsum("ij,ajb->aib", matrix, a, optimize=True)
+        chi_l, _, chi_r = a.shape
+        moved = a.transpose(0, 2, 1).reshape(chi_l * chi_r, 2) @ matrix.T
+        self.tensors[qubit] = moved.reshape(chi_l, chi_r, 2).transpose(0, 2, 1)
 
     def apply_two(self, matrix: np.ndarray, q0: int, q1: int) -> None:
         """Apply a 4x4 unitary to two *adjacent* sites (q1 == q0 + 1 or q0 == q1 + 1)."""
@@ -57,17 +70,26 @@ class MPSState:
                 f"MPS backend only supports nearest-neighbour two-qubit gates, got ({q0}, {q1})"
             )
         left, right = (q0, q1) if q0 < q1 else (q1, q0)
-        gate = matrix.reshape(2, 2, 2, 2)
         if q0 > q1:
             # The gate was specified with (control, target) = (q0, q1); swap its
             # qubit legs so that leg order matches (left, right).
-            gate = gate.transpose(1, 0, 3, 2)
+            matrix = matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
 
         a, b = self.tensors[left], self.tensors[right]
         chi_l, _, chi_m = a.shape
         _, _, chi_r = b.shape
-        theta = np.einsum("aib,bjc->aijc", a, b, optimize=True)
-        theta = np.einsum("klij,aijc->aklc", gate, theta, optimize=True)
+        # theta[(j c), (a i)] = sum_m B[m, j, c] A[a, i, m].  Across a bond of
+        # dimension 1 there is nothing to sum: the outer product rounds each
+        # entry once, where a k=1 matmul may fuse the complex multiply-add.
+        left_factor = b.transpose(1, 2, 0).reshape(2 * chi_r, chi_m)
+        right_factor = a.transpose(2, 0, 1).reshape(chi_m, chi_l * 2)
+        if chi_m == 1:
+            theta = left_factor * right_factor
+        else:
+            theta = left_factor @ right_factor
+        # theta'[(a c), (k l)] = sum_ij theta[(a c), (i j)] G[(k l), (i j)]
+        theta = theta.reshape(2, chi_r, chi_l, 2).transpose(2, 1, 3, 0).reshape(chi_l * chi_r, 4)
+        theta = (theta @ matrix.T).reshape(chi_l, chi_r, 2, 2).transpose(0, 2, 3, 1)
         theta = theta.reshape(chi_l * 2, 2 * chi_r)
 
         u, s, vh = np.linalg.svd(theta, full_matrices=False)
@@ -82,58 +104,89 @@ class MPSState:
     # -- observables ----------------------------------------------------------------
 
     def right_environments(self) -> list[np.ndarray]:
-        """Exact right environments R[k] (shape (chi_k, chi_k)); R[n] = [[1]]."""
+        """Exact right environments R[k] (shape (chi_k, chi_k)); R[n] = [[1]].
+
+        ``R[k][a, d] = sum_{i,b,c} A[a, i, b] R[k+1][b, c] conj(A[d, i, c])``,
+        contracted as ``(A · R[k+1]) · A^H`` over the merged ``(i, c)`` leg.
+        """
         envs: list[np.ndarray] = [np.array([[1.0 + 0j]])] * (self.num_qubits + 1)
-        env = np.array([[1.0 + 0j]])
+        env = envs[-1]
         for k in range(self.num_qubits - 1, -1, -1):
             a = self.tensors[k]
-            env = np.einsum("aib,bc,dic->ad", a, env, a.conj(), optimize=True)
+            chi_l, _, chi_r = a.shape
+            flat = a.reshape(chi_l, 2 * chi_r)
+            env = (a.reshape(chi_l * 2, chi_r) @ env).reshape(chi_l, 2 * chi_r) @ flat.conj().T
             envs[k] = env
         return envs
-
-    def norm_squared(self) -> float:
-        """<psi|psi> (1 up to truncation error)."""
-        return float(np.real(self.right_environments()[0][0, 0]))
-
-    def amplitude(self, bits: str) -> complex:
-        """Amplitude of one computational-basis state."""
-        if len(bits) != self.num_qubits:
-            raise BackendError(
-                f"bitstring length {len(bits)} does not match {self.num_qubits} qubits"
-            )
-        vec = np.array([1.0 + 0j])
-        for k, ch in enumerate(bits):
-            vec = vec @ self.tensors[k][:, int(ch), :]
-        return complex(vec[0])
 
     def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
         """Sample ``shots`` bitstrings; returns (shots, n) uint8 array.
 
-        All shots advance together; the per-site cost is two einsum calls.
+        All shots advance together, one column per shot.  At site ``k`` every
+        shot's partial amplitude ``v`` (length ``chi_left``) extends to
+        ``w[b] = v · A[:, b, :]`` for both outcomes ``b``, whose probabilities
+        are ``w[b] R[k+1] w[b]^H``; one uniform per shot picks the outcome and
+        the matching ``w`` carries on.  Shots run along the columns because
+        OpenBLAS multiplies a short-wide operand far faster than a tall-skinny
+        one.
         """
         if shots <= 0:
             raise BackendError(f"shots must be positive, got {shots}")
         envs = self.right_environments()
         n = self.num_qubits
         samples = np.empty((shots, n), dtype=np.uint8)
-        vec = np.ones((shots, 1), dtype=complex)  # partial amplitudes per shot
+        vec = np.ones((1, shots), dtype=complex)  # partial amplitudes per shot
         for k in range(n):
             a = self.tensors[k]
-            r = envs[k + 1]
-            # w[b] has shape (shots, chi_right)
-            w0 = vec @ a[:, 0, :]
-            w1 = vec @ a[:, 1, :]
-            p0 = np.einsum("sc,cd,sd->s", w0, r, w0.conj(), optimize=True).real
-            p1 = np.einsum("sc,cd,sd->s", w1, r, w1.conj(), optimize=True).real
-            p0 = np.clip(p0, 0.0, None)
-            p1 = np.clip(p1, 0.0, None)
-            total = p0 + p1
+            chi_l, _, chi_r = a.shape
+            # w[b, c, s] = sum_a A[a, b, c] vec[a, s]
+            w = (a.reshape(chi_l, 2 * chi_r).T @ vec).reshape(2, chi_r, shots)
+            # p[b, s] = sum_cd w[b, c, s] R[c, d] conj(w[b, d, s]); one outcome
+            # at a time, in place, to bound a 100k-shot sample's temporaries.
+            p = np.empty((2, shots))
+            for b in range(2):
+                weighted = envs[k + 1].T @ w[b]
+                weighted *= w[b].conj()
+                p[b] = weighted.sum(axis=0).real
+            p = np.clip(p, 0.0, None)
+            total = p[0] + p[1]
             total[total <= 0] = 1.0
-            prob1 = p1 / total
-            draws = (rng.random(shots) < prob1).astype(np.uint8)
+            draws = rng.random(shots) < p[1] / total
             samples[:, k] = draws
-            vec = np.where(draws[:, None].astype(bool), w1, w0)
+            vec = np.where(draws, w[1], w[0])
         return samples
+
+
+class MPSPlan:
+    """A reusable MPS replay plan for one circuit structure.
+
+    Gate matrices and rotation builders are resolved once; evaluating the plan
+    at a parameter vector rebuilds only the parameterised rotations and
+    replays the gates on a fresh :class:`MPSState`.
+    """
+
+    def __init__(self, circuit: QuantumCircuit, max_bond_dimension: int = 16):
+        self.num_qubits = circuit.num_qubits
+        self.num_parameters = circuit.num_parameters
+        self.max_bond_dimension = int(max_bond_dimension)
+        self._steps = resolve_gates(circuit)
+
+    def run(self, values=()) -> MPSState:
+        """Evolve |0...0> through the plan at ``values`` and return the MPS."""
+        vals = parameter_values(values, self.num_parameters)
+        state = MPSState(self.num_qubits, self.max_bond_dimension)
+        for qubits, matrix, builder, param_index in self._steps:
+            if matrix is None:
+                matrix = builder(vals[param_index])
+            if len(qubits) == 1:
+                state.apply_single(matrix, qubits[0])
+            else:
+                state.apply_two(matrix, qubits[0], qubits[1])
+        return state
+
+    def sample(self, values, shots: int, rng: np.random.Generator) -> np.ndarray:
+        """Run at ``values`` and sample; returns (shots, n) uint8 array."""
+        return self.run(values).sample(shots, rng)
 
 
 class MPSSimulator:
@@ -142,38 +195,16 @@ class MPSSimulator:
     def __init__(self, max_bond_dimension: int = 16):
         self.max_bond_dimension = int(max_bond_dimension)
 
+    def compile(self, circuit: QuantumCircuit) -> MPSPlan:
+        """Build a reusable replay plan for ``circuit`` (may be parameterised)."""
+        return MPSPlan(circuit, self.max_bond_dimension)
+
     def run(self, circuit: QuantumCircuit) -> MPSState:
         """Evolve |0...0> through ``circuit`` and return the final MPS."""
         if not circuit.is_bound:
             raise BackendError("cannot simulate a circuit with unbound parameters")
-        state = MPSState(circuit.num_qubits, self.max_bond_dimension)
-        for inst in circuit.instructions:
-            if inst.name == "barrier":
-                continue
-            matrix = gate_matrix(inst.name, tuple(float(p) for p in inst.params))
-            if inst.num_qubits == 1:
-                state.apply_single(matrix, inst.qubits[0])
-            elif inst.num_qubits == 2:
-                state.apply_two(matrix, inst.qubits[0], inst.qubits[1])
-            else:
-                raise BackendError(
-                    f"MPS backend supports 1- and 2-qubit gates only, got {inst.name!r} "
-                    f"on {inst.num_qubits} qubits"
-                )
-        return state
+        return self.compile(circuit).run()
 
     def sample(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
         """Run and sample; returns (shots, n) uint8 array."""
         return self.run(circuit).sample(shots, rng)
-
-    def statevector(self, circuit: QuantumCircuit) -> np.ndarray:
-        """Dense statevector (small circuits only; used to cross-check against the exact simulator)."""
-        state = self.run(circuit)
-        n = state.num_qubits
-        if n > 20:
-            raise BackendError("refusing to densify an MPS with more than 20 qubits")
-        amps = np.zeros(2**n, dtype=complex)
-        for idx in range(2**n):
-            bits = format(idx, f"0{n}b")
-            amps[idx] = state.amplitude(bits)
-        return amps

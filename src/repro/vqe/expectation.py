@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.exceptions import VQEError
 from repro.lattice.hamiltonian import LatticeHamiltonian
-from repro.quantum.backend import samples_to_bitstrings
+from repro.quantum.backend import samples_to_bitstrings, unique_rows
 
 
 class DiagonalExpectation:
@@ -96,25 +96,11 @@ class DiagonalExpectation:
                 f"samples have {samples.shape[1]} qubits, but the configuration "
                 f"register needs {width}"
             )
-        config = samples[:, :width]
-        if width <= 63:
-            # Pack each configuration row into one MSB-first integer code: a
-            # 1-D unique is far cheaper than np.unique(axis=0)'s row sort, and
-            # numeric order of the codes IS lexicographic order of the rows,
-            # so the grouping (and the energy cache's insertion order) is
-            # unchanged bit for bit.
-            shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-            codes = config.astype(np.int64) @ (np.int64(1) << shifts)
-            uniq_codes, inverse, counts = np.unique(
-                codes, return_inverse=True, return_counts=True
-            )
-            uniq = ((uniq_codes[:, None] >> shifts) & 1).astype(np.uint8)
-        else:
-            uniq, inverse, counts = np.unique(
-                config, axis=0, return_inverse=True, return_counts=True
-            )
+        # Rows come in lexicographic order, so the energy cache's insertion
+        # order does not depend on how the rows are grouped.
+        uniq, inverse, counts = unique_rows(samples[:, :width])
         energies = np.array(self._energies(samples_to_bitstrings(uniq)))
-        return energies, np.ravel(inverse), counts
+        return energies, inverse, counts
 
     def estimate_from_samples(self, samples: np.ndarray) -> float:
         """Mean energy of a (shots, n) sample array."""

@@ -210,6 +210,31 @@ def test_eagle_emulator_noiseless_matches_mps_statistics():
     assert len(noisy_counts) >= 1
 
 
+def test_eagle_emulator_reports_each_structures_own_depth():
+    # Linear and circular EfficientSU2(6) share a circuit name; the circular
+    # ring's extra CX(5, 0) must still show in its own reported depth.
+    backend = EagleEmulatorBackend(noise_enabled=False)
+    linear = EfficientSU2(6, reps=1).circuit
+    circular = EfficientSU2(6, reps=1, entanglement="circular").circuit
+    assert linear.name == circular.name
+    assert backend.transpile(linear).reported_depth == 29
+    assert backend.transpile(circular).reported_depth == 33
+    assert backend.transpile(linear).reported_depth == 29
+
+
+def test_eagle_sample_parameterised_matches_sampling_the_bound_circuit():
+    ansatz = EfficientSU2(7, reps=1)
+    values = np.random.default_rng(3).normal(size=ansatz.num_parameters)
+    planned, bound = EagleEmulatorBackend(), EagleEmulatorBackend()
+    for seed in range(2):
+        a = planned.sample_parameterised(ansatz.circuit, values, 300, np.random.default_rng(seed))
+        b = bound.sample_array(ansatz.circuit.bind(values), 300, np.random.default_rng(seed))
+        assert np.array_equal(a, b)
+    assert planned.job_records == bound.job_records
+    # Every evaluation of the template after the first is a transpiler cache hit.
+    assert planned._transpiler.cache_info()["misses"] == 1
+
+
 # -- transpilation cache ------------------------------------------------------------------
 
 

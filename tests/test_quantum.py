@@ -9,7 +9,7 @@ from repro.quantum.ansatz import EfficientSU2
 from repro.quantum.backend import AutoBackend, MPSBackend, StatevectorBackend, counts_from_samples
 from repro.quantum.circuit import Parameter, QuantumCircuit
 from repro.quantum.gates import GATES, gate_matrix, is_unitary, rx_matrix, ry_matrix, rz_matrix
-from repro.quantum.mps import MPSSimulator
+from repro.quantum.mps import MPSSimulator, MPSState
 from repro.quantum.noise import NoiseModel
 from repro.quantum.statevector import StatevectorSimulator
 
@@ -126,6 +126,105 @@ def test_statevector_qubit_limit():
 # -- MPS simulator ------------------------------------------------------------------------
 
 
+def _mps_amplitude(state: MPSState, bits: str) -> complex:
+    """Amplitude of one computational-basis state of an MPS."""
+    vec = np.array([1.0 + 0j])
+    for k, ch in enumerate(bits):
+        vec = vec @ state.tensors[k][:, int(ch), :]
+    return complex(vec[0])
+
+
+def _mps_statevector(state: MPSState) -> np.ndarray:
+    """Dense statevector of a small MPS (qubit 0 is the most significant bit)."""
+    n = state.num_qubits
+    return np.array([_mps_amplitude(state, format(i, f"0{n}b")) for i in range(2**n)])
+
+
+def _mps_norm_squared(state: MPSState) -> float:
+    """<psi|psi> of an MPS (1 up to truncation error)."""
+    return float(np.real(state.right_environments()[0][0, 0]))
+
+
+class _EinsumMPS:
+    """Reference MPS kernel: the einsum contractions ``MPSState`` replaced.
+
+    Gates are applied and shots drawn exactly as before the einsum-free
+    kernel; ``MPSState`` must reproduce its tensors bit for bit, its
+    environments to rounding, and its samples bit for bit.
+    """
+
+    def __init__(self, circuit: QuantumCircuit, max_bond_dimension: int):
+        self.max_bond_dimension = max_bond_dimension
+        self.tensors = [np.array([1.0, 0.0], dtype=complex).reshape(1, 2, 1)] * circuit.num_qubits
+        for inst in circuit.instructions:
+            matrix = gate_matrix(inst.name, tuple(float(p) for p in inst.params))
+            if inst.num_qubits == 1:
+                q = inst.qubits[0]
+                self.tensors[q] = np.einsum("ij,ajb->aib", matrix, self.tensors[q], optimize=True)
+            else:
+                self._apply_two(matrix, *inst.qubits)
+
+    def _apply_two(self, matrix, q0, q1):
+        left, right = (q0, q1) if q0 < q1 else (q1, q0)
+        gate = matrix.reshape(2, 2, 2, 2)
+        if q0 > q1:
+            gate = gate.transpose(1, 0, 3, 2)
+        a, b = self.tensors[left], self.tensors[right]
+        chi_l, chi_r = a.shape[0], b.shape[2]
+        theta = np.einsum("aib,bjc->aijc", a, b, optimize=True)
+        theta = np.einsum("klij,aijc->aklc", gate, theta, optimize=True)
+        u, s, vh = np.linalg.svd(theta.reshape(chi_l * 2, 2 * chi_r), full_matrices=False)
+        keep = min(self.max_bond_dimension, int(np.count_nonzero(s > 1e-14)) or 1)
+        u, s, vh = u[:, :keep], s[:keep], vh[:keep, :]
+        self.tensors[left] = np.ascontiguousarray(u.reshape(chi_l, 2, keep))
+        self.tensors[right] = np.ascontiguousarray((s[:, None] * vh).reshape(keep, 2, chi_r))
+
+    def right_environments(self):
+        envs = [np.array([[1.0 + 0j]])] * (len(self.tensors) + 1)
+        for k in range(len(self.tensors) - 1, -1, -1):
+            a = self.tensors[k]
+            envs[k] = np.einsum("aib,bc,dic->ad", a, envs[k + 1], a.conj(), optimize=True)
+        return envs
+
+    def sample(self, shots, rng):
+        envs = self.right_environments()
+        samples = np.empty((shots, len(self.tensors)), dtype=np.uint8)
+        vec = np.ones((shots, 1), dtype=complex)
+        for k, a in enumerate(self.tensors):
+            r = envs[k + 1]
+            w0, w1 = vec @ a[:, 0, :], vec @ a[:, 1, :]
+            p0 = np.clip(np.einsum("sc,cd,sd->s", w0, r, w0.conj(), optimize=True).real, 0.0, None)
+            p1 = np.clip(np.einsum("sc,cd,sd->s", w1, r, w1.conj(), optimize=True).real, 0.0, None)
+            total = p0 + p1
+            total[total <= 0] = 1.0
+            draws = (rng.random(shots) < p1 / total).astype(np.uint8)
+            samples[:, k] = draws
+            vec = np.where(draws[:, None].astype(bool), w1, w0)
+        return samples
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 13, 22, 40])
+def test_mps_kernel_matches_einsum_reference(width):
+    shots = 2000
+    for reps in (1, 2, 3):
+        ansatz = EfficientSU2(width, reps=reps)
+        for bond in (1, 2, 3, 4, 8, 16):
+            for seed in (0, 1):
+                circuit = ansatz.bound(_random_values(ansatz.num_parameters, seed) * 2.5)
+                state = MPSSimulator(max_bond_dimension=bond).run(circuit)
+                reference = _EinsumMPS(circuit, bond)
+                for ours, theirs in zip(state.tensors, reference.tensors):
+                    assert np.array_equal(ours, theirs)
+                for ours, theirs in zip(state.right_environments(), reference.right_environments()):
+                    np.testing.assert_allclose(
+                        ours, theirs, rtol=1e-12, atol=1e-12 * np.abs(theirs).max()
+                    )
+                assert np.array_equal(
+                    state.sample(shots, np.random.default_rng(seed + 10)),
+                    reference.sample(shots, np.random.default_rng(seed + 10)),
+                )
+
+
 @given(st.integers(2, 6), st.integers(0, 2), st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_mps_matches_statevector_for_efficient_su2(n, reps, seed):
@@ -133,7 +232,7 @@ def test_mps_matches_statevector_for_efficient_su2(n, reps, seed):
     ansatz = EfficientSU2(n, reps=reps)
     circuit = ansatz.bound(rng.normal(size=ansatz.num_parameters))
     sv = StatevectorSimulator().run(circuit)
-    mps = MPSSimulator(max_bond_dimension=16).statevector(circuit)
+    mps = _mps_statevector(MPSSimulator(max_bond_dimension=16).run(circuit))
     fidelity = abs(np.vdot(sv, mps)) ** 2
     assert fidelity == pytest.approx(1.0, abs=1e-8)
 
@@ -142,7 +241,7 @@ def test_mps_norm_preserved():
     ansatz = EfficientSU2(30, reps=1)
     rng = np.random.default_rng(0)
     state = MPSSimulator(max_bond_dimension=8).run(ansatz.bound(rng.normal(size=ansatz.num_parameters)))
-    assert state.norm_squared() == pytest.approx(1.0, abs=1e-6)
+    assert _mps_norm_squared(state) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_mps_rejects_non_adjacent_two_qubit_gate():
@@ -179,6 +278,20 @@ def test_counts_from_samples():
     assert counts == {"01": 2, "10": 1}
 
 
+@pytest.mark.parametrize("width", [1, 22, 63, 64])
+def test_counts_from_samples_matches_row_unique_reference(width):
+    rng = np.random.default_rng(width)
+    # Few distinct rows with many repeats, plus the all-ones row (the largest
+    # packed code) and the all-zeros row.
+    base = rng.integers(0, 2, size=(40, width), dtype=np.uint8)
+    base[0], base[1] = 1, 0
+    samples = base[rng.integers(0, len(base), size=5000)]
+    rows, freqs = np.unique(samples, axis=0, return_counts=True)
+    reference = {"".join(map(str, row)): int(freq) for row, freq in zip(rows, freqs)}
+    counts = counts_from_samples(samples)
+    assert list(counts.items()) == list(reference.items())
+
+
 def test_backends_agree_statistically():
     ansatz = EfficientSU2(4, reps=1)
     rng = np.random.default_rng(2)
@@ -186,6 +299,22 @@ def test_backends_agree_statistically():
     sv_mean = StatevectorBackend().sample_array(circuit, 4000, np.random.default_rng(3)).mean(axis=0)
     mps_mean = MPSBackend().sample_array(circuit, 4000, np.random.default_rng(4)).mean(axis=0)
     assert np.allclose(sv_mean, mps_mean, atol=0.06)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [MPSBackend(max_bond_dimension=4), AutoBackend(max_statevector_qubits=6)],
+    ids=["mps", "auto"],
+)
+def test_mps_sample_parameterised_matches_sampling_the_bound_circuit(backend):
+    ansatz = EfficientSU2(9, reps=2)
+    for seed in range(3):
+        values = _random_values(ansatz.num_parameters, seed) * 2.5
+        planned = backend.sample_parameterised(ansatz.circuit, values, 500, np.random.default_rng(seed))
+        bound = backend.sample_array(ansatz.circuit.bind(values), 500, np.random.default_rng(seed))
+        assert np.array_equal(planned, bound)
+    assert backend.plan_cache_info()["entries"] == 1
+    assert backend.plan_cache_info()["hits"] == 2
 
 
 def test_auto_backend_selection():
