@@ -37,7 +37,6 @@ from repro.engine import (
     Engine,
     JobResult,
     JobSpec,
-    ResultCache,
     make_backend,
 )
 from repro.docking.vina import DockingEngine
@@ -63,7 +62,6 @@ __all__ = [
     "Engine",
     "JobResult",
     "JobSpec",
-    "ResultCache",
     "make_backend",
     "AF2LikePredictor",
     "AF3LikePredictor",

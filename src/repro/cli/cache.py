@@ -34,7 +34,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.engine.cache import RemoteTier, ResultCache, parse_tier_spec
+from repro.engine.cache import LocalDirTier, RemoteTier, parse_tier_spec
 from repro.exceptions import EngineError
 from repro.utils.io import read_json
 
@@ -52,7 +52,7 @@ def _is_remote_spec(cache_dir: str) -> bool:
     return str(cache_dir).strip().startswith("remote:")
 
 
-def _open_cache(cache_dir: str) -> ResultCache:
+def _open_cache(cache_dir: str) -> LocalDirTier:
     if _is_remote_spec(cache_dir):
         print(
             f"repro-cache: {cache_dir!r} is a remote tier; only 'stats' works "
@@ -65,7 +65,7 @@ def _open_cache(cache_dir: str) -> ResultCache:
     if not path.is_dir():
         print(f"repro-cache: cache directory {cache_dir!r} does not exist", file=sys.stderr)
         raise SystemExit(2)
-    return ResultCache(path)
+    return LocalDirTier(path)
 
 
 def _entry_summary(path: Path) -> tuple[str, str]:

@@ -101,9 +101,9 @@ def cmd_status(args: argparse.Namespace) -> int:
         except EngineError:
             cache_dir = None
     if cache_dir and Path(cache_dir).expanduser().is_dir():
-        from repro.engine.cache import ResultCache
+        from repro.engine.cache import LocalDirTier
 
-        cache = ResultCache(cache_dir)
+        cache = LocalDirTier(cache_dir)
         replayable = sum(1 for key in journal.completed if cache.peek(key) is not None)
     summary["replayable_from_cache"] = replayable
     summary["failures"] = [

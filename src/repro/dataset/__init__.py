@@ -10,7 +10,7 @@ from repro.dataset.fragments import (
 from repro.dataset.entry import QDockBankEntry
 from repro.dataset.bank import QDockBank
 from repro.dataset.builder import DatasetBuilder
-from repro.dataset.batch import BatchProcessor, FragmentTask
+from repro.dataset.batch import BatchProcessor
 
 __all__ = [
     "Fragment",
@@ -22,5 +22,4 @@ __all__ = [
     "QDockBank",
     "DatasetBuilder",
     "BatchProcessor",
-    "FragmentTask",
 ]

@@ -32,25 +32,19 @@ from the entry list instead of aborting the whole build.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.bio.reference import ReferenceRecord, ReferenceStructureGenerator
 from repro.bio.rmsd import ca_rmsd
-from repro.config import PipelineConfig
 from repro.dataset.entry import MethodEvaluation, QDockBankEntry
 from repro.dataset.fragments import Fragment
 from repro.docking.ligand import Ligand, SyntheticLigandGenerator
-from repro.docking.vina import DockingEngine, DockingResult
+from repro.docking.vina import DockingResult
 from repro.engine.core import Engine
 from repro.engine.session import JobFailure
-from repro.folding.baselines import (
-    BASELINE_PREDICTORS,
-    AF2LikePredictor,
-    AF3LikePredictor,
-)
-from repro.folding.predictor import FoldingPrediction, fold_fragment
+from repro.folding.baselines import BASELINE_PREDICTORS
+from repro.folding.predictor import FoldingPrediction
 from repro.utils.logging import get_logger
-from repro.utils.parallel import ParallelExecutor
 
 logger = get_logger(__name__)
 
@@ -59,59 +53,19 @@ logger = get_logger(__name__)
 BASELINE_METHODS: tuple[str, ...] = tuple(BASELINE_PREDICTORS)
 
 
-@dataclass(frozen=True)
-class FragmentTask:
-    """A picklable unit of work: one fragment plus the pipeline configuration.
-
-    ``quantum`` carries the already-folded quantum prediction when the fold
-    phase ran through the engine; ``None`` makes :func:`build_entry` fold
-    inline (the pre-engine behaviour, kept for direct callers).
-    """
-
-    fragment: Fragment
-    config: PipelineConfig
-    keep_structures: bool = True
-    include_baselines: bool = True
-    quantum: FoldingPrediction | None = None
-
-
-@dataclass(frozen=True)
-class _ContextTask:
-    """Input of :func:`prepare_context` (picklable for the executor)."""
-
-    fragment: Fragment
-    config: PipelineConfig
-
-
-def prepare_context(task: _ContextTask) -> tuple[ReferenceRecord, Ligand]:
+def prepare_context(fragment: Fragment, seed: int) -> tuple[ReferenceRecord, Ligand]:
     """Derive the reference structure and synthetic ligand for one fragment.
 
-    Fully deterministic in ``(fragment, config.seed)`` — this is the docking
-    phase's input preparation, not engine-cached work.  Cheap once the
-    fragment's baseline folds ran in this process: the reference's
-    ground-state solve is memoised per process.
+    Fully deterministic in ``(fragment, seed)`` — this is the docking phase's
+    input preparation, not engine-cached work.  Cheap once the fragment's
+    baseline folds ran in this process: the reference's ground-state solve is
+    memoised per process.
     """
-    fragment = task.fragment
-    reference = ReferenceStructureGenerator(master_seed=task.config.seed).generate(
+    reference = ReferenceStructureGenerator(master_seed=seed).generate(
         fragment.pdb_id, fragment.sequence, start_seq_id=fragment.residue_start
     )
-    ligand = SyntheticLigandGenerator(master_seed=task.config.seed).generate(reference)
+    ligand = SyntheticLigandGenerator(master_seed=seed).generate(reference)
     return reference, ligand
-
-
-def _evaluate_method(
-    prediction: FoldingPrediction,
-    reference_structure,
-    docking: DockingResult,
-) -> MethodEvaluation:
-    return MethodEvaluation(
-        method=prediction.method,
-        ca_rmsd=ca_rmsd(prediction.structure, reference_structure),
-        affinity=docking.mean_best_affinity,
-        docking_rmsd_lb=docking.mean_rmsd_lb,
-        docking_rmsd_ub=docking.mean_rmsd_ub,
-        docking_summary=docking.as_dict(),
-    )
 
 
 def _assemble_entry(
@@ -123,8 +77,6 @@ def _assemble_entry(
     """Assemble one entry from evaluated ``(prediction, docking)`` pairs.
 
     ``evaluated[0]`` must be the quantum prediction; the rest are baselines.
-    Shared by the inline path (:func:`build_entry`) and the batch pipeline so
-    evaluation and structure-retention rules cannot diverge.
     """
     quantum, _ = evaluated[0]
     entry = QDockBankEntry(
@@ -134,86 +86,31 @@ def _assemble_entry(
         reference_structure=reference.structure if keep_structures else None,
     )
     for i, (prediction, docking) in enumerate(evaluated):
-        entry.evaluations[prediction.method] = _evaluate_method(
-            prediction, reference.structure, docking
+        entry.evaluations[prediction.method] = MethodEvaluation(
+            method=prediction.method,
+            ca_rmsd=ca_rmsd(prediction.structure, reference.structure),
+            affinity=docking.mean_best_affinity,
+            docking_rmsd_lb=docking.mean_rmsd_lb,
+            docking_rmsd_ub=docking.mean_rmsd_ub,
+            docking_summary=docking.as_dict(),
         )
         if i > 0 and keep_structures:
             entry.baseline_structures[prediction.method] = prediction.structure
     return entry
 
 
-def build_entry(task: FragmentTask) -> QDockBankEntry:
-    """Build the complete dataset entry for one fragment, inline.
-
-    This is the single-fragment path kept for direct callers and workers; the
-    batch pipeline (:meth:`BatchProcessor.build_entries`) instead streams the
-    expensive pieces through the engine so they dedup and cache.
-    """
-    fragment = task.fragment
-    config = task.config
-
-    reference_generator = ReferenceStructureGenerator(master_seed=config.seed)
-    reference = reference_generator.generate(
-        fragment.pdb_id, fragment.sequence, start_seq_id=fragment.residue_start
-    )
-    ligand = SyntheticLigandGenerator(master_seed=config.seed).generate(reference)
-
-    docking_engine = DockingEngine(
-        num_seeds=config.docking_seeds,
-        num_poses=config.docking_poses,
-        mc_steps=config.docking_mc_steps,
-        master_seed=config.seed,
-    )
-
-    # Quantum prediction (the dataset's primary content) — precomputed by the
-    # engine's fold phase when available.
-    qdock_prediction = task.quantum
-    if qdock_prediction is None:
-        qdock_prediction, _ = fold_fragment(
-            fragment.pdb_id,
-            fragment.sequence,
-            config=config,
-            start_seq_id=fragment.residue_start,
-        )
-    predictions = [qdock_prediction]
-    if task.include_baselines:
-        for predictor in (
-            AF2LikePredictor(reference_generator=reference_generator),
-            AF3LikePredictor(reference_generator=reference_generator),
-        ):
-            predictions.append(
-                predictor.predict(
-                    fragment.pdb_id, fragment.sequence, start_seq_id=fragment.residue_start
-                )
-            )
-    evaluated = [
-        (
-            prediction,
-            docking_engine.dock(
-                prediction.structure, ligand, receptor_id=f"{fragment.pdb_id}:{prediction.method}"
-            ),
-        )
-        for prediction in predictions
-    ]
-    return _assemble_entry(fragment, reference, evaluated, task.keep_structures)
-
-
 class BatchProcessor:
-    """Builds entries for many fragments, optionally on a process pool."""
+    """Builds entries for many fragments through one engine.
 
-    def __init__(
-        self,
-        config: PipelineConfig | None = None,
-        executor: ParallelExecutor | None = None,
-        engine: Engine | None = None,
-    ):
-        self.config = config or PipelineConfig()
-        self.executor = executor or ParallelExecutor(processes=0)
-        self.engine = engine or Engine(config=self.config)
+    The engine supplies the configuration every job and context is built
+    with, and its ``processes`` count governs both the engine phases and the
+    context preparation between them.
+    """
 
-    def _run_phase(
-        self, specs: list, phase: str, progress
-    ) -> list:
+    def __init__(self, engine: Engine):
+        self.engine = engine
+
+    def _run_phase(self, specs: list, phase: str, progress) -> list:
         """Stream one phase's specs through an engine session.
 
         The session id is derived from the phase name and the specs' content
@@ -225,12 +122,24 @@ class BatchProcessor:
             "\x1f".join(spec.content_hash() for spec in specs).encode("utf-8")
         ).hexdigest()
         session = self.engine.submit(
-            specs,
-            session_id=f"build-{phase}-{digest[:12]}",
-            processes=self.executor.processes,
-            progress=progress,
+            specs, session_id=f"build-{phase}-{digest[:12]}", progress=progress
         )
         return session.results()
+
+    def _prepare_contexts(self, fragments: list[Fragment]) -> list[tuple[ReferenceRecord, Ligand]]:
+        """:func:`prepare_context` for every fragment, in order.
+
+        The one pooled step outside the engine.  A context is derived from
+        the master seed, not cached as a job, yet its reference ground-state
+        solve is what a warm-cache build spends its time on; so it runs on a
+        plain process pool of the engine's size, or inline for a serial
+        engine or a single fragment.
+        """
+        seeds = [self.engine.config.seed] * len(fragments)
+        if self.engine.processes <= 1 or len(fragments) <= 1:
+            return list(map(prepare_context, fragments, seeds))
+        with ProcessPoolExecutor(max_workers=self.engine.processes) as pool:
+            return list(pool.map(prepare_context, fragments, seeds))
 
     def build_entries(
         self,
@@ -256,11 +165,6 @@ class BatchProcessor:
         ``on_error="raise"`` the first failure aborts the build.
         """
         methods = BASELINE_METHODS if include_baselines else ()
-        # One configuration governs every job and context in this build: the
-        # engine's own (identical to self.config unless a caller wired a
-        # differently-configured engine — jobs must hash against the config
-        # they execute with).
-        config = self.engine.config
 
         # Phase 1: every fold — quantum and baseline — in one engine session.
         fold_specs = [
@@ -299,15 +203,7 @@ class BatchProcessor:
         # Phase 2: derive references/ligands for the surviving fragments, then
         # every docking search through an engine session (seeded per receptor
         # identity and run index).
-        contexts = dict(
-            zip(
-                alive,
-                self.executor.map(
-                    prepare_context,
-                    [_ContextTask(fragment=fragments[i], config=config) for i in alive],
-                ),
-            )
-        )
+        contexts = dict(zip(alive, self._prepare_contexts([fragments[i] for i in alive])))
         dock_specs = []
         dock_owner: list[int] = []
         for i in alive:

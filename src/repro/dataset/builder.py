@@ -11,7 +11,6 @@ from repro.dataset.fragments import PAPER_FRAGMENTS, Fragment, fragments_by_grou
 from repro.engine.core import Engine
 from repro.exceptions import DatasetError
 from repro.utils.logging import get_logger
-from repro.utils.parallel import ParallelExecutor
 
 logger = get_logger(__name__)
 
@@ -25,8 +24,8 @@ class DatasetBuilder:
         Pipeline configuration (use :meth:`PipelineConfig.paper` for
         full-fidelity runs, :meth:`PipelineConfig.fast` for CI-scale runs).
     processes:
-        Worker processes for the engine fan-out and batch stage; ``0``/``1``
-        runs serially (results are bit-identical either way).
+        Worker processes for the engine fan-out and context preparation;
+        ``0``/``1`` runs serially (results are bit-identical either way).
     cache_dir:
         Directory of the engine's persistent result cache (folds, baseline
         folds and docking searches alike); repeated builds over the same
@@ -43,11 +42,7 @@ class DatasetBuilder:
     ):
         self.config = config or PipelineConfig()
         self.engine = Engine(config=self.config, cache=cache_dir, processes=processes)
-        self.processor = BatchProcessor(
-            config=self.config,
-            executor=ParallelExecutor(processes=processes),
-            engine=self.engine,
-        )
+        self.processor = BatchProcessor(self.engine)
 
     # -- fragment selection ----------------------------------------------------------
 

@@ -41,7 +41,6 @@ from repro.engine.cache import (
     CacheTier,
     LocalDirTier,
     RemoteTier,
-    ResultCache,
     TieredCache,
     parse_tier_spec,
     resolve_cache,
@@ -132,7 +131,6 @@ __all__ = [
     "PoolTransport",
     "RemoteJobError",
     "RemoteTier",
-    "ResultCache",
     "SerialTransport",
     "Session",
     "SessionJournal",

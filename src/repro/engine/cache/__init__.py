@@ -2,10 +2,8 @@
 
 Public surface:
 
-* :class:`ResultCache` / :class:`LocalDirTier` — the content-addressed
-  on-disk store (one JSON file per content hash, sharded, optionally
-  size-bounded).  ``ResultCache`` is the historical name; both are the same
-  class and the on-disk format is unchanged.
+* :class:`LocalDirTier` — the content-addressed on-disk store (one JSON
+  file per content hash, sharded, optionally size-bounded).
 * :class:`RemoteTier` — the same interface over a ``repro-serve`` socket
   (``cache_get``/``cache_put``/``cache_stats`` frames), so N machines share
   one cache without a shared filesystem.
@@ -32,7 +30,6 @@ from repro.engine.cache.local import (
     EVICTION_POLICIES,
     LOW_WATER_FRACTION,
     LocalDirTier,
-    ResultCache,
 )
 from repro.engine.cache.remote import RemoteTier
 from repro.engine.cache.tiered import TieredCache
@@ -47,7 +44,6 @@ __all__ = [
     "LocalDirTier",
     "LocationToken",
     "RemoteTier",
-    "ResultCache",
     "TieredCache",
     "parse_tier_spec",
     "resolve_cache",

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache tier — the original ``ResultCache``.
+"""Content-addressed on-disk cache tier.
 
 Each cached result lives in its own JSON file named by the job's content hash
 (sharded by the first two hex characters to keep directories small), so the
@@ -279,9 +279,3 @@ class LocalDirTier:
             removed += 1
         self._tracked_total = 0
         return removed
-
-
-#: Historical name, kept as the public alias: ``ResultCache`` predates the
-#: tier protocol and every caller that opened a cache by path still gets
-#: exactly this class with identical on-disk format and eviction semantics.
-ResultCache = LocalDirTier

@@ -71,26 +71,9 @@ class RemoteTier:
     def _connect(self) -> socket.socket:
         # Lazy protocol import: repro.serve.server imports this package, so a
         # module-level import here would be a cycle.
-        from repro.serve.protocol import PROTOCOL_VERSION, recv_message, send_message
+        from repro.serve.protocol import connect
 
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.timeout)
-            send_message(sock, {
-                "type": "hello", "client_id": self.client_id, "protocol": PROTOCOL_VERSION,
-            })
-            welcome = recv_message(sock)
-            if welcome.get("type") != "welcome":
-                raise EngineError(f"expected a welcome frame, got {welcome.get('type')!r}")
-            if welcome.get("protocol") != PROTOCOL_VERSION:
-                raise EngineError(
-                    f"server speaks protocol {welcome.get('protocol')!r}, "
-                    f"this client speaks {PROTOCOL_VERSION}"
-                )
-        except BaseException:
-            sock.close()
-            raise
+        sock, welcome = connect(self.host, self.port, self.client_id, self.timeout)
         self.server_id = welcome.get("server_id")
         return sock
 

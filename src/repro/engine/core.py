@@ -163,7 +163,7 @@ class Engine:
         helpers; also supplies ``engine_workers``, ``cache_dir`` and the cache
         size-bound (``cache_max_bytes`` / ``cache_eviction``) defaults.
     cache:
-        A cache tier instance (:class:`ResultCache` / :class:`LocalDirTier`,
+        A cache tier instance (:class:`~repro.engine.cache.LocalDirTier`,
         :class:`~repro.engine.cache.RemoteTier`,
         :class:`~repro.engine.cache.TieredCache`), a tier spec string or
         directory path, a sequence of specs/tiers (composed into a
@@ -178,7 +178,8 @@ class Engine:
         ``config.engine_workers``.  ``0``/``1`` executes serially.
     transport:
         Name of the executor transport jobs run on (``"serial"``, ``"pool"``,
-        ``"filequeue"`` or ``"auto"``); ``None`` uses ``config.transport``.
+        ``"filequeue"``, ``"network"`` or ``"auto"``); ``None`` uses
+        ``config.transport``.
         Every transport is bit-identical — see
         :mod:`repro.engine.transports`.
     """

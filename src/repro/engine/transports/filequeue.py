@@ -43,7 +43,7 @@ broker, no sockets and no new dependencies:
         this directory, rebuilds results with
         :func:`~repro.engine.jobs.result_from_payload`, and hands them to the
         session loop, which persists them through the existing
-        :class:`~repro.engine.cache.ResultCache` and session journal — so
+        :class:`~repro.engine.cache.LocalDirTier` and session journal — so
         crash/resume semantics are identical to the local transports.
 
         With ``PipelineConfig.spool_payloads = False`` the task envelope

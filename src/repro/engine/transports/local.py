@@ -14,7 +14,7 @@ failing the fan-out.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from typing import Any, ClassVar, Sequence
+from typing import Any, ClassVar, Iterator, Sequence
 
 from repro.engine.transports.base import (
     Completion,
@@ -23,7 +23,6 @@ from repro.engine.transports.base import (
     register_transport,
 )
 from repro.exceptions import EngineError
-from repro.utils.parallel import serial_stream
 
 
 def _execute(spec: Any) -> Any:
@@ -32,6 +31,21 @@ def _execute(spec: Any) -> Any:
     from repro.engine.core import execute_job
 
     return execute_job(spec)
+
+
+def _serial_stream(specs: list[Any]) -> Iterator[Completion]:
+    """Execute ``specs`` in order, yielding one completion per spec.
+
+    Each completion has either a result or an exception set: an exception
+    never stops the stream, isolation is the session's policy.
+    """
+    for i, spec in enumerate(specs):
+        try:
+            result = _execute(spec)
+        except Exception as exc:
+            yield i, None, exc
+        else:
+            yield i, result, None
 
 
 class SerialTransport(Transport):
@@ -53,7 +67,7 @@ class SerialTransport(Transport):
         self._submitted = True
         specs = list(specs)
         self._remaining = len(specs)
-        self._stream = serial_stream(_execute, specs)
+        self._stream = _serial_stream(specs)
         return self._remaining
 
     def poll(self, timeout: float | None = None) -> list[Completion]:

@@ -45,13 +45,7 @@ from repro.engine.transports.base import (
     register_transport,
 )
 from repro.exceptions import EngineError
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    FrameBuffer,
-    ProtocolError,
-    recv_message,
-    send_message,
-)
+from repro.serve.protocol import FrameBuffer, ProtocolError, connect, send_message
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -110,41 +104,14 @@ class NetworkTransport(Transport):
         self._submitted = True
         self._specs = list(specs)
         try:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout
+            self._sock, welcome = connect(
+                self.host, self.port, self.client_id, self.connect_timeout
             )
         except OSError as exc:
             raise EngineError(
                 f"cannot reach repro-serve at {self.host}:{self.port}: {exc}; "
                 f"start one with: repro-serve --host {self.host} --port {self.port}"
             ) from exc
-        try:
-            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        try:
-            send_message(self._sock, {
-                "type": "hello",
-                "client_id": self.client_id,
-                "protocol": PROTOCOL_VERSION,
-            })
-            welcome = recv_message(self._sock)
-        except (OSError, ProtocolError) as exc:
-            self._close_socket()
-            raise EngineError(
-                f"handshake with repro-serve at {self.host}:{self.port} failed: {exc}"
-            ) from exc
-        if welcome.get("type") == "error":
-            self._close_socket()
-            raise EngineError(
-                f"repro-serve at {self.host}:{self.port} rejected the "
-                f"connection: {welcome.get('reason')}"
-            )
-        if welcome.get("type") != "welcome" or welcome.get("protocol") != PROTOCOL_VERSION:
-            self._close_socket()
-            raise EngineError(
-                f"unexpected handshake reply from {self.host}:{self.port}: {welcome!r}"
-            )
         self.server_id = welcome.get("server_id")
         advertised = welcome.get("max_inflight")
         if isinstance(advertised, int) and advertised > 0:

@@ -196,7 +196,7 @@ class QuantumFoldingPredictor:
         """Predict a batch of ``(pdb_id, sequence)`` fragments via the engine.
 
         ``processes`` of ``None`` uses ``config.engine_workers``; ``cache``
-        accepts a :class:`~repro.engine.cache.ResultCache` or a directory path
+        accepts a :class:`~repro.engine.cache.LocalDirTier` or a directory path
         (``None`` falls back to ``config.cache_dir``).  Falls back to a serial
         in-process loop when the predictor holds a custom backend or model.
         """

@@ -13,6 +13,7 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     FrameBuffer,
     ProtocolError,
+    connect,
     encode_frame,
     recv_message,
     send_message,
@@ -31,6 +32,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ReproServer",
+    "connect",
     "encode_frame",
     "recv_message",
     "send_message",

@@ -117,6 +117,39 @@ def recv_message(sock: socket.socket) -> dict[str, Any]:
     return message
 
 
+def connect(
+    host: str, port: int, client_id: str, timeout: float
+) -> tuple[socket.socket, dict[str, Any]]:
+    """Open a client connection to ``repro-serve`` and complete the handshake.
+
+    Returns the connected socket (``TCP_NODELAY`` set, ``timeout`` applied)
+    and the server's ``welcome`` frame.  An unreachable server raises
+    ``OSError``; a server that answers ``hello`` with an ``error`` frame, any
+    other frame, or a different protocol version raises :class:`EngineError`
+    naming the reason.  The socket is closed on any failure.
+    """
+    sock = socket.create_connection((host, port), timeout=timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        send_message(sock, {"type": "hello", "client_id": client_id, "protocol": PROTOCOL_VERSION})
+        welcome = recv_message(sock)
+        if welcome.get("type") == "error":
+            raise EngineError(
+                f"repro-serve at {host}:{port} rejected the connection: {welcome.get('reason')}"
+            )
+        if welcome.get("type") != "welcome":
+            raise ProtocolError(f"expected a welcome frame, got {welcome.get('type')!r}")
+        if welcome.get("protocol") != PROTOCOL_VERSION:
+            raise EngineError(
+                f"repro-serve at {host}:{port} speaks protocol {welcome.get('protocol')!r}, "
+                f"this client speaks {PROTOCOL_VERSION}"
+            )
+    except BaseException:
+        sock.close()
+        raise
+    return sock, welcome
+
+
 class FrameBuffer:
     """Incremental frame parser for a non-blocking reader.
 

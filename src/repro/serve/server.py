@@ -10,7 +10,7 @@ the socket equivalent of the spool directory: a long-running daemon that
 * multiplexes them onto **one shared worker pool** (a process pool with the
   same registry-snapshot replication the local pool transport uses, or
   in-process threads for ``workers=0``) and **one shared**
-  :class:`~repro.engine.cache.ResultCache` — a job any client ever completed
+  :class:`~repro.engine.cache.LocalDirTier` — a job any client ever completed
   is served to every later client without re-execution,
 * applies per-client **admission control**: at most ``max_inflight`` jobs in
   flight per client id, and a bounded server-wide backlog (``max_pending``)
@@ -44,7 +44,7 @@ import uuid
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.engine.cache import ResultCache
+from repro.engine.cache import LocalDirTier
 from repro.exceptions import EngineError
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -198,7 +198,7 @@ class ReproServer:
     max_pending:
         Server-wide cap on accepted-but-unfinished jobs across all clients.
     cache:
-        The shared :class:`ResultCache` (instance, directory path, or
+        The shared :class:`LocalDirTier` (instance, directory path, or
         ``None`` to serve without one).
     execute:
         Injectable job executor (tests); defaults to the engine's
@@ -213,7 +213,7 @@ class ReproServer:
         workers: int = 0,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_pending: int = DEFAULT_MAX_PENDING,
-        cache: ResultCache | str | Path | None = None,
+        cache: LocalDirTier | str | Path | None = None,
         execute: Callable[[Any], Any] | None = None,
     ):
         self.host = host
@@ -222,7 +222,7 @@ class ReproServer:
         self.max_inflight = max(1, int(max_inflight))
         self.max_pending = max(1, int(max_pending))
         if isinstance(cache, (str, Path)):
-            cache = ResultCache(cache)
+            cache = LocalDirTier(cache)
         self.cache = cache
         self._execute = execute or _execute
         self.server_id = f"serve-{os.getpid()}-{uuid.uuid4().hex[:6]}"

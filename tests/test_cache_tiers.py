@@ -21,7 +21,6 @@ from repro.engine import (
     FileQueueWorker,
     LocalDirTier,
     RemoteTier,
-    ResultCache,
     TieredCache,
     parse_tier_spec,
     resolve_cache,
@@ -364,8 +363,3 @@ def test_filequeue_factory_derives_the_stub_tier_or_refuses(tmp_path):
     # No reachable tier at all is a configuration error, not silent payloads.
     with pytest.raises(EngineError, match="spool_payloads=False needs a cache tier"):
         make_transport("filequeue", base.with_updates(spool_payloads=False), processes=0)
-
-
-def test_result_cache_alias_is_the_local_tier():
-    """Back-compat: the historical name and the tier are the same class."""
-    assert ResultCache is LocalDirTier

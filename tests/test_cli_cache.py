@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli.cache import main
 from repro.config import PipelineConfig
-from repro.engine import Engine, ResultCache
+from repro.engine import Engine, LocalDirTier
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def test_verify_then_corrupt_then_delete_roundtrip(populated_cache_dir, capsys):
     assert "0 corrupt" in capsys.readouterr().out
 
     # Corrupt one entry: verify flags it and exits 1 without deleting.
-    cache = ResultCache(populated_cache_dir)
+    cache = LocalDirTier(populated_cache_dir)
     victim = cache.entries()[0]
     victim.path.write_text("{ torn write")
     assert main(["verify", str(populated_cache_dir)]) == 1
@@ -87,7 +87,7 @@ def test_verify_then_corrupt_then_delete_roundtrip(populated_cache_dir, capsys):
 def _misplaced_cache(tmp_path):
     """A cache with one well-placed entry and one hand-moved into a foreign shard."""
     cache_dir = tmp_path / "sharded"
-    cache = ResultCache(cache_dir)
+    cache = LocalDirTier(cache_dir)
     keys = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(2)]
     for key in keys:
         cache.put(key, {"spec_hash": key, "schema": "fold/v1", "pad": "x" * 64})
@@ -121,7 +121,7 @@ def test_stats_reaches_a_remote_tier_and_local_subcommands_refuse_one(tmp_path, 
     from repro.serve import ReproServer
 
     key = hashlib.sha256(b"remote-cli").hexdigest()
-    ResultCache(tmp_path / "serve-cache").put(
+    LocalDirTier(tmp_path / "serve-cache").put(
         key, {"spec_hash": key, "schema": "fold/v1", "pad": "x" * 64}
     )
     with ReproServer(workers=0, cache=tmp_path / "serve-cache") as server:
@@ -146,14 +146,14 @@ def test_stats_reaches_a_remote_tier_and_local_subcommands_refuse_one(tmp_path, 
 
 def test_prune_rejects_negative_max_bytes(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    ResultCache(cache_dir)  # create the directory
+    LocalDirTier(cache_dir)  # create the directory
     assert main(["prune", str(cache_dir), "--max-bytes", "-5"]) == 2
     assert "must be >= 0" in capsys.readouterr().err
 
 
 def test_prune_round_trip(tmp_path, capsys):
     cache_dir = tmp_path / "prune_cache"
-    cache = ResultCache(cache_dir)
+    cache = LocalDirTier(cache_dir)
     keys = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(4)]
     for key in keys:
         cache.put(key, {"spec_hash": key, "schema": "fold/v1", "pad": "x" * 128})
@@ -161,10 +161,10 @@ def test_prune_round_trip(tmp_path, capsys):
 
     assert main(["prune", str(cache_dir), "--max-bytes", str(int(2.5 * entry_size))]) == 0
     assert "evicted 2 entries" in capsys.readouterr().out
-    assert len(ResultCache(cache_dir)) == 2
+    assert len(LocalDirTier(cache_dir)) == 2
 
     # Pruning to zero empties the cache; a second prune is a no-op.
     assert main(["prune", str(cache_dir), "--max-bytes", "0"]) == 0
-    assert len(ResultCache(cache_dir)) == 0
+    assert len(LocalDirTier(cache_dir)) == 0
     assert main(["prune", str(cache_dir), "--max-bytes", "0"]) == 0
     assert "evicted 0 entries" in capsys.readouterr().out

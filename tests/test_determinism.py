@@ -374,12 +374,12 @@ def test_network_server_kill_then_restart_resume_is_bit_identical_to_serial(
 
 def test_cache_topology_flat_vs_tiered_is_bit_identical(reference_run, tmp_path):
     """The cache-topology clause, local half: a serial run over a flat
-    ``ResultCache`` and a pool run over a ``TieredCache`` wrapping the same
+    ``LocalDirTier`` and a pool run over a ``TieredCache`` wrapping the same
     kind of local tier are bit-identical — cold and warm — and the warm
     tiered run executes zero jobs."""
-    from repro.engine import LocalDirTier, ResultCache, TieredCache
+    from repro.engine import LocalDirTier, TieredCache
 
-    flat_engine = Engine(config=CONFIG, cache=ResultCache(tmp_path / "flat"), processes=0)
+    flat_engine = Engine(config=CONFIG, cache=LocalDirTier(tmp_path / "flat"), processes=0)
     assert _canonical(flat_engine.run(_mixed_jobs(flat_engine))) == reference_run
     assert flat_engine.stats()["executed_jobs"] == 5
 

@@ -10,7 +10,7 @@ from repro.engine import (
     Engine,
     JobResult,
     JobSpec,
-    ResultCache,
+    LocalDirTier,
     backend_names,
     execute_job,
     make_backend,
@@ -154,7 +154,7 @@ def test_registry_snapshot_roundtrips_through_restore():
 
 
 def test_result_cache_roundtrip_and_stats(tmp_path, engine_config):
-    cache = ResultCache(tmp_path / "cache")
+    cache = LocalDirTier(tmp_path / "cache")
     spec = JobSpec(pdb_id="3eax", sequence="RYRDV", config=engine_config)
     key = spec.content_hash()
     assert cache.get(key) is None
@@ -173,7 +173,7 @@ def test_result_cache_roundtrip_and_stats(tmp_path, engine_config):
 
 
 def test_verify_flags_truncated_payload_and_wrong_hash(tmp_path, engine_config):
-    cache = ResultCache(tmp_path)
+    cache = LocalDirTier(tmp_path)
     key = JobSpec(pdb_id="3eax", sequence="RYRDV", config=engine_config).content_hash()
     payload = {
         "spec_hash": key,
@@ -208,7 +208,7 @@ def test_verify_flags_truncated_payload_and_wrong_hash(tmp_path, engine_config):
 
 
 def test_cache_peek_is_stat_and_recency_neutral(tmp_path, engine_config):
-    cache = ResultCache(tmp_path)
+    cache = LocalDirTier(tmp_path)
     key = JobSpec(pdb_id="3eax", sequence="RYRDV", config=engine_config).content_hash()
     cache.put(key, {"spec_hash": key, "schema": "fold/v1"})
     before = cache.entries()[0].mtime
@@ -219,7 +219,7 @@ def test_cache_peek_is_stat_and_recency_neutral(tmp_path, engine_config):
 
 
 def test_result_cache_treats_corrupt_entry_as_miss(tmp_path, engine_config):
-    cache = ResultCache(tmp_path)
+    cache = LocalDirTier(tmp_path)
     key = JobSpec(pdb_id="3eax", sequence="RYRDV", config=engine_config).content_hash()
     path = cache._path(key)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.bio.reference import ReferenceStructureGenerator
 from repro.config import PipelineConfig
+from repro.dataset import batch
 from repro.dataset.batch import BatchProcessor
 from repro.dataset.builder import DatasetBuilder
 from repro.docking.ligand import SyntheticLigandGenerator
@@ -21,7 +22,7 @@ from repro.engine import (
     DockSpec,
     Engine,
     JobSpec,
-    ResultCache,
+    LocalDirTier,
     executor_kinds,
 )
 from repro.exceptions import EngineError
@@ -340,12 +341,12 @@ def _keys(n: int) -> list[str]:
 
 def test_cache_enforces_size_bound_on_put(tmp_path):
     keys = _keys(10)
-    probe = ResultCache(tmp_path)
+    probe = LocalDirTier(tmp_path)
     probe.put(keys[0], _fake_payload(keys[0], 256))
     entry_size = probe.entries()[0].size_bytes
 
     bound = int(3.5 * entry_size)
-    cache = ResultCache(tmp_path, max_bytes=bound)
+    cache = LocalDirTier(tmp_path, max_bytes=bound)
     for key in keys[1:]:
         cache.put(key, _fake_payload(key, 256))
     assert cache.total_bytes() <= bound
@@ -357,11 +358,11 @@ def test_cache_enforces_size_bound_on_put(tmp_path):
 
 def test_lru_eviction_keeps_recently_used_entries(tmp_path):
     k1, k2, k3 = _keys(3)
-    probe = ResultCache(tmp_path / "lru")
+    probe = LocalDirTier(tmp_path / "lru")
     probe.put(k1, _fake_payload(k1, 128))
     entry_size = probe.entries()[0].size_bytes
 
-    cache = ResultCache(tmp_path / "lru", max_bytes=int(2.5 * entry_size), eviction="lru")
+    cache = LocalDirTier(tmp_path / "lru", max_bytes=int(2.5 * entry_size), eviction="lru")
     cache.put(k2, _fake_payload(k2, 128))
     time.sleep(0.02)
     assert cache.get(k1) is not None  # refreshes k1; k2 becomes least recently used
@@ -373,11 +374,11 @@ def test_lru_eviction_keeps_recently_used_entries(tmp_path):
 
 def test_fifo_eviction_ignores_access_recency(tmp_path):
     k1, k2, k3 = _keys(3)
-    probe = ResultCache(tmp_path / "fifo")
+    probe = LocalDirTier(tmp_path / "fifo")
     probe.put(k1, _fake_payload(k1, 128))
     entry_size = probe.entries()[0].size_bytes
 
-    cache = ResultCache(tmp_path / "fifo", max_bytes=int(2.5 * entry_size), eviction="fifo")
+    cache = LocalDirTier(tmp_path / "fifo", max_bytes=int(2.5 * entry_size), eviction="fifo")
     cache.put(k2, _fake_payload(k2, 128))
     time.sleep(0.02)
     assert cache.get(k1) is not None  # does NOT refresh under fifo
@@ -394,8 +395,8 @@ def test_prune_spares_entries_rewritten_at_the_eviction_window(tmp_path):
     eviction), and an entry re-written since the scan is spared — the fresh
     payload must survive the prune."""
     k1, k2, k3 = _keys(3)
-    pruner = ResultCache(tmp_path)
-    writer = ResultCache(tmp_path)
+    pruner = LocalDirTier(tmp_path)
+    writer = LocalDirTier(tmp_path)
     for key in (k1, k2, k3):
         pruner.put(key, _fake_payload(key, 128))
         time.sleep(0.02)  # deterministic eviction order: k1 oldest
@@ -426,8 +427,8 @@ def test_prune_spares_a_same_tick_rewrite(tmp_path):
     import os
 
     (key,) = _keys(1)
-    cache = ResultCache(tmp_path)
-    writer = ResultCache(tmp_path)
+    cache = LocalDirTier(tmp_path)
+    writer = LocalDirTier(tmp_path)
     cache.put(key, _fake_payload(key, 64))
 
     rewritten = _fake_payload(key, 400)
@@ -445,8 +446,8 @@ def test_prune_spares_a_same_tick_rewrite(tmp_path):
 def test_prune_tolerates_every_entry_vanishing(tmp_path):
     """A racing ``clear()`` between scan and eviction must not error or
     miscount: nothing is left, nothing was 'evicted' by this prune."""
-    cache = ResultCache(tmp_path)
-    other = ResultCache(tmp_path)
+    cache = LocalDirTier(tmp_path)
+    other = LocalDirTier(tmp_path)
     for key in _keys(3):
         cache.put(key, _fake_payload(key, 64))
     cache._before_evict = lambda entry: other.clear()
@@ -457,18 +458,18 @@ def test_prune_tolerates_every_entry_vanishing(tmp_path):
 
 def test_cache_rejects_unknown_eviction_policy(tmp_path):
     with pytest.raises(EngineError):
-        ResultCache(tmp_path, eviction="random")
+        LocalDirTier(tmp_path, eviction="random")
 
 
 def test_prune_rejects_negative_bound(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = LocalDirTier(tmp_path)
     with pytest.raises(EngineError):
         cache.prune(-1)
 
 
 def test_verify_delete_removes_misrenamed_files(tmp_path):
     k1, k2 = _keys(2)
-    cache = ResultCache(tmp_path)
+    cache = LocalDirTier(tmp_path)
     cache.put(k1, _fake_payload(k1, 64))
     cache.put(k2, _fake_payload(k2, 64))
     # Rename k2's file to a key whose canonical shard is elsewhere: the entry
@@ -491,7 +492,7 @@ def test_verify_delete_removes_misrenamed_files(tmp_path):
 
 def test_cache_verify_flags_and_deletes_corruption(tmp_path):
     k1, k2 = _keys(2)
-    cache = ResultCache(tmp_path)
+    cache = LocalDirTier(tmp_path)
     cache.put(k1, _fake_payload(k1, 64))
     cache.put(k2, _fake_payload(k2, 64))
     valid, corrupt = cache.verify()
@@ -510,18 +511,41 @@ def test_cache_verify_flags_and_deletes_corruption(tmp_path):
 # -- the warm-cache batch guarantee (acceptance criterion) ---------------------------
 
 
-def test_build_entries_warm_cache_runs_zero_vqe_and_zero_docking(tmp_path, job_config):
+@pytest.mark.parametrize("processes", [0, 2])
+def test_build_entries_warm_cache_runs_zero_vqe_and_zero_docking(
+    tmp_path, job_config, processes, monkeypatch
+):
     config = job_config.with_updates(cache_dir=str(tmp_path / "cache"))
     fragments = DatasetBuilder.select_fragments(pdb_ids=["3eax", "1e2k"])
 
-    cold_engine = Engine(config=config)
-    cold = BatchProcessor(config=config, engine=cold_engine).build_entries(fragments)
+    # The cold build runs both engine phases and the context preparation on
+    # the engine's worker count; the warm build below stays serial.
+    cold_engine = Engine(config=config, processes=processes)
+    transports: list = []
+    transport_for = cold_engine.transport_for
+
+    def recording_transport_for(n=None):
+        transports.append(n)
+        return transport_for(n)
+
+    context_pools: list = []
+
+    class RecordingPool(batch.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            context_pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cold_engine, "transport_for", recording_transport_for)
+    monkeypatch.setattr(batch, "ProcessPoolExecutor", RecordingPool)
+    cold = BatchProcessor(cold_engine).build_entries(fragments)
     cold_stats = cold_engine.stats()
     assert cold_stats["executed_by_kind"] == {"fold": 2, "baseline_fold": 4, "dock": 6}
+    assert transports == [processes, processes]
+    assert context_pools == ([processes] if processes > 1 else [])
 
     # A brand-new engine over the same cache executes nothing at all.
     warm_engine = Engine(config=config)
-    warm = BatchProcessor(config=config, engine=warm_engine).build_entries(fragments)
+    warm = BatchProcessor(warm_engine).build_entries(fragments)
     warm_stats = warm_engine.stats()
     assert warm_stats["executed_jobs"] == 0
     assert warm_stats["executed_by_kind"] == {}
@@ -529,8 +553,12 @@ def test_build_entries_warm_cache_runs_zero_vqe_and_zero_docking(tmp_path, job_c
     assert warm_stats["cache"]["misses"] == 0
 
     # Warm-cache entries are bit-identical to the cold build.
+    assert len(cold) == len(warm) == 2
     for a, b in zip(cold, warm):
         assert a.metrics_record() == b.metrics_record()
+        assert np.array_equal(
+            a.reference_structure.all_coords(), b.reference_structure.all_coords()
+        )
         for method in ("QDock", "AF2", "AF3"):
             assert (
                 a.evaluations[method].docking_summary == b.evaluations[method].docking_summary

@@ -5,6 +5,7 @@ submit, server killed mid-batch, busy re-queueing."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import socket
@@ -18,7 +19,7 @@ import pytest
 
 from repro.cli.serve import build_parser, main as serve_cli_main
 from repro.config import PipelineConfig
-from repro.engine import BaselineFoldSpec, NetworkTransport
+from repro.engine import BaselineFoldSpec, NetworkTransport, RemoteTier
 from repro.engine.core import execute_baseline_job
 from repro.exceptions import EngineError
 from repro.serve import (
@@ -27,6 +28,7 @@ from repro.serve import (
     FrameBuffer,
     ProtocolError,
     ReproServer,
+    connect,
     encode_frame,
     recv_message,
     send_message,
@@ -152,6 +154,61 @@ def test_server_rejects_a_protocol_version_mismatch():
             reply = recv_message(sock)
             assert reply["type"] == "error"
             assert "version mismatch" in reply["reason"]
+
+
+@contextlib.contextmanager
+def _fake_peer(reply: dict[str, Any]):
+    """A listener answering every ``hello`` with ``reply``; yields its port
+    and the list of client ids that said hello."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    hellos: list[str] = []
+    stop = threading.Event()
+
+    def serve() -> None:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5.0)
+                hellos.append(recv_message(conn)["client_id"])
+                send_message(conn, reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1], hellos
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+        listener.close()
+
+
+@pytest.mark.parametrize(
+    "reply, reason",
+    [
+        ({"type": "error", "reason": "draining"}, "rejected the connection: draining"),
+        ({"type": "welcome", "protocol": PROTOCOL_VERSION + 1}, "speaks protocol 2"),
+    ],
+    ids=["error-frame", "protocol-mismatch"],
+)
+def test_clients_surface_a_rejected_handshake(reply, reason):
+    """The shared handshake's rejection path: ``connect`` and the network
+    transport raise naming the reason; the remote cache tier retries once,
+    then reports a miss."""
+    with _fake_peer(reply) as (port, hellos):
+        with pytest.raises(EngineError, match=reason):
+            connect("127.0.0.1", port, "probe", timeout=5.0)
+        transport = NetworkTransport("127.0.0.1", port, client_id="submitter", connect_timeout=5.0)
+        with pytest.raises(EngineError, match=reason):
+            transport.submit([_baseline_spec()])
+        transport.cancel()
+        tier = RemoteTier("127.0.0.1", port, timeout=5.0)
+        assert tier.get("0" * 64) is None
+        assert tier.stats.misses == 1
+    assert hellos == ["probe", "submitter", tier.client_id, tier.client_id]
 
 
 def test_server_enforces_the_per_client_quota():

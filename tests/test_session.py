@@ -635,7 +635,7 @@ def test_batch_processor_isolates_a_failed_fragment():
         )
         fragments = DatasetBuilder.select_fragments(pdb_ids=["3eax", "1e2k"])
         engine = Engine(config=config)
-        entries = BatchProcessor(config=config, engine=engine).build_entries(fragments)
+        entries = BatchProcessor(engine).build_entries(fragments)
         assert [entry.fragment.pdb_id for entry in entries] == ["3eax"]
         assert engine.stats()["failed_jobs"] == 1
         # The surviving fragment was fully evaluated (quantum + 2 baselines)
@@ -658,6 +658,6 @@ def test_batch_processor_on_error_raise_aborts_the_build():
         )
         fragments = DatasetBuilder.select_fragments(pdb_ids=["1e2k"])
         with pytest.raises(RuntimeError, match="injected fold crash"):
-            BatchProcessor(config=config, engine=Engine(config=config)).build_entries(fragments)
+            BatchProcessor(Engine(config=config)).build_entries(fragments)
     finally:
         register_executor("fold", execute_fold_job, overwrite=True)

@@ -1,4 +1,4 @@
-"""Tests for the shared utilities: RNG derivation, parallel execution, JSON I/O, config."""
+"""Tests for the shared utilities: RNG derivation, JSON I/O, config."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from repro.config import PipelineConfig
 from repro.utils.io import read_json, write_json
-from repro.utils.parallel import ParallelExecutor, chunked, parallel_map
 from repro.utils.rng import child_seed, rng_for, spawn_rngs, stable_fraction
 from repro.utils.validation import as_points, require_in_range, require_positive
 
@@ -43,32 +42,6 @@ def test_stable_fraction_bounds():
         f = stable_fraction(key)
         assert 0.0 <= f < 1.0
         assert f == stable_fraction(key)
-
-
-# -- parallel -------------------------------------------------------------------------
-
-
-def _square(x):
-    return x * x
-
-
-def test_parallel_map_serial_and_pool_agree():
-    items = list(range(20))
-    serial = parallel_map(_square, items, processes=0)
-    pooled = parallel_map(_square, items, processes=2)
-    assert serial == pooled == [x * x for x in items]
-
-
-def test_chunked():
-    assert list(chunked(list(range(7)), 3)) == [[0, 1, 2], [3, 4, 5], [6]]
-    with pytest.raises(ValueError):
-        list(chunked([1], 0))
-
-
-def test_executor_starmap():
-    ex = ParallelExecutor(processes=0)
-    assert ex.is_serial
-    assert ex.starmap(pow, [(2, 3), (3, 2)]) == [8, 9]
 
 
 # -- io ----------------------------------------------------------------------------------
