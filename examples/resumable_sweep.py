@@ -12,11 +12,10 @@ re-executed.  The ``distributed-sweep`` job runs the same sweep on the
 ``filequeue`` transport against externally launched ``repro-worker`` daemons
 (``--transport filequeue --spool-dir ...``), SIGKILLs one daemon mid-job, and
 diffs the ``--results-json`` canonical payloads against a serial run — then
-repeats the sweep with ``--no-spool-payloads``, asserting the spool carried
-only payload-free completion stubs — then once more on a three-worker
-heterogeneous fleet (one ``--tags baseline_fold`` worker, one ``--throttle``d
-straggler rescued by ``--speculate 3``, baselines at ``--baseline-priority
-5``), asserting the same bit-identity with zero duplicate completions.  The ``network-serve`` job does the same
+repeats the sweep on a heterogeneous fleet (one ``--tags baseline_fold``
+worker and one generalist, baselines at ``--baseline-priority 5``),
+asserting the same bit-identity with zero duplicate completions.  The
+``network-serve`` job does the same
 against a ``repro-serve`` daemon (``--transport network --serve-port ...``),
 killing and restarting the *server* mid-batch, and finishes with a warm
 client whose cache stack ends in the server's own tier (``--cache-remote``):
@@ -83,12 +82,6 @@ def main(argv: list[str] | None = None) -> int:
         help="filequeue stale-lease timeout in seconds",
     )
     parser.add_argument(
-        "--speculate", type=float, default=None, metavar="K",
-        help="filequeue straggler re-dispatch: clone any task claimed for "
-             "over K x the fleet's rolling median job duration (first "
-             "published result wins)",
-    )
-    parser.add_argument(
         "--baseline-priority", type=int, default=None,
         help="priority class stamped on the baseline-fold jobs (higher "
              "drains first; hash-neutral, the fold jobs keep priority 0)",
@@ -97,11 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-remote", default=None, metavar="HOST:PORT",
         help="append a repro-serve cache tier behind --cache-dir "
              "(reads fall through to it; writes go through both)",
-    )
-    parser.add_argument(
-        "--no-spool-payloads", action="store_true",
-        help="filequeue stub completions: workers write payloads straight "
-             "into the cache tier and the spool carries only tiny stubs",
     )
     parser.add_argument(
         "--results-json", default=None,
@@ -123,16 +111,12 @@ def main(argv: list[str] | None = None) -> int:
             transport_workers=args.workers,
             transport_lease_timeout=args.lease_timeout,
         )
-    if args.speculate is not None:
-        config = config.with_updates(transport_speculate=args.speculate)
     if args.serve_host:
         config = config.with_updates(serve_host=args.serve_host)
     if args.serve_port is not None:
         config = config.with_updates(serve_port=args.serve_port)
     if args.cache_remote:
         config = config.with_updates(cache_remote=args.cache_remote)
-    if args.no_spool_payloads:
-        config = config.with_updates(spool_payloads=False)
     engine = Engine(config=config, processes=args.processes)
     jobs = [
         engine.spec(pdb_id, sequence) for pdb_id, sequence in FRAGMENTS

@@ -19,12 +19,10 @@ the engine's hot paths:
 * ``transport.ms_per_job.{serial,pool,filequeue}`` — per-job wall overhead of
   a small baseline-fold batch on each executor transport (worker spawn and
   spool polling included: that *is* the overhead being measured);
-* ``transport.ms_per_job.{filequeue_cached,filequeue_stub}`` and
-  ``transport.spool_result_bytes_per_job.{filequeue_cached,filequeue_stub}``
-  — the same file-queue batch with a result cache attached: full payloads
-  through the spool vs payload-free completion stubs (workers write the
-  cache tier directly).  Wall clock stays flat on a local disk; the bytes
-  metrics capture the shared-filesystem traffic stubs eliminate;
+* ``transport.ms_per_job.filequeue_cached`` and
+  ``transport.spool_result_bytes_per_job.filequeue_cached`` — the same
+  file-queue batch with a result cache attached, and the result bytes it
+  sends through the spool (the shared-filesystem traffic) per job;
 * ``cache.remote_roundtrip_ops_per_sec`` — ``RemoteTier`` lookups against an
   in-process ``repro-serve`` cache tier (one framed request/reply round trip
   per op).
@@ -259,40 +257,35 @@ def bench_transport_overhead(config: PipelineConfig, smoke: bool) -> dict[str, f
     finally:
         shutil.rmtree(spool, ignore_errors=True)
 
-    # The same file-queue batch with a result cache attached, both completion
-    # modes.  Fresh spool + cache directories per variant keep every run cold
-    # (the cache write path is part of what is being measured).
-    for suffix, spool_payloads in (("filequeue_cached", True), ("filequeue_stub", False)):
-        spool = tempfile.mkdtemp(prefix="repro-bench-spool-")
-        cache_dir = tempfile.mkdtemp(prefix="repro-bench-tier-")
-        try:
-            engine = Engine(
-                config=base.with_updates(
-                    transport="filequeue",
-                    spool_dir=spool,
-                    transport_workers=2,
-                    transport_poll_interval=0.02,
-                    cache_dir=cache_dir,
-                    spool_payloads=spool_payloads,
-                ),
-                processes=2,
-            )
-            results[f"transport.ms_per_job.{suffix}"] = run_batch(engine) * 1000.0 / len(jobs)
-            # The bytes that crossed the spool per completion — the shared
-            # filesystem traffic stub mode exists to eliminate.  Result files
-            # stay on disk after harvest, so sum them directly.
-            results_dir = os.path.join(spool, "results")
-            spool_bytes = sum(
-                entry.stat().st_size
-                for entry in os.scandir(results_dir)
-                if entry.name.endswith(".json")
-            )
-            results[f"transport.spool_result_bytes_per_job.{suffix}"] = (
-                spool_bytes / len(jobs)
-            )
-        finally:
-            shutil.rmtree(spool, ignore_errors=True)
-            shutil.rmtree(cache_dir, ignore_errors=True)
+    # The same file-queue batch with a result cache attached.  Fresh spool +
+    # cache directories keep the run cold (the cache write path is part of
+    # what is being measured).
+    spool = tempfile.mkdtemp(prefix="repro-bench-spool-")
+    cache_dir = tempfile.mkdtemp(prefix="repro-bench-tier-")
+    try:
+        engine = Engine(
+            config=base.with_updates(
+                transport="filequeue",
+                spool_dir=spool,
+                transport_workers=2,
+                transport_poll_interval=0.02,
+                cache_dir=cache_dir,
+            ),
+            processes=2,
+        )
+        results["transport.ms_per_job.filequeue_cached"] = run_batch(engine) * 1000.0 / len(jobs)
+        # The bytes that crossed the spool per completion: the shared
+        # filesystem traffic.  Result files stay on disk after harvest, so
+        # sum them directly.
+        spool_bytes = sum(
+            entry.stat().st_size
+            for entry in os.scandir(os.path.join(spool, "results"))
+            if entry.name.endswith(".json")
+        )
+        results["transport.spool_result_bytes_per_job.filequeue_cached"] = spool_bytes / len(jobs)
+    finally:
+        shutil.rmtree(spool, ignore_errors=True)
+        shutil.rmtree(cache_dir, ignore_errors=True)
     return results
 
 
@@ -343,9 +336,7 @@ METRIC_UNITS: dict[str, str] = {
     "transport.ms_per_job.pool": "ms",
     "transport.ms_per_job.filequeue": "ms",
     "transport.ms_per_job.filequeue_cached": "ms",
-    "transport.ms_per_job.filequeue_stub": "ms",
     "transport.spool_result_bytes_per_job.filequeue_cached": "bytes",
-    "transport.spool_result_bytes_per_job.filequeue_stub": "bytes",
     "cache.remote_roundtrip_ops_per_sec": "ops/s",
 }
 
@@ -384,14 +375,6 @@ def derived_metrics(results: dict[str, dict]) -> dict[str, float]:
         "quantum.compiled_gate_speedup",
         "quantum.statevector_gates_per_sec.compiled",
         "quantum.statevector_gates_per_sec.run",
-    )
-    # Stub completions trade payload bytes through the spool (the shared
-    # filesystem) for direct cache-tier writes; wall clock stays flat on a
-    # local disk, so the portable ratio is the spool-traffic shrink.
-    ratio(
-        "transport.filequeue_stub_spool_shrink",
-        "transport.spool_result_bytes_per_job.filequeue_cached",
-        "transport.spool_result_bytes_per_job.filequeue_stub",
     )
     return derived
 

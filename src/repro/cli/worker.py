@@ -78,11 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: untagged — claim anything)",
     )
     parser.add_argument(
-        "--throttle", type=float, default=0.0, metavar="SECONDS",
-        help="sleep this long before executing each claimed task "
-             "(fault-injection/testing aid; default 0)",
-    )
-    parser.add_argument(
         "--preload", action="append", default=[], metavar="MODULE",
         help="import MODULE before serving (registers custom job kinds/backends; repeatable)",
     )
@@ -106,7 +101,6 @@ def main(argv: list[str] | None = None) -> int:
             heartbeat_interval=args.heartbeat_interval,
             poll_interval=args.poll_interval,
             tags=parse_tags(args.tags),
-            throttle=args.throttle,
         )
     except Exception as exc:
         print(f"repro-worker: {exc}", file=sys.stderr)

@@ -81,14 +81,6 @@ class PipelineConfig:
         Convenience spec of one shared ``repro-serve`` cache endpoint
         (``"HOST:PORT"``), appended as the outermost tier behind
         ``cache_dir`` / ``cache_tiers``.  Never enters any job hash.
-    spool_payloads:
-        Whether ``filequeue`` workers embed full result payloads in their
-        spool completion records (the default).  ``False`` switches to
-        payload-free *stub* completions: workers write the payload directly
-        into a cache tier every machine can reach (``cache_remote`` if set,
-        else the last ``cache_tiers`` entry, else ``cache_dir``) and publish
-        only ``task_id`` + ``content_hash`` + status through the spool.
-        Bit-identical either way; never enters any job hash.
     session_dir:
         Directory for the engine's streaming-session journals (one JSONL
         status file plus a spec pickle per session, next to the result
@@ -129,12 +121,6 @@ class PipelineConfig:
         ``Engine.submit(..., priority=...)`` overrides it).  Pure
         orchestration — it decides claim order, never results — and never
         enters any job hash.
-    transport_speculate:
-        Straggler multiplier for speculative re-dispatch: a task claimed for
-        longer than this many times the fleet's rolling median job duration
-        is cloned into a shadow task for another worker to race (first
-        published result wins; the loser is discarded).  ``None`` (the
-        default) disables speculation.  Never enters any job hash.
     serve_host / serve_port:
         Address of the ``repro-serve`` daemon the ``network`` transport
         submits to (start one with ``repro-serve``).
@@ -162,7 +148,6 @@ class PipelineConfig:
     cache_eviction: str = "lru"
     cache_tiers: tuple[str, ...] | None = None
     cache_remote: str | None = None
-    spool_payloads: bool = True
     session_dir: str | None = None
     on_error: str = "isolate"
     transport: str = "auto"
@@ -171,7 +156,6 @@ class PipelineConfig:
     transport_lease_timeout: float = 30.0
     transport_poll_interval: float = 0.05
     transport_priority: int = 0
-    transport_speculate: float | None = None
     serve_host: str = "127.0.0.1"
     serve_port: int = 7377
     serve_max_inflight: int = 32

@@ -67,7 +67,6 @@ from repro.engine.registry import (
     register_executor,
 )
 from repro.engine.scheduler import (
-    DurationTracker,
     PendingTask,
     capabilities_match,
     job_priority,
@@ -117,7 +116,6 @@ __all__ = [
     "CacheTier",
     "DockJobResult",
     "DockSpec",
-    "DurationTracker",
     "Engine",
     "FileQueueSpool",
     "FileQueueTransport",

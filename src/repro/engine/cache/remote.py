@@ -11,8 +11,8 @@ Failure is always a *miss, never a crash*: the tier keeps one lazy
 connection, and any socket error mid-request drops it and retries exactly
 once on a fresh connection — which is what lets a client survive a server
 restart mid-lookup.  If the retry also fails, ``get``/``peek`` return
-``None`` (the job recomputes) and ``put`` reports ``False`` (the caller
-falls back to another tier or an embedded payload).  A degraded remote tier
+``None`` (the job recomputes) and ``put`` reports ``False`` (the other
+tiers of a stack still hold the payload).  A degraded remote tier
 therefore costs recompute time, never correctness — the same contract local
 eviction already has.
 """
@@ -156,8 +156,7 @@ class RemoteTier:
 
         Returns ``True`` only when the server acknowledged storing it — a
         dropped put is how a degraded remote tier reports itself, so callers
-        (the stub-completion worker path) can fall back instead of silently
-        publishing a result nobody can fetch.
+        can tell a lost write from a stored one.
         """
         if self.covers(stored_in):
             return True

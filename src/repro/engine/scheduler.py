@@ -1,9 +1,8 @@
-"""Fleet scheduling policy: priorities, capability tags, stragglers.
+"""Fleet scheduling policy: priorities and capability tags.
 
 The file-queue fleet (:mod:`repro.engine.transports.filequeue`) coordinates
 entirely through atomic filesystem operations; *which* task a worker claims
-next, *whether* it may claim it at all, and *when* the submitting transport
-should clone a straggling task are pure policy decisions.
+next and *whether* it may claim it at all are pure policy decisions.
 This module holds that policy so the spool, the worker loop and the
 transport all schedule by the same rules:
 
@@ -32,13 +31,6 @@ requirements are a subset of its tags — it *skips* tasks it cannot serve
 instead of claiming and poisoning them.  An untagged worker (the default)
 declares no restriction and claims anything.
 
-**Stragglers.**  A task claimed for longer than ``k ×`` the fleet's rolling
-median job duration (:class:`DurationTracker`) is speculatively re-dispatched
-as a shadow copy of the same task id.  Safe because results are
-content-addressed and idempotent: the first publisher wins the result file
-(:meth:`FileQueueSpool.publish_result` is create-exclusive) and the loser's
-copy is discarded by the existing claim-ownership machinery.
-
 None of this affects results: scheduling decides *where and when* a job
 runs, never *what it computes* — the determinism harness asserts scheduler
 on == scheduler off and heterogeneous fleet == homogeneous fleet,
@@ -47,21 +39,11 @@ bit-identical.
 
 from __future__ import annotations
 
-import statistics
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 #: Priority of a spec nobody stamped and a config nobody tuned.
 DEFAULT_PRIORITY = 0
-
-#: Completed-job samples the fleet must have seen before straggler detection
-#: trusts its rolling median at all.
-MIN_SPECULATION_SAMPLES = 3
-
-#: Never speculate on a claim younger than this (seconds), whatever the
-#: median says — sub-second medians would otherwise shadow every task.
-MIN_SPECULATION_AGE = 1.0
 
 
 # -- per-spec priority ----------------------------------------------------------------
@@ -168,48 +150,4 @@ def order_pending(entries: Iterable[PendingTask]) -> list[PendingTask]:
     arbitrary and can starve an earlier batch behind a later one.
     """
     return sorted(entries, key=lambda t: (-t.priority, -t.age, t.task_id))
-
-
-# -- straggler detection --------------------------------------------------------------
-
-
-class DurationTracker:
-    """Rolling window of completed-job durations for straggler detection."""
-
-    def __init__(self, window: int = 64):
-        self._durations: deque[float] = deque(maxlen=max(1, int(window)))
-
-    def add(self, seconds: Any) -> None:
-        """Record one completion; silently ignores junk (remote records)."""
-        try:
-            value = float(seconds)
-        except (TypeError, ValueError):
-            return
-        if value >= 0.0:
-            self._durations.append(value)
-
-    def __len__(self) -> int:
-        return len(self._durations)
-
-    def median(self) -> float | None:
-        """The rolling median duration, or ``None`` with no samples yet."""
-        if not self._durations:
-            return None
-        return float(statistics.median(self._durations))
-
-
-def speculation_threshold(
-    multiplier: float | None,
-    median: float | None,
-    floor: float = MIN_SPECULATION_AGE,
-) -> float | None:
-    """Claim age (seconds) beyond which a task counts as a straggler.
-
-    ``None`` disables speculation: no multiplier configured, a non-positive
-    one, or no median yet (the fleet has not completed enough jobs to know
-    what "slow" means).
-    """
-    if not multiplier or multiplier <= 0 or median is None:
-        return None
-    return max(float(floor), float(multiplier) * median)
 

@@ -445,8 +445,8 @@ class Session:
         #: The executor transport of the running stream (set when execution
         #: starts; exposed so tests and tools can inspect/steer the fleet).
         self.transport: Any = None
-        #: The transport's own counters (reclaimed leases, speculated shadow
-        #: tasks, respawns, ...), captured when the stream drains.
+        #: The transport's own counters (reclaimed leases, respawns, ...),
+        #: captured when the stream drains.
         self.transport_stats: dict[str, Any] | None = None
         self.cached = 0
         self.executed = 0
@@ -540,10 +540,10 @@ class Session:
                 if exc is None:
                     if engine.cache is not None:
                         # A remote transport may have already written the
-                        # payload into a cache tier (a filequeue stub, or the
-                        # serve daemon's own cache); skip the redundant
-                        # write-through when *every* tier we hold is covered,
-                        # and otherwise let each tier skip itself.
+                        # payload into a cache tier (the serve daemon's own
+                        # cache); skip the redundant write-through when
+                        # *every* tier we hold is covered, and otherwise let
+                        # each tier skip itself.
                         stored = getattr(result, "stored_in", None)
                         covers = getattr(engine.cache, "covers", None)
                         if stored is None or covers is None or not covers(stored):

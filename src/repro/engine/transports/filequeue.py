@@ -45,18 +45,6 @@ broker, no sockets and no new dependencies:
         session loop, which persists them through the existing
         :class:`~repro.engine.cache.LocalDirTier` and session journal — so
         crash/resume semantics are identical to the local transports.
-
-        With ``PipelineConfig.spool_payloads = False`` the task envelope
-        carries a cache-tier spec every worker can reach (see
-        :func:`~repro.engine.cache.parse_tier_spec`): the worker writes the
-        payload *directly into that tier* and publishes only a tiny
-        **completion stub** (``task_id``, ``content_hash``, status, the tier
-        spec under ``stored``) through the spool.  ``_harvest`` resolves the
-        payload back out of the tier and marks the rebuilt outcome with the
-        tier's location token (``outcome.stored_in``) so the session's
-        write-through can skip the redundant put.  A worker that cannot
-        reach the tier falls back to embedding the full payload — stub mode
-        degrades to payload mode, never to a lost result.
     ``log/<worker_id>.jsonl``
         One record per *finished* execution (appended after the result file
         lands).  A job is executed-to-completion exactly once, so CI can
@@ -75,15 +63,13 @@ and a stale claim — the claim is dropped, the result stands.  Determinism
 makes even the pathological double-execution harmless: both executions would
 produce identical bytes.
 
-Speculative re-dispatch extends the argument rather than weakening it: when
-a claim outlives ``k ×`` the fleet's rolling median job duration
-(``PipelineConfig.transport_speculate``), the submitting transport *clones*
-the claim's envelope back into ``tasks/`` as a shadow copy of the same task
-id — the straggler keeps executing.  Result publication is create-exclusive
+That double execution does happen: a worker that stalls past its lease (a
+long GC pause, a suspended VM) is reclaimed and the task re-runs elsewhere,
+but the stalled worker may still finish — before or after the new owner.
+Result publication is therefore create-exclusive
 (:meth:`FileQueueSpool.publish_result`): the first finisher wins the result
 file, the loser's publish is refused and logged as ``superseded`` (never
-``executed``-to-completion twice), and its release is already ownership-
-checked.  Both copies would produce identical bytes anyway.
+``completed`` twice), and its release is ownership-checked.
 """
 
 from __future__ import annotations
@@ -101,14 +87,11 @@ from typing import Any, Callable, ClassVar, Sequence
 
 from repro.engine.scheduler import (
     DEFAULT_PRIORITY,
-    MIN_SPECULATION_SAMPLES,
-    DurationTracker,
     PendingTask,
     capabilities_match,
     job_priority,
     job_requirements,
     order_pending,
-    speculation_threshold,
 )
 from repro.engine.transports.base import (
     Completion,
@@ -244,23 +227,18 @@ class FileQueueSpool:
         self,
         task_id: str,
         spec: Any,
-        cache_spec: str | None = None,
         priority: int = DEFAULT_PRIORITY,
         requires: Any = (),
     ) -> None:
         """Publish one task (atomically: a worker never sees a torn pickle).
 
-        ``cache_spec`` (stub-completion mode) names the cache tier the
-        claiming worker should write the result payload into instead of
-        embedding it in the spool record.  ``priority`` and ``requires``
-        are the scheduling header (see :mod:`repro.engine.scheduler`):
-        claim precedence and the capability tags a worker must declare to
-        claim this task.  Both are orchestration metadata — they never
-        enter the spec or its content hash.
+        ``priority`` and ``requires`` are the scheduling header (see
+        :mod:`repro.engine.scheduler`): claim precedence and the capability
+        tags a worker must declare to claim this task.  Both are
+        orchestration metadata — they never enter the spec or its content
+        hash.
         """
         envelope: dict[str, Any] = {"task_id": task_id, "spec": spec}
-        if cache_spec:
-            envelope["cache"] = str(cache_spec)
         header = json.dumps(
             {"priority": int(priority), "requires": sorted(str(r) for r in requires)},
             sort_keys=True,
@@ -465,27 +443,19 @@ class FileQueueSpool:
 
     # -- results and logs ------------------------------------------------------------
 
-    def write_result(self, task_id: str, record: dict[str, Any]) -> None:
-        """Publish one outcome atomically (readers see all of it or none).
-
-        Encoded like the result cache's own files (numpy scalars/arrays in a
-        payload serialise cleanly), so any kind that caches also transports.
-        """
-        from repro.utils.io import _NumpyJSONEncoder
-
-        data = json.dumps(record, sort_keys=True, cls=_NumpyJSONEncoder).encode("utf-8")
-        self._atomic_write(self.result_path(task_id), data)
-
     def publish_result(self, task_id: str, record: dict[str, Any]) -> bool:
         """Publish one outcome *exclusively*: the first publisher wins.
 
-        The speculative-execution guarantee: when a straggler and its shadow
-        copy both finish, exactly one result file is created (atomic
-        ``os.link``, which fails with ``FileExistsError`` on a loser) and the
-        loser learns it lost — returns ``False`` — so it can log
-        ``superseded`` instead of a second completion.  On filesystems
+        A worker whose lease was reclaimed mid-job can still finish, before
+        or after the task's new owner.  Exactly one result file is created
+        (atomic ``os.link``, which fails with ``FileExistsError`` on a
+        loser) and the loser learns it lost — returns ``False`` — so it can
+        log ``superseded`` instead of a second completion.  On filesystems
         without hard links it degrades to a checked atomic replace, which
         with determinism still yields identical bytes either way.
+
+        Encoded like the result cache's own files (numpy scalars/arrays in a
+        payload serialise cleanly), so any kind that caches also transports.
         """
         from repro.utils.io import _NumpyJSONEncoder
 
@@ -591,9 +561,7 @@ class FileQueueWorker:
     a tagged worker only claims tasks whose declared requirements it covers
     (:func:`repro.engine.scheduler.capabilities_match`) — it skips the rest
     instead of claiming and poisoning them; ``None`` (untagged, the default)
-    claims anything.  ``throttle`` sleeps that many seconds before each
-    execution — a testing/staging aid for simulating a slow fleet member
-    (the lease keeps heartbeating through the sleep).
+    claims anything.
     """
 
     def __init__(
@@ -605,7 +573,6 @@ class FileQueueWorker:
         poll_interval: float = DEFAULT_WORKER_POLL_INTERVAL,
         execute: Callable[[Any], Any] | None = None,
         tags: Any = None,
-        throttle: float = 0.0,
     ):
         self.spool = spool if isinstance(spool, FileQueueSpool) else FileQueueSpool(spool)
         self.worker_id = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
@@ -620,18 +587,15 @@ class FileQueueWorker:
         self.poll_interval = float(poll_interval)
         self._execute = execute
         self.tags = None if tags is None else frozenset(str(t) for t in tags)
-        self.throttle = max(0.0, float(throttle))
         self.executed = 0
         self.failed = 0
-        #: Executions whose publish lost the first-publisher race to a
-        #: speculative twin (or a prior owner): the work ran but the result
-        #: on disk is someone else's identical bytes.
+        #: Executions whose publish lost the first-publisher race to the
+        #: task's other owner (this worker's lease was reclaimed mid-job):
+        #: the work ran but the result on disk is someone else's identical
+        #: bytes.
         self.superseded = 0
         #: Tasks skipped because their requirements exceed this worker's tags.
         self.skipped = 0
-        #: cache-tier spec -> tier, memoised across tasks so a fleet worker
-        #: keeps one remote connection instead of a handshake per job.
-        self._tiers: dict[str, Any] = {}
 
     def _run_spec(self, spec: Any) -> Any:
         if self._execute is not None:
@@ -639,44 +603,6 @@ class FileQueueWorker:
         from repro.engine.core import execute_job  # late: registers built-in kinds
 
         return execute_job(spec)
-
-    def _cache_tier(self, cache_spec: str) -> Any:
-        tier = self._tiers.get(cache_spec)
-        if tier is None:
-            from repro.engine.cache import parse_tier_spec
-
-            # No config: local tiers open unbounded — eviction policy belongs
-            # to the owning session's cache instance, not to every writer.
-            tier = parse_tier_spec(cache_spec)
-            self._tiers[cache_spec] = tier
-        return tier
-
-    def _store_payload(
-        self, envelope: Any, record: dict[str, Any], payload: dict[str, Any]
-    ) -> str | None:
-        """Write ``payload`` into the envelope's cache tier (stub mode).
-
-        Returns the tier spec on success — the stub record advertises it
-        under ``stored`` so the submitter knows where to look — or ``None``
-        when no tier is requested or the write failed, in which case the
-        caller embeds the payload in the spool record as usual.
-        """
-        cache_spec = envelope.get("cache") if isinstance(envelope, dict) else None
-        key = record.get("spec_hash")
-        if not cache_spec or not key:
-            return None
-        try:
-            tier = self._cache_tier(cache_spec)
-            if not tier.put(key, payload):
-                raise EngineError(f"tier {cache_spec!r} did not acknowledge the write")
-        except Exception as exc:
-            logger.warning(
-                "worker %s: cannot write result %s into cache tier %r (%s: %s); "
-                "falling back to a spool payload",
-                self.worker_id, key[:16], cache_spec, type(exc).__name__, exc,
-            )
-            return None
-        return cache_spec
 
     def run_once(self) -> str | None:
         """Claim and fully process one task; returns its id (None when idle).
@@ -743,8 +669,6 @@ class FileQueueWorker:
                 self.spool, task_id, self.heartbeat_interval, owner=self.worker_id
             ):
                 try:
-                    if self.throttle:
-                        time.sleep(self.throttle)
                     outcome = self._run_spec(spec)
                     payload = outcome.to_payload()
                 except Exception as exc:
@@ -754,20 +678,9 @@ class FileQueueWorker:
                         error_message=str(exc),
                     )
                 else:
-                    stored = self._store_payload(envelope, record, payload)
-                    if stored is not None:
-                        # Payload-free stub: the bytes live in the cache tier;
-                        # the spool carries only identity + status.
-                        record.update(
-                            status="completed",
-                            content_hash=record.get("spec_hash"),
-                            stored=stored,
-                        )
-                    else:
-                        record.update(status="completed", payload=payload)
-        # Stamped on the *result* record, not just the worker log: the
-        # submitting transport feeds these into its rolling-median duration
-        # tracker, which is what arms straggler re-dispatch.
+                    record.update(status="completed", payload=payload)
+        # Stamped on the *result* record, not just the worker log, so the
+        # spool alone tells how long each job ran.
         record["duration_s"] = round(time.time() - started, 6)
         try:
             published = self.spool.publish_result(task_id, record)
@@ -787,10 +700,11 @@ class FileQueueWorker:
             }
             published = self.spool.publish_result(task_id, record)
         if not published:
-            # Lost the first-publisher race: a speculative twin (or a prior
-            # owner that died after writing) already resolved this task with
-            # identical bytes.  The execution is *discarded*, not counted —
-            # a job is executed-to-completion exactly once in the logs.
+            # Lost the first-publisher race: the owner that reclaimed this
+            # task (or a prior owner that died after writing) already
+            # resolved it with identical bytes.  The execution is
+            # *discarded*, not counted — a job is executed-to-completion
+            # exactly once in the logs.
             record = dict(record, status="superseded")
             self.superseded += 1
         elif record["status"] == "completed":
@@ -855,18 +769,10 @@ class FileQueueTransport(Transport):
     ``respawn_limit``); ``workers == 0`` relies entirely on externally
     launched daemons watching the same spool.
 
-    ``cache_spec`` switches the batch to payload-free stub completions:
-    every task envelope carries the spec of a cache tier the whole fleet can
-    reach, workers write payloads straight into it, and harvesting resolves
-    them back out (see the module docstring).  Derived from
-    ``PipelineConfig.spool_payloads = False`` by the transport factory.
-
-    Scheduling (all from :mod:`repro.engine.scheduler`, all hash-neutral):
     ``default_priority`` is the envelope priority of specs nobody stamped
-    with ``set_priority`` (``PipelineConfig.transport_priority``);
-    ``speculate`` re-dispatches a shadow copy of any task claimed for longer
-    than that multiple of the fleet's rolling median job duration
-    (``transport_speculate``; ``None`` disables).
+    with :func:`~repro.engine.scheduler.set_priority`
+    (``PipelineConfig.transport_priority``); like all scheduling metadata it
+    never enters a job hash.
     """
 
     name: ClassVar[str] = "filequeue"
@@ -881,29 +787,22 @@ class FileQueueTransport(Transport):
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         poll_interval: float = 0.05,
         respawn_limit: int = 5,
-        cache_spec: str | None = None,
         default_priority: int = DEFAULT_PRIORITY,
-        speculate: float | None = None,
     ):
-        self.spool = FileQueueSpool(spool_dir)
-        self.cache_spec = str(cache_spec) if cache_spec else None
-        self._stub_tiers: dict[str, Any] = {}
-        self.worker_count = max(0, int(workers))
         self.lease_timeout = float(lease_timeout)
+        if self.lease_timeout <= 0:
+            # Same rule as the worker: a zero lease would requeue live
+            # claims, and spawned workers would refuse to start.
+            raise EngineError(f"lease_timeout must be positive, got {lease_timeout}")
+        self.spool = FileQueueSpool(spool_dir)
+        self.worker_count = max(0, int(workers))
         self.poll_interval = max(0.005, float(poll_interval))
         self.respawn_limit = int(respawn_limit)
         self.default_priority = int(default_priority)
-        self.speculate = float(speculate) if speculate else None
         self.batch_id = uuid.uuid4().hex[:8]
         self.workers: list[subprocess.Popen] = []
         self.reclaimed = 0
         self.respawned = 0
-        #: Rolling job durations harvested from this batch's result records —
-        #: the straggler detector's baseline for "how long jobs take here".
-        self.durations = DurationTracker()
-        #: Task ids already shadow-dispatched (at most one shadow per task).
-        self._speculated: set[str] = set()
-        self.speculated = 0
         self._outstanding: dict[str, int] = {}
         self._bad_reads: dict[str, int] = {}
         self._log_handles: list[Any] = []
@@ -932,7 +831,6 @@ class FileQueueTransport(Transport):
             # worker must declare.
             self.spool.enqueue(
                 task_id, spec,
-                cache_spec=self.cache_spec,
                 priority=job_priority(spec, self.default_priority),
                 requires=job_requirements(spec),
             )
@@ -1027,66 +925,18 @@ class FileQueueTransport(Transport):
                     ))
                 continue
             index = self._outstanding.pop(task_id)
-            # Feed the straggler detector: the rolling median of completed
-            # jobs is what "claimed for suspiciously long" is measured
-            # against.
-            self.durations.add(record.get("duration_s"))
-            if task_id in self._speculated:
-                # The result landed while a shadow copy sat unclaimed in
-                # tasks/ — withdraw it so no worker runs the twin for
-                # nothing.  (A *claimed* shadow has no task file; its
-                # publisher loses the create-exclusive result write and logs
-                # "superseded".)
-                self.spool.remove_task(task_id)
             completions.append(self._completion(index, task_id, record))
         if completions:
             self._last_activity = time.monotonic()
         return completions
-
-    def _stub_tier(self, cache_spec: str) -> Any:
-        """The tier a stub record points at, memoised; ``None`` on a bad spec."""
-        if cache_spec not in self._stub_tiers:
-            from repro.engine.cache import parse_tier_spec
-
-            try:
-                self._stub_tiers[cache_spec] = parse_tier_spec(cache_spec)
-            except Exception as exc:
-                logger.warning(
-                    "filequeue %s: cannot open cache tier %r from a stub record: %s",
-                    self.batch_id, cache_spec, exc,
-                )
-                self._stub_tiers[cache_spec] = None
-        return self._stub_tiers[cache_spec]
 
     def _completion(self, index: int, task_id: str, record: dict[str, Any]) -> Completion:
         worker = record.get("worker_id")
         if record.get("status") == "completed":
             from repro.engine.jobs import result_from_payload
 
-            payload = record.get("payload")
-            tier = None
-            if payload is None:
-                # Payload-free stub: the worker wrote the payload into a
-                # shared cache tier; fetch it from there.
-                stored = record.get("stored")
-                key = record.get("content_hash") or record.get("spec_hash")
-                tier = self._stub_tier(str(stored)) if stored else None
-                if tier is not None and key:
-                    payload = tier.get(key)
-                if payload is None:
-                    return (
-                        index, None,
-                        RemoteJobError(
-                            "SpoolError",
-                            f"result of {task_id} was announced in cache tier "
-                            f"{stored!r} but its payload cannot be fetched "
-                            "(tier unreachable or entry evicted); resume the "
-                            "session to re-run it",
-                            worker,
-                        ),
-                    )
             try:
-                outcome = result_from_payload(payload)
+                outcome = result_from_payload(record.get("payload"))
             except Exception as exc:
                 return (
                     index, None,
@@ -1099,10 +949,6 @@ class FileQueueTransport(Transport):
             # Executed remotely, not served from the result cache: the session
             # caches and journals it exactly like a pool completion.
             outcome.from_cache = False
-            if tier is not None:
-                # Where the payload already durably lives, so the session's
-                # write-through can skip the tiers that cover it.
-                outcome.stored_in = tier.location
             return (index, outcome, None)
         return (
             index, None,
@@ -1131,57 +977,7 @@ class FileQueueTransport(Transport):
                 "sentinel and resume the session to finish the batch"
             )
         self._warn_if_stalled()
-        self._speculate_stragglers()
         self._tend_fleet()
-
-    def _speculate_stragglers(self) -> None:
-        """Clone tasks claimed for > k× the rolling median into shadow tasks.
-
-        The shadow is a byte-identical copy of the claim placed back into
-        ``tasks/`` under the same task id: any idle worker claims it and runs
-        the job a second time.  Whichever twin publishes first wins the
-        (create-exclusive) result file; the loser logs ``superseded``.  The
-        straggler keeps its claim — this *copies*, never renames — so if the
-        shadow is the one that crashes, nothing was lost.
-        """
-        if not self.speculate or len(self.durations) < MIN_SPECULATION_SAMPLES:
-            return
-        threshold = speculation_threshold(self.speculate, self.durations.median())
-        if threshold is None:
-            return
-        now = time.time()
-        for task_id in list(self._outstanding):
-            if task_id in self._speculated:
-                continue  # one shadow per task: twins, never triplets
-            claim = self.spool.claim_path(task_id)
-            try:
-                # The claim's own mtime is heartbeat-refreshed (it IS the
-                # lease), so it cannot measure how long the job has run; the
-                # ownership sidecar is written once at claim time and never
-                # touched again — its age is the claim's age.
-                age = self.spool.lease_age(
-                    self.spool.owner_path(task_id).stat().st_mtime, now=now
-                )
-            except OSError:
-                continue  # unclaimed, or released under us
-            if age <= threshold:
-                continue
-            if self.spool.result_path(task_id).exists():
-                continue  # finished; the next harvest collects it
-            if self.spool.task_path(task_id).exists():
-                continue  # already back in tasks/ (reclaimed lease)
-            try:
-                claim_bytes = claim.read_bytes()
-            except OSError:
-                continue  # finished/released between the stat and the read
-            self.spool._atomic_write(self.spool.task_path(task_id), claim_bytes)
-            self._speculated.add(task_id)
-            self.speculated += 1
-            logger.warning(
-                "filequeue %s: task %s claimed for %.1fs (> %.1fs threshold); "
-                "re-dispatched a shadow copy",
-                self.batch_id, task_id, age, threshold,
-            )
 
     def _tend_fleet(self) -> None:
         """Respawn spawned workers that exited while work remains (an
@@ -1240,10 +1036,6 @@ class FileQueueTransport(Transport):
             self.spool.remove_task(task_id)
             self.spool.release(task_id)
         self._outstanding.clear()
-        for task_id in self._speculated:
-            # Shadow copies of withdrawn tasks must not outlive the batch.
-            self.spool.remove_task(task_id)
-        self._speculated.clear()
         for proc in self.workers:
             if proc.poll() is None:
                 proc.terminate()
@@ -1268,7 +1060,6 @@ class FileQueueTransport(Transport):
             "reclaimed": self.reclaimed,
             "respawned": self.respawned,
             "spawned_workers": len(self.workers),
-            "speculated": self.speculated,
         }
 
 
@@ -1281,34 +1072,12 @@ def _build_filequeue(config: Any, processes: int) -> FileQueueTransport:
     workers = getattr(config, "transport_workers", None)
     if workers is None:
         workers = max(0, int(processes))
-    cache_spec = None
-    if not getattr(config, "spool_payloads", True):
-        # Stub completions need one tier every worker can reach.  Preference
-        # order: the explicit shared endpoint, then the outermost (most
-        # shared) configured tier, then the engine's own cache directory.
-        remote = getattr(config, "cache_remote", None)
-        tiers = getattr(config, "cache_tiers", None)
-        if remote:
-            cache_spec = str(remote)
-            if not cache_spec.startswith("remote:"):
-                cache_spec = f"remote:{cache_spec}"
-        elif tiers:
-            cache_spec = str(tuple(tiers)[-1])
-        elif getattr(config, "cache_dir", None):
-            cache_spec = str(config.cache_dir)
-        else:
-            raise EngineError(
-                "spool_payloads=False needs a cache tier every worker can "
-                "reach: set config.cache_remote, cache_tiers or cache_dir"
-            )
     return FileQueueTransport(
         spool_dir,
         workers=workers,
         lease_timeout=getattr(config, "transport_lease_timeout", DEFAULT_LEASE_TIMEOUT),
         poll_interval=getattr(config, "transport_poll_interval", 0.05),
-        cache_spec=cache_spec,
         default_priority=getattr(config, "transport_priority", DEFAULT_PRIORITY),
-        speculate=getattr(config, "transport_speculate", None),
     )
 
 

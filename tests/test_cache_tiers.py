@@ -1,14 +1,12 @@
 """The cache-tier battery: spec parsing and config resolution, the tiered
 stack (local-first reads, promotion, write-through, the ``covers``/
 ``stored_in`` skip), two stacks racing put/prune on one shared local tier,
-the remote tier against a live ``repro-serve`` (including a server restart
-mid-lookup), and payload-free stub completions end to end through the
-file-queue worker and transport."""
+and the remote tier against a live ``repro-serve`` (including a server
+restart mid-lookup)."""
 
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 
@@ -16,22 +14,13 @@ import pytest
 
 from repro.config import PipelineConfig
 from repro.engine import (
-    FileQueueSpool,
-    FileQueueTransport,
-    FileQueueWorker,
     LocalDirTier,
     RemoteTier,
     TieredCache,
     parse_tier_spec,
     resolve_cache,
 )
-from repro.engine.core import execute_baseline_job
-from repro.engine.transports.base import RemoteJobError
 from repro.exceptions import EngineError
-from repro.utils.io import _NumpyJSONEncoder
-
-BASE_CONFIG = PipelineConfig(seed=5)
-
 
 def _key(seed: str) -> str:
     return hashlib.sha256(seed.encode("utf-8")).hexdigest()
@@ -39,16 +28,6 @@ def _key(seed: str) -> str:
 
 def _payload(key: str, pad: str = "x", size: int = 256) -> dict:
     return {"spec_hash": key, "schema": "echo/v1", "blob": pad * size}
-
-
-def _baseline_spec(method: str = "AF2"):
-    from repro.engine import BaselineFoldSpec
-
-    return BaselineFoldSpec(pdb_id="3eax", sequence="RYRDV", method=method, config=BASE_CONFIG)
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, cls=_NumpyJSONEncoder)
 
 
 # -- spec parsing and config resolution ----------------------------------------------
@@ -155,7 +134,7 @@ def test_tiered_write_through_and_covers_semantics(tmp_path):
 
 def test_tiered_put_reports_a_member_that_dropped_the_payload(tmp_path):
     """All-held is the contract: a dead member makes ``put`` return False so
-    the caller (the stub-mode worker) can fall back to an embedded payload."""
+    the caller can tell the payload is not everywhere it asked for."""
     stack = TieredCache([LocalDirTier(tmp_path / "ok"), RemoteTier("127.0.0.1", 1, timeout=0.5)])
     key = _key("degraded")
     assert stack.put(key, _payload(key)) is False
@@ -280,86 +259,3 @@ def test_remote_tier_survives_a_server_restart_mid_lookup(tmp_path):
     finally:
         tier.close()
 
-
-# -- payload-free stub completions through the spool ---------------------------------
-
-
-def test_worker_stub_mode_writes_the_tier_and_publishes_a_payload_free_stub(tmp_path):
-    spec = _baseline_spec()
-    tier_dir = tmp_path / "tier"
-    spool = FileQueueSpool(tmp_path / "spool")
-    spool.enqueue("t1", spec, cache_spec=str(tier_dir))
-    worker = FileQueueWorker(spool, worker_id="w1", lease_timeout=5.0)
-    assert worker.run_once() == "t1"
-
-    record = spool.read_result("t1")
-    assert record["status"] == "completed"
-    assert "payload" not in record  # the stub carries identity, not bytes
-    assert record["stored"] == str(tier_dir)
-    assert record["content_hash"] == spec.content_hash()
-    stored = LocalDirTier(tier_dir).get(spec.content_hash())
-    assert _canonical(stored) == _canonical(execute_baseline_job(spec).to_payload())
-
-    # Harvest: the transport resolves the payload out of the tier and tags
-    # the outcome with where it already durably lives.
-    transport = FileQueueTransport(tmp_path / "spool", workers=0, cache_spec=str(tier_dir))
-    index, outcome, error = transport._completion(0, "t1", record)
-    assert error is None and index == 0
-    assert outcome.from_cache is False
-    assert outcome.stored_in == ("local", str(tier_dir.resolve()))
-    assert _canonical(outcome.to_payload()) == _canonical(stored)
-
-
-def test_stub_whose_payload_vanished_fails_the_job_for_resume(tmp_path):
-    spec = _baseline_spec("AF3")
-    tier_dir = tmp_path / "tier"
-    spool = FileQueueSpool(tmp_path / "spool")
-    spool.enqueue("t1", spec, cache_spec=str(tier_dir))
-    FileQueueWorker(spool, worker_id="w1", lease_timeout=5.0).run_once()
-    record = spool.read_result("t1")
-
-    LocalDirTier(tier_dir).prune(0)  # the entry is evicted before the harvest
-    transport = FileQueueTransport(tmp_path / "spool", workers=0, cache_spec=str(tier_dir))
-    index, outcome, error = transport._completion(0, "t1", record)
-    assert outcome is None
-    assert isinstance(error, RemoteJobError)
-    assert error.error_type == "SpoolError"
-    assert "resume the session" in error.error_message
-
-
-def test_worker_falls_back_to_an_embedded_payload_when_the_tier_is_unreachable(tmp_path):
-    """Stub mode degrades to payload mode, never to a lost result: a worker
-    that cannot reach the advertised tier embeds the payload in the spool."""
-    spec = _baseline_spec()
-    spool = FileQueueSpool(tmp_path / "spool")
-    spool.enqueue("t1", spec, cache_spec="remote:127.0.0.1:1")  # nothing listens
-    worker = FileQueueWorker(spool, worker_id="w1", lease_timeout=5.0)
-    assert worker.run_once() == "t1"
-
-    record = spool.read_result("t1")
-    assert record["status"] == "completed"
-    assert "stored" not in record
-    assert record["payload"]["spec_hash"] == spec.content_hash()
-
-
-def test_filequeue_factory_derives_the_stub_tier_or_refuses(tmp_path):
-    from repro.engine import make_transport
-
-    base = PipelineConfig(
-        transport="filequeue", spool_dir=str(tmp_path / "spool"), transport_workers=0,
-    )
-    # Payload mode (the default) never stamps envelopes with a tier.
-    assert make_transport("filequeue", base, processes=0).cache_spec is None
-
-    # Stub mode resolves the most widely reachable tier: cache_remote wins,
-    # then the last cache_tiers entry, then cache_dir.
-    with_dir = base.with_updates(spool_payloads=False, cache_dir=str(tmp_path / "c"))
-    assert make_transport("filequeue", with_dir, processes=0).cache_spec == str(tmp_path / "c")
-    with_tiers = with_dir.with_updates(cache_tiers=("a", "b"))
-    assert make_transport("filequeue", with_tiers, processes=0).cache_spec == "b"
-    with_remote = with_tiers.with_updates(cache_remote="10.0.0.9:7377")
-    assert make_transport("filequeue", with_remote, processes=0).cache_spec == "remote:10.0.0.9:7377"
-
-    # No reachable tier at all is a configuration error, not silent payloads.
-    with pytest.raises(EngineError, match="spool_payloads=False needs a cache tier"):
-        make_transport("filequeue", base.with_updates(spool_payloads=False), processes=0)

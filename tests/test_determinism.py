@@ -10,8 +10,7 @@ One mixed fold / baseline-fold / dock batch — including an in-batch duplicate
 * on the distributed file-queue transport with a 2-daemon worker fleet —
   cold, and with one fleet member SIGKILLed mid-sweep followed by an
   interrupt and a cross-engine resume,
-* with the fleet scheduler fully armed (priority classes, speculative
-  straggler re-dispatch) versus every knob off —
+* with the fleet scheduler's priority classes set versus every knob off —
   plus a warm rerun executing zero jobs — and on a heterogeneous
   capability-tagged fleet (one fold-only worker, one generalist) versus the
   homogeneous fleet,
@@ -195,16 +194,15 @@ def test_filequeue_worker_kill_then_resume_is_bit_identical_to_serial(
 
 
 def test_scheduler_knobs_on_are_bit_identical_to_scheduler_off(reference_run, tmp_path):
-    """The scheduler clause: priority classes and speculation decide *where
-    and when* jobs run, never what they compute — every knob on must equal
-    every knob off, and a warm rerun executes zero jobs."""
+    """The scheduler clause: priority classes decide *when* jobs run, never
+    what they compute — every knob on must equal every knob off, and a warm
+    rerun executes zero jobs."""
     from repro.engine import set_priority
 
     config = _filequeue_config(
         tmp_path,
         cache_dir=str(tmp_path / "cache"),
         transport_priority=3,
-        transport_speculate=50.0,  # armed, but no job is 50x the median here
     )
     engine = Engine(config=config)
     jobs = _mixed_jobs(engine)
@@ -398,35 +396,6 @@ def test_cache_topology_flat_vs_tiered_is_bit_identical(reference_run, tmp_path)
     assert warm.stats()["cache"]["misses"] == 0
 
 
-def test_cache_topology_filequeue_stub_completions_are_bit_identical(
-    reference_run, tmp_path
-):
-    """The cache-topology clause, distributed half: a 2-daemon fleet in
-    payload-free stub mode (workers write straight into a shared tier, the
-    spool carries only stubs) is bit-identical to serial, no result payload
-    ever touches the spool, and a warm re-run executes zero jobs."""
-    config = _filequeue_config(
-        tmp_path, cache_dir=str(tmp_path / "shared-tier"), spool_payloads=False
-    )
-    engine = Engine(config=config)
-    assert _canonical(engine.run(_mixed_jobs(engine))) == reference_run
-    assert engine.stats()["executed_jobs"] == 5
-
-    result_files = sorted((tmp_path / "spool" / "results").glob("*.json"))
-    assert len(result_files) == 5
-    for path in result_files:
-        record = json.loads(path.read_text(encoding="utf-8"))
-        assert record["status"] == "completed"
-        assert "payload" not in record  # the stub is payload-free
-        assert record["stored"] == str(tmp_path / "shared-tier")
-        assert record["content_hash"] == record["spec_hash"]
-
-    warm = Engine(config=config)
-    assert _canonical(warm.run(_mixed_jobs(warm))) == reference_run
-    assert warm.stats()["executed_jobs"] == 0
-    assert warm.stats()["cache"]["misses"] == 0
-
-
 def test_cache_topology_remote_tier_is_bit_identical(reference_run, tmp_path):
     """The cache-topology clause, network half: a run whose cache stack ends
     in a ``RemoteTier`` against the serving daemon is bit-identical, and a
@@ -471,13 +440,11 @@ def test_session_knobs_never_enter_job_hashes():
             transport_lease_timeout=1.5,
             transport_poll_interval=0.5,
             transport_priority=9,
-            transport_speculate=2.5,
             serve_host="10.1.2.3",
             serve_port=9999,
             serve_max_inflight=2,
             cache_tiers=("/tiers/elsewhere",),
             cache_remote="10.1.2.3:7401",
-            spool_payloads=False,
         )
     )
     for base_job, tweaked_job in zip(_mixed_jobs(engine), _mixed_jobs(tweaked)):

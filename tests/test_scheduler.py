@@ -1,6 +1,6 @@
 """The fleet-scheduler battery: claim order (priority classes + the age-order
 FIFO fix), hash-neutral priority/requirement stamping, capability-tag
-matching, speculative straggler re-dispatch (first publisher wins, loser
+matching, exclusive result publication (first publisher wins, loser
 superseded), and crash respawn against the respawn cap."""
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 
 from repro.config import PipelineConfig
 from repro.engine import (
-    DurationTracker,
     Engine,
     FileQueueSpool,
     FileQueueTransport,
@@ -30,12 +29,10 @@ from repro.engine import (
     require_tags,
     set_priority,
 )
-from repro.engine.core import execute_baseline_job
 from repro.engine.scheduler import (
     DEFAULT_PRIORITY,
     PendingTask,
     order_pending,
-    speculation_threshold,
 )
 from repro.exceptions import EngineError
 
@@ -123,22 +120,6 @@ def test_priority_and_requirements_are_hash_neutral_and_survive_pickling():
     assert "mps" in job_requirements(clone)
 
 
-def test_duration_tracker_and_speculation_threshold():
-    tracker = DurationTracker(window=4)
-    assert tracker.median() is None
-    for junk in (None, "nan?", -1.0):
-        tracker.add(junk)
-    assert len(tracker) == 0
-    for value in (2.0, 4.0, 100.0, 6.0, 8.0):  # window drops the 2.0
-        tracker.add(value)
-    assert tracker.median() == pytest.approx(7.0)
-    assert speculation_threshold(2.0, 10.0) == 20.0
-    assert speculation_threshold(2.0, 0.1) == 1.0  # floored
-    assert speculation_threshold(None, 10.0) is None
-    assert speculation_threshold(0.0, 10.0) is None
-    assert speculation_threshold(2.0, None) is None
-
-
 # -- spool claim order ---------------------------------------------------------------
 
 
@@ -216,7 +197,7 @@ def test_tagged_worker_skips_tasks_it_cannot_serve_without_poisoning(tmp_path):
     assert record["status"] == "completed" and record["worker_id"] == "capable"
 
 
-# -- exclusive publication and speculation -------------------------------------------
+# -- exclusive publication ----------------------------------------------------------
 
 
 def test_publish_result_first_publisher_wins(tmp_path):
@@ -233,7 +214,7 @@ def test_losing_publisher_logs_superseded_not_completed(tmp_path):
     spool.enqueue("twin-task", EchoSpec("twin"))
     worker = FileQueueWorker(spool, worker_id="loser", execute=_fake_execute)
     claim = spool.claim("twin-task", owner="loser")
-    # The speculative twin resolves the task while this worker executes.
+    # Another owner of the task resolves it while this worker executes.
     assert spool.publish_result(
         "twin-task",
         {"task_id": "twin-task", "worker_id": "winner", "status": "completed", "payload": {}},
@@ -246,92 +227,6 @@ def test_losing_publisher_logs_superseded_not_completed(tmp_path):
     ]
     assert [r["status"] for r in records] == ["superseded"]
     assert spool.read_result("twin-task")["worker_id"] == "winner"
-
-
-def test_straggler_redispatch_publishes_exactly_one_result(tmp_path):
-    transport = FileQueueTransport(
-        tmp_path / "spool", workers=0, speculate=2.0, lease_timeout=300.0
-    )
-    spec = _baseline_spec()
-    transport.submit([spec])
-    [task_id] = transport._outstanding
-    spool = transport.spool
-    assert spool.claim(task_id, owner="slowpoke") is not None
-    # The fleet knows how long jobs take; this claim is far past 2× median.
-    for _ in range(3):
-        transport.durations.add(0.05)
-    stamp = time.time() - 60
-    os.utime(spool.owner_path(task_id), (stamp, stamp))
-    transport._speculate_stragglers()
-    assert transport.speculated == 1
-    assert spool.task_path(task_id).exists()  # the shadow copy, same id
-    transport._speculate_stragglers()
-    assert transport.speculated == 1  # twins, never triplets
-    # A healthy worker claims the shadow and wins the publish race ...
-    fast = FileQueueWorker(spool, worker_id="fast", execute=execute_baseline_job)
-    assert fast.run_once() == task_id
-    assert fast.executed == 1
-    # ... so when the straggler finally finishes, its publication is refused.
-    loser = {"task_id": task_id, "worker_id": "slowpoke", "status": "completed", "payload": {}}
-    assert spool.publish_result(task_id, loser) is False
-    assert spool.read_result(task_id)["worker_id"] == "fast"
-    [(index, outcome, exc)] = transport.poll(timeout=5.0)
-    assert index == 0 and exc is None
-    assert transport.stats()["speculated"] == 1
-    transport.cancel()
-
-
-def test_harvest_withdraws_an_unclaimed_shadow_when_the_straggler_finishes(tmp_path):
-    transport = FileQueueTransport(
-        tmp_path / "spool", workers=0, speculate=2.0, lease_timeout=300.0
-    )
-    transport.submit([_baseline_spec()])
-    [task_id] = transport._outstanding
-    spool = transport.spool
-    claim = spool.claim(task_id, owner="slowpoke")
-    for _ in range(3):
-        transport.durations.add(0.05)
-    stamp = time.time() - 60
-    os.utime(spool.owner_path(task_id), (stamp, stamp))
-    transport._speculate_stragglers()
-    assert spool.task_path(task_id).exists()
-    # The straggler finishes before anyone claims the shadow.
-    worker = FileQueueWorker(spool, worker_id="slowpoke", execute=execute_baseline_job)
-    worker._process(task_id, claim)
-    assert worker.executed == 1
-    [(_, _, exc)] = transport.poll(timeout=5.0)
-    assert exc is None
-    assert not spool.task_path(task_id).exists()  # shadow withdrawn at harvest
-    transport.cancel()
-
-
-def test_result_records_carry_durations_that_arm_the_tracker(tmp_path):
-    """Regression: durations must travel on the *result* record, not just the
-    worker's log — the submitting transport only reads results, so without
-    them its rolling median never arms and straggler re-dispatch silently
-    never fires (CI's heterogeneous fleet caught this)."""
-    from repro.engine import BaselineFoldSpec
-
-    transport = FileQueueTransport(tmp_path / "spool", workers=0, speculate=2.0)
-    transport.submit(
-        [
-            BaselineFoldSpec(pdb_id=p, sequence="RYRDV", method="AF2", config=BASE_CONFIG)
-            for p in ("3eax", "3ckz", "4mo4")
-        ]
-    )
-    worker = FileQueueWorker(
-        transport.spool, worker_id="w", execute=execute_baseline_job
-    )
-    while worker.run_once():
-        pass
-    for task_id in list(transport._outstanding):
-        record = transport.spool.read_result(task_id)
-        assert isinstance(record["duration_s"], float)
-    completions = transport.poll(timeout=5.0)
-    assert len(completions) == 3 and not any(exc for _, _, exc in completions)
-    assert len(transport.durations) == 3  # armed: MIN_SPECULATION_SAMPLES reached
-    assert transport.durations.median() >= 0.0
-    transport.cancel()
 
 
 # -- fleet tending -------------------------------------------------------------------
@@ -394,5 +289,4 @@ def test_session_summary_carries_transport_stats(tmp_path):
     assert len(results) == 2
     stats = session.summary()["transport"]
     assert stats["outstanding"] == 0
-    assert stats["speculated"] == 0  # speculation off by default
     assert {"reclaimed", "respawned"} <= set(stats)

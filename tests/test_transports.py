@@ -243,7 +243,7 @@ def test_stale_claim_with_result_is_dropped_not_requeued(tmp_path):
     spool = FileQueueSpool(tmp_path / "spool")
     spool.enqueue("t1", EchoSpec("a"))
     claim = spool.claim("t1")
-    spool.write_result("t1", {"task_id": "t1", "status": "completed", "payload": {}})
+    assert spool.publish_result("t1", {"task_id": "t1", "status": "completed", "payload": {}})
     stale = time.time() - 100
     os.utime(claim, (stale, stale))
     assert spool.reclaim_stale(lease_timeout=5.0) == []
@@ -332,6 +332,8 @@ def test_worker_executes_and_publishes_result(tmp_path):
     assert record["status"] == "completed"
     assert record["worker_id"] == "w1"
     assert record["payload"]["name"] == "a"
+    # The spool alone tells how long each job ran.
+    assert isinstance(record["duration_s"], float)
     assert spool.claim_ids() == [] and spool.task_ids() == []
     log_lines = (spool.log_dir / "w1.jsonl").read_text().splitlines()
     assert len(log_lines) == 1
@@ -365,7 +367,9 @@ def test_worker_skips_a_task_whose_result_already_exists(tmp_path):
 
     spool = FileQueueSpool(tmp_path / "spool")
     spool.enqueue("t1", EchoSpec("a"))
-    spool.write_result("t1", {"task_id": "t1", "status": "completed", "payload": {"x": 1}})
+    assert spool.publish_result(
+        "t1", {"task_id": "t1", "status": "completed", "payload": {"x": 1}}
+    )
     worker = FileQueueWorker(spool, worker_id="w1", lease_timeout=5.0, execute=recording)
     assert worker.run_once() is None
     assert calls == []  # nothing re-executed
@@ -486,35 +490,62 @@ def test_dead_workers_job_is_replayed_exactly_once(tmp_path):
 
 
 def test_zombie_worker_finish_spares_the_new_owners_claim(tmp_path):
-    """A worker whose lease was reclaimed mid-job must not unlink the claim
-    its replacement now holds — that would invite a third execution."""
+    """A worker whose lease was reclaimed mid-job can still finish.  Finishing
+    before its replacement, it must not unlink the claim the replacement now
+    holds — that would invite a third execution.  Finishing after it, its
+    publish is refused and it logs ``superseded``: exactly one execution of
+    the task is logged ``completed``."""
     spool = FileQueueSpool(tmp_path / "spool")
-    spool.enqueue("t1", EchoSpec("a"))
-    gate = threading.Event()
 
-    def slow(spec):
-        gate.wait(timeout=5.0)
-        return _fake_execute(spec)
+    def stall_and_steal(task_id):
+        """w1 claims ``task_id`` and stalls mid-job; w2 takes over its lease."""
+        spool.enqueue(task_id, EchoSpec(task_id))
+        running, gate = threading.Event(), threading.Event()
 
-    zombie = FileQueueWorker(
-        spool, worker_id="w1", lease_timeout=5.0, heartbeat_interval=60.0, execute=slow
-    )
-    thread = threading.Thread(target=zombie.run_once, daemon=True)
-    thread.start()
-    deadline = time.monotonic() + 5.0
-    while not spool.claim_ids() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert spool.claim_owner("t1") == "w1"
-    # Mid-job, the lease looks stale (no heartbeat yet) and is stolen:
-    stale = time.time() - 100
-    os.utime(spool.claim_path("t1"), (stale, stale))
-    assert spool.reclaim_stale(lease_timeout=5.0) == ["t1"]
-    assert spool.claim("t1", owner="w2") is not None
+        def slow(spec):
+            running.set()
+            gate.wait(timeout=5.0)
+            return _fake_execute(spec)
+
+        zombie = FileQueueWorker(
+            spool, worker_id="w1", lease_timeout=5.0, heartbeat_interval=60.0, execute=slow
+        )
+        thread = threading.Thread(target=zombie.run_once, daemon=True)
+        thread.start()
+        assert running.wait(timeout=5.0)
+        assert spool.claim_owner(task_id) == "w1"
+        # Mid-job, the lease looks stale (no heartbeat yet) and is stolen:
+        stale = time.time() - 100
+        os.utime(spool.claim_path(task_id), (stale, stale))
+        assert spool.reclaim_stale(lease_timeout=5.0) == [task_id]
+        claim = spool.claim(task_id, owner="w2")
+        assert claim is not None
+        return zombie, thread, gate, claim
+
+    # The zombie finishes first.
+    _, thread, gate, _ = stall_and_steal("t1")
     gate.set()
     thread.join(timeout=5.0)
     assert spool.read_result("t1")["status"] == "completed"  # w1 published
     assert spool.claim_ids() == ["t1"]  # but left w2's live claim alone
     assert spool.claim_owner("t1") == "w2"
+    assert spool.release("t1", owner="w2")
+
+    # The new owner finishes first.
+    zombie, thread, gate, claim = stall_and_steal("t2")
+    FileQueueWorker(spool, worker_id="w2", execute=_fake_execute)._process("t2", claim)
+    gate.set()
+    thread.join(timeout=5.0)
+    assert zombie.superseded == 1 and zombie.executed == 0
+    assert spool.read_result("t2")["worker_id"] == "w2"
+    statuses = [
+        json.loads(line)["status"]
+        for log in spool.log_dir.glob("*.jsonl")
+        for line in log.read_text().splitlines()
+        if json.loads(line)["task_id"] == "t2"
+    ]
+    assert sorted(statuses) == ["completed", "superseded"]
+    assert spool.claim_ids() == [] and spool.task_ids() == []
 
 
 def test_worker_serve_honours_stop_sentinel_and_max_jobs(tmp_path):
@@ -601,6 +632,22 @@ def test_filequeue_transport_end_to_end_with_inprocess_worker(tmp_path):
         assert exc is None
         assert not result.from_cache  # executed remotely, not a cache hit
         assert _canonical(result) == _canonical(execute_baseline_job(spec))
+
+
+@pytest.mark.parametrize("lease_timeout", [0, -1])
+def test_filequeue_transport_rejects_a_non_positive_lease_timeout(tmp_path, lease_timeout):
+    """A zero lease would requeue live claims, and spawned workers would
+    refuse to start and burn the respawn budget: refuse it up front."""
+    config = BASE_CONFIG.with_updates(
+        transport="filequeue",
+        spool_dir=str(tmp_path / "spool"),
+        transport_lease_timeout=lease_timeout,
+    )
+    with pytest.raises(EngineError, match="lease_timeout must be positive"):
+        make_transport("filequeue", config, processes=0)
+    with pytest.raises(EngineError, match="lease_timeout must be positive"):
+        FileQueueTransport(tmp_path / "spool", lease_timeout=lease_timeout)
+    assert not (tmp_path / "spool").exists()  # refused before touching the disk
 
 
 def test_filequeue_transport_reclaims_a_stale_lease_while_polling(tmp_path):
