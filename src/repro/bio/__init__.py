@@ -25,7 +25,7 @@ from repro.bio.geometry import (
 )
 from repro.bio.structure import Atom, Residue, Chain, Structure
 from repro.bio.pdb import write_pdb, read_pdb, structure_to_pdb_string
-from repro.bio.rmsd import rmsd, ca_rmsd, backbone_rmsd, rmsd_without_superposition
+from repro.bio.rmsd import rmsd, ca_rmsd, rmsd_without_superposition
 from repro.bio.miyazawa_jernigan import MJ_MATRIX, contact_energy
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "structure_to_pdb_string",
     "rmsd",
     "ca_rmsd",
-    "backbone_rmsd",
     "rmsd_without_superposition",
     "MJ_MATRIX",
     "contact_energy",

@@ -55,17 +55,6 @@ def ca_rmsd(predicted: Structure, reference: Structure) -> float:
     return rmsd(pred, ref)
 
 
-def backbone_rmsd(predicted: Structure, reference: Structure) -> float:
-    """Backbone (N, CA, C, O) RMSD between two structures with matching backbones."""
-    pred = predicted.backbone_coords()
-    ref = reference.backbone_coords()
-    if pred.shape != ref.shape:
-        raise StructureError(
-            f"backbone atom counts differ: {pred.shape[0]} vs {ref.shape[0]}"
-        )
-    return rmsd(pred, ref)
-
-
 def per_residue_deviation(predicted: Structure, reference: Structure) -> np.ndarray:
     """Per-residue Cα deviation (Angstroms) after optimal superposition.
 

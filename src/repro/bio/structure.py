@@ -16,9 +16,6 @@ import numpy as np
 from repro.bio.amino_acids import one_to_three, three_to_one
 from repro.exceptions import StructureError
 
-#: Backbone atom names in canonical order.
-BACKBONE_ATOMS: tuple[str, ...] = ("N", "CA", "C", "O")
-
 
 @dataclass
 class Atom:
@@ -75,13 +72,6 @@ class Residue:
     def ca(self) -> Atom:
         """The alpha-carbon atom."""
         return self.atom("CA")
-
-    def backbone_coords(self) -> np.ndarray:
-        """Coordinates of N, CA, C, O (those present), shape (k, 3)."""
-        coords = [a.coords for a in self.atoms if a.name in BACKBONE_ATOMS]
-        if not coords:
-            raise StructureError(f"residue {self.three}{self.seq_id} has no backbone atoms")
-        return np.array(coords)
 
     def copy(self) -> "Residue":
         """Deep copy of this residue."""
@@ -172,11 +162,6 @@ class Structure:
         if not coords:
             raise StructureError("structure has no residues")
         return np.array(coords)
-
-    def backbone_coords(self) -> np.ndarray:
-        """(K, 3) array of all backbone atom coordinates in residue order."""
-        blocks = [r.backbone_coords() for r in self.residues]
-        return np.vstack(blocks)
 
     def all_coords(self) -> np.ndarray:
         """(N, 3) array of every atom coordinate."""

@@ -5,7 +5,7 @@ Subcommands
 * ``repro-cache ls DIR`` — list cached entries (shard, kind, identity, size,
   age);
 * ``repro-cache stats TIER`` — aggregate counters (entries, bytes, per-kind);
-* ``repro-cache prune DIR --max-bytes N`` — evict entries in recency order
+* ``repro-cache prune DIR --max-bytes N`` — evict least-recently-used entries
   until the cache fits the bound (``--max-bytes 0`` empties it);
 * ``repro-cache verify DIR [--delete]`` — audit entry integrity (parseable
   JSON whose ``spec_hash`` matches the file name), optionally deleting

@@ -230,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--processes", type=int, default=None, help="engine worker processes")
     resume.add_argument("--cache-dir", default=None, help="override the journalled cache directory")
     resume.add_argument(
-        "--on-error", choices=ON_ERROR_POLICIES, default=None,
-        help="failure policy (default: the journalled configuration's)",
+        "--on-error", choices=ON_ERROR_POLICIES, default="isolate",
+        help="failure policy (default: isolate)",
     )
     resume.add_argument("--quiet", action="store_true", help="suppress per-job progress lines")
     resume.add_argument("--json", action="store_true", help="emit a machine-readable summary")

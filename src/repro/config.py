@@ -14,7 +14,7 @@ knob in one place with two presets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 
@@ -52,47 +52,20 @@ class PipelineConfig:
     backend:
         Name of the execution backend, resolved through the engine's backend
         registry (``"statevector"``, ``"mps"``, ``"auto"`` or ``"eagle"``).
-    engine_workers:
-        Default worker-process count for the engine's job fan-out
-        (``0``/``1`` runs serially; results are identical either way).
     cache_dir:
         Directory of the engine's persistent result cache; ``None`` disables
         caching.
-    cache_max_bytes:
-        Total size bound (bytes) of the persistent result cache; ``None``
-        (the default) leaves the cache unbounded.  When set, every cache
-        write evicts old entries until the cache fits the bound — eviction
-        only ever costs recompute time, never correctness.
-    cache_eviction:
-        Eviction policy applied when the bound is exceeded: ``"lru"`` (the
-        default; a cache hit refreshes the entry, so the least-recently-used
-        entries go first) or ``"fifo"`` (hits do not refresh, so the oldest
-        written entries go first).
-    cache_tiers:
-        Ordered cache-tier spec strings (``"DIR"``, ``"local:DIR"`` or
-        ``"remote:HOST:PORT"``) composed into a
-        :class:`~repro.engine.cache.TieredCache`: local-first reads,
-        promote-on-remote-hit, write-through.  ``None`` (the default) keeps
-        the single ``cache_dir`` tier.  Cache topology never changes results
-        — the determinism harness asserts flat, tiered and remote-backed
-        runs are bit-identical — so like every cache knob this never enters
-        any job hash.
     cache_remote:
-        Convenience spec of one shared ``repro-serve`` cache endpoint
-        (``"HOST:PORT"``), appended as the outermost tier behind
-        ``cache_dir`` / ``cache_tiers``.  Never enters any job hash.
+        One shared ``repro-serve`` cache endpoint (``"HOST:PORT"``), appended
+        as the outermost tier behind ``cache_dir`` (or behind an explicit
+        ``Engine(cache=DIR)``): local-first reads, promote-on-remote-hit,
+        write-through.  Cache topology never changes results, so like every
+        cache knob this never enters any job hash.
     session_dir:
         Directory for the engine's streaming-session journals (one JSONL
         status file plus a spec pickle per session, next to the result
         cache).  ``None`` (the default) disables journalling; sessions then
         stream in memory only and cannot be resumed from another process.
-    on_error:
-        Default failure policy of streaming sessions: ``"isolate"`` (a
-        crashing job becomes a ``JobFailure`` record and the rest of the
-        batch completes; the default) or ``"raise"`` (the first failure
-        aborts the stream).  ``Engine.run`` keeps its historical fail-fast
-        contract regardless and must be asked explicitly to isolate.
-        Like all orchestration detail, neither knob enters any job hash.
     transport:
         Executor transport jobs run on: ``"serial"`` (in-process),
         ``"pool"`` (local process pool), ``"filequeue"`` (a fleet of
@@ -115,18 +88,10 @@ class PipelineConfig:
     transport_poll_interval:
         Seconds between the submitting transport's spool scans (also the
         ``network`` transport's socket-poll slice).
-    transport_priority:
-        Default scheduling priority the ``filequeue`` transport stamps into
-        every task envelope it enqueues (higher claims first; per-job
-        ``Engine.submit(..., priority=...)`` overrides it).  Pure
-        orchestration — it decides claim order, never results — and never
-        enters any job hash.
     serve_host / serve_port:
         Address of the ``repro-serve`` daemon the ``network`` transport
-        submits to (start one with ``repro-serve``).
-    serve_max_inflight:
-        Per-client in-flight job window of the ``network`` transport (the
-        server clamps it to its own advertised admission cap).
+        submits to (start one with ``repro-serve``).  The client keeps as
+        many jobs in flight as the server's ``welcome`` advertises.
     """
 
     vqe_iterations: int = 60
@@ -142,28 +107,20 @@ class PipelineConfig:
     noise_enabled: bool = True
     seed: int = 2025
     backend: str = "auto"
-    engine_workers: int = 0
     cache_dir: str | None = None
-    cache_max_bytes: int | None = None
-    cache_eviction: str = "lru"
-    cache_tiers: tuple[str, ...] | None = None
     cache_remote: str | None = None
     session_dir: str | None = None
-    on_error: str = "isolate"
     transport: str = "auto"
     spool_dir: str | None = None
     transport_workers: int | None = None
     transport_lease_timeout: float = 30.0
     transport_poll_interval: float = 0.05
-    transport_priority: int = 0
     serve_host: str = "127.0.0.1"
     serve_port: int = 7377
-    serve_max_inflight: int = 32
     #: CVaR fraction used by the stage-1 objective (1.0 = plain expectation).
     cvar_alpha: float = 0.2
     #: Cap applied to the width-scaled stage-2 shot count.
     max_final_shots: int = 100_000
-    extra: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
     def paper(cls) -> "PipelineConfig":

@@ -24,9 +24,9 @@ master seed plus the work item's identity.
 Both engine phases run as *streaming sessions* (:meth:`Engine.submit`): an
 optional ``progress`` callback observes every job outcome as it completes,
 per-job status is journalled when ``config.session_dir`` is set (a crashed
-build re-run with the same inputs resumes its own journal), and — under the
-default ``on_error="isolate"`` — a crashing job drops only its own fragment
-from the entry list instead of aborting the whole build.
+build re-run with the same inputs resumes its own journal), and a crashing
+job drops only its own fragment from the entry list instead of aborting the
+whole build (``Engine.submit``'s ``on_error="isolate"``).
 """
 
 from __future__ import annotations
@@ -157,12 +157,10 @@ class BatchProcessor:
         callback receiving :class:`~repro.engine.session.SessionProgress`
         events) observes every job outcome as it lands.
 
-        Failure isolation: under the engine's default
-        ``config.on_error="isolate"``, a crashing fold or docking job drops
-        only the fragment it belongs to — the entry list simply omits
-        fragments whose jobs failed (each is logged with the isolated
-        failure), while every other fragment completes.  With
-        ``on_error="raise"`` the first failure aborts the build.
+        Failure isolation: a crashing fold or docking job drops only the
+        fragment it belongs to — the entry list simply omits fragments whose
+        jobs failed (each is logged with the isolated failure), while every
+        other fragment completes.
         """
         methods = BASELINE_METHODS if include_baselines else ()
 

@@ -30,8 +30,9 @@ class DatasetBuilder:
         Directory of the engine's persistent result cache (folds, baseline
         folds and docking searches alike); repeated builds over the same
         fragments and configuration skip the VQE *and* every docking search
-        entirely.  ``None`` falls back to ``config.cache_dir``; the cache is
-        bounded by ``config.cache_max_bytes`` / ``config.cache_eviction``.
+        entirely.  ``None`` falls back to ``config.cache_dir``;
+        ``config.cache_remote`` is appended behind either.  Bound the cache
+        with ``repro-cache prune``.
     """
 
     def __init__(

@@ -29,7 +29,7 @@ See :mod:`repro.engine.core` for the execution model, :mod:`repro.engine.jobs`
 for the job kinds and content hashing, :mod:`repro.engine.session` for
 sessions/journals/resume, :mod:`repro.engine.registry` for named backends and
 per-kind executors, :mod:`repro.engine.transports` for the transport layer,
-:mod:`repro.engine.cache` for the persistent (optionally LRU-bounded) store,
+:mod:`repro.engine.cache` for the persistent store (LRU-pruned on demand),
 and :mod:`repro.cli.cache` / :mod:`repro.cli.session` /
 :mod:`repro.cli.worker` for the ``repro-cache``, ``repro-session`` and
 ``repro-worker`` tools.

@@ -109,7 +109,7 @@ class CacheTier(Protocol):
         """Locally enumerable entries, eviction order first (``[]`` if none)."""
         ...
 
-    def prune(self, max_bytes: int | None = None) -> list[str]:
+    def prune(self, max_bytes: int) -> list[str]:
         """Evict down to ``max_bytes`` where supported; evicted keys."""
         ...
 

@@ -5,19 +5,12 @@ Each cached result lives in its own JSON file named by the job's content hash
 cache is safe to share between concurrent builder processes: writes of the
 same key produce identical bytes and a torn read is treated as a miss.
 
-The cache can be *size-bounded*: with ``max_bytes`` set, every write enforces
-the bound by evicting entries in recency order.  Two eviction policies exist:
-
-* ``"lru"`` (default) — a hit refreshes the entry's file mtime, so eviction
-  removes the least-recently-*used* entries first;
-* ``"fifo"`` — hits leave mtimes untouched, so eviction removes the oldest
-  *written* entries first.
-
-Eviction only ever costs recompute time, never correctness: an evicted job
-re-executes to a bit-identical result.  :meth:`LocalDirTier.prune` applies
-the bound on demand and :meth:`LocalDirTier.verify` audits entry integrity —
-both are surfaced by the ``repro-cache`` command-line tool
-(:mod:`repro.cli.cache`).
+A hit refreshes the entry's file mtime, so the file mtimes record recency of
+use.  :meth:`LocalDirTier.prune` bounds the cache on demand by evicting the
+least-recently-used entries first, and :meth:`LocalDirTier.verify` audits
+entry integrity — both are surfaced by the ``repro-cache`` command-line tool
+(:mod:`repro.cli.cache`).  Eviction only ever costs recompute time, never
+correctness: an evicted job re-executes to a bit-identical result.
 """
 
 from __future__ import annotations
@@ -31,47 +24,15 @@ from repro.engine.cache.base import CacheEntry, CacheStats, LocationToken
 from repro.exceptions import EngineError
 from repro.utils.io import read_json, write_json
 
-#: Eviction policies understood by :class:`LocalDirTier`.
-EVICTION_POLICIES: tuple[str, ...] = ("lru", "fifo")
-
-#: When a write overflows the bound, evict down to this fraction of it so a
-#: cache sitting at its bound does not pay a full directory scan per write.
-LOW_WATER_FRACTION = 0.9
-
 
 class LocalDirTier:
-    """Content-addressed JSON store keyed by job hash, optionally size-bounded.
+    """Content-addressed JSON store keyed by job hash, in directory ``root``
+    (created if absent)."""
 
-    Parameters
-    ----------
-    root:
-        Cache directory (created if absent).
-    max_bytes:
-        Total size bound enforced after every write; ``None`` disables
-        bounding.  Mapped from ``PipelineConfig.cache_max_bytes`` when the
-        engine opens a cache by path.
-    eviction:
-        ``"lru"`` or ``"fifo"`` (see module docstring).  Mapped from
-        ``PipelineConfig.cache_eviction``.
-    """
-
-    def __init__(self, root: str | Path, max_bytes: int | None = None, eviction: str = "lru"):
+    def __init__(self, root: str | Path):
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
-        if eviction not in EVICTION_POLICIES:
-            raise EngineError(
-                f"unknown cache eviction policy {eviction!r}; choose one of {EVICTION_POLICIES}"
-            )
-        if max_bytes is not None and int(max_bytes) < 0:
-            raise EngineError(f"cache max_bytes must be >= 0, got {max_bytes}")
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self.eviction = eviction
         self.stats = CacheStats()
-        # Running size total so bound enforcement on put() stays O(1) instead
-        # of rescanning the directory per write; initialised lazily and
-        # resynchronised by every prune() scan (concurrent writers can make it
-        # drift between prunes — the bound is enforcement, not accounting).
-        self._tracked_total: int | None = None
         # Test-only crash-consistency hook: called with each CacheEntry just
         # before prune() considers evicting it, so tests can interleave a
         # concurrent writer/pruner at the exact race window.
@@ -94,27 +55,26 @@ class LocalDirTier:
 
         Unreadable or mismatched files (torn writes, stale schema) count as
         misses rather than errors so a damaged cache degrades to recompute.
-        Under the LRU policy a hit refreshes the entry's mtime.
+        A hit refreshes the entry's mtime (its place in the eviction order).
         """
         payload = self.peek(key)
         if payload is None:
             self.stats.misses += 1
             return None
-        if self.eviction == "lru":
-            try:
-                os.utime(self._path(key))
-            except OSError:
-                pass  # a concurrent prune may have removed the file; the payload is already read
+        try:
+            os.utime(self._path(key))
+        except OSError:
+            pass  # a concurrent prune may have removed the file; the payload is already read
         self.stats.hits += 1
         return payload
 
     def peek(self, key: str) -> dict[str, Any] | None:
-        """Stat-neutral :meth:`get`: no hit/miss counted, no LRU mtime refresh.
+        """Stat-neutral :meth:`get`: no hit/miss counted, no mtime refresh.
 
-        Used by the session layer's journal-aware planning — a resumed
-        session checks whether a journalled-complete job still has its cached
-        payload without skewing the hit-rate counters or the eviction order
-        of lookups the resumed run never asked for.
+        Used by ``repro-session status`` (does a journalled-complete job
+        still have its cached payload?) and by ``repro-serve``'s ``peek``
+        frame — lookups that must not skew the hit-rate counters or the
+        eviction order.
         """
         path = self._path(key)
         try:
@@ -126,7 +86,7 @@ class LocalDirTier:
         return payload
 
     def put(self, key: str, payload: dict[str, Any], stored_in: LocationToken | None = None) -> bool:
-        """Store ``payload`` under ``key``, then enforce the size bound.
+        """Store ``payload`` under ``key``.
 
         ``stored_in`` is the write-through skip: when it names this very
         directory the payload is already on disk (a worker wrote it here
@@ -134,27 +94,8 @@ class LocalDirTier:
         """
         if self.covers(stored_in):
             return True
-        path = self._path(key)
-        if self.max_bytes is None:
-            write_json(path, payload)
-            self.stats.writes += 1
-            return True
-        try:
-            old_size = path.stat().st_size
-        except OSError:
-            old_size = 0
-        write_json(path, payload)
+        write_json(self._path(key), payload)
         self.stats.writes += 1
-        try:
-            new_size = path.stat().st_size
-        except OSError:
-            new_size = 0
-        if self._tracked_total is None:
-            self._tracked_total = self.total_bytes()
-        else:
-            self._tracked_total += new_size - old_size
-        if self._tracked_total > self.max_bytes:
-            self.prune(int(self.max_bytes * LOW_WATER_FRACTION))
         return True
 
     # -- introspection / maintenance ---------------------------------------------------
@@ -177,11 +118,10 @@ class LocalDirTier:
         """Total size of all cached entries in bytes."""
         return sum(e.size_bytes for e in self.entries())
 
-    def prune(self, max_bytes: int | None = None) -> list[str]:
-        """Evict entries in recency order until the cache fits ``max_bytes``.
+    def prune(self, max_bytes: int) -> list[str]:
+        """Evict least-recently-used entries until the cache fits ``max_bytes``.
 
-        ``None`` uses the configured bound (a no-op when that is also
-        ``None``).  Returns the evicted keys, oldest first.
+        Returns the evicted keys, oldest first.
 
         The cache is shared between concurrent builder processes, so the scan
         is re-validated per entry at eviction time: an entry that *vanished*
@@ -192,9 +132,7 @@ class LocalDirTier:
         saw.  Either way the freshly written payload survives and the
         running total stays honest.
         """
-        bound = self.max_bytes if max_bytes is None else int(max_bytes)
-        if bound is None:
-            return []
+        bound = int(max_bytes)
         if bound < 0:
             raise EngineError(f"cache prune bound must be >= 0, got {bound}")
         entries = self.entries()
@@ -226,7 +164,6 @@ class LocalDirTier:
             total -= entry.size_bytes
             evicted.append(entry.key)
             self.stats.evictions += 1
-        self._tracked_total = total
         return evicted
 
     def verify(self, delete: bool = False) -> tuple[list[str], list[tuple[str, str]]]:
@@ -262,7 +199,6 @@ class LocalDirTier:
         if delete and corrupt_paths:
             for path in corrupt_paths:
                 path.unlink(missing_ok=True)
-            self._tracked_total = None  # resync on next bound check
         return valid, corrupt
 
     def __contains__(self, key: str) -> bool:
@@ -277,5 +213,4 @@ class LocalDirTier:
         for path in self.root.glob("*/*.json"):
             path.unlink(missing_ok=True)
             removed += 1
-        self._tracked_total = 0
         return removed

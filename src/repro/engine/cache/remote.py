@@ -175,7 +175,7 @@ class RemoteTier:
         """No locally enumerable entries — maintenance happens server-side."""
         return []
 
-    def prune(self, max_bytes: int | None = None) -> list[str]:
+    def prune(self, max_bytes: int) -> list[str]:
         """No-op: eviction is the server tier's policy, not the client's."""
         return []
 

@@ -86,8 +86,8 @@ class TieredCache:
         """Total bytes across all locally enumerable member entries."""
         return sum(e.size_bytes for e in self.entries())
 
-    def prune(self, max_bytes: int | None = None) -> list[str]:
-        """Prune every member to its own (or the given) bound; evicted keys."""
+    def prune(self, max_bytes: int) -> list[str]:
+        """Prune every member to ``max_bytes``; evicted keys."""
         evicted: list[str] = []
         for tier in self.tiers:
             evicted.extend(tier.prune(max_bytes))

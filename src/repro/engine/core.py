@@ -160,22 +160,21 @@ class Engine:
     ----------
     config:
         Default pipeline configuration for jobs built by the convenience
-        helpers; also supplies ``engine_workers``, ``cache_dir`` and the cache
-        size-bound (``cache_max_bytes`` / ``cache_eviction``) defaults.
+        helpers; also supplies the cache (``cache_dir`` / ``cache_remote``)
+        and transport settings.
     cache:
         A cache tier instance (:class:`~repro.engine.cache.LocalDirTier`,
         :class:`~repro.engine.cache.RemoteTier`,
         :class:`~repro.engine.cache.TieredCache`), a tier spec string or
         directory path, a sequence of specs/tiers (composed into a
         :class:`~repro.engine.cache.TieredCache`), or ``None``.  ``None``
-        resolves from the config: ``cache_tiers`` if set, else ``cache_dir``,
-        with ``cache_remote`` appended as the outermost tier — and disables
-        caching when none of those are set.  Local tiers opened from specs
-        use the config's size bound and eviction policy; see
+        resolves from ``config.cache_dir``; a spec string or path stands in
+        for it.  Either way ``config.cache_remote`` is appended as the
+        outermost tier; with neither set the engine runs cacheless.  See
         :func:`repro.engine.cache.resolve_cache`.
     processes:
-        Default worker-process count for :meth:`run`; ``None`` uses
-        ``config.engine_workers``.  ``0``/``1`` executes serially.
+        Default worker-process count for :meth:`run` and :meth:`submit`;
+        ``None``, ``0`` and ``1`` execute serially.
     transport:
         Name of the executor transport jobs run on (``"serial"``, ``"pool"``,
         ``"filequeue"``, ``"network"`` or ``"auto"``); ``None`` uses
@@ -194,7 +193,7 @@ class Engine:
         self.config = config or PipelineConfig()
         self.transport_name = transport or self.config.transport
         self.cache = resolve_cache(self.config, cache)
-        self.processes = self.config.engine_workers if processes is None else int(processes)
+        self.processes = 0 if processes is None else int(processes)
         self.executed_jobs = 0
         self.completed_jobs = 0
         self.failed_jobs = 0
@@ -258,9 +257,8 @@ class Engine:
         jobs: Sequence[Any] | None = None,
         session_id: str | None = None,
         processes: int | None = None,
-        on_error: str | None = None,
+        on_error: str = "isolate",
         progress: Any = None,
-        priority: int | None = None,
     ) -> Session:
         """Open a streaming :class:`~repro.engine.session.Session` over ``jobs``.
 
@@ -286,19 +284,13 @@ class Engine:
             per-outcome callback receiving
             :class:`~repro.engine.session.SessionProgress` events.
         on_error:
-            ``"isolate"`` (failures become
+            ``"isolate"`` (the default: failures become
             :class:`~repro.engine.session.JobFailure` outcomes) or
-            ``"raise"`` (first failure aborts the stream).  ``None`` uses
-            ``config.on_error``.
-        priority:
-            Scheduling priority stamped onto every job in this batch (higher
-            claims first on the ``filequeue`` transport's fleet; other
-            transports ignore it).  Hash-neutral orchestration metadata: it
-            never splits the cache.  ``None`` leaves per-spec stamps and the
-            ``config.transport_priority`` default in force.
+            ``"raise"`` (first failure aborts the stream).
+
+        Scheduling priority is per spec: stamp it with
+        :func:`~repro.engine.scheduler.set_priority` before submitting.
         """
-        if on_error is None:
-            on_error = self.config.on_error
         journal = None
         if self.config.session_dir:
             root = Path(self.config.session_dir).expanduser()
@@ -332,12 +324,6 @@ class Engine:
                 "submit() needs jobs unless resuming a journalled session "
                 "(set config.session_dir to enable journals)"
             )
-        if priority is not None:
-            from repro.engine.scheduler import set_priority
-
-            jobs = list(jobs)
-            for job in jobs:
-                set_priority(job, priority)
         return Session(
             self,
             jobs,

@@ -29,7 +29,6 @@ from typing import Any, ClassVar
 import numpy as np
 
 from repro.config import PipelineConfig
-from repro.exceptions import EngineError
 from repro.folding.predictor import FoldingPrediction
 from repro.lattice.hamiltonian import HamiltonianWeights
 
@@ -86,23 +85,9 @@ _DOCK_CONFIG_FIELDS: tuple[str, ...] = (
 def config_fingerprint(
     config: PipelineConfig, fields: tuple[str, ...] = _FOLD_CONFIG_FIELDS
 ) -> str:
-    """Canonical JSON string of the ``fields`` subset of the configuration.
-
-    ``config.extra`` participates in every kind's fingerprint, so its values
-    must be JSON-serialisable — anything hashed through ``repr`` (object
-    identities, memory addresses) would silently change between processes and
-    defeat the persistent cache.
-    """
-    payload: dict[str, Any] = {name: getattr(config, name) for name in fields}
-    if config.extra:
-        payload["extra"] = config.extra
-    try:
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError) as exc:
-        raise EngineError(
-            "config.extra values must be JSON-serialisable to content-hash a job "
-            f"(got {config.extra!r})"
-        ) from exc
+    """Canonical JSON string of the ``fields`` subset of the configuration."""
+    payload = {name: getattr(config, name) for name in fields}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _weights_key(weights: HamiltonianWeights | None) -> str:

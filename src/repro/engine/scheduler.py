@@ -8,10 +8,9 @@ transport all schedule by the same rules:
 
 **Priority classes.**  Every task envelope carries an integer ``priority``
 (higher runs first; default 0).  It is orchestration metadata — stamped onto
-a spec with :func:`set_priority` or defaulted from
-``PipelineConfig.transport_priority`` — and **never enters any job hash**:
-two submissions of the same spec at different priorities share one content
-address, one cache entry, one result.
+a spec with :func:`set_priority`, the one way to set it — and **never enters
+any job hash**: two submissions of the same spec at different priorities
+share one content address, one cache entry, one result.
 
 **Claim order.**  Workers scan the pending tasks once per poll and claim in
 ``(priority descending, envelope age descending, task id)`` order: the
@@ -42,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-#: Priority of a spec nobody stamped and a config nobody tuned.
+#: Priority of a spec nobody stamped.
 DEFAULT_PRIORITY = 0
 
 
@@ -61,10 +60,9 @@ def set_priority(spec: Any, priority: int) -> Any:
     return spec
 
 
-def job_priority(spec: Any, default: int = DEFAULT_PRIORITY) -> int:
-    """The priority stamped on ``spec``, else ``default``."""
-    priority = getattr(spec, "_priority", None)
-    return int(default) if priority is None else int(priority)
+def job_priority(spec: Any) -> int:
+    """The priority stamped on ``spec``, else :data:`DEFAULT_PRIORITY`."""
+    return int(getattr(spec, "_priority", DEFAULT_PRIORITY))
 
 
 # -- capability tags ------------------------------------------------------------------

@@ -409,8 +409,8 @@ class Session:
     ``on_error="isolate"``).  :meth:`results` consumes the stream (if it has
     not been consumed already) and returns outcomes in submission order.
 
-    Sessions are built by :meth:`Engine.submit`; construct directly only in
-    tests.
+    Sessions are built by :meth:`Engine.submit` (journalled, resumable) and
+    by :meth:`Engine.run` (unjournalled, blocking).
     """
 
     def __init__(

@@ -653,11 +653,11 @@ class FileQueueWorker:
             except Exception as exc:
                 # A spec that unpickles but cannot be fingerprinted (a
                 # content_hash that raises in this worker's environment — e.g.
-                # an unserialisable config.extra, or version drift in the spec
-                # class) is poison too: before this guard, the exception
-                # escaped the worker *before any heartbeat*, the lease went
-                # stale, the next claimant died the same way, and a spawned
-                # fleet burned its whole respawn_limit on one task.
+                # version drift in the spec class) is poison too: before this
+                # guard, the exception escaped the worker *before any
+                # heartbeat*, the lease went stale, the next claimant died the
+                # same way, and a spawned fleet burned its whole respawn_limit
+                # on one task.
                 spec = None
                 record.update(
                     status="failed",
@@ -767,12 +767,10 @@ class FileQueueTransport(Transport):
     ``workers > 0`` spawns that many local ``repro-worker`` daemons for the
     batch's lifetime (and respawns members that die while work remains, up to
     ``respawn_limit``); ``workers == 0`` relies entirely on externally
-    launched daemons watching the same spool.
-
-    ``default_priority`` is the envelope priority of specs nobody stamped
-    with :func:`~repro.engine.scheduler.set_priority`
-    (``PipelineConfig.transport_priority``); like all scheduling metadata it
-    never enters a job hash.
+    launched daemons watching the same spool.  Each envelope carries the
+    priority stamped on its spec by
+    :func:`~repro.engine.scheduler.set_priority` (0 when unstamped); like all
+    scheduling metadata it never enters a job hash.
     """
 
     name: ClassVar[str] = "filequeue"
@@ -787,7 +785,6 @@ class FileQueueTransport(Transport):
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         poll_interval: float = 0.05,
         respawn_limit: int = 5,
-        default_priority: int = DEFAULT_PRIORITY,
     ):
         self.lease_timeout = float(lease_timeout)
         if self.lease_timeout <= 0:
@@ -798,7 +795,6 @@ class FileQueueTransport(Transport):
         self.worker_count = max(0, int(workers))
         self.poll_interval = max(0.005, float(poll_interval))
         self.respawn_limit = int(respawn_limit)
-        self.default_priority = int(default_priority)
         self.batch_id = uuid.uuid4().hex[:8]
         self.workers: list[subprocess.Popen] = []
         self.reclaimed = 0
@@ -826,12 +822,11 @@ class FileQueueTransport(Transport):
         for index, spec in enumerate(specs):
             task_id = f"{self.batch_id}-{index:05d}-{spec.content_hash()[:16]}"
             # Scheduling metadata rides the envelope header, never the hash:
-            # per-spec priority (Engine.submit(priority=...) / set_priority)
-            # over the config default, plus the capability tags a claiming
-            # worker must declare.
+            # the spec's set_priority stamp, plus the capability tags a
+            # claiming worker must declare.
             self.spool.enqueue(
                 task_id, spec,
-                priority=job_priority(spec, self.default_priority),
+                priority=job_priority(spec),
                 requires=job_requirements(spec),
             )
             self._outstanding[task_id] = index
@@ -843,7 +838,7 @@ class FileQueueTransport(Transport):
                 self.batch_id, len(self._outstanding), self.spool.root, len(self.workers),
             )
             if self.worker_count == 0:
-                # An innocuous config (engine_workers=0, no external daemons)
+                # An innocuous config (transport_workers=0, no external daemons)
                 # would otherwise block in poll() forever with no diagnostics.
                 logger.warning(
                     "filequeue %s: no local workers spawned — the batch relies "
@@ -1077,7 +1072,6 @@ def _build_filequeue(config: Any, processes: int) -> FileQueueTransport:
         workers=workers,
         lease_timeout=getattr(config, "transport_lease_timeout", DEFAULT_LEASE_TIMEOUT),
         poll_interval=getattr(config, "transport_poll_interval", 0.05),
-        default_priority=getattr(config, "transport_priority", DEFAULT_PRIORITY),
     )
 
 

@@ -9,10 +9,11 @@ resume need no network awareness at all.
 Three behaviours matter beyond the happy path:
 
 * **Windowing.** The server's ``welcome`` frame advertises its per-client
-  admission cap; the transport keeps at most ``min(own cap, server cap)``
-  jobs in flight and tops the window up as results land, so a well-behaved
-  client never triggers the server's quota rejection.  ``busy`` frames (the
-  server-wide backlog filled up) re-queue the job with bounded retries.
+  admission cap (``repro-serve --max-inflight``); the transport keeps at
+  most that many jobs in flight and tops the window up as results land, so
+  a well-behaved client never triggers the server's quota rejection.
+  ``busy`` frames (the server-wide backlog filled up) re-queue the job with
+  bounded retries.
 * **Failures are completions, not hangs.**  A server that dies mid-batch
   surfaces as one :class:`RemoteJobError` *per outstanding job* — the batch
   finishes, the session journals the failures under ``on_error="isolate"``,
@@ -50,9 +51,6 @@ from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
-#: Default per-batch in-flight window (clamped by the server's advertisement).
-DEFAULT_MAX_INFLIGHT = 32
-
 #: How many times one job may be re-queued after a ``busy`` rejection before
 #: it resolves as a failed completion instead of retrying forever.
 _MAX_BUSY_RETRIES = 100
@@ -69,14 +67,12 @@ class NetworkTransport(Transport):
         host: str,
         port: int,
         client_id: str | None = None,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
         connect_timeout: float = 10.0,
         poll_interval: float = 0.05,
     ):
         self.host = host
         self.port = int(port)
         self.client_id = client_id or f"client-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        self.max_inflight = max(1, int(max_inflight))
         self.connect_timeout = float(connect_timeout)
         self.poll_interval = max(0.005, float(poll_interval))
         self.server_id: str | None = None
@@ -91,7 +87,7 @@ class NetworkTransport(Transport):
         #: head-of-line block sends of every *other* unsent job while the
         #: window has room.
         self._retry_at: dict[int, float] = {}
-        self._window = self.max_inflight
+        self._window = 0  # the server's advertised cap, read from ``welcome``
         self._submitted = False
         self._cancelled = False
         self._dead: str | None = None  # why the connection is unusable
@@ -113,9 +109,7 @@ class NetworkTransport(Transport):
                 f"start one with: repro-serve --host {self.host} --port {self.port}"
             ) from exc
         self.server_id = welcome.get("server_id")
-        advertised = welcome.get("max_inflight")
-        if isinstance(advertised, int) and advertised > 0:
-            self._window = min(self.max_inflight, advertised)
+        self._window = int(welcome["max_inflight"])
         self._unsent = deque(range(len(self._specs)))
         self._pump()
         logger.info(
@@ -342,7 +336,6 @@ def _build_network(config: Any, processes: int) -> NetworkTransport:
     return NetworkTransport(
         getattr(config, "serve_host", "127.0.0.1") or "127.0.0.1",
         port,
-        max_inflight=getattr(config, "serve_max_inflight", DEFAULT_MAX_INFLIGHT),
         poll_interval=getattr(config, "transport_poll_interval", 0.05) or 0.05,
     )
 

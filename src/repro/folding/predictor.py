@@ -195,9 +195,10 @@ class QuantumFoldingPredictor:
     ) -> list[FoldingPrediction]:
         """Predict a batch of ``(pdb_id, sequence)`` fragments via the engine.
 
-        ``processes`` of ``None`` uses ``config.engine_workers``; ``cache``
-        accepts a :class:`~repro.engine.cache.LocalDirTier` or a directory path
-        (``None`` falls back to ``config.cache_dir``).  Falls back to a serial
+        ``processes`` of ``None`` runs serially; ``cache`` accepts a
+        :class:`~repro.engine.cache.LocalDirTier` or a directory path (``None``
+        falls back to ``config.cache_dir``; a path gets ``config.cache_remote``
+        appended like ``cache_dir`` does).  Falls back to a serial
         in-process loop when the predictor holds a custom backend or model.
         """
         if not self._engine_compatible:

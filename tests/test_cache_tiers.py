@@ -42,13 +42,6 @@ def test_parse_tier_spec_local_variants(tmp_path):
     assert isinstance(prefixed, LocalDirTier)
     assert prefixed.root == (tmp_path / "b")
 
-    # With a config, the local tier inherits the session's eviction policy;
-    # without one it opens unbounded (worker-side write-through).
-    config = PipelineConfig(cache_max_bytes=4096, cache_eviction="fifo")
-    bounded = parse_tier_spec(str(tmp_path / "c"), config=config)
-    assert bounded.max_bytes == 4096 and bounded.eviction == "fifo"
-    assert plain.max_bytes is None
-
 
 def test_parse_tier_spec_remote_variants():
     tier = parse_tier_spec("remote:10.0.0.9:7377")
@@ -73,16 +66,17 @@ def test_resolve_cache_maps_config_knobs_onto_tiers(tmp_path):
     single = resolve_cache(PipelineConfig(cache_dir=str(tmp_path / "one")))
     assert isinstance(single, LocalDirTier)
 
-    # cache_tiers wins over cache_dir; cache_remote is appended outermost.
+    # cache_remote is appended outermost behind cache_dir ...
     stacked = resolve_cache(PipelineConfig(
-        cache_dir=str(tmp_path / "ignored"),
-        cache_tiers=(str(tmp_path / "fast"), str(tmp_path / "slow")),
-        cache_remote="10.0.0.9:7377",
+        cache_dir=str(tmp_path / "local"), cache_remote="10.0.0.9:7377",
     ))
     assert isinstance(stacked, TieredCache)
-    assert [type(t).__name__ for t in stacked.tiers] == [
-        "LocalDirTier", "LocalDirTier", "RemoteTier",
+    assert [t.location for t in stacked.tiers] == [
+        ("local", str((tmp_path / "local").resolve())), ("remote", "10.0.0.9", 7377),
     ]
+    # ... and stands alone without one.
+    remote_only = resolve_cache(PipelineConfig(cache_remote="remote:10.0.0.9:7377"))
+    assert remote_only.location == ("remote", "10.0.0.9", 7377)
 
     # An explicit instance passes through untouched.
     mine = LocalDirTier(tmp_path / "mine")
@@ -91,6 +85,28 @@ def test_resolve_cache_maps_config_knobs_onto_tiers(tmp_path):
     # A sequence of specs/instances becomes a stack in order.
     stack = resolve_cache(PipelineConfig(), cache=[str(tmp_path / "d"), mine])
     assert isinstance(stack, TieredCache) and stack.tiers[1] is mine
+
+
+def test_explicit_cache_dir_keeps_config_cache_remote(tmp_path):
+    """An explicit directory stands in for cache_dir; cache_remote is still
+    appended, on every path that takes one."""
+    from repro.dataset.builder import DatasetBuilder
+    from repro.engine import Engine
+    from repro.folding.predictor import QuantumFoldingPredictor
+
+    config = PipelineConfig(cache_remote="10.0.0.9:7377")
+    expected = [
+        ("local", str((tmp_path / "d").resolve())), ("remote", "10.0.0.9", 7377),
+    ]
+    caches = [
+        resolve_cache(config, cache=tmp_path / "d"),
+        Engine(config=config, cache=str(tmp_path / "d")).cache,
+        DatasetBuilder(config=config, cache_dir=tmp_path / "d").engine.cache,
+        QuantumFoldingPredictor(config=config)._engine(cache=tmp_path / "d").cache,
+    ]
+    for cache in caches:
+        assert isinstance(cache, TieredCache)
+        assert [t.location for t in cache.tiers] == expected
 
 
 # -- the tiered stack ----------------------------------------------------------------

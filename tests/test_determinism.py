@@ -199,13 +199,9 @@ def test_scheduler_knobs_on_are_bit_identical_to_scheduler_off(reference_run, tm
     rerun executes zero jobs."""
     from repro.engine import set_priority
 
-    config = _filequeue_config(
-        tmp_path,
-        cache_dir=str(tmp_path / "cache"),
-        transport_priority=3,
-    )
+    config = _filequeue_config(tmp_path, cache_dir=str(tmp_path / "cache"))
     engine = Engine(config=config)
-    jobs = _mixed_jobs(engine)
+    jobs = [set_priority(job, 3) for job in _mixed_jobs(engine)]
     set_priority(jobs[2], 9)  # mixed priority classes within one batch
     set_priority(jobs[4], 1)
     assert _canonical(engine.run(jobs)) == reference_run
@@ -228,8 +224,9 @@ def test_heterogeneous_tagged_fleet_is_bit_identical_to_homogeneous(
     import sys
 
     import repro
+    from repro.engine import set_priority
 
-    config = _filequeue_config(tmp_path, transport_priority=2).with_updates(
+    config = _filequeue_config(tmp_path).with_updates(
         transport_workers=0  # the heterogeneous fleet below replaces the spawned one
     )
     engine = Engine(config=config)
@@ -253,7 +250,8 @@ def test_heterogeneous_tagged_fleet_is_bit_identical_to_homogeneous(
 
     workers = [spawn("fold"), spawn(None)]  # restricted + generalist
     try:
-        assert _canonical(engine.run(_mixed_jobs(engine))) == reference_run
+        jobs = [set_priority(job, 2) for job in _mixed_jobs(engine)]
+        assert _canonical(engine.run(jobs)) == reference_run
         assert engine.stats()["executed_jobs"] == 5
     finally:
         for proc in workers:
@@ -427,23 +425,19 @@ def test_cache_topology_remote_tier_is_bit_identical(reference_run, tmp_path):
 
 
 def test_session_knobs_never_enter_job_hashes():
-    """session_dir / on_error / transport knobs are orchestration detail:
+    """session_dir / transport / cache-topology knobs are orchestration detail:
     switching transports (or retuning the fleet) must not invalidate caches."""
     engine = Engine(config=CONFIG)
     tweaked = Engine(
         config=CONFIG.with_updates(
             session_dir="/elsewhere",
-            on_error="raise",
             transport="filequeue",
             spool_dir="/spool/elsewhere",
             transport_workers=7,
             transport_lease_timeout=1.5,
             transport_poll_interval=0.5,
-            transport_priority=9,
             serve_host="10.1.2.3",
             serve_port=9999,
-            serve_max_inflight=2,
-            cache_tiers=("/tiers/elsewhere",),
             cache_remote="10.1.2.3:7401",
         )
     )

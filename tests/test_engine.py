@@ -17,7 +17,7 @@ from repro.engine import (
     register_backend,
 )
 from repro.engine.registry import registry_snapshot, restore_registry
-from repro.exceptions import BackendError, EngineError
+from repro.exceptions import BackendError
 from repro.folding.predictor import QuantumFoldingPredictor
 from repro.hardware.eagle import EagleEmulatorBackend
 from repro.quantum.backend import AutoBackend, MPSBackend, StatevectorBackend
@@ -109,7 +109,7 @@ def test_job_hash_covers_fold_knobs_only(engine_config):
     # Orchestration and docking knobs must not invalidate cached folds ...
     for irrelevant in (
         engine_config.with_updates(docking_seeds=99),
-        engine_config.with_updates(engine_workers=8),
+        engine_config.with_updates(transport_workers=8),
         engine_config.with_updates(cache_dir="/somewhere/else"),
     ):
         assert JobSpec("3eax", "RYRDV", config=irrelevant).content_hash() == base.content_hash()
@@ -120,14 +120,6 @@ def test_job_hash_covers_fold_knobs_only(engine_config):
         engine_config.with_updates(final_shots=128),
     ):
         assert JobSpec("3eax", "RYRDV", config=relevant).content_hash() != base.content_hash()
-
-
-def test_job_hash_rejects_unserialisable_extra(engine_config):
-    good = JobSpec("3eax", "RYRDV", config=engine_config.with_updates(extra={"note": 1}))
-    assert good.content_hash() == good.content_hash()
-    bad = JobSpec("3eax", "RYRDV", config=engine_config.with_updates(extra={"obj": object()}))
-    with pytest.raises(EngineError):
-        bad.content_hash()
 
 
 def test_content_hash_memo_is_dropped_on_pickle(engine_config):

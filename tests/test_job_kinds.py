@@ -3,6 +3,7 @@ cross-kind hashing, LRU cache bounds, and the warm-cache batch guarantee."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -24,6 +25,11 @@ from repro.engine import (
     JobSpec,
     LocalDirTier,
     executor_kinds,
+)
+from repro.engine.jobs import (
+    _BASELINE_CONFIG_FIELDS,
+    _DOCK_CONFIG_FIELDS,
+    _FOLD_CONFIG_FIELDS,
 )
 from repro.exceptions import EngineError
 from repro.folding.baselines import AF2LikePredictor, baseline_fold_fragment
@@ -93,7 +99,7 @@ def test_baseline_hash_covers_baseline_knobs_only(job_config):
     for irrelevant in (
         job_config.with_updates(vqe_iterations=99),
         job_config.with_updates(docking_seeds=99),
-        job_config.with_updates(engine_workers=8),
+        job_config.with_updates(transport_workers=8),
     ):
         assert (
             BaselineFoldSpec("3eax", "RYRDV", method="AF2", config=irrelevant).content_hash()
@@ -150,18 +156,26 @@ _AMINO = "ACDEFGHIKLMNPQRSTVWY"
 #: The config fields that are pure orchestration: mutating any of them (to an
 #: arbitrary valid value) must leave every job hash unchanged.
 _ORCHESTRATION_MUTATIONS = {
-    "engine_workers": lambda rng: rng.randrange(0, 16),
     "cache_dir": lambda rng: f"/cache/{rng.randrange(1 << 30):x}",
-    "cache_max_bytes": lambda rng: rng.choice([None, rng.randrange(1, 1 << 20)]),
-    "cache_eviction": lambda rng: rng.choice(["lru", "fifo"]),
+    "cache_remote": lambda rng: f"10.0.0.{rng.randrange(256)}:{rng.randrange(1, 1 << 16)}",
     "session_dir": lambda rng: f"/sessions/{rng.randrange(1 << 30):x}",
-    "on_error": lambda rng: rng.choice(["isolate", "raise"]),
-    "transport": lambda rng: rng.choice(["auto", "serial", "pool", "filequeue"]),
+    "transport": lambda rng: rng.choice(["auto", "serial", "pool", "filequeue", "network"]),
     "spool_dir": lambda rng: f"/spool/{rng.randrange(1 << 30):x}",
     "transport_workers": lambda rng: rng.choice([None, rng.randrange(0, 8)]),
     "transport_lease_timeout": lambda rng: rng.uniform(0.1, 120.0),
     "transport_poll_interval": lambda rng: rng.uniform(0.005, 1.0),
+    "serve_host": lambda rng: f"10.0.0.{rng.randrange(256)}",
+    "serve_port": lambda rng: rng.randrange(1, 1 << 16),
 }
+
+
+def test_every_config_field_is_hashed_or_an_orchestration_mutation():
+    """Each PipelineConfig field either enters some kind's hash or is swept by
+    the hash-neutrality property below — a new field cannot skip both."""
+    hashed = {*_FOLD_CONFIG_FIELDS, *_BASELINE_CONFIG_FIELDS, *_DOCK_CONFIG_FIELDS}
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert hashed.isdisjoint(_ORCHESTRATION_MUTATIONS)
+    assert fields == hashed | set(_ORCHESTRATION_MUTATIONS)
 
 
 def _random_identity(rng: random.Random) -> tuple[str, str]:
@@ -178,7 +192,6 @@ def _random_config_fields(rng: random.Random) -> dict:
         "docking_seeds": rng.randrange(1, 20),
         "docking_mc_steps": rng.randrange(10, 2000),
         "seed": rng.randrange(1, 1 << 31),
-        "extra": {f"k{j}": rng.randrange(100) for j in range(rng.randrange(0, 4))},
     }
 
 
@@ -192,8 +205,7 @@ def _specs_for(config: PipelineConfig, pdb_id: str, sequence: str) -> list:
 
 def test_property_hashes_are_stable_across_field_insertion_order():
     """The same logical config, assembled in any order (one-shot kwargs vs.
-    field-by-field with_updates, extra dict in reversed insertion order),
-    hashes every kind of spec identically."""
+    field-by-field with_updates), hashes every kind of spec identically."""
     for seed in range(25):
         rng = random.Random(seed)
         pdb_id, sequence = _random_identity(rng)
@@ -204,8 +216,6 @@ def test_property_hashes_are_stable_across_field_insertion_order():
         items = list(fields.items())
         rng.shuffle(items)
         for name, value in items:
-            if name == "extra":
-                value = dict(reversed(list(value.items())))
             rebuilt = rebuilt.with_updates(**{name: value})
 
         for a, b in zip(_specs_for(one_shot, pdb_id, sequence),
@@ -339,53 +349,20 @@ def _keys(n: int) -> list[str]:
     return [hashlib.sha256(str(i).encode()).hexdigest() for i in range(n)]
 
 
-def test_cache_enforces_size_bound_on_put(tmp_path):
-    keys = _keys(10)
-    probe = LocalDirTier(tmp_path)
-    probe.put(keys[0], _fake_payload(keys[0], 256))
-    entry_size = probe.entries()[0].size_bytes
-
-    bound = int(3.5 * entry_size)
-    cache = LocalDirTier(tmp_path, max_bytes=bound)
-    for key in keys[1:]:
-        cache.put(key, _fake_payload(key, 256))
-    assert cache.total_bytes() <= bound
-    assert len(cache) == 3
-    assert cache.stats.evictions == len(keys) - 3
-    # The newest writes survive.
-    assert keys[-1] in cache and keys[-2] in cache and keys[-3] in cache
-
-
 def test_lru_eviction_keeps_recently_used_entries(tmp_path):
     k1, k2, k3 = _keys(3)
-    probe = LocalDirTier(tmp_path / "lru")
-    probe.put(k1, _fake_payload(k1, 128))
-    entry_size = probe.entries()[0].size_bytes
-
-    cache = LocalDirTier(tmp_path / "lru", max_bytes=int(2.5 * entry_size), eviction="lru")
+    cache = LocalDirTier(tmp_path)
+    cache.put(k1, _fake_payload(k1, 128))
+    entry_size = cache.entries()[0].size_bytes
     cache.put(k2, _fake_payload(k2, 128))
     time.sleep(0.02)
     assert cache.get(k1) is not None  # refreshes k1; k2 becomes least recently used
     time.sleep(0.02)
     cache.put(k3, _fake_payload(k3, 128))
+    assert cache.prune(int(2.5 * entry_size)) == [k2]
     assert k1 in cache and k3 in cache
     assert k2 not in cache
-
-
-def test_fifo_eviction_ignores_access_recency(tmp_path):
-    k1, k2, k3 = _keys(3)
-    probe = LocalDirTier(tmp_path / "fifo")
-    probe.put(k1, _fake_payload(k1, 128))
-    entry_size = probe.entries()[0].size_bytes
-
-    cache = LocalDirTier(tmp_path / "fifo", max_bytes=int(2.5 * entry_size), eviction="fifo")
-    cache.put(k2, _fake_payload(k2, 128))
-    time.sleep(0.02)
-    assert cache.get(k1) is not None  # does NOT refresh under fifo
-    time.sleep(0.02)
-    cache.put(k3, _fake_payload(k3, 128))
-    assert k1 not in cache
-    assert k2 in cache and k3 in cache
+    assert cache.stats.evictions == 1
 
 
 def test_prune_spares_entries_rewritten_at_the_eviction_window(tmp_path):
@@ -454,11 +431,6 @@ def test_prune_tolerates_every_entry_vanishing(tmp_path):
     assert cache.prune(0) == []
     assert cache.stats.evictions == 0
     assert len(cache) == 0
-
-
-def test_cache_rejects_unknown_eviction_policy(tmp_path):
-    with pytest.raises(EngineError):
-        LocalDirTier(tmp_path, eviction="random")
 
 
 def test_prune_rejects_negative_bound(tmp_path):

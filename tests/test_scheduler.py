@@ -284,7 +284,7 @@ def test_session_summary_carries_transport_stats(tmp_path):
         transport_poll_interval=0.02,
     )
     engine = Engine(config=config, cache=None)
-    session = engine.submit([_baseline_spec("AF2"), _baseline_spec("AF3")], priority=3)
+    session = engine.submit([set_priority(_baseline_spec(m), 3) for m in ("AF2", "AF3")])
     results = session.results()
     assert len(results) == 2
     stats = session.summary()["transport"]

@@ -644,20 +644,3 @@ def test_batch_processor_isolates_a_failed_fragment():
         assert engine.stats()["executed_by_kind"]["dock"] == 3
     finally:
         register_executor("fold", execute_fold_job, overwrite=True)
-
-
-def test_batch_processor_on_error_raise_aborts_the_build():
-    register_executor("fold", _exploding_fold, overwrite=True)
-    try:
-        config = PipelineConfig(
-            vqe_iterations=4,
-            optimisation_shots=24,
-            final_shots=48,
-            seed=9,
-            on_error="raise",
-        )
-        fragments = DatasetBuilder.select_fragments(pdb_ids=["1e2k"])
-        with pytest.raises(RuntimeError, match="injected fold crash"):
-            BatchProcessor(Engine(config=config)).build_entries(fragments)
-    finally:
-        register_executor("fold", execute_fold_job, overwrite=True)
