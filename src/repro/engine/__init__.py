@@ -91,7 +91,6 @@ from repro.engine.transports import (
     RemoteJobError,
     SerialTransport,
     Transport,
-    TransportCapabilities,
     make_transport,
     register_transport,
     transport_names,
@@ -135,7 +134,6 @@ __all__ = [
     "SessionProgress",
     "TieredCache",
     "Transport",
-    "TransportCapabilities",
     "backend_names",
     "capabilities_match",
     "config_fingerprint",

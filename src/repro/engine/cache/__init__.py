@@ -10,8 +10,7 @@ Public surface:
 * :class:`TieredCache` — an ordered stack of tiers: local-first reads,
   promote-on-remote-hit, write-through.
 * :class:`CacheTier` — the protocol all of the above implement
-  (``get/peek/put/entries/prune/verify/stats`` plus the
-  ``location``/``covers`` write-through bookkeeping).
+  (``get/peek/put/entries/prune/verify/stats``).
 
 Tiers are *configuration*: :func:`parse_tier_spec` turns a spec string — a
 directory path, ``local:DIR`` or ``remote:HOST:PORT`` — into a tier, and
@@ -25,7 +24,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.engine.cache.base import CacheEntry, CacheStats, CacheTier, LocationToken
+from repro.engine.cache.base import CacheEntry, CacheStats, CacheTier
 from repro.engine.cache.local import LocalDirTier
 from repro.engine.cache.remote import RemoteTier
 from repro.engine.cache.tiered import TieredCache
@@ -36,7 +35,6 @@ __all__ = [
     "CacheStats",
     "CacheTier",
     "LocalDirTier",
-    "LocationToken",
     "RemoteTier",
     "TieredCache",
     "parse_tier_spec",

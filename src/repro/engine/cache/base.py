@@ -62,13 +62,6 @@ class CacheEntry:
     mtime_ns: int = 0
 
 
-#: A tier's identity token, e.g. ``("local", "/abs/cache/dir")`` or
-#: ``("remote", "10.0.0.5", 7777)``.  Transports attach the token of the tier
-#: a worker already wrote a payload into (``outcome.stored_in``) so the
-#: session can skip redundant write-through puts via :meth:`CacheTier.covers`.
-LocationToken = tuple[Any, ...]
-
-
 @runtime_checkable
 class CacheTier(Protocol):
     """What every cache tier provides; see the module docstring.
@@ -80,15 +73,6 @@ class CacheTier(Protocol):
 
     stats: CacheStats
 
-    @property
-    def location(self) -> LocationToken:
-        """This tier's identity token (see :data:`LocationToken`)."""
-        ...
-
-    def covers(self, token: LocationToken | None) -> bool:
-        """Whether a payload stored at ``token`` is already stored *here*."""
-        ...
-
     def get(self, key: str) -> dict[str, Any] | None:
         """The payload under ``key`` or ``None``; counts a hit or miss."""
         ...
@@ -97,12 +81,8 @@ class CacheTier(Protocol):
         """Stat-neutral ``get``: no counters, no recency refresh."""
         ...
 
-    def put(self, key: str, payload: dict[str, Any], stored_in: LocationToken | None = None) -> bool:
-        """Store ``payload`` under ``key``; ``True`` when it is durably held.
-
-        ``stored_in`` names a tier that already holds this payload — a tier
-        that :meth:`covers` it skips the write and still reports ``True``.
-        """
+    def put(self, key: str, payload: dict[str, Any]) -> bool:
+        """Store ``payload`` under ``key``; ``True`` when it is durably held."""
         ...
 
     def entries(self) -> list[CacheEntry]:

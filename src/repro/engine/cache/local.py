@@ -20,7 +20,7 @@ import os
 from pathlib import Path
 from typing import Any
 
-from repro.engine.cache.base import CacheEntry, CacheStats, LocationToken
+from repro.engine.cache.base import CacheEntry, CacheStats
 from repro.exceptions import EngineError
 from repro.utils.io import read_json, write_json
 
@@ -37,15 +37,6 @@ class LocalDirTier:
         # before prune() considers evicting it, so tests can interleave a
         # concurrent writer/pruner at the exact race window.
         self._before_evict = None
-
-    @property
-    def location(self) -> LocationToken:
-        """Identity token of this tier: the resolved cache directory."""
-        return ("local", str(self.root.resolve()))
-
-    def covers(self, token: LocationToken | None) -> bool:
-        """Whether ``token`` names *this* directory (same resolved path)."""
-        return token is not None and tuple(token) == self.location
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -85,15 +76,8 @@ class LocalDirTier:
             return None
         return payload
 
-    def put(self, key: str, payload: dict[str, Any], stored_in: LocationToken | None = None) -> bool:
-        """Store ``payload`` under ``key``.
-
-        ``stored_in`` is the write-through skip: when it names this very
-        directory the payload is already on disk (a worker wrote it here
-        directly) and the write is elided.
-        """
-        if self.covers(stored_in):
-            return True
+    def put(self, key: str, payload: dict[str, Any]) -> bool:
+        """Store ``payload`` under ``key``."""
         write_json(self._path(key), payload)
         self.stats.writes += 1
         return True

@@ -24,7 +24,7 @@ import threading
 import uuid
 from typing import Any
 
-from repro.engine.cache.base import CacheEntry, CacheStats, LocationToken
+from repro.engine.cache.base import CacheEntry, CacheStats
 from repro.exceptions import EngineError
 from repro.utils.logging import get_logger
 
@@ -56,15 +56,6 @@ class RemoteTier:
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
         self._degraded = False  # only warn once per outage, not once per key
-
-    @property
-    def location(self) -> LocationToken:
-        """Identity token of this tier: the server address it talks to."""
-        return ("remote", self.host, self.port)
-
-    def covers(self, token: LocationToken | None) -> bool:
-        """Whether ``token`` names this same server address (textually)."""
-        return token is not None and tuple(token) == self.location
 
     # -- wire plumbing ------------------------------------------------------------------
 
@@ -151,15 +142,13 @@ class RemoteTier:
             return None
         return payload
 
-    def put(self, key: str, payload: dict[str, Any], stored_in: LocationToken | None = None) -> bool:
+    def put(self, key: str, payload: dict[str, Any]) -> bool:
         """Write ``payload`` through to the server's tier.
 
         Returns ``True`` only when the server acknowledged storing it — a
         dropped put is how a degraded remote tier reports itself, so callers
         can tell a lost write from a stored one.
         """
-        if self.covers(stored_in):
-            return True
         reply = self._request({"type": "cache_put", "key": key, "payload": payload}, "cache_ack")
         if reply is None or not reply.get("stored"):
             return False

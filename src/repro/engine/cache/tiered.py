@@ -7,21 +7,13 @@
   lookup stays local;
 * **writes** go through every tier (write-through), so a result computed
   anywhere becomes visible everywhere a tier is shared.
-
-The write-through honours the ``stored_in`` skip individually per member: a
-worker that already wrote a payload into the shared remote tier makes the
-session's put skip that member (no redundant socket round trip) while still
-filling the purely local tiers.  :meth:`covers` is deliberately the *all*
-quantifier — a tiered cache only tells callers "don't bother writing" when
-**every** member already holds the payload, because a skipped put is lost
-forever for the members that did not.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.engine.cache.base import CacheEntry, CacheStats, CacheTier, LocationToken
+from repro.engine.cache.base import CacheEntry, CacheStats, CacheTier
 from repro.exceptions import EngineError
 
 
@@ -33,15 +25,6 @@ class TieredCache:
         if not self.tiers:
             raise EngineError("TieredCache needs at least one tier")
         self.stats = CacheStats()
-
-    @property
-    def location(self) -> LocationToken:
-        """Composite token: the member tokens in order."""
-        return ("tiered",) + tuple(t.location for t in self.tiers)
-
-    def covers(self, token: LocationToken | None) -> bool:
-        """``True`` only when *every* member covers ``token`` (see module doc)."""
-        return token is not None and all(t.covers(token) for t in self.tiers)
 
     def get(self, key: str) -> dict[str, Any] | None:
         """First tier holding ``key`` wins; later-tier hits are promoted."""
@@ -64,11 +47,11 @@ class TieredCache:
                 return payload
         return None
 
-    def put(self, key: str, payload: dict[str, Any], stored_in: LocationToken | None = None) -> bool:
+    def put(self, key: str, payload: dict[str, Any]) -> bool:
         """Write through every tier; ``True`` when all of them hold it."""
         stored = True
         for tier in self.tiers:
-            stored = tier.put(key, payload, stored_in=stored_in) and stored
+            stored = tier.put(key, payload) and stored
         self.stats.writes += 1
         return stored
 

@@ -31,7 +31,6 @@ cache state.
 
 from __future__ import annotations
 
-import pickle
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -55,35 +54,6 @@ from repro.lattice.hamiltonian import HamiltonianWeights
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
-
-
-#: Registry entries already warned about as unpicklable — one warning per
-#: ``(registry, name)`` for the process lifetime, not one per fan-out.
-_PICKLE_WARNED: set[tuple[str, str]] = set()
-
-
-def _picklable(mapping: dict, what: str) -> dict:
-    """The registry entries that can ship to worker processes.
-
-    Unpicklable entries (lambdas, closures) are dropped with a warning rather
-    than failing the whole fan-out: they only matter if a job actually selects
-    them, in which case the worker raises a clear lookup error.  The warning
-    fires once per entry name, not on every fan-out.
-    """
-    out = {}
-    for name, value in mapping.items():
-        try:
-            pickle.dumps(value)
-        except Exception:
-            if (what, name) not in _PICKLE_WARNED:
-                _PICKLE_WARNED.add((what, name))
-                logger.warning(
-                    "%s %r is unpicklable; it will be unavailable in engine worker processes",
-                    what, name,
-                )
-            continue
-        out[name] = value
-    return out
 
 
 def execute_fold_job(spec: JobSpec) -> JobResult:

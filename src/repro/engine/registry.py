@@ -22,11 +22,15 @@ from it.
 
 from __future__ import annotations
 
+import pickle
 from typing import Any, Callable
 
 from repro.config import PipelineConfig
 from repro.exceptions import BackendError, EngineError
 from repro.quantum.backend import AutoBackend, Backend, MPSBackend, StatevectorBackend
+from repro.utils.logging import get_logger
+
+logger = get_logger(__name__)
 
 BackendBuilder = Callable[[PipelineConfig], Backend]
 
@@ -73,19 +77,6 @@ def executor_for(kind: str) -> JobExecutor:
     return executor
 
 
-def executor_snapshot() -> dict[str, JobExecutor]:
-    """A copy of the current executor registry (shipped to worker processes)."""
-    return dict(_EXECUTORS)
-
-
-def restore_registries(
-    backends: dict[str, BackendBuilder], executors: dict[str, JobExecutor]
-) -> None:
-    """Merge both registries into this process (worker-process initializer)."""
-    _REGISTRY.update(backends)
-    _EXECUTORS.update(executors)
-
-
 def register_backend(name: str, builder: BackendBuilder, overwrite: bool = False) -> None:
     """Register ``builder`` under ``name`` (lower-cased).
 
@@ -110,14 +101,54 @@ def backend_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def registry_snapshot() -> dict[str, BackendBuilder]:
-    """A copy of the current registry (shipped to engine worker processes)."""
-    return dict(_REGISTRY)
+#: Registry entries already warned about as unpicklable — one warning per
+#: ``(registry, name)`` for the process lifetime, not one per fan-out.
+_PICKLE_WARNED: set[tuple[str, str]] = set()
 
 
-def restore_registry(builders: dict[str, BackendBuilder]) -> None:
-    """Merge ``builders`` into the registry (worker-process initializer)."""
-    _REGISTRY.update(builders)
+def _picklable(mapping: dict, what: str) -> dict:
+    """The registry entries that can ship to worker processes.
+
+    Unpicklable entries (lambdas, closures) are dropped with a warning rather
+    than failing the whole fan-out: they only matter if a job actually selects
+    them, in which case the worker raises a clear lookup error.  The warning
+    fires once per entry name, not on every fan-out.
+    """
+    out = {}
+    for name, value in mapping.items():
+        try:
+            pickle.dumps(value)
+        except Exception:
+            if (what, name) not in _PICKLE_WARNED:
+                _PICKLE_WARNED.add((what, name))
+                logger.warning(
+                    "%s %r is unpicklable; it will be unavailable in engine worker processes",
+                    what, name,
+                )
+            continue
+        out[name] = value
+    return out
+
+
+def _restore_registries(
+    backends: dict[str, BackendBuilder], executors: dict[str, JobExecutor]
+) -> None:
+    """Merge both registries into this process (the worker-process initializer)."""
+    _REGISTRY.update(backends)
+    _EXECUTORS.update(executors)
+
+
+def pool_initializer() -> dict[str, Any]:
+    """``ProcessPoolExecutor`` keyword arguments that replicate both registries.
+
+    Spawn-based start methods do not inherit parent module state, so every
+    pool worker merges a picklable snapshot of this process's backend and
+    executor registries before running its first job.
+    """
+    return {
+        "initializer": _restore_registries,
+        "initargs": (_picklable(_REGISTRY, "backend"), _picklable(_EXECUTORS, "executor")),
+    }
 
 
 def make_backend(name: str | None = None, config: PipelineConfig | None = None) -> Backend:

@@ -539,15 +539,7 @@ class Session:
                 kind = getattr(self.jobs[i], "kind", "fold")
                 if exc is None:
                     if engine.cache is not None:
-                        # A remote transport may have already written the
-                        # payload into a cache tier (the serve daemon's own
-                        # cache); skip the redundant write-through when
-                        # *every* tier we hold is covered, and otherwise let
-                        # each tier skip itself.
-                        stored = getattr(result, "stored_in", None)
-                        covers = getattr(engine.cache, "covers", None)
-                        if stored is None or covers is None or not covers(stored):
-                            engine.cache.put(key, result.to_payload(), stored_in=stored)
+                        engine.cache.put(key, result.to_payload())
                     if self.journal is not None:
                         self.journal.record_job(key, "completed", kind)
                     engine.executed_jobs += 1

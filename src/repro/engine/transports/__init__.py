@@ -24,7 +24,6 @@ from repro.engine.transports.base import (
     Completion,
     RemoteJobError,
     Transport,
-    TransportCapabilities,
     make_transport,
     register_transport,
     transport_names,
@@ -49,7 +48,6 @@ __all__ = [
     "RemoteJobError",
     "SerialTransport",
     "Transport",
-    "TransportCapabilities",
     "make_transport",
     "register_transport",
     "transport_names",

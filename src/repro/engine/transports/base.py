@@ -14,9 +14,12 @@ and distributed runs are bit-identical.
 Transports are *configuration*, not code: they register by name
 (:func:`register_transport`) and the engine resolves
 ``PipelineConfig.transport`` through :func:`make_transport`, exactly like the
-backend and executor registries.  :attr:`Transport.capabilities` advertises
-what a transport can promise (ordered completions, remote workers, a shared
-in-process registry) so callers can warn or adapt instead of guessing.
+backend and executor registries.
+
+The two remote transports (``filequeue`` and ``network``) exchange one
+*result record*: a JSON-able dict produced by :func:`execution_record` on the
+executing side (a ``repro-worker`` or ``repro-serve``) and turned back into a
+completion by :func:`record_completion` on the submitting side.
 
 A transport instance serves **one batch**: ``submit`` may be called once,
 ``poll`` drains it incrementally, and ``cancel`` (idempotent) releases its
@@ -28,38 +31,16 @@ the session consumes — cancellation on early exit comes for free from the
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+import json
+import time
 from typing import Any, Callable, ClassVar, Iterator, Sequence
 
+from repro.engine.jobs import result_from_payload
 from repro.exceptions import EngineError
+from repro.utils.io import _NumpyJSONEncoder
 
 #: One completion: (submission index, result or None, exception or None).
 Completion = tuple[int, Any | None, BaseException | None]
-
-
-@dataclass(frozen=True)
-class TransportCapabilities:
-    """What a transport can promise to its consumer.
-
-    Attributes
-    ----------
-    ordered:
-        Completions arrive in submission order (serial execution does;
-        anything concurrent does not).
-    remote:
-        Jobs may execute outside this process tree — in daemons that started
-        before this process and know nothing about it.  Remote transports
-        cannot see executors or backends registered at runtime in this
-        process unless the workers preloaded the registering module.
-    shared_registry:
-        Workers observe this process's live backend/executor registries
-        (in-process execution) or a pickled snapshot of them (process pool).
-        ``False`` for remote transports.
-    """
-
-    ordered: bool = False
-    remote: bool = False
-    shared_registry: bool = True
 
 
 class Transport(abc.ABC):
@@ -76,7 +57,6 @@ class Transport(abc.ABC):
 
     #: Registry name of this transport.
     name: ClassVar[str] = "abstract"
-    capabilities: ClassVar[TransportCapabilities] = TransportCapabilities()
 
     @abc.abstractmethod
     def submit(self, specs: Sequence[Any]) -> int:
@@ -133,6 +113,73 @@ class RemoteJobError(EngineError):
         self.error_type = error_type
         self.error_message = error_message
         self.worker = worker
+
+
+def execution_record(spec: Any, execute: Callable[[Any], Any]) -> dict[str, Any]:
+    """Execute one job and return its result record; never raises.
+
+    The record is canonical JSON data (sorted keys, NumPy values as plain
+    numbers and lists): ``status`` (``"completed"`` or ``"failed"``),
+    ``spec_hash``, ``kind``, ``duration_s``, and either the result's cache
+    ``payload`` or ``error_type``/``error_message``.  Every way a job can go
+    wrong becomes a failed record instead of an exception: a spec whose
+    ``content_hash()`` raises (it would otherwise crash-loop a worker fleet
+    on the same task), an executor or ``to_payload()`` that raises, and a
+    payload JSON cannot encode.
+    """
+    started = time.perf_counter()
+    try:
+        record: dict[str, Any] = {
+            "spec_hash": spec.content_hash(), "kind": getattr(spec, "kind", "fold"),
+        }
+    except Exception as exc:
+        record = {
+            "status": "failed", "error_type": type(exc).__name__,
+            "error_message": f"cannot fingerprint job spec: {exc}",
+        }
+    else:
+        try:
+            record.update(status="completed", payload=execute(spec).to_payload())
+        except Exception as exc:
+            record.update(status="failed", error_type=type(exc).__name__, error_message=str(exc))
+    record["duration_s"] = round(time.perf_counter() - started, 6)
+    try:
+        return json.loads(json.dumps(record, sort_keys=True, cls=_NumpyJSONEncoder))
+    except (TypeError, ValueError) as exc:
+        return {
+            "spec_hash": record.get("spec_hash"), "kind": record.get("kind"),
+            "status": "failed", "error_type": type(exc).__name__,
+            "error_message": f"result payload is not JSON-serialisable: {exc}",
+            "duration_s": record["duration_s"],
+        }
+
+
+def record_completion(index: int, record: dict[str, Any], where: str | None) -> Completion:
+    """Turn a result record back into the completion of submission ``index``.
+
+    A completed record's payload is rebuilt through
+    :func:`~repro.engine.jobs.result_from_payload`, so remote results are
+    byte-identical to serial ones; a failed record, or a payload that cannot
+    be rebuilt, becomes a :class:`RemoteJobError` naming ``where`` it ran.
+    """
+    if record.get("status") == "completed":
+        try:
+            outcome = result_from_payload(record.get("payload"))
+        except Exception as exc:
+            return index, None, RemoteJobError(
+                "RecordError",
+                f"cannot rebuild result of job {index}: {type(exc).__name__}: {exc}",
+                where,
+            )
+        # Executed remotely, not served from this session's cache: the session
+        # caches and journals it exactly like a pool completion.
+        outcome.from_cache = False
+        return index, outcome, None
+    return index, None, RemoteJobError(
+        record.get("error_type") or "Error",
+        record.get("error_message") or "remote job failed",
+        where,
+    )
 
 
 #: A transport factory: (config, processes) in, a fresh one-batch transport out.

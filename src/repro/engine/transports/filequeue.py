@@ -15,11 +15,10 @@ broker, no sockets and no new dependencies:
         followed by a pickled envelope holding the spec (trusted local
         state, like the session spec pickle).  Written atomically
         (tmp + ``os.replace``), so a worker never sees a torn task.
-        Headerless files (pre-scheduler spools) still load, with default
-        scheduling metadata.  Workers drain the queue in the fleet's claim
-        order (:mod:`repro.engine.scheduler`): priority descending, then
-        oldest envelope mtime first — *not* name order, because task names
-        start with a random per-batch prefix.
+        Workers drain the queue in the fleet's claim order
+        (:mod:`repro.engine.scheduler`): priority descending, then oldest
+        envelope mtime first — *not* name order, because task names start
+        with a random per-batch prefix.
     ``claims/<task_id>.claim``
         A **lease**.  A worker claims a task by ``os.rename``-ing it from
         ``tasks/`` into ``claims/`` — rename is atomic, so exactly one
@@ -37,12 +36,14 @@ broker, no sockets and no new dependencies:
         whose lease was reclaimed and re-claimed neither refreshes nor
         unlinks the new owner's claim.
     ``results/<task_id>.json``
-        The outcome: the result's cache payload (``to_payload()``) on
-        success, or the error type/message on failure — written atomically,
-        after which the claim is released.  The submitting transport polls
-        this directory, rebuilds results with
-        :func:`~repro.engine.jobs.result_from_payload`, and hands them to the
-        session loop, which persists them through the existing
+        The outcome: the result record of
+        :func:`~repro.engine.transports.base.execution_record` (the cache
+        payload on success, the error type/message on failure) plus the
+        task and worker ids — written atomically, after which the claim is
+        released.  The submitting transport polls this directory, rebuilds
+        completions with
+        :func:`~repro.engine.transports.base.record_completion`, and hands
+        them to the session loop, which persists them through the existing
         :class:`~repro.engine.cache.LocalDirTier` and session journal — so
         crash/resume semantics are identical to the local transports.
     ``log/<worker_id>.jsonl``
@@ -97,7 +98,8 @@ from repro.engine.transports.base import (
     Completion,
     RemoteJobError,
     Transport,
-    TransportCapabilities,
+    execution_record,
+    record_completion,
     register_transport,
 )
 from repro.exceptions import EngineError
@@ -130,7 +132,7 @@ _CLOCK_OFFSET_IGNORE = 1.0
 
 #: Leads every task file: one JSON line of scheduling metadata (priority,
 #: capability requirements) a scanning worker can read without unpickling
-#: the spec.  Files without it (pre-scheduler spools) load with defaults.
+#: the spec.
 _TASK_HEADER_MAGIC = b"#qtask/v1 "
 
 
@@ -250,22 +252,19 @@ class FileQueueSpool:
 
     @staticmethod
     def load_envelope(data: bytes) -> Any:
-        """The pickled envelope of a task file, scheduling header stripped.
-
-        Accepts headerless files too (pre-scheduler spools, hand-written
-        test fixtures): the whole content is then the pickle.
-        """
-        if data.startswith(_TASK_HEADER_MAGIC):
-            data = data.split(b"\n", 1)[1] if b"\n" in data else b""
-        return pickle.loads(data)
+        """The pickled envelope of a task file, scheduling header stripped."""
+        header, sep, envelope = data.partition(b"\n")
+        if not (sep and header.startswith(_TASK_HEADER_MAGIC)):
+            raise EngineError("task file has no scheduling header")
+        return pickle.loads(envelope)
 
     def _task_meta(self, task_id: str) -> tuple[int, frozenset[str]]:
         """``(priority, requires)`` from the task's scheduling header.
 
         Defaults — claimable by anyone at priority 0 — when the header is
-        missing (old-format file) or unreadable: a genuinely corrupt task
-        still gets claimed and poisoned into a failed result as before,
-        instead of being silently unschedulable.
+        missing or unreadable: a corrupt task still gets claimed and
+        poisoned into a failed result instead of being silently
+        unschedulable.
         """
         cached = self._meta_cache.get(task_id)
         if cached is not None:
@@ -454,12 +453,10 @@ class FileQueueSpool:
         without hard links it degrades to a checked atomic replace, which
         with determinism still yields identical bytes either way.
 
-        Encoded like the result cache's own files (numpy scalars/arrays in a
-        payload serialise cleanly), so any kind that caches also transports.
+        ``record`` is plain JSON data (an
+        :func:`~repro.engine.transports.base.execution_record` with its ids).
         """
-        from repro.utils.io import _NumpyJSONEncoder
-
-        data = json.dumps(record, sort_keys=True, cls=_NumpyJSONEncoder).encode("utf-8")
+        data = json.dumps(record, sort_keys=True).encode("utf-8")
         target = self.result_path(task_id)
         tmp = target.with_name(f".{target.name}.pub-{os.getpid()}-{uuid.uuid4().hex[:6]}")
         tmp.write_bytes(data)
@@ -632,80 +629,31 @@ class FileQueueWorker:
 
     def _process(self, task_id: str, claim: Path) -> None:
         started = time.time()
-        record: dict[str, Any] = {"task_id": task_id, "worker_id": self.worker_id}
-        spec = None
         try:
-            envelope = self.spool.load_envelope(claim.read_bytes())
-            spec = envelope["spec"]
+            spec = self.spool.load_envelope(claim.read_bytes())["spec"]
         except Exception as exc:
             # A poison task (unpicklable spec, unknown class in this worker's
             # environment) must produce a *result*, or it would bounce between
             # reclamation and claiming forever.
-            record.update(
-                status="failed",
-                error_type=type(exc).__name__,
-                error_message=f"cannot load task envelope: {exc}",
-            )
-        if spec is not None:
-            try:
-                record["spec_hash"] = getattr(spec, "content_hash", lambda: task_id)()
-                record["kind"] = getattr(spec, "kind", "fold")
-            except Exception as exc:
-                # A spec that unpickles but cannot be fingerprinted (a
-                # content_hash that raises in this worker's environment — e.g.
-                # version drift in the spec class) is poison too: before this
-                # guard, the exception escaped the worker *before any
-                # heartbeat*, the lease went stale, the next claimant died the
-                # same way, and a spawned fleet burned its whole respawn_limit
-                # on one task.
-                spec = None
-                record.update(
-                    status="failed",
-                    error_type=type(exc).__name__,
-                    error_message=f"cannot fingerprint task spec: {exc}",
-                )
-        if spec is not None:
+            record = {
+                "status": "failed",
+                "error_type": type(exc).__name__,
+                "error_message": f"cannot load task envelope: {exc}",
+                "duration_s": round(time.time() - started, 6),
+            }
+        else:
             with _LeaseHeartbeat(
                 self.spool, task_id, self.heartbeat_interval, owner=self.worker_id
             ):
-                try:
-                    outcome = self._run_spec(spec)
-                    payload = outcome.to_payload()
-                except Exception as exc:
-                    record.update(
-                        status="failed",
-                        error_type=type(exc).__name__,
-                        error_message=str(exc),
-                    )
-                else:
-                    record.update(status="completed", payload=payload)
-        # Stamped on the *result* record, not just the worker log, so the
-        # spool alone tells how long each job ran.
-        record["duration_s"] = round(time.time() - started, 6)
-        try:
-            published = self.spool.publish_result(task_id, record)
-        except (TypeError, ValueError) as exc:
-            # An unserialisable payload must still resolve the task, exactly
-            # like a poison task — otherwise the write failure would kill the
-            # worker and the reclaimed task would kill the next one too.
-            record = {
-                "task_id": task_id,
-                "worker_id": self.worker_id,
-                "spec_hash": record.get("spec_hash"),
-                "kind": record.get("kind"),
-                "status": "failed",
-                "error_type": type(exc).__name__,
-                "error_message": f"result payload is not JSON-serialisable: {exc}",
-                "duration_s": record.get("duration_s"),
-            }
-            published = self.spool.publish_result(task_id, record)
-        if not published:
+                record = execution_record(spec, self._run_spec)
+        record.update(task_id=task_id, worker_id=self.worker_id)
+        if not self.spool.publish_result(task_id, record):
             # Lost the first-publisher race: the owner that reclaimed this
             # task (or a prior owner that died after writing) already
             # resolved it with identical bytes.  The execution is
             # *discarded*, not counted — a job is executed-to-completion
             # exactly once in the logs.
-            record = dict(record, status="superseded")
+            record["status"] = "superseded"
             self.superseded += 1
         elif record["status"] == "completed":
             self.executed += 1
@@ -774,9 +722,6 @@ class FileQueueTransport(Transport):
     """
 
     name: ClassVar[str] = "filequeue"
-    capabilities: ClassVar[TransportCapabilities] = TransportCapabilities(
-        ordered=False, remote=True, shared_registry=False
-    )
 
     def __init__(
         self,
@@ -920,39 +865,10 @@ class FileQueueTransport(Transport):
                     ))
                 continue
             index = self._outstanding.pop(task_id)
-            completions.append(self._completion(index, task_id, record))
+            completions.append(record_completion(index, record, record.get("worker_id")))
         if completions:
             self._last_activity = time.monotonic()
         return completions
-
-    def _completion(self, index: int, task_id: str, record: dict[str, Any]) -> Completion:
-        worker = record.get("worker_id")
-        if record.get("status") == "completed":
-            from repro.engine.jobs import result_from_payload
-
-            try:
-                outcome = result_from_payload(record.get("payload"))
-            except Exception as exc:
-                return (
-                    index, None,
-                    RemoteJobError(
-                        "SpoolError",
-                        f"cannot rebuild result of {task_id}: {type(exc).__name__}: {exc}",
-                        worker,
-                    ),
-                )
-            # Executed remotely, not served from the result cache: the session
-            # caches and journals it exactly like a pool completion.
-            outcome.from_cache = False
-            return (index, outcome, None)
-        return (
-            index, None,
-            RemoteJobError(
-                record.get("error_type") or "Error",
-                record.get("error_message") or "remote job failed",
-                worker,
-            ),
-        )
 
     def _maintain(self) -> None:
         """Between harvests: recover stale leases, keep the spawned fleet

@@ -16,12 +16,8 @@ from __future__ import annotations
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Any, ClassVar, Iterator, Sequence
 
-from repro.engine.transports.base import (
-    Completion,
-    Transport,
-    TransportCapabilities,
-    register_transport,
-)
+from repro.engine.registry import pool_initializer
+from repro.engine.transports.base import Completion, Transport, register_transport
 from repro.exceptions import EngineError
 
 
@@ -52,9 +48,6 @@ class SerialTransport(Transport):
     """Execute jobs one at a time in the calling process (submission order)."""
 
     name: ClassVar[str] = "serial"
-    capabilities: ClassVar[TransportCapabilities] = TransportCapabilities(
-        ordered=True, remote=False, shared_registry=True
-    )
 
     def __init__(self) -> None:
         self._stream: Any = None
@@ -95,9 +88,6 @@ class PoolTransport(Transport):
     """Fan the batch out over a process pool; completions in completion order."""
 
     name: ClassVar[str] = "pool"
-    capabilities: ClassVar[TransportCapabilities] = TransportCapabilities(
-        ordered=False, remote=False, shared_registry=True
-    )
 
     def __init__(self, processes: int):
         self.processes = max(1, int(processes))
@@ -117,21 +107,7 @@ class PoolTransport(Transport):
             # unpicklable runtime registrations stay visible.
             self._serial = SerialTransport()
             return self._serial.submit(specs)
-        from repro.engine.core import _picklable
-        from repro.engine.registry import (
-            executor_snapshot,
-            registry_snapshot,
-            restore_registries,
-        )
-
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.processes,
-            initializer=restore_registries,
-            initargs=(
-                _picklable(registry_snapshot(), "backend"),
-                _picklable(executor_snapshot(), "executor"),
-            ),
-        )
+        self._pool = ProcessPoolExecutor(max_workers=self.processes, **pool_initializer())
         for index, spec in enumerate(specs):
             self._futures[self._pool.submit(_execute, spec)] = index
         return len(self._futures)

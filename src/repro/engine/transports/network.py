@@ -20,9 +20,11 @@ Three behaviours matter beyond the happy path:
   and ``Session.resume()`` against a restarted server re-runs exactly the
   jobs that never completed.  A server that is not running at submit time
   raises :class:`EngineError` immediately with the command to start one.
-* **Bit-identity.**  Result records are the spool's canonical JSON, rebuilt
-  through the same :func:`~repro.engine.jobs.result_from_payload` path as
-  file-queue completions — network runs are byte-identical to serial runs.
+* **Bit-identity.**  Result records are the same
+  :func:`~repro.engine.transports.base.execution_record` the file-queue
+  workers publish, rebuilt through the same
+  :func:`~repro.engine.transports.base.record_completion` — network runs
+  are byte-identical to serial runs.
 
 Like ``filequeue``, this transport is never auto-selected: it needs a
 server address, so it is an explicit ``config.transport = "network"``
@@ -42,7 +44,7 @@ from repro.engine.transports.base import (
     Completion,
     RemoteJobError,
     Transport,
-    TransportCapabilities,
+    record_completion,
     register_transport,
 )
 from repro.exceptions import EngineError
@@ -60,7 +62,6 @@ class NetworkTransport(Transport):
     """Execute one batch on a remote ``repro-serve`` over a socket."""
 
     name = "network"
-    capabilities = TransportCapabilities(ordered=False, remote=True, shared_registry=False)
 
     def __init__(
         self,
@@ -199,7 +200,10 @@ class NetworkTransport(Transport):
                     del self._inflight[index]
                     self._busy_retries.pop(index, None)
                     self._retry_at.pop(index, None)
-                    completions.append(self._completion(index, message.get("record") or {}))
+                    record = message.get("record") or {}
+                    completions.append(record_completion(
+                        index, record, record.get("server_id") or self.server_id
+                    ))
             elif kind == "busy":
                 index = message.get("index")
                 if index in self._inflight:
@@ -229,41 +233,6 @@ class NetworkTransport(Transport):
             elif kind == "error":
                 self._mark_dead(f"server reported a protocol error: {message.get('reason')}")
                 return
-
-    def _completion(self, index: int, record: dict[str, Any]) -> Completion:
-        server = record.get("server_id") or self.server_id
-        if record.get("status") == "completed":
-            from repro.engine.jobs import result_from_payload
-
-            try:
-                outcome = result_from_payload(record["payload"])
-            except Exception as exc:
-                return (
-                    index, None,
-                    RemoteJobError(
-                        "ServeError",
-                        f"cannot rebuild result of job {index}: "
-                        f"{type(exc).__name__}: {exc}",
-                        server,
-                    ),
-                )
-            # Executed (or served from the *server's* cache) remotely: the
-            # session caches and journals it exactly like a pool completion.
-            outcome.from_cache = False
-            if record.get("stored") or record.get("cached"):
-                # The server's own tier already holds the payload; a
-                # RemoteTier pointed at the same host:port covers this token
-                # (textual address match) and skips its write-through put.
-                outcome.stored_in = ("remote", self.host, self.port)
-            return (index, outcome, None)
-        return (
-            index, None,
-            RemoteJobError(
-                record.get("error_type") or "Error",
-                record.get("error_message") or "remote job failed",
-                server,
-            ),
-        )
 
     def _fail_outstanding(self) -> list[Completion]:
         """Resolve every outstanding job as a failure — never a hang.

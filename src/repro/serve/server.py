@@ -8,7 +8,7 @@ the socket equivalent of the spool directory: a long-running daemon that
 * accepts length-prefixed job submissions (:mod:`repro.serve.protocol`) from
   many concurrent client sessions,
 * multiplexes them onto **one shared worker pool** (a process pool with the
-  same registry-snapshot replication the local pool transport uses, or
+  same registry replication the local pool transport uses, or
   in-process threads for ``workers=0``) and **one shared**
   :class:`~repro.engine.cache.LocalDirTier` — a job any client ever completed
   is served to every later client without re-execution,
@@ -23,8 +23,10 @@ The submitting side is ``PipelineConfig.transport = "network"``
 (:class:`~repro.engine.transports.network.NetworkTransport`); the session /
 journal / resume semantics are untouched because the transport speaks the
 same ``(index, outcome | RemoteJobError)`` completion language as every
-other transport.  Result records reuse the spool's canonical JSON encoding,
-so network results are bit-identical to file-queue (and serial) results.
+other transport.  Jobs execute through the same
+:func:`~repro.engine.transports.base.execution_record` the file-queue
+workers use, so network results are bit-identical to file-queue (and
+serial) results.
 
 Threading model: one acceptor thread; per connection one reader thread
 (frames in) and one sender thread (frames out, decoupled by a queue so a
@@ -45,6 +47,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.engine.cache import LocalDirTier
+from repro.engine.registry import pool_initializer
+from repro.engine.transports.base import execution_record
 from repro.exceptions import EngineError
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -285,13 +289,6 @@ class ReproServer:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.engine.core import _picklable
-        from repro.engine.registry import (
-            executor_snapshot,
-            registry_snapshot,
-            restore_registries,
-        )
-
         return ProcessPoolExecutor(
             max_workers=self.workers,
             # Spawned (not forked) workers: fork would copy the listening
@@ -301,11 +298,7 @@ class ReproServer:
             # nobody accepts from) and half-open client connections that
             # never see EOF.
             mp_context=multiprocessing.get_context("spawn"),
-            initializer=restore_registries,
-            initargs=(
-                _picklable(registry_snapshot(), "backend"),
-                _picklable(executor_snapshot(), "executor"),
-            ),
+            **pool_initializer(),
         )
 
     def serve_forever(self) -> None:
@@ -399,25 +392,24 @@ class ReproServer:
                 self.jobs_rejected += 1
             conn.send({"type": "busy", "index": index, "reason": f"server busy: {reason}"})
             return
-        key, kind, poisoned = self._fingerprint(spec)
-        if poisoned is not None:
-            # The crash-loop lesson from the file-queue fleet, applied here
-            # from day one: a spec whose content_hash() raises resolves as a
-            # failed *result*, it never takes the service down.
-            self._finish(conn, index, poisoned)
-            return
+        try:
+            key = spec.content_hash()
+        except Exception:
+            # A poison spec skips the lookup; execution_record turns it into
+            # a failed result, so it never takes the service down.
+            key = None
+        kind = getattr(spec, "kind", "fold")
         if self.cache is not None and key is not None:
             payload = self.cache.get(key)
             if payload is not None:
                 with self._lock:
                     self.cache_hits += 1
                 self._finish(conn, index, {
-                    "status": "completed", "payload": payload,
-                    "spec_hash": key, "kind": kind, "cached": True,
+                    "status": "completed", "payload": payload, "spec_hash": key, "kind": kind,
                 })
                 return
         try:
-            future = self._pool.submit(self._execute, spec)
+            future = self._pool.submit(execution_record, spec, self._execute)
         except RuntimeError as exc:  # pool already shut down
             self._finish(conn, index, {
                 "status": "failed", "error_type": "EngineError",
@@ -489,19 +481,6 @@ class ReproServer:
             self.cache_puts += 1
         conn.send({"type": "cache_ack", "key": key, "stored": stored})
 
-    @staticmethod
-    def _fingerprint(spec: Any) -> tuple[str | None, str | None, dict[str, Any] | None]:
-        try:
-            key = getattr(spec, "content_hash", lambda: None)()
-            kind = getattr(spec, "kind", "fold")
-        except Exception as exc:
-            return None, None, {
-                "status": "failed",
-                "error_type": type(exc).__name__,
-                "error_message": f"cannot fingerprint job spec: {exc}",
-            }
-        return key, kind, None
-
     def _on_done(
         self, conn: _ClientConnection, index: int, key: str | None, kind: str | None,
         future: Any,
@@ -509,66 +488,34 @@ class ReproServer:
         with self._lock:
             conn.futures.pop(index, None)
         if future.cancelled():
-            self._finish(conn, index, {
+            record = {
                 "status": "failed", "error_type": "CancelledError",
                 "error_message": "job cancelled before execution "
                                  "(client disconnected or server shutting down)",
                 "spec_hash": key, "kind": kind,
-            })
-            return
-        exc = future.exception()
-        if exc is not None:
-            self._finish(conn, index, {
-                "status": "failed", "error_type": type(exc).__name__,
-                "error_message": str(exc), "spec_hash": key, "kind": kind,
-            })
-            return
-        try:
-            payload = future.result().to_payload()
-        except Exception as payload_exc:
-            self._finish(conn, index, {
-                "status": "failed", "error_type": type(payload_exc).__name__,
-                "error_message": f"cannot serialise the result payload: {payload_exc}",
-                "spec_hash": key, "kind": kind,
-            })
-            return
-        self._finish(conn, index, {
-            "status": "completed", "payload": payload,
-            "spec_hash": key, "kind": kind, "cached": False,
-        }, cache_key=key)
-
-    def _finish(
-        self, conn: _ClientConnection, index: int, record: dict[str, Any],
-        cache_key: str | None = None,
-    ) -> None:
-        """Settle one accepted job: normalise, cache, count, deliver."""
-        record = dict(record)
-        record.setdefault("server_id", self.server_id)
-        try:
-            # The spool's canonical encoding: network results rebuild to the
-            # same bytes as file-queue results (and as the cache's own files).
-            record = json.loads(json.dumps(record, sort_keys=True, cls=_NumpyJSONEncoder))
-        except (TypeError, ValueError) as exc:
+            }
+        elif future.exception() is not None:
+            # Only a broken pool lands here: execution_record never raises.
+            exc = future.exception()
             record = {
                 "status": "failed", "error_type": type(exc).__name__,
-                "error_message": f"result payload is not JSON-serialisable: {exc}",
-                "spec_hash": record.get("spec_hash"), "kind": record.get("kind"),
-                "server_id": self.server_id,
+                "error_message": str(exc), "spec_hash": key, "kind": kind,
             }
-            cache_key = None
-        if cache_key is not None and self.cache is not None and record["status"] == "completed":
-            try:
-                self.cache.put(cache_key, record["payload"])
-            except Exception as exc:
-                logger.warning(
-                    "serve %s: cannot cache result %s: %s",
-                    self.server_id, cache_key[:16], exc,
-                )
-            else:
-                # Tells tier-aware clients the payload is already held by
-                # this server's cache tier, so their write-through can skip
-                # the redundant round trip back here.
-                record["stored"] = True
+        else:
+            record = future.result()
+            if record["status"] == "completed" and self.cache is not None:
+                try:
+                    self.cache.put(record["spec_hash"], record["payload"])
+                except Exception as exc:
+                    logger.warning(
+                        "serve %s: cannot cache result %s: %s",
+                        self.server_id, record["spec_hash"][:16], exc,
+                    )
+        self._finish(conn, index, record)
+
+    def _finish(self, conn: _ClientConnection, index: int, record: dict[str, Any]) -> None:
+        """Settle one accepted job: count it and deliver its record."""
+        record = dict(record, server_id=self.server_id)
         with self._lock:
             conn.inflight -= 1
             self._pending_total -= 1

@@ -1,6 +1,6 @@
 """The cache-tier battery: spec parsing and config resolution, the tiered
-stack (local-first reads, promotion, write-through, the ``covers``/
-``stored_in`` skip), two stacks racing put/prune on one shared local tier,
+stack (local-first reads, promotion, write-through to every member), two
+stacks racing put/prune on one shared local tier,
 and the remote tier against a live ``repro-serve`` (including a server
 restart mid-lookup)."""
 
@@ -30,13 +30,20 @@ def _payload(key: str, pad: str = "x", size: int = 256) -> dict:
     return {"spec_hash": key, "schema": "echo/v1", "blob": pad * size}
 
 
+def _where(tier) -> tuple:
+    """Which store a single tier talks to: its resolved directory or address."""
+    if isinstance(tier, RemoteTier):
+        return ("remote", tier.host, tier.port)
+    return ("local", str(tier.root.resolve()))
+
+
 # -- spec parsing and config resolution ----------------------------------------------
 
 
 def test_parse_tier_spec_local_variants(tmp_path):
     plain = parse_tier_spec(tmp_path / "a")
     assert isinstance(plain, LocalDirTier)
-    assert plain.location == ("local", str((tmp_path / "a").resolve()))
+    assert _where(plain) == ("local", str((tmp_path / "a").resolve()))
 
     prefixed = parse_tier_spec(f"local:{tmp_path / 'b'}")
     assert isinstance(prefixed, LocalDirTier)
@@ -46,10 +53,10 @@ def test_parse_tier_spec_local_variants(tmp_path):
 def test_parse_tier_spec_remote_variants():
     tier = parse_tier_spec("remote:10.0.0.9:7377")
     assert isinstance(tier, RemoteTier)
-    assert tier.location == ("remote", "10.0.0.9", 7377)
+    assert _where(tier) == ("remote", "10.0.0.9", 7377)
     # URL-ish double-slash form, and a bare port defaulting the host.
-    assert parse_tier_spec("remote://10.0.0.9:7377").location == ("remote", "10.0.0.9", 7377)
-    assert parse_tier_spec("remote::7377").location == ("remote", "127.0.0.1", 7377)
+    assert _where(parse_tier_spec("remote://10.0.0.9:7377")) == ("remote", "10.0.0.9", 7377)
+    assert _where(parse_tier_spec("remote::7377")) == ("remote", "127.0.0.1", 7377)
 
 
 @pytest.mark.parametrize("spec", ["", "   ", "local:", "remote:", "remote:hostonly", "remote:host:NaN"])
@@ -71,12 +78,12 @@ def test_resolve_cache_maps_config_knobs_onto_tiers(tmp_path):
         cache_dir=str(tmp_path / "local"), cache_remote="10.0.0.9:7377",
     ))
     assert isinstance(stacked, TieredCache)
-    assert [t.location for t in stacked.tiers] == [
+    assert [_where(t) for t in stacked.tiers] == [
         ("local", str((tmp_path / "local").resolve())), ("remote", "10.0.0.9", 7377),
     ]
     # ... and stands alone without one.
     remote_only = resolve_cache(PipelineConfig(cache_remote="remote:10.0.0.9:7377"))
-    assert remote_only.location == ("remote", "10.0.0.9", 7377)
+    assert _where(remote_only) == ("remote", "10.0.0.9", 7377)
 
     # An explicit instance passes through untouched.
     mine = LocalDirTier(tmp_path / "mine")
@@ -106,7 +113,7 @@ def test_explicit_cache_dir_keeps_config_cache_remote(tmp_path):
     ]
     for cache in caches:
         assert isinstance(cache, TieredCache)
-        assert [t.location for t in cache.tiers] == expected
+        assert [_where(t) for t in cache.tiers] == expected
 
 
 # -- the tiered stack ----------------------------------------------------------------
@@ -128,6 +135,7 @@ def test_tiered_reads_are_local_first_and_promote_later_hits(tmp_path):
 
 
 def test_tiered_write_through_and_covers_semantics(tmp_path):
+    """A put writes every member, even one that already holds the payload."""
     fast = LocalDirTier(tmp_path / "fast")
     slow = LocalDirTier(tmp_path / "slow")
     stack = TieredCache([fast, slow])
@@ -135,17 +143,11 @@ def test_tiered_write_through_and_covers_semantics(tmp_path):
     assert stack.put(key, _payload(key))
     assert fast.peek(key) == _payload(key) and slow.peek(key) == _payload(key)
 
-    # covers is the *all* quantifier: one member holding the payload is not
-    # enough to skip a write-through put of the whole stack.
-    assert not stack.covers(fast.location)
-    assert not stack.covers(("remote", "h", 1))
-
-    # A stored_in token skips exactly the member it names and fills the rest.
-    other = _key("stored-elsewhere")
-    assert stack.put(other, _payload(other), stored_in=slow.location)
+    other = _key("held-by-one")
+    slow.put(other, _payload(other))
+    assert stack.put(other, _payload(other))
     assert fast.peek(other) == _payload(other)
-    assert slow.peek(other) is None  # skipped: the token says it already holds it
-    assert len(slow.entries()) == 1
+    assert (fast.stats.writes, slow.stats.writes, stack.stats.writes) == (2, 3, 2)
 
 
 def test_tiered_put_reports_a_member_that_dropped_the_payload(tmp_path):

@@ -410,10 +410,10 @@ def test_cache_topology_remote_tier_is_bit_identical(reference_run, tmp_path):
         engine = Engine(config=config)
         assert _canonical(engine.run(_mixed_jobs(engine))) == reference_run
         assert engine.stats()["executed_jobs"] == 5
-        # The server cached every result as it executed; the transport marked
-        # them stored, so the session never pushed payloads back over the wire.
+        # The session writes every executed result through every tier, the
+        # serving daemon's included.
         remote_tier = engine.cache.tiers[-1]
-        assert remote_tier.stats.writes == 0
+        assert remote_tier.stats.writes == 5
 
         # "Another machine": no local cache at all, just the remote tier.
         warm = Engine(config=_network_config(

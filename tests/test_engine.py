@@ -16,7 +16,7 @@ from repro.engine import (
     make_backend,
     register_backend,
 )
-from repro.engine.registry import registry_snapshot, restore_registry
+from repro.engine.registry import executor_kinds, pool_initializer
 from repro.exceptions import BackendError
 from repro.folding.predictor import QuantumFoldingPredictor
 from repro.hardware.eagle import EagleEmulatorBackend
@@ -136,10 +136,12 @@ def test_content_hash_memo_is_dropped_on_pickle(engine_config):
 
 
 def test_registry_snapshot_roundtrips_through_restore():
-    snapshot = registry_snapshot()
-    assert "auto" in snapshot
-    restore_registry(snapshot)  # idempotent merge of the worker initializer
-    assert registry_snapshot() == snapshot
+    initializer = pool_initializer()
+    backends, executors = initializer["initargs"]
+    assert "auto" in backends and "fold" in executors
+    before = (backend_names(), executor_kinds())
+    initializer["initializer"](*initializer["initargs"])  # idempotent merge
+    assert (backend_names(), executor_kinds()) == before
 
 
 # -- cache --------------------------------------------------------------------------
@@ -225,7 +227,7 @@ def test_result_cache_treats_corrupt_entry_as_miss(tmp_path, engine_config):
 def test_picklable_warns_once_per_entry_name():
     import logging
 
-    from repro.engine import core
+    from repro.engine import registry
 
     class _Capture(logging.Handler):
         def __init__(self):
@@ -236,22 +238,22 @@ def test_picklable_warns_once_per_entry_name():
             self.messages.append(record.getMessage())
 
     capture = _Capture()
-    target = logging.getLogger("repro.engine.core")
+    target = logging.getLogger("repro.engine.registry")
     target.addHandler(capture)
     try:
         mapping = {"unpicklable_entry_for_test": lambda config: None}
         # Repeated fan-outs must not re-warn about the same entry ...
-        core._picklable(mapping, "backend")
-        core._picklable(mapping, "backend")
-        core._picklable(mapping, "backend")
+        registry._picklable(mapping, "backend")
+        registry._picklable(mapping, "backend")
+        registry._picklable(mapping, "backend")
         backend_warnings = [m for m in capture.messages if "unpicklable_entry_for_test" in m]
         assert len(backend_warnings) == 1
         # ... but the same name in the *other* registry is a separate warning.
-        core._picklable(mapping, "executor")
+        registry._picklable(mapping, "executor")
         both = [m for m in capture.messages if "unpicklable_entry_for_test" in m]
         assert len(both) == 2
         # The entry is still dropped silently on later calls.
-        assert core._picklable(mapping, "backend") == {}
+        assert registry._picklable(mapping, "backend") == {}
     finally:
         target.removeHandler(capture)
 

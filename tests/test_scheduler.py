@@ -36,17 +36,19 @@ from repro.engine.scheduler import (
 )
 from repro.exceptions import EngineError
 
-# -- a trivial picklable job kind (mirrors test_transports) --------------------------
+# -- a trivial picklable job kind of this module's own ------------------------------
+# Its own kind, not test_transports' "echo": executors register process-wide
+# at import time, so a shared kind would be won by whichever module imports last.
 
 
 @dataclass(frozen=True)
 class EchoSpec:
     name: str
 
-    kind: ClassVar[str] = "echo"
+    kind: ClassVar[str] = "sched_echo"
 
     def content_hash(self) -> str:
-        return hashlib.sha256(f"echo/v1\x1f{self.name}".encode("utf-8")).hexdigest()
+        return hashlib.sha256(f"sched_echo/v1\x1f{self.name}".encode("utf-8")).hexdigest()
 
 
 class _FakeOutcome:
@@ -58,10 +60,12 @@ class _FakeOutcome:
 
 
 def _fake_execute(spec: EchoSpec) -> _FakeOutcome:
-    return _FakeOutcome({"spec_hash": spec.content_hash(), "schema": "echo/v1", "name": spec.name})
+    return _FakeOutcome(
+        {"spec_hash": spec.content_hash(), "schema": "sched_echo/v1", "name": spec.name}
+    )
 
 
-register_executor("echo", lambda spec: _fake_execute(spec), overwrite=True)
+register_executor("sched_echo", _fake_execute, overwrite=True)
 
 BASE_CONFIG = PipelineConfig(seed=5)
 
@@ -98,13 +102,13 @@ def test_parse_tags_and_capabilities_match():
 
 
 def test_job_requirements_cover_kind_and_pinned_backend():
-    assert job_requirements(EchoSpec("a")) == {"echo"}
+    assert job_requirements(EchoSpec("a")) == {"sched_echo"}
     auto = Engine(config=BASE_CONFIG.with_updates(backend="auto")).spec("2bok", "EDACQ")
     assert job_requirements(auto) == {"fold"}  # auto resolves on the worker
     pinned = Engine(config=BASE_CONFIG.with_updates(backend="mps")).spec("2bok", "EDACQ")
     assert job_requirements(pinned) == {"fold", "mps"}
     tagged = require_tags(EchoSpec("b"), "gpu", "licensed")
-    assert job_requirements(tagged) == {"echo", "gpu", "licensed"}
+    assert job_requirements(tagged) == {"sched_echo", "gpu", "licensed"}
 
 
 def test_priority_and_requirements_are_hash_neutral_and_survive_pickling():
@@ -160,21 +164,6 @@ def test_priority_classes_claim_before_age_under_contention(tmp_path):
     assert ran == ["high-new", "mid", "low-old"]
 
 
-def test_headerless_task_files_still_load_and_schedule(tmp_path):
-    """Back-compat: pre-scheduler spools (and hand-written fixtures) carry no
-    scheduling header — they claim at default priority, unrestricted."""
-    spool = FileQueueSpool(tmp_path / "spool")
-    spool._atomic_write(
-        spool.task_path("old-task"),
-        pickle.dumps({"task_id": "old-task", "spec": EchoSpec("old")}),
-    )
-    [task] = spool.pending()
-    assert task.priority == DEFAULT_PRIORITY and task.requires == frozenset()
-    worker = FileQueueWorker(spool, worker_id="w", execute=_fake_execute)
-    assert worker.run_once() == "old-task"
-    assert spool.read_result("old-task")["status"] == "completed"
-
-
 # -- capability tags -----------------------------------------------------------------
 
 
@@ -182,7 +171,9 @@ def test_tagged_worker_skips_tasks_it_cannot_serve_without_poisoning(tmp_path):
     spool = FileQueueSpool(tmp_path / "spool")
     spec = require_tags(EchoSpec("needs-mps"), "mps")
     spool.enqueue("t-00000-x", spec, requires=job_requirements(spec))
-    limited = FileQueueWorker(spool, worker_id="limited", tags={"echo"}, execute=_fake_execute)
+    limited = FileQueueWorker(
+        spool, worker_id="limited", tags={"sched_echo"}, execute=_fake_execute
+    )
     assert limited.run_once() is None
     assert limited.skipped == 1 and limited.executed == 0
     # Skipped means *untouched*: still claimable, no claim, no poison result.
@@ -190,7 +181,7 @@ def test_tagged_worker_skips_tasks_it_cannot_serve_without_poisoning(tmp_path):
     assert spool.claim_ids() == []
     assert spool.read_result("t-00000-x") is None
     capable = FileQueueWorker(
-        spool, worker_id="capable", tags={"echo", "mps"}, execute=_fake_execute
+        spool, worker_id="capable", tags={"sched_echo", "mps"}, execute=_fake_execute
     )
     assert capable.run_once() == "t-00000-x"
     record = spool.read_result("t-00000-x")

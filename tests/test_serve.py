@@ -1,7 +1,8 @@
 """The ``repro-serve`` battery: wire-protocol framing, admission control
 (per-client quota + bounded backlog), the shared result cache, server-side
-poison isolation, and the network transport's error paths — server down at
-submit, server killed mid-batch, busy re-queueing."""
+poison isolation, record parity with the file-queue worker, and the network
+transport's error paths — server down at submit, server killed mid-batch,
+busy re-queueing."""
 
 from __future__ import annotations
 
@@ -15,11 +16,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
+import numpy as np
 import pytest
 
 from repro.cli.serve import build_parser, main as serve_cli_main
 from repro.config import PipelineConfig
-from repro.engine import BaselineFoldSpec, NetworkTransport, RemoteTier
+from repro.engine import (
+    BaselineFoldSpec,
+    FileQueueSpool,
+    FileQueueWorker,
+    NetworkTransport,
+    RemoteTier,
+)
 from repro.engine.core import execute_baseline_job
 from repro.exceptions import EngineError
 from repro.serve import (
@@ -275,14 +283,66 @@ def test_server_isolates_a_spec_whose_content_hash_raises():
             assert recv_message(sock)["record"]["status"] == "completed"
 
 
-def test_server_turns_an_unserialisable_payload_into_a_failure():
-    with ReproServer(workers=0, execute=lambda spec: _FakeOutcome({"oops": object()})) as server:
+def _numpy_execute(spec: PingSpec) -> _FakeOutcome:
+    return _FakeOutcome({
+        "spec_hash": spec.content_hash(), "value": np.float64(1.5), "coords": np.arange(3.0),
+    })
+
+
+def _raising_execute(spec: PingSpec) -> _FakeOutcome:
+    raise ValueError(f"job {spec.name} exploded")
+
+
+def _unserialisable_execute(spec: PingSpec) -> _FakeOutcome:
+    return _FakeOutcome({"spec_hash": spec.content_hash(), "oops": object()})
+
+
+@pytest.mark.parametrize("spec, execute, expected, message", [
+    pytest.param(
+        PingSpec("a"), _numpy_execute,
+        {"status": "completed", "payload": {
+            "spec_hash": PingSpec("a").content_hash(), "value": 1.5, "coords": [0.0, 1.0, 2.0],
+        }},
+        None, id="numpy-payload",
+    ),
+    pytest.param(
+        PingSpec("a"), _raising_execute, {"status": "failed", "error_type": "ValueError"},
+        "job a exploded", id="raising-executor",
+    ),
+    pytest.param(
+        PoisonSpec("p"), _fake_execute, {"status": "failed", "error_type": "RuntimeError"},
+        "cannot fingerprint job spec: hash of p exploded", id="poison-content-hash",
+    ),
+    pytest.param(
+        PingSpec("a"), _unserialisable_execute, {"status": "failed", "error_type": "TypeError"},
+        "result payload is not JSON-serialisable", id="unserialisable-payload",
+    ),
+])
+def test_worker_and_server_produce_the_same_record(tmp_path, spec, execute, expected, message):
+    """``repro-worker`` and ``repro-serve`` build a job's record with one
+    function: the same spec gives the same record on both, apart from the ids
+    naming where it ran and its timing — and neither side raises."""
+    spool = FileQueueSpool(tmp_path / "spool")
+    spool.enqueue("t1", spec)
+    worker = FileQueueWorker(spool, worker_id="w1", lease_timeout=5.0, execute=execute)
+    assert worker.run_once() == "t1"
+    assert spool.task_ids() == [] and spool.claim_ids() == []
+    from_worker = spool.read_result("t1")
+
+    with ReproServer(workers=0, execute=execute) as server:
         with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
             _hello(sock)
-            send_message(sock, {"type": "job", "index": 0, "spec": PingSpec("a")})
-            record = recv_message(sock)["record"]
-            assert record["status"] == "failed"
-            assert "not JSON-serialisable" in record["error_message"]
+            send_message(sock, {"type": "job", "index": 0, "spec": spec})
+            from_server = recv_message(sock)["record"]
+
+    where = {"task_id", "worker_id", "server_id", "duration_s"}
+    assert where <= set(from_worker) | {"server_id"}
+    assert where <= set(from_server) | {"task_id", "worker_id"}
+    same = {k: v for k, v in from_worker.items() if k not in where}
+    assert same == {k: v for k, v in from_server.items() if k not in where}
+    assert expected.items() <= same.items()
+    if message is not None:
+        assert message in same["error_message"]
 
 
 # -- the network transport -----------------------------------------------------------

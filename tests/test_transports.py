@@ -1,4 +1,4 @@
-"""The executor-transport test battery: registry/capabilities, the serial and
+"""The executor-transport test battery: the registry, the serial and
 pool transports, and the adversarial file-queue cases — single-winner claims,
 lease expiry, stale-lease reclamation, heartbeats, dead-worker replay, poison
 tasks and the repro-worker CLI."""
@@ -111,7 +111,7 @@ def _canonical(outcome) -> str:
     return json.dumps(outcome.to_payload(), sort_keys=True, cls=_NumpyJSONEncoder)
 
 
-# -- registry and capability flags ---------------------------------------------------
+# -- registry ------------------------------------------------------------------------
 
 
 def test_transport_registry_and_auto_resolution():
@@ -127,20 +127,6 @@ def test_transport_registry_and_auto_resolution():
         make_transport("filequeue", config)  # filequeue is never implicit
     with pytest.raises(EngineError, match="serve_port"):
         make_transport("network", config.with_updates(serve_port=0))  # nor is network
-
-
-def test_capability_flags_describe_the_transports():
-    from repro.engine import NetworkTransport
-
-    assert SerialTransport.capabilities.ordered
-    assert not SerialTransport.capabilities.remote
-    assert not PoolTransport.capabilities.ordered
-    assert PoolTransport.capabilities.shared_registry
-    assert FileQueueTransport.capabilities.remote
-    assert not FileQueueTransport.capabilities.shared_registry
-    assert NetworkTransport.capabilities.remote
-    assert not NetworkTransport.capabilities.ordered
-    assert not NetworkTransport.capabilities.shared_registry
 
 
 # -- serial transport ----------------------------------------------------------------
@@ -406,22 +392,6 @@ def test_worker_serialises_numpy_payloads_like_the_cache(tmp_path):
     assert record["payload"]["coords"] == [0.0, 1.0, 2.0]
 
 
-def test_worker_turns_an_unserialisable_payload_into_a_failure(tmp_path):
-    """A result that cannot be encoded resolves the task as failed instead of
-    killing the worker and crash-looping the fleet on the reclaimed lease."""
-    spool = FileQueueSpool(tmp_path / "spool")
-    spool.enqueue("t1", EchoSpec("a"))
-    worker = FileQueueWorker(
-        spool, worker_id="w1", lease_timeout=5.0,
-        execute=lambda spec: _FakeOutcome({"oops": object()}),
-    )
-    assert worker.run_once() == "t1"
-    record = spool.read_result("t1")
-    assert record["status"] == "failed"
-    assert "not JSON-serialisable" in record["error_message"]
-    assert spool.task_ids() == [] and spool.claim_ids() == []
-
-
 def test_worker_survives_a_spec_whose_content_hash_raises(tmp_path):
     """The fleet crash-loop regression: a spec that unpickles but whose
     ``content_hash()`` raises used to kill the worker before any heartbeat —
@@ -436,7 +406,7 @@ def test_worker_survives_a_spec_whose_content_hash_raises(tmp_path):
     record = spool.read_result("1-poison")
     assert record["status"] == "failed"
     assert record["error_type"] == "RuntimeError"
-    assert "cannot fingerprint task spec" in record["error_message"]
+    assert "cannot fingerprint job spec" in record["error_message"]
     assert "exploded" in record["error_message"]
     # The same worker keeps serving — no crash, no stale lease left behind.
     assert worker.run_once() == "2-good"
