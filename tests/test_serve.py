@@ -283,6 +283,16 @@ def test_server_isolates_a_spec_whose_content_hash_raises():
             assert recv_message(sock)["record"]["status"] == "completed"
 
 
+def test_server_turns_an_unserialisable_payload_into_a_failure():
+    with ReproServer(workers=0, execute=lambda spec: _FakeOutcome({"oops": object()})) as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            _hello(sock)
+            send_message(sock, {"type": "job", "index": 0, "spec": PingSpec("a")})
+            record = recv_message(sock)["record"]
+            assert record["status"] == "failed"
+            assert "not JSON-serialisable" in record["error_message"]
+
+
 def _numpy_execute(spec: PingSpec) -> _FakeOutcome:
     return _FakeOutcome({
         "spec_hash": spec.content_hash(), "value": np.float64(1.5), "coords": np.arange(3.0),

@@ -392,6 +392,22 @@ def test_worker_serialises_numpy_payloads_like_the_cache(tmp_path):
     assert record["payload"]["coords"] == [0.0, 1.0, 2.0]
 
 
+def test_worker_turns_an_unserialisable_payload_into_a_failure(tmp_path):
+    """A result that cannot be encoded resolves the task as failed instead of
+    killing the worker and crash-looping the fleet on the reclaimed lease."""
+    spool = FileQueueSpool(tmp_path / "spool")
+    spool.enqueue("t1", EchoSpec("a"))
+    worker = FileQueueWorker(
+        spool, worker_id="w1", lease_timeout=5.0,
+        execute=lambda spec: _FakeOutcome({"oops": object()}),
+    )
+    assert worker.run_once() == "t1"
+    record = spool.read_result("t1")
+    assert record["status"] == "failed"
+    assert "not JSON-serialisable" in record["error_message"]
+    assert spool.task_ids() == [] and spool.claim_ids() == []
+
+
 def test_worker_survives_a_spec_whose_content_hash_raises(tmp_path):
     """The fleet crash-loop regression: a spec that unpickles but whose
     ``content_hash()`` raises used to kill the worker before any heartbeat —
