@@ -10,10 +10,10 @@ and reuses previously folded fragments from a persistent on-disk cache::
 
     from repro.engine import Engine
 
-    engine = Engine(config=PipelineConfig.fast(), cache="qdockbank_cache")
+    engine = Engine(config=PipelineConfig.fast(), cache="qdockbank_cache", processes=4)
     specs = [engine.spec("2bok", "EDACQGDSGG"), engine.spec("3eax", "RYRDV")]
-    results = engine.run(specs, processes=4)   # bit-identical to processes=0
-    print(engine.stats())                      # executed vs cache-hit counts
+    results = engine.run(specs)   # bit-identical to processes=0
+    print(engine.stats())         # executed vs cache-hit counts
 
 A second ``engine.run`` over the same specs (or a later process pointed at the
 same cache directory) performs zero VQE executions.

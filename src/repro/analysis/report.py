@@ -6,7 +6,7 @@ from typing import Any
 
 from repro.analysis.comparison import MethodComparison
 from repro.dataset.bank import QDockBank
-from repro.dataset.fragments import PAPER_FRAGMENTS, fragments_by_group
+from repro.dataset.fragments import fragments_by_group
 from repro.exceptions import AnalysisError
 
 #: Column order of the paper's per-group fragment tables (Tables 1–3).
@@ -151,15 +151,3 @@ def winrate_report(comparisons: dict[str, MethodComparison]) -> list[dict[str, A
                 )
     return rows
 
-
-def dataset_scale_summary() -> dict[str, Any]:
-    """Headline dataset-scale numbers from the paper (for EXPERIMENTS.md context)."""
-    return {
-        "fragments": len(PAPER_FRAGMENTS),
-        "groups": {"L": 12, "M": 23, "S": 20},
-        "paper_total_exec_time_s": sum(f.paper.exec_time_s for f in PAPER_FRAGMENTS),
-        "paper_claimed_qpu_hours": 60.0,
-        "paper_claimed_cost_usd": 1_000_000.0,
-        "docking_runs_per_entry": 20,
-        "poses_per_run": 10,
-    }

@@ -11,17 +11,12 @@ from repro.bio.amino_acids import (
     AminoAcid,
     one_to_three,
     three_to_one,
-    is_valid_residue,
-    hydrophobicity,
 )
 from repro.bio.sequence import ProteinSequence
 from repro.bio.geometry import (
     kabsch_rotation,
     superimpose,
     rotation_matrix,
-    dihedral_angle,
-    angle_between,
-    pairwise_distances,
 )
 from repro.bio.structure import Atom, Residue, Chain, Structure
 from repro.bio.pdb import write_pdb, read_pdb, structure_to_pdb_string
@@ -33,15 +28,10 @@ __all__ = [
     "AminoAcid",
     "one_to_three",
     "three_to_one",
-    "is_valid_residue",
-    "hydrophobicity",
     "ProteinSequence",
     "kabsch_rotation",
     "superimpose",
     "rotation_matrix",
-    "dihedral_angle",
-    "angle_between",
-    "pairwise_distances",
     "Atom",
     "Residue",
     "Chain",

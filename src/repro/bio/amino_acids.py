@@ -77,11 +77,6 @@ AA_ORDER: tuple[str, ...] = tuple(sorted(AMINO_ACIDS))
 THREE_TO_ONE: dict[str, str] = {aa.three: aa.code for aa in AMINO_ACIDS.values()}
 
 
-def is_valid_residue(code: str) -> bool:
-    """True if ``code`` is a standard one-letter amino-acid code."""
-    return code.upper() in AMINO_ACIDS
-
-
 def get(code: str) -> AminoAcid:
     """Return the :class:`AminoAcid` for a one-letter code, raising on unknown codes."""
     key = code.upper()
@@ -104,27 +99,3 @@ def three_to_one(three: str) -> str:
     except KeyError:
         raise SequenceError(f"unknown three-letter residue code: {three!r}") from None
 
-
-def hydrophobicity(code: str) -> float:
-    """Kyte–Doolittle hydropathy of a residue."""
-    return get(code).hydropathy
-
-
-def residue_mass(code: str) -> float:
-    """Average residue mass in daltons."""
-    return get(code).mass
-
-
-def residue_volume(code: str) -> float:
-    """Approximate side-chain volume in cubic Angstroms."""
-    return get(code).volume
-
-
-def residue_charge(code: str) -> int:
-    """Formal charge at physiological pH."""
-    return get(code).charge
-
-
-def is_hydrophobic(code: str) -> bool:
-    """True for hydrophobic (positive hydropathy) residues."""
-    return get(code).hydrophobic

@@ -1,4 +1,4 @@
-"""3D geometry kernels: rotations, superposition, angles, distances.
+"""3D geometry kernels: rotations and superposition.
 
 These are the vectorised numerical primitives shared by the lattice decoder,
 the backbone reconstruction, the RMSD evaluator and the docking engine.  All
@@ -65,43 +65,6 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle in radians between vectors ``a`` and ``b``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ValueError("cannot compute the angle with a zero-length vector")
-    cosang = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
-    return float(np.arccos(cosang))
-
-
-def dihedral_angle(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> float:
-    """Dihedral angle (radians, in (-pi, pi]) defined by four points."""
-    p0, p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p0, p1, p2, p3))
-    b0 = p1 - p0
-    b1 = p2 - p1
-    b2 = p3 - p2
-    b1n = b1 / np.linalg.norm(b1)
-    v = b0 - np.dot(b0, b1n) * b1n
-    w = b2 - np.dot(b2, b1n) * b1n
-    x = np.dot(v, w)
-    y = np.dot(np.cross(b1n, v), w)
-    return float(np.arctan2(y, x))
-
-
-def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean distance matrix between point sets ``a`` (N,3) and ``b`` (M,3).
-
-    With ``b`` omitted, computes the self-distance matrix of ``a``.  The
-    computation is fully broadcast (no loops) and returns an ``(N, M)`` array.
-    """
-    a = as_points(a, "a")
-    b = a if b is None else as_points(b, "b")
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def centroid(points: np.ndarray) -> np.ndarray:
     """Centroid of an (N, 3) point set."""
     return as_points(points).mean(axis=0)
@@ -142,14 +105,3 @@ def superimpose(mobile: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, 
     transformed = mobile @ rot.T + translation
     return transformed, rot, translation
 
-
-def apply_transform(points: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
-    """Apply a rigid transform ``R x + t`` to an (N, 3) point set."""
-    return as_points(points) @ np.asarray(rotation, dtype=float).T + np.asarray(translation, dtype=float)
-
-
-def radius_of_gyration(points: np.ndarray) -> float:
-    """Radius of gyration of a point set (unweighted)."""
-    pts = as_points(points)
-    c = pts.mean(axis=0)
-    return float(np.sqrt(np.mean(np.sum((pts - c) ** 2, axis=1))))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.bio.amino_acids import AMINO_ACIDS, get as get_aa, one_to_three
+from repro.bio.amino_acids import AMINO_ACIDS, get as get_aa
 from repro.exceptions import SequenceError
 
 
@@ -44,27 +44,9 @@ class ProteinSequence:
         return self.residues
 
     @property
-    def three_letter(self) -> list[str]:
-        """Residues as a list of three-letter codes."""
-        return [one_to_three(c) for c in self.residues]
-
-    @property
     def mass(self) -> float:
         """Sum of residue masses plus one water (18.015 Da)."""
         return sum(get_aa(c).mass for c in self.residues) + 18.015
-
-    @property
-    def net_charge(self) -> int:
-        """Net formal charge at pH 7."""
-        return sum(get_aa(c).charge for c in self.residues)
-
-    def hydrophobic_fraction(self) -> float:
-        """Fraction of residues with positive hydropathy."""
-        return sum(1 for c in self.residues if get_aa(c).hydrophobic) / len(self)
-
-    def polar_fraction(self) -> float:
-        """Fraction of polar residues."""
-        return sum(1 for c in self.residues if get_aa(c).polar) / len(self)
 
     def pair_types(self) -> list[tuple[str, str]]:
         """All unordered residue-type pairs occurring within this fragment.

@@ -10,14 +10,11 @@ Subcommands
 * ``repro-session resume DIR SESSION_ID`` — re-open the journal, rebuild the
   engine from the journalled job specs, and execute **only** the jobs that
   never completed (failed jobs re-run; completed jobs replay from the result
-  cache);
-* ``repro-session compact DIR SESSION_ID`` — rewrite the journal keeping
-  only the latest record per job (atomic tmp+replace), shrinking journals of
-  long-lived sweeps that were resumed many times.
+  cache).  This is the same resume as ``Engine.submit(session_id=...)``.
 
-Exit status: 0 on success; 1 when ``resume`` leaves failed jobs behind (or
-``status`` finds recorded failures); 2 on usage errors (missing directory or
-journal).
+Exit status: 0 on success; 1 when ``resume`` leaves failed jobs behind or is
+aborted by a failing job under ``--on-error raise`` (or ``status`` finds
+recorded failures); 2 on usage errors (missing directory or journal).
 
 Journals are written by ``Engine.submit`` whenever
 ``PipelineConfig.session_dir`` is set — one append-only ``<id>.jsonl`` status
@@ -167,7 +164,15 @@ def cmd_resume(args: argparse.Namespace) -> int:
     except EngineError as exc:
         print(f"repro-session: {exc}", file=sys.stderr)
         return 2
-    session.results()
+    aborted = False
+    try:
+        session.results()
+    except Exception as exc:  # --on-error raise: the first failing job aborts
+        aborted = True
+        print(
+            f"repro-session: session {args.session_id} aborted: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
 
     summary = session.summary()
     summary["engine"] = engine.stats()
@@ -181,27 +186,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         )
         for failure in summary["failures"]:
             print(f"  failed {failure['spec_hash'][:16]} ({failure['error_type']}: {failure['error_message']})")
-    return 1 if summary["failures"] else 0
-
-
-def cmd_compact(args: argparse.Namespace) -> int:
-    """Rewrite a journal keeping only the latest record per job."""
-    root = _session_root(args.session_dir)
-    journal = _open_journal(root, args.session_id)
-    try:
-        result = journal.compact()
-    except EngineError as exc:
-        print(f"repro-session: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps({"session_id": journal.session_id, **result}, indent=2))
-    else:
-        print(
-            f"session {journal.session_id}: compacted "
-            f"{result['records_before']} -> {result['records_after']} records "
-            f"({result['bytes_before']} -> {result['bytes_after']} bytes)"
-        )
-    return 0
+    return 1 if aborted or summary["failures"] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,14 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--quiet", action="store_true", help="suppress per-job progress lines")
     resume.add_argument("--json", action="store_true", help="emit a machine-readable summary")
     resume.set_defaults(func=cmd_resume)
-
-    compact = sub.add_parser(
-        "compact", help="rewrite a journal keeping only the latest record per job"
-    )
-    compact.add_argument("session_dir", help="session journal directory")
-    compact.add_argument("session_id", help="session identifier (journal file stem)")
-    compact.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    compact.set_defaults(func=cmd_compact)
 
     return parser
 

@@ -5,18 +5,19 @@ folds and docking searches are one typed job family::
 
     from repro.engine import Engine
 
-    engine = Engine(config=PipelineConfig.fast(), cache="qdockbank_cache")
+    engine = Engine(config=PipelineConfig.fast(), cache="qdockbank_cache", processes=4)
     jobs = [
         engine.spec("2bok", "EDACQGDSGG"),                  # kind="fold"
         engine.baseline_spec("2bok", "EDACQGDSGG", "AF2"),  # kind="baseline_fold"
     ]
-    results = engine.run(jobs, processes=4)
+    results = engine.run(jobs)
     print(engine.stats())   # executed_by_kind, cache hit/miss counters
 
 Long sweeps stream instead of blocking: ``engine.submit(jobs)`` returns a
 :class:`~repro.engine.session.Session` yielding ``(spec, outcome)`` pairs as
-they complete, with progress callbacks, journalled per-job status, isolated
-:class:`~repro.engine.session.JobFailure` records and crash/interrupt resume.
+they complete, with progress callbacks, journalled per-job status and
+isolated :class:`~repro.engine.session.JobFailure` records.  Re-submitting a
+``session_id`` resumes its batch after a crash or interrupt.
 
 Where jobs *run* is a pluggable executor transport
 (``config.transport = "serial" | "pool" | "filequeue" | "network"``):

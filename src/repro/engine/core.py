@@ -131,7 +131,9 @@ class Engine:
     config:
         Default pipeline configuration for jobs built by the convenience
         helpers; also supplies the cache (``cache_dir`` / ``cache_remote``)
-        and transport settings.
+        and the executor transport (``config.transport``: ``"serial"``,
+        ``"pool"``, ``"filequeue"``, ``"network"`` or ``"auto"``).  Every
+        transport is bit-identical — see :mod:`repro.engine.transports`.
     cache:
         A cache tier instance (:class:`~repro.engine.cache.LocalDirTier`,
         :class:`~repro.engine.cache.RemoteTier`,
@@ -143,14 +145,8 @@ class Engine:
         outermost tier; with neither set the engine runs cacheless.  See
         :func:`repro.engine.cache.resolve_cache`.
     processes:
-        Default worker-process count for :meth:`run` and :meth:`submit`;
-        ``None``, ``0`` and ``1`` execute serially.
-    transport:
-        Name of the executor transport jobs run on (``"serial"``, ``"pool"``,
-        ``"filequeue"``, ``"network"`` or ``"auto"``); ``None`` uses
-        ``config.transport``.
-        Every transport is bit-identical — see
-        :mod:`repro.engine.transports`.
+        Worker-process count for every batch this engine runs; ``None``,
+        ``0`` and ``1`` execute serially.
     """
 
     def __init__(
@@ -158,10 +154,8 @@ class Engine:
         config: PipelineConfig | None = None,
         cache: Any = None,
         processes: int | None = None,
-        transport: str | None = None,
     ):
         self.config = config or PipelineConfig()
-        self.transport_name = transport or self.config.transport
         self.cache = resolve_cache(self.config, cache)
         self.processes = 0 if processes is None else int(processes)
         self.executed_jobs = 0
@@ -169,14 +163,12 @@ class Engine:
         self.failed_jobs = 0
         self.executed_by_kind: dict[str, int] = {}
 
-    def transport_for(self, processes: int | None = None) -> Transport:
+    def transport_for(self) -> Transport:
         """A fresh one-batch transport resolved from this engine's configuration.
 
-        Called by the session loop when a batch actually has jobs to execute;
-        ``processes`` of ``None`` uses the engine default.
+        Called by the session loop when a batch actually has jobs to execute.
         """
-        processes = self.processes if processes is None else int(processes)
-        return make_transport(self.transport_name, self.config, processes=processes)
+        return make_transport(self.config.transport, self.config, processes=self.processes)
 
     # -- job construction -----------------------------------------------------------
 
@@ -226,7 +218,6 @@ class Engine:
         self,
         jobs: Sequence[Any] | None = None,
         session_id: str | None = None,
-        processes: int | None = None,
         on_error: str = "isolate",
         progress: Any = None,
     ) -> Session:
@@ -246,12 +237,12 @@ class Engine:
         session_id:
             Identifier of the session journal.  If a journal with this id
             already exists under ``config.session_dir``, the session *resumes
-            it*: jobs marked completed are served from the result cache and
-            only failed / never-completed jobs execute.  ``None`` generates a
-            fresh id.
-        processes, progress:
-            Worker-process count (``None`` = engine default) and an optional
-            per-outcome callback receiving
+            it* — whether its last pass finished, failed, was closed or ran in
+            another process: jobs marked completed are served from the result
+            cache and only failed / never-completed jobs execute.  ``None``
+            generates a fresh id.
+        progress:
+            An optional per-outcome callback receiving
             :class:`~repro.engine.session.SessionProgress` events.
         on_error:
             ``"isolate"`` (the default: failures become
@@ -301,17 +292,14 @@ class Engine:
             journal=journal,
             on_error=on_error,
             progress=progress,
-            processes=processes,
         )
 
-    def run(
-        self, jobs: Sequence[Any], processes: int | None = None, on_error: str = "raise"
-    ) -> list[Any]:
+    def run(self, jobs: Sequence[Any], on_error: str = "raise") -> list[Any]:
         """Execute ``jobs`` (any mix of kinds) and return results in submission order.
 
         A thin blocking wrapper over the session loop: cache hits and
         in-batch duplicates are filled without execution, the rest stream
-        over ``processes`` workers, and results gather in submission order.
+        over the engine's workers, and results gather in submission order.
         The default ``on_error="raise"`` keeps the historical contract (the
         first failure propagates); pass ``"isolate"`` to receive
         :class:`~repro.engine.session.JobFailure` records in the result list
@@ -325,7 +313,7 @@ class Engine:
         jobs = list(jobs)
         if not jobs:
             return []
-        return Session(self, jobs, on_error=on_error, processes=processes).results()
+        return Session(self, jobs, on_error=on_error).results()
 
     def fold(
         self,

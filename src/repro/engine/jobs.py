@@ -333,12 +333,9 @@ class JobResult:
             kind="baseline_fold" if schema.startswith("baseline_fold/") else "fold",
         )
 
-    def shallow_copy(self, from_cache: bool | None = None) -> "JobResult":
+    def shallow_copy(self) -> "JobResult":
         """A copy sharing the prediction object (used for in-batch duplicates)."""
-        out = replace(self)
-        if from_cache is not None:
-            out.from_cache = from_cache
-        return out
+        return replace(self)
 
 
 @dataclass
@@ -389,12 +386,9 @@ class DockJobResult:
             from_cache=True,
         )
 
-    def shallow_copy(self, from_cache: bool | None = None) -> "DockJobResult":
+    def shallow_copy(self) -> "DockJobResult":
         """A copy sharing the docking object (used for in-batch duplicates)."""
-        out = replace(self)
-        if from_cache is not None:
-            out.from_cache = from_cache
-        return out
+        return replace(self)
 
 
 def result_from_payload(payload: dict[str, Any]) -> JobResult | DockJobResult:

@@ -13,9 +13,9 @@ progress signal.  A :class:`Session` restructures that into a stream:
   :mod:`repro.engine.transports`);
 * every completed job is recorded to an append-only on-disk **journal**
   (:class:`SessionJournal`) next to the result cache, so a crashed or
-  interrupted sweep can be resumed — by ``Session.resume()`` in-process, or by
-  re-submitting with the same ``session_id`` (or via ``repro-session resume``)
-  from a brand-new process — executing **only** the jobs that never completed;
+  interrupted sweep can be resumed by re-submitting with the same
+  ``session_id`` (or via ``repro-session resume``), from this process or a
+  brand-new one, executing **only** the jobs that never completed;
 * a failing job is *isolated* as a :class:`JobFailure` record (exception type,
   message, spec hash) instead of aborting the batch
   (``on_error="isolate"``, the default; ``"raise"`` restores the old
@@ -52,10 +52,9 @@ source of results, and losing either only ever costs recompute time.
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -84,7 +83,7 @@ class JobFailure:
 
     Takes the failed job's slot in :meth:`Session.results` under
     ``on_error="isolate"`` so the rest of the batch still completes; the
-    journal records it as ``failed`` and :meth:`Session.resume` re-runs it.
+    journal records it as ``failed`` and a resume re-runs it.
     """
 
     spec_hash: str
@@ -96,7 +95,7 @@ class JobFailure:
     #: consumers can test ``outcome.from_cache`` uniformly.
     from_cache: bool = False
 
-    def shallow_copy(self, from_cache: bool | None = None) -> "JobFailure":
+    def shallow_copy(self) -> "JobFailure":
         """Failures are immutable; duplicates share the record."""
         return self
 
@@ -242,8 +241,8 @@ class SessionJournal:
             elif kind == "resume":
                 journal.resumes += 1
             elif kind == "compact":
-                # A compaction rewrote the file, folding its resume markers
-                # into one record so the audit count survives the rewrite.
+                # Earlier builds could compact a journal, folding its resume
+                # markers into one record so the audit count survived.
                 journal.resumes += int(record.get("resumes", 0) or 0)
         if not saw_header:
             raise EngineError(
@@ -316,67 +315,6 @@ class SessionJournal:
         self.resumes += 1
         self._append({"record": "resume", "resumed_at": utcnow_iso()})
 
-    # -- maintenance -----------------------------------------------------------------
-
-    def compact(self) -> dict[str, int]:
-        """Rewrite the journal keeping only the latest record per job.
-
-        A long-lived sweep resumed many times accretes one ``job`` line per
-        re-submission — the journal grows without bound while carrying no
-        more information than its final state.  Compaction rewrites the file
-        as: the header, one ``compact`` record folding the accumulated
-        resume markers (so :attr:`resumes` survives), then the latest record
-        of each unique job (``completed`` beats ``failed``, exactly the
-        precedence :meth:`open` applies).  The rewrite is atomic
-        (tmp + ``os.replace``), so a crash mid-compaction leaves the old
-        journal intact.  Returns before/after record and byte counts.
-        """
-        if self.created_at is None:
-            raise EngineError(
-                f"session journal {self.path} must be open()ed or create()d "
-                "before it can be compacted"
-            )
-        try:
-            before = self.path.stat().st_size
-        except OSError as exc:
-            raise EngineError(f"cannot stat session journal {self.path}: {exc}") from exc
-        records_before = sum(
-            1 for line in self.path.read_text(encoding="utf-8", errors="replace").splitlines()
-            if line.strip()
-        )
-        records: list[dict[str, Any]] = [{
-            "record": "session",
-            "schema": SESSION_SCHEMA_VERSION,
-            "session_id": self.session_id,
-            "created_at": self.created_at,
-            "total_jobs": len(self.spec_hashes),
-            "spec_hashes": self.spec_hashes,
-        }]
-        if self.resumes:
-            records.append({
-                "record": "compact",
-                "resumes": self.resumes,
-                "compacted_at": utcnow_iso(),
-            })
-        for spec_hash in dict.fromkeys(self.spec_hashes):
-            latest = self.completed.get(spec_hash) or self.failed.get(spec_hash)
-            if latest is not None:
-                records.append(latest)
-        tmp = self.path.with_name(f".{self.path.name}.compact-{os.getpid()}")
-        tmp.write_text(
-            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
-            encoding="utf-8",
-        )
-        os.replace(tmp, self.path)
-        self._repair_newline = False
-        after = self.path.stat().st_size
-        return {
-            "records_before": records_before,
-            "records_after": len(records),
-            "bytes_before": before,
-            "bytes_after": after,
-        }
-
     # -- reporting -------------------------------------------------------------------
 
     def summary(self) -> dict[str, Any]:
@@ -421,8 +359,6 @@ class Session:
         journal: SessionJournal | None = None,
         on_error: str = "isolate",
         progress: Callable[[SessionProgress], None] | None = None,
-        processes: int | None = None,
-        prior: dict[str, Any] | None = None,
     ):
         if on_error not in ON_ERROR_POLICIES:
             raise EngineError(
@@ -434,11 +370,7 @@ class Session:
         self.journal = journal
         self.on_error = on_error
         self.progress = progress
-        self.processes = engine.processes if processes is None else int(processes)
         self.keys = [job.content_hash() for job in self.jobs]
-        #: Results carried over from a previous in-process generation of this
-        #: session (``resume()``) — served without touching cache or pool.
-        self._prior = dict(prior or {})
         self._outcomes: list[Any] = [None] * len(self.jobs)
         self._state = "new"  # new -> running -> finished
         self._stream_gen: Iterator[tuple[Any, Any]] | None = None
@@ -472,7 +404,7 @@ class Session:
         if self._state == "closed":
             raise EngineError(
                 f"session {self.session_id!r} was closed before finishing; "
-                "resume() it to complete the batch"
+                "re-submit its session_id to complete the batch"
             )
         if self._stream_gen is None:
             self._state = "running"
@@ -513,13 +445,13 @@ class Session:
                 pending.append(i)
 
         if pending:
-            self.transport = engine.transport_for(self.processes)
+            self.transport = engine.transport_for()
             logger.info(
                 "session %s: executing %d/%d jobs (%d reusable, %d duplicate) "
                 "on the %s transport (%d processes)",
                 self.session_id, len(pending), len(self.jobs), len(served),
                 len(self.jobs) - len(served) - len(pending),
-                self.transport.name, max(1, self.processes),
+                self.transport.name, max(1, engine.processes),
             )
 
         # Cache hits first, in submission order ...
@@ -576,10 +508,7 @@ class Session:
                     self.transport_stats = None
 
     def _lookup(self, job: Any, key: str, journalled_done: dict[str, Any]) -> Any | None:
-        """Resolve a job without executing it: prior generation, then cache."""
-        prior = self._prior.get(key)
-        if prior is not None:
-            return prior.shallow_copy(from_cache=True)
+        """Resolve a job without executing it: from the result cache."""
         cache = self.engine.cache
         if cache is not None:
             payload = cache.get(key)
@@ -654,10 +583,10 @@ class Session:
     def close(self) -> None:
         """Shut down a partially consumed session's stream (and worker pool).
 
-        A no-op on new or finished sessions.  The journal keeps its records
-        and a closed session can still :meth:`resume`; iterating it or
-        calling :meth:`results` raises instead of returning a result list
-        with silent ``None`` holes.
+        A no-op on new or finished sessions.  The journal keeps its records,
+        so re-submitting the session id resumes the batch; iterating the
+        closed session or calling :meth:`results` raises instead of returning
+        a result list with silent ``None`` holes.
         """
         if self._stream_gen is not None and self._state == "running":
             self._stream_gen.close()
@@ -675,37 +604,6 @@ class Session:
             if isinstance(outcome, JobFailure):
                 unique.setdefault(outcome.spec_hash, outcome)
         return list(unique.values())
-
-    # -- resume ----------------------------------------------------------------------
-
-    def resume(self) -> "Session":
-        """A new session over the same jobs that runs only unfinished work.
-
-        Outcomes already produced by *this* session object are reused in
-        memory; jobs completed in an earlier process are served from the
-        result cache via the journal; failed and never-started jobs execute.
-        The old session's stream is closed — the resumed session replaces it.
-        """
-        self.close()
-        journal = self.journal
-        if journal is not None:
-            # Re-read from disk so resume sees exactly what a new process would.
-            journal = SessionJournal.open(journal.root, self.session_id)
-            journal.mark_resumed()
-        prior = dict(self._prior)
-        for key, outcome in zip(self.keys, self._outcomes):
-            if outcome is not None and not isinstance(outcome, JobFailure):
-                prior[key] = outcome
-        return Session(
-            self.engine,
-            self.jobs,
-            session_id=self.session_id,
-            journal=journal,
-            on_error=self.on_error,
-            progress=self.progress,
-            processes=self.processes,
-            prior=prior,
-        )
 
     # -- reporting -------------------------------------------------------------------
 

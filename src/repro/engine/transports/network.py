@@ -17,8 +17,8 @@ Three behaviours matter beyond the happy path:
 * **Failures are completions, not hangs.**  A server that dies mid-batch
   surfaces as one :class:`RemoteJobError` *per outstanding job* — the batch
   finishes, the session journals the failures under ``on_error="isolate"``,
-  and ``Session.resume()`` against a restarted server re-runs exactly the
-  jobs that never completed.  A server that is not running at submit time
+  and re-submitting its ``session_id`` against a restarted server re-runs
+  exactly the jobs that never completed.  A server that is not running at submit time
   raises :class:`EngineError` immediately with the command to start one.
 * **Bit-identity.**  Result records are the same
   :func:`~repro.engine.transports.base.execution_record` the file-queue

@@ -186,10 +186,6 @@ class PriorBiasedPredictor:
         )
         return prediction, blended
 
-    def predict_many(self, fragments: list[tuple[str, str]]) -> list[FoldingPrediction]:
-        """Predict a batch of ``(pdb_id, sequence)`` fragments serially."""
-        return [self.predict(pdb_id, seq) for pdb_id, seq in fragments]
-
 
 class AF2LikePredictor(PriorBiasedPredictor):
     """AlphaFold2-like accuracy profile: strong prior bias on short fragments."""

@@ -4,7 +4,6 @@ from repro.lattice.tetrahedral import (
     CA_VIRTUAL_BOND,
     turns_to_coords,
     is_self_avoiding,
-    contact_pairs,
 )
 from repro.lattice.encoding import FragmentEncoding, qubit_count_for_length, circuit_depth_for_qubits
 from repro.lattice.hamiltonian import HamiltonianWeights, LatticeHamiltonian
@@ -16,7 +15,6 @@ __all__ = [
     "CA_VIRTUAL_BOND",
     "turns_to_coords",
     "is_self_avoiding",
-    "contact_pairs",
     "FragmentEncoding",
     "qubit_count_for_length",
     "circuit_depth_for_qubits",

@@ -85,25 +85,6 @@ def overlap_count(coords: np.ndarray, tol: float = 1e-6) -> int:
     return int(np.count_nonzero(dist2[iu] <= tol))
 
 
-def contact_pairs(coords: np.ndarray, bond_length: float = CA_VIRTUAL_BOND, tol: float = 1e-3) -> list[tuple[int, int]]:
-    """Non-bonded residue pairs sitting on adjacent lattice sites.
-
-    A *contact* is a pair ``(i, j)`` with ``j >= i + 3`` whose Cα–Cα distance
-    equals the lattice bond length (nearest-neighbour sites).  These pairs are
-    the ones that contribute Miyazawa–Jernigan interaction energy in ``H_i``.
-    """
-    coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    pairs: list[tuple[int, int]] = []
-    close = np.abs(dist - bond_length) < max(tol, 1e-6)
-    idx_i, idx_j = np.nonzero(np.triu(close, k=3))
-    for i, j in zip(idx_i.tolist(), idx_j.tolist()):
-        pairs.append((i, j))
-    return pairs
-
-
 def backtracking_count(turns: np.ndarray | list[int]) -> int:
     """Number of immediate reversals (two consecutive identical turn indices).
 
@@ -116,33 +97,3 @@ def backtracking_count(turns: np.ndarray | list[int]) -> int:
         return 0
     return int(np.count_nonzero(turns[1:] == turns[:-1]))
 
-
-def random_self_avoiding_turns(
-    length: int, rng: np.random.Generator, max_attempts: int = 2000
-) -> np.ndarray:
-    """Sample a self-avoiding conformation (turn sequence) by rejection + growth."""
-    if length < 2:
-        raise LatticeError("need at least 2 residues")
-    n_turns = length - 1
-    for _ in range(max_attempts):
-        turns = np.empty(n_turns, dtype=int)
-        turns[0] = 0
-        if n_turns > 1:
-            turns[1] = 1
-        ok = True
-        for k in range(2, n_turns):
-            candidates = [t for t in range(4) if t != turns[k - 1]]
-            rng.shuffle(candidates)
-            placed = False
-            for t in candidates:
-                turns[k] = t
-                coords = turns_to_coords(turns[: k + 1])
-                if is_self_avoiding(coords):
-                    placed = True
-                    break
-            if not placed:
-                ok = False
-                break
-        if ok and is_self_avoiding(turns_to_coords(turns)):
-            return turns
-    raise LatticeError(f"failed to sample a self-avoiding walk of length {length}")

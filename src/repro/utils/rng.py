@@ -35,13 +35,6 @@ def rng_for(master_seed: int, *keys: object) -> np.random.Generator:
     return np.random.default_rng(child_seed(master_seed, *keys))
 
 
-def spawn_rngs(master_seed: int, n: int, label: str = "task") -> list[np.random.Generator]:
-    """Spawn ``n`` independent generators labelled ``label:0 .. label:n-1``."""
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    return [rng_for(master_seed, label, i) for i in range(n)]
-
-
 def stable_fraction(*keys: object) -> float:
     """Map arbitrary keys to a deterministic float in ``[0, 1)``.
 

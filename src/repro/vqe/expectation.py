@@ -61,21 +61,6 @@ class DiagonalExpectation:
     def _score(self, keys: list[str]) -> list[float]:
         return self.hamiltonian.energies(self.encoding.turns_from_keys(keys)).tolist()
 
-    def estimate_from_counts(self, counts: dict[str, int]) -> float:
-        """Shot-weighted mean energy of a counts dictionary."""
-        if not counts:
-            raise VQEError("cannot estimate an expectation value from empty counts")
-        total = 0
-        acc = 0.0
-        for bits, freq in counts.items():
-            if freq < 0:
-                raise VQEError(f"negative count for bitstring {bits!r}")
-            acc += self.energy_of_bits(bits) * freq
-            total += freq
-        if total == 0:
-            raise VQEError("counts dictionary has zero total shots")
-        return acc / total
-
     def _unique_config_energies(
         self, samples: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

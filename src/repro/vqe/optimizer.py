@@ -38,11 +38,6 @@ class OptimizerResult:
         """Maximum objective value observed during optimisation."""
         return max(self.history) if self.history else self.optimal_value
 
-    @property
-    def value_range(self) -> float:
-        """Spread of objective values over the run (the paper's "Energy Range")."""
-        return self.highest_value - self.lowest_value
-
 
 class CobylaOptimizer:
     """COBYLA wrapper with evaluation-history tracking."""

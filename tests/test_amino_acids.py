@@ -38,33 +38,27 @@ def test_unknown_codes_raise():
 
 def test_hydrophobicity_signs():
     # Kyte-Doolittle: Ile most hydrophobic, Arg most hydrophilic.
-    assert aa.hydrophobicity("I") == pytest.approx(4.5)
-    assert aa.hydrophobicity("R") == pytest.approx(-4.5)
-    assert aa.is_hydrophobic("L")
-    assert not aa.is_hydrophobic("K")
+    assert aa.get("I").hydropathy == pytest.approx(4.5)
+    assert aa.get("R").hydropathy == pytest.approx(-4.5)
+    assert aa.get("L").hydrophobic
+    assert not aa.get("K").hydrophobic
 
 
 def test_charges():
-    assert aa.residue_charge("D") == -1
-    assert aa.residue_charge("E") == -1
-    assert aa.residue_charge("K") == 1
-    assert aa.residue_charge("R") == 1
-    assert aa.residue_charge("A") == 0
-    assert sum(abs(aa.residue_charge(c)) for c in aa.AA_ORDER) == 4  # D, E, K, R
+    assert aa.get("D").charge == -1
+    assert aa.get("E").charge == -1
+    assert aa.get("K").charge == 1
+    assert aa.get("R").charge == 1
+    assert aa.get("A").charge == 0
+    assert sum(abs(aa.get(c).charge) for c in aa.AA_ORDER) == 4  # D, E, K, R
 
 
 def test_masses_and_volumes_positive():
     for code in aa.AA_ORDER:
-        assert aa.residue_mass(code) > 50.0
-        assert aa.residue_volume(code) > 50.0
+        assert aa.get(code).mass > 50.0
+        assert aa.get(code).volume > 50.0
 
 
 def test_glycine_is_smallest():
-    assert min(aa.AA_ORDER, key=aa.residue_mass) == "G"
-    assert min(aa.AA_ORDER, key=aa.residue_volume) == "G"
-
-
-def test_is_valid_residue():
-    assert aa.is_valid_residue("a")
-    assert not aa.is_valid_residue("Z")
-    assert not aa.is_valid_residue("1")
+    assert min(aa.AA_ORDER, key=lambda c: aa.get(c).mass) == "G"
+    assert min(aa.AA_ORDER, key=lambda c: aa.get(c).volume) == "G"

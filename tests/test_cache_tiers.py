@@ -99,7 +99,6 @@ def test_explicit_cache_dir_keeps_config_cache_remote(tmp_path):
     appended, on every path that takes one."""
     from repro.dataset.builder import DatasetBuilder
     from repro.engine import Engine
-    from repro.folding.predictor import QuantumFoldingPredictor
 
     config = PipelineConfig(cache_remote="10.0.0.9:7377")
     expected = [
@@ -109,7 +108,6 @@ def test_explicit_cache_dir_keeps_config_cache_remote(tmp_path):
         resolve_cache(config, cache=tmp_path / "d"),
         Engine(config=config, cache=str(tmp_path / "d")).cache,
         DatasetBuilder(config=config, cache_dir=tmp_path / "d").engine.cache,
-        QuantumFoldingPredictor(config=config)._engine(cache=tmp_path / "d").cache,
     ]
     for cache in caches:
         assert isinstance(cache, TieredCache)

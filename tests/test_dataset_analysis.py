@@ -10,7 +10,6 @@ from repro.analysis.report import (
     PAPER_WIN_RATES,
     build_case_study_table,
     build_group_table,
-    dataset_scale_summary,
     format_table,
     winrate_report,
 )
@@ -119,12 +118,6 @@ def test_group_table_without_bank_uses_paper_values():
     assert rows[0]["qubits"] == rows[0]["paper_qubits"]
     text = format_table(rows, columns=["pdb_id", "sequence", "qubits", "depth"])
     assert "pdb_id" in text and "1yc4" in text
-
-
-def test_dataset_scale_summary():
-    summary = dataset_scale_summary()
-    assert summary["fragments"] == 55
-    assert summary["paper_total_exec_time_s"] > 1_000_000
 
 
 # -- end-to-end mini bank --------------------------------------------------------------------

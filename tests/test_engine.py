@@ -296,8 +296,8 @@ def test_engine_serial_and_parallel_runs_are_bit_identical(engine_config):
         engine.spec("3ckz", "VKDRS"),
         engine.spec("4mo4", "NIGGF"),
     ]
-    serial = engine.run(specs, processes=0)
-    parallel = engine.run(specs, processes=2)
+    serial = engine.run(specs)
+    parallel = Engine(config=engine_config, processes=2).run(specs)
     assert [r.pdb_id for r in parallel] == [r.pdb_id for r in serial]
     for a, b in zip(serial, parallel):
         assert a.spec_hash == b.spec_hash
@@ -326,29 +326,9 @@ def test_engine_cache_dir_from_config(tmp_path, engine_config):
 # -- predictor integration ----------------------------------------------------------
 
 
-def test_predict_many_routes_through_engine_and_matches_predict(engine_config):
-    predictor = QuantumFoldingPredictor(config=engine_config)
-    fragments = [("3eax", "RYRDV"), ("3ckz", "VKDRS")]
-    batch = predictor.predict_many(fragments)
-    singles = [predictor.predict(pdb_id, seq) for pdb_id, seq in fragments]
-    assert len(batch) == 2
-    for got, want in zip(batch, singles):
-        assert got.pdb_id == want.pdb_id
-        assert _structures_identical(got, want)
-
-
 def test_predictor_reuses_engine_and_accumulates_stats(engine_config):
     predictor = QuantumFoldingPredictor(config=engine_config)
     predictor.predict("3eax", "RYRDV")
     predictor.predict("3ckz", "VKDRS")
     assert predictor.engine.stats()["completed_jobs"] == 2
 
-
-def test_predictor_with_explicit_backend_stays_local(engine_config):
-    backend = EagleEmulatorBackend(ancilla_margin=2, noise_enabled=False)
-    predictor = QuantumFoldingPredictor(config=engine_config, backend=backend)
-    prediction = predictor.predict("3eax", "RYRDV")
-    # The caller-supplied backend instance actually executed the jobs (and
-    # kept its per-job records), i.e. nothing was shipped to the engine.
-    assert backend.total_shots() > 0
-    assert prediction.metadata["backend"] == "eagle_emulator"

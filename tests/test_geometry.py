@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.bio.geometry import (
-    angle_between,
-    apply_transform,
-    dihedral_angle,
     kabsch_rotation,
-    pairwise_distances,
-    radius_of_gyration,
     random_rotation,
     rotation_matrix,
     superimpose,
@@ -30,23 +25,6 @@ def test_rotation_matrix_is_orthogonal():
 def test_rotation_matrix_zero_axis_raises():
     with pytest.raises(ValueError):
         rotation_matrix(np.zeros(3), 0.5)
-
-
-def test_angle_between_orthogonal_vectors():
-    assert angle_between([1, 0, 0], [0, 1, 0]) == pytest.approx(np.pi / 2)
-
-
-def test_dihedral_of_planar_points_is_pi_or_zero():
-    p0, p1, p2, p3 = [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]
-    assert np.sin(dihedral_angle(p0, p1, p2, p3)) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_pairwise_distances_matches_norm():
-    a = np.array([[0.0, 0, 0], [3.0, 4.0, 0]])
-    d = pairwise_distances(a)
-    assert d[0, 1] == pytest.approx(5.0)
-    assert d[1, 0] == pytest.approx(5.0)
-    assert np.allclose(np.diag(d), 0.0)
 
 
 @given(point_sets, st.integers(0, 2**32 - 1))
@@ -71,11 +49,12 @@ def test_kabsch_returns_proper_rotation(points):
 
 @given(point_sets, st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
-def test_radius_of_gyration_rotation_invariant(points, seed):
-    rng = np.random.default_rng(seed)
-    rot = random_rotation(rng)
-    rotated = apply_transform(points, rot, np.zeros(3))
-    assert radius_of_gyration(points) == pytest.approx(radius_of_gyration(rotated), rel=1e-9, abs=1e-9)
+def test_random_rotation_preserves_distances_to_the_centroid(points, seed):
+    rot = random_rotation(np.random.default_rng(seed))
+    rotated = points @ rot.T
+    before = np.linalg.norm(points - points.mean(axis=0), axis=1)
+    after = np.linalg.norm(rotated - rotated.mean(axis=0), axis=1)
+    assert np.allclose(before, after, rtol=1e-9, atol=1e-9)
 
 
 def test_superimpose_shape_mismatch_raises():

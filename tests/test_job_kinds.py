@@ -496,9 +496,10 @@ def test_build_entries_warm_cache_runs_zero_vqe_and_zero_docking(
     transports: list = []
     transport_for = cold_engine.transport_for
 
-    def recording_transport_for(n=None):
-        transports.append(n)
-        return transport_for(n)
+    def recording_transport_for():
+        transport = transport_for()
+        transports.append(transport.name)
+        return transport
 
     context_pools: list = []
 
@@ -512,7 +513,7 @@ def test_build_entries_warm_cache_runs_zero_vqe_and_zero_docking(
     cold = BatchProcessor(cold_engine).build_entries(fragments)
     cold_stats = cold_engine.stats()
     assert cold_stats["executed_by_kind"] == {"fold": 2, "baseline_fold": 4, "dock": 6}
-    assert transports == [processes, processes]
+    assert transports == 2 * ["pool" if processes > 1 else "serial"]
     assert context_pools == ([processes] if processes > 1 else [])
 
     # A brand-new engine over the same cache executes nothing at all.

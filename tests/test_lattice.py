@@ -18,10 +18,8 @@ from repro.lattice.reconstruction import reconstruct_structure
 from repro.lattice.tetrahedral import (
     CA_VIRTUAL_BOND,
     backtracking_count,
-    contact_pairs,
     is_self_avoiding,
     overlap_count,
-    random_self_avoiding_turns,
     turns_to_coords,
 )
 
@@ -62,23 +60,11 @@ def test_backtracking_detection():
     assert not is_self_avoiding(coords)
 
 
-def test_contact_pairs_chain_separation():
-    turns = [0, 1, 0, 1, 0, 1]
-    for i, j in contact_pairs(turns_to_coords(turns)):
-        assert j - i >= 3
-
-
 def test_invalid_turns_raise():
     with pytest.raises(LatticeError):
         turns_to_coords([0, 5])
     with pytest.raises(LatticeError):
         turns_to_coords([])
-
-
-def test_random_self_avoiding_turns():
-    rng = np.random.default_rng(3)
-    turns = random_self_avoiding_turns(10, rng)
-    assert is_self_avoiding(turns_to_coords(turns))
 
 
 # -- encoding / resource model ----------------------------------------------------

@@ -15,8 +15,6 @@ def test_basic_properties():
     assert len(seq) == 5
     assert str(seq) == "RYRDV"
     assert seq[0] == "R"
-    assert seq.three_letter[0] == "ARG"
-    assert seq.net_charge == 1  # R(+1) Y(0) R(+1) D(-1) V(0)
 
 
 def test_lowercase_normalised():
@@ -53,10 +51,3 @@ def test_mass_positive_and_monotone(s):
     seq = ProteinSequence(s)
     assert seq.mass > 18.0
     assert seq.mass > len(seq) * 50.0
-
-
-@given(sequences)
-def test_fraction_bounds(s):
-    seq = ProteinSequence(s)
-    assert 0.0 <= seq.hydrophobic_fraction() <= 1.0
-    assert 0.0 <= seq.polar_fraction() <= 1.0

@@ -51,11 +51,11 @@ class FlakyResult:
     from_cache: bool = False
     kind: str = "flaky"
 
-    def shallow_copy(self, from_cache: bool | None = None) -> "FlakyResult":
-        out = replace(self)
-        if from_cache is not None:
-            out.from_cache = from_cache
-        return out
+    def shallow_copy(self) -> "FlakyResult":
+        return replace(self)
+
+    def to_payload(self) -> dict:
+        return {"schema": "flaky/v1", "spec_hash": self.spec_hash, "name": self.name, "value": self.value}
 
 
 def execute_flaky(spec: FlakySpec) -> FlakyResult:
@@ -82,6 +82,30 @@ def session_engine(tmp_path) -> Engine:
     return Engine(
         config=PipelineConfig(session_dir=str(tmp_path / "sessions")), processes=0
     )
+
+
+@pytest.fixture
+def replay_engine(tmp_path) -> Engine:
+    """A serial journalling engine with a result cache, so resumes replay.
+
+    Replayed jobs are baseline folds: the cache rebuilds fold and dock
+    payloads only, so a flaky job may be cached but never replayed.
+    """
+    config = PipelineConfig(
+        seed=9,
+        session_dir=str(tmp_path / "replay-sessions"),
+        cache_dir=str(tmp_path / "replay-cache"),
+    )
+    return Engine(config=config, processes=0)
+
+
+def _baselines(engine: Engine, n: int) -> list:
+    """``n`` distinct baseline-fold jobs (cheap, and replayable from the cache)."""
+    pairs = [("3eax", "RYRDV"), ("3ckz", "VKDRS")]
+    return [
+        engine.baseline_spec(pdb_id, seq, method)
+        for pdb_id, seq in pairs for method in ("AF2", "AF3")
+    ][:n]
 
 
 # -- failure isolation ---------------------------------------------------------------
@@ -154,9 +178,9 @@ def test_aborted_stream_closes_the_session_instead_of_none_holes(session_engine)
         session.results()
     with pytest.raises(EngineError, match="closed before finishing"):
         session.results()
-    # resume() still works and completes the remainder.
+    # Re-submitting the session id still works and completes the remainder.
     FAIL_NAMES.clear()
-    outcomes = session.resume().results()
+    outcomes = session_engine.submit(session_id="aborted").results()
     assert [getattr(o, "name", None) for o in outcomes] == ["a", "bad", "b"]
 
 
@@ -168,70 +192,64 @@ def test_unknown_on_error_policy_is_rejected(session_engine):
 # -- resume: exactly the failed / incomplete jobs re-run ------------------------------
 
 
-def test_resume_reruns_exactly_the_failed_jobs(session_engine):
+def test_resume_reruns_exactly_the_failed_jobs(replay_engine):
     FAIL_NAMES.add("bad")
-    jobs = [FlakySpec("a"), FlakySpec("bad"), FlakySpec("b")]
-    session = session_engine.submit(jobs, session_id="rerun")
-    first = session.results()
-    assert isinstance(first[1], JobFailure)
+    first, second = _baselines(replay_engine, 2)
+    jobs = [first, FlakySpec("bad"), second]
+    outcomes = replay_engine.submit(jobs, session_id="rerun").results()
+    assert isinstance(outcomes[1], JobFailure)
 
     FAIL_NAMES.clear()
     EXECUTED.clear()
-    resumed = session.resume()
+    resumed = replay_engine.submit(session_id="rerun")
     outcomes = resumed.results()
 
     assert EXECUTED == ["bad"]  # nothing else re-ran
-    assert [o.name for o in outcomes] == ["a", "bad", "b"]
+    assert [o.spec_hash for o in outcomes] == [job.content_hash() for job in jobs]
     assert outcomes[0].from_cache and outcomes[2].from_cache  # replayed, not re-executed
-    assert not outcomes[1].from_cache
+    assert not outcomes[1].from_cache and outcomes[1].name == "bad"
     assert resumed.summary()["failed"] == 0
+    assert replay_engine.stats()["executed_jobs"] == 3  # 2 + the one re-run
 
 
-def test_interrupted_stream_resumes_only_incomplete_jobs(session_engine):
-    jobs = [FlakySpec(name) for name in ("a", "b", "c", "d")]
-    session = session_engine.submit(jobs, session_id="interrupt")
-    seen = []
-    for spec, outcome in session:
-        seen.append(outcome.name)
-        if len(seen) == 2:
+def test_interrupted_stream_resumes_only_incomplete_jobs(replay_engine):
+    jobs = _baselines(replay_engine, 4)
+    session = replay_engine.submit(jobs, session_id="interrupt")
+    for done, _pair in enumerate(session, start=1):
+        if done == 2:
             break  # simulate Ctrl-C after two completions
+    session.close()
+    assert replay_engine.stats()["executed_jobs"] == 2
 
-    assert EXECUTED == ["a", "b"]
-    EXECUTED.clear()
-    resumed = session.resume()
+    resumed = replay_engine.submit(session_id="interrupt")
     outcomes = resumed.results()
-    assert EXECUTED == ["c", "d"]  # only the never-completed jobs executed
-    assert [o.name for o in outcomes] == ["a", "b", "c", "d"]
-    # Progress statuses confirm the replay/execute split.
+    assert [o.spec_hash for o in outcomes] == [job.content_hash() for job in jobs]
+    # Only the never-completed jobs executed; the rest replayed.
+    assert [o.from_cache for o in outcomes] == [True, True, False, False]
     assert resumed.summary()["cached"] == 2
     assert resumed.summary()["executed"] == 2
+    assert replay_engine.stats()["executed_jobs"] == 4
 
 
-def test_cache_hits_stream_before_pool_completions(session_engine):
+def test_cache_hits_stream_before_pool_completions(replay_engine):
     events = []
-    session = session_engine.submit(
-        [FlakySpec("a"), FlakySpec("b")], session_id="order1"
-    )
-    session.results()
-    # Resume with two extra fresh jobs via a new session over a superset is a
-    # different journal; instead interrupt-style: resume the same session and
-    # watch replayed outcomes arrive before executions.
-    EXECUTED.clear()
-    resumed = session.resume()
-    resumed.progress = lambda e: events.append(e.status)
-    resumed.results()
+    jobs = _baselines(replay_engine, 2)
+    replay_engine.submit(jobs, session_id="order1").results()
+    # Resuming the finished session replays every job from the cache.
+    replay_engine.submit(
+        session_id="order1", progress=lambda e: events.append(e.status)
+    ).results()
     assert events == ["cached", "cached"]
 
     events.clear()
-    mixed = session_engine.submit(
-        [FlakySpec("c"), FlakySpec("a")], session_id="order2",
-        progress=lambda e: events.append((e.status, e.spec_hash)),
+    mixed = replay_engine.submit(
+        [FlakySpec("c"), jobs[0]], session_id="order2",
+        progress=lambda e: events.append(e.status),
     )
-    ordered = [outcome.name for _spec, outcome in mixed]
-    # "a" was never journalled under order2 and there is no result cache, so
-    # both execute — submission order is preserved serially.
-    assert ordered == ["c", "a"]
-    assert [s for s, _ in events] == ["executed", "executed"]
+    # The cached job streams first, though it was submitted second.
+    assert [spec for spec, _outcome in mixed] == [jobs[0], FlakySpec("c")]
+    assert events == ["cached", "executed"]
+    assert EXECUTED == ["c"]
 
 
 def test_progress_events_carry_running_totals(session_engine):
@@ -268,20 +286,21 @@ def test_partially_consumed_session_is_drainable(session_engine):
     assert [outcome.name for _spec, outcome in session] == ["a", "b", "c"]
 
 
-def test_close_stops_a_partially_consumed_session(session_engine):
-    session = session_engine.submit(
-        [FlakySpec("a"), FlakySpec("b")], session_id="closed"
-    )
+def test_close_stops_a_partially_consumed_session(replay_engine):
+    jobs = _baselines(replay_engine, 2)
+    session = replay_engine.submit(jobs, session_id="closed")
     next(iter(session))
     session.close()
-    assert EXECUTED == ["a"]  # "b" never ran
+    assert replay_engine.stats()["executed_jobs"] == 1  # the second job never ran
     # A closed session refuses to hand out a result list with silent holes.
     with pytest.raises(EngineError, match="closed"):
         session.results()
     # The journal kept what finished; a resume runs only the remainder.
-    outcomes = session.resume().results()
-    assert EXECUTED == ["a", "b"]
-    assert [o.name for o in outcomes] == ["a", "b"]
+    resumed = replay_engine.submit(session_id="closed")
+    outcomes = resumed.results()
+    assert [o.spec_hash for o in outcomes] == [job.content_hash() for job in jobs]
+    assert resumed.summary()["cached"] == 1 and resumed.summary()["executed"] == 1
+    assert replay_engine.stats()["executed_jobs"] == 2
 
 
 # -- the journal on disk -------------------------------------------------------------
@@ -540,74 +559,68 @@ def test_cli_status_reports_failures_with_exit_code(session_engine, capsys):
     assert status["failures"][0]["error_type"] == "ValueError"
 
 
-# -- journal compaction --------------------------------------------------------------
+# -- journals compacted by earlier builds --------------------------------------------
 
 
-def test_journal_compact_keeps_final_state_and_shrinks(tmp_path):
-    """A journal accreted over many resumes compacts to its final state: one
-    record per unique job (completed beats failed), the resume count folded
-    into a single marker, and the reopened state bit-identical."""
-    root = tmp_path / "sessions"
-    root.mkdir()
-    jobs = [FlakySpec("a"), FlakySpec("bad"), FlakySpec("c"), FlakySpec("d")]
-    h = {spec.name: spec.content_hash() for spec in jobs}
-    journal = SessionJournal.create(root, "long", jobs)
-    # Pass 1: two completions, two failures.
-    journal.record_job(h["a"], "completed", "flaky")
-    journal.record_job(h["bad"], "failed", "flaky", error_type="ValueError", error_message="kapow")
-    journal.record_job(h["c"], "completed", "flaky")
-    journal.record_job(h["d"], "failed", "flaky", error_type="ValueError", error_message="kapow")
-    # Pass 2: "bad" still failing; pass 3: it finally completes.
-    journal.mark_resumed()
-    journal.record_job(h["bad"], "failed", "flaky", error_type="ValueError", error_message="kapow")
-    journal.mark_resumed()
-    journal.record_job(h["bad"], "completed", "flaky")
+def test_compacted_journal_keeps_its_resume_count(replay_engine):
+    """Earlier builds could compact a journal into a header, one ``compact``
+    record folding the resume markers, and the latest record per job.  Such a
+    journal still opens: the folded count adds to later markers, a completed
+    record beats an earlier failed one, and a re-submit executes nothing."""
+    (job,) = _baselines(replay_engine, 1)
+    replay_engine.run([job])  # fills the result cache; run() never journals
+    key = job.content_hash()
+    root = Path(replay_engine.config.session_dir)
+    SessionJournal.create(root, "old", [job])
+    records = [
+        {"record": "job", "spec_hash": key, "status": "failed", "kind": job.kind,
+         "from_cache": False, "error_type": "ValueError", "error_message": "kapow"},
+        {"record": "job", "spec_hash": key, "status": "completed", "kind": job.kind,
+         "from_cache": False},
+        {"record": "compact", "resumes": 3, "compacted_at": "2025-01-01T00:00:00+00:00"},
+        {"record": "resume", "resumed_at": "2025-01-02T00:00:00+00:00"},
+    ]
+    with (root / "old.jsonl").open("a", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
-    before = SessionJournal.open(root, "long")
-    result = journal.compact()
-    assert result["records_after"] < result["records_before"]
-    assert result["bytes_after"] < result["bytes_before"]
-    assert result["records_after"] == 2 + len(jobs)  # header + compact marker + jobs
+    journal = SessionJournal.open(root, "old")
+    assert journal.resumes == 4
+    assert set(journal.completed) == {key}
+    assert key not in journal.failed
 
-    after = SessionJournal.open(root, "long")
-    assert set(after.completed) == set(before.completed) == {h["a"], h["bad"], h["c"]}
-    assert set(after.failed) == set(before.failed) == {h["d"]}
-    assert after.failed[h["d"]]["error_type"] == "ValueError"
-    assert after.resumes == before.resumes == 2
-    assert after.spec_hashes == before.spec_hashes
-    assert after.created_at == before.created_at
-    assert after.summary() == before.summary()
-
-    # Compaction is idempotent, and an unopened journal refuses to compact.
-    again = after.compact()
-    assert again["records_after"] == again["records_before"]
-    with pytest.raises(EngineError, match="open\\(\\)ed or create\\(\\)d"):
-        SessionJournal(root, "long").compact()
+    fresh = Engine(config=replay_engine.config)
+    resumed = fresh.submit(session_id="old")
+    assert resumed.results()[0].from_cache
+    assert resumed.summary()["executed"] == 0
+    assert fresh.stats()["executed_jobs"] == 0
+    assert SessionJournal.open(root, "old").resumes == 5
 
 
-def test_cli_compact_roundtrip(tmp_path, capsys):
-    root = tmp_path / "sessions"
-    root.mkdir()
-    journal = SessionJournal.create(root, "sweep", [FlakySpec("a")])
-    key = FlakySpec("a").content_hash()
-    for _ in range(3):
-        journal.record_job(key, "completed", "flaky")
+def test_cli_resume_on_error_raise_reports_the_abort(session_engine, capsys):
+    """A job failing under ``--on-error raise`` aborts the resume with a
+    one-line report and exit status 1, and the summary is still printed."""
+    session_engine.submit([FlakySpec("a"), FlakySpec("b")], session_id="abort").close()
+    FAIL_NAMES.add("a")
+    root = session_engine.config.session_dir
+    rc = session_cli_main(
+        ["resume", root, "abort", "--on-error", "raise", "--json", "--quiet"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert (
+        "repro-session: session abort aborted: ValueError: flaky job a exploded"
+        in captured.err
+    )
+    summary = json.loads(captured.out)
+    assert summary["session_id"] == "abort"
+    assert summary["failed"] == 1 and summary["executed"] == 0
+    assert EXECUTED == ["a"]  # fail-fast: "b" never ran
 
-    rc = session_cli_main(["compact", str(root), "sweep", "--json"])
-    out = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    assert out["session_id"] == "sweep"
-    assert out["records_before"] == 4  # header + three passes over one job
-    assert out["records_after"] == 2  # header + the job's final record
-    assert set(SessionJournal.open(root, "sweep").completed) == {key}
-
-    rc = session_cli_main(["compact", str(root), "sweep"])
-    assert rc == 0
-    assert "compacted 2 -> 2 records" in capsys.readouterr().out
-
-    with pytest.raises(SystemExit) as exc:
-        session_cli_main(["compact", str(root), "ghost"])
-    assert exc.value.code == 2
+    rc = session_cli_main(["resume", root, "abort", "--on-error", "raise", "--quiet"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "aborted: ValueError" in captured.err
+    assert "session abort: " in captured.out
 
 
 # -- the streaming BatchProcessor ----------------------------------------------------

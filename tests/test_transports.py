@@ -56,11 +56,8 @@ class EchoResult:
     from_cache: bool = False
     kind: str = "echo"
 
-    def shallow_copy(self, from_cache: bool | None = None) -> "EchoResult":
-        out = replace(self)
-        if from_cache is not None:
-            out.from_cache = from_cache
-        return out
+    def shallow_copy(self) -> "EchoResult":
+        return replace(self)
 
 
 def execute_echo(spec: EchoSpec) -> EchoResult:

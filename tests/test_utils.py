@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from repro.config import PipelineConfig
 from repro.utils.io import read_json, write_json
-from repro.utils.rng import child_seed, rng_for, spawn_rngs, stable_fraction
-from repro.utils.validation import as_points, require_in_range, require_positive
+from repro.utils.rng import child_seed, rng_for, stable_fraction
+from repro.utils.validation import as_points
 
 
 # -- rng ------------------------------------------------------------------------
@@ -31,12 +31,6 @@ def test_rng_for_reproducible_streams():
     assert np.allclose(a, b)
 
 
-def test_spawn_rngs_independent():
-    rngs = spawn_rngs(0, 3)
-    values = [r.random() for r in rngs]
-    assert len(set(values)) == 3
-
-
 def test_stable_fraction_bounds():
     for key in ("a", "b", "exec-queue", 123):
         f = stable_fraction(key)
@@ -58,11 +52,6 @@ def test_json_roundtrip_with_numpy(tmp_path):
 
 
 def test_validation_helpers():
-    assert require_positive("x", 2.0) == 2.0
-    with pytest.raises(ValueError):
-        require_positive("x", 0.0)
-    with pytest.raises(ValueError):
-        require_in_range("y", 5.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         as_points([[1.0, 2.0]])
     with pytest.raises(ValueError):

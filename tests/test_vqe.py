@@ -15,16 +15,6 @@ from repro.vqe.vqe import VQE
 # -- expectation -----------------------------------------------------------------
 
 
-def test_expectation_from_counts_weighted_mean():
-    h = LatticeHamiltonian("ACDEF")
-    exp = DiagonalExpectation(h)
-    bits_a = h.encoding.bits_from_turns([0, 1, 2, 1])
-    bits_b = h.encoding.bits_from_turns([0, 1, 1, 1])
-    ea, eb = h.energy_of_bits(bits_a), h.energy_of_bits(bits_b)
-    value = exp.estimate_from_counts({bits_a: 3, bits_b: 1})
-    assert value == pytest.approx((3 * ea + eb) / 4)
-
-
 def test_expectation_cache_grows_once_per_unique_config():
     h = LatticeHamiltonian("ACDEF")
     exp = DiagonalExpectation(h)
@@ -32,12 +22,6 @@ def test_expectation_cache_grows_once_per_unique_config():
     exp.energy_of_bits(bits)
     exp.energy_of_bits(bits)
     assert exp.cache_size == 1
-
-
-def test_expectation_empty_counts_raise():
-    h = LatticeHamiltonian("ACDEF")
-    with pytest.raises(VQEError):
-        DiagonalExpectation(h).estimate_from_counts({})
 
 
 def test_cvar_below_or_equal_mean():
@@ -77,7 +61,7 @@ def test_spsa_minimises_quadratic():
 
 def test_optimizer_history_tracks_range():
     result = CobylaOptimizer(max_iterations=30).minimize(lambda x: float(np.sum(x**2)), np.ones(2) * 3)
-    assert result.value_range == pytest.approx(result.highest_value - result.lowest_value)
+    assert result.highest_value >= result.optimal_value >= result.lowest_value
 
 
 # -- VQE driver ----------------------------------------------------------------------
