@@ -11,13 +11,14 @@ The published Vina term weights are used.  Scores are reported in kcal/mol.
 All pairwise terms are evaluated with a single broadcast distance tensor and
 boolean masks — there is no per-atom Python loop on the scoring hot path.
 :meth:`VinaScoringFunction.score_coords_batch` scores a whole batch of poses
-at once (one distance tensor, transcendentals restricted to within-cutoff
-pairs via flat masked indexing), and the single-pose :meth:`score_coords` is a
-batch of one, so both paths are the same code and produce bit-identical
-scores.  The electrostatic exponential is skipped entirely when its weight is
-0.0 (the default): with a zero weight the term contributes an exact ±0.0 to
-every pair, and adding a signed zero to the partial sum never changes it,
-because the preceding Gaussian terms are strictly non-zero.
+in blocks of :data:`CHUNK_ROWS` (one distance tensor per block,
+transcendentals restricted to within-cutoff pairs via flat masked indexing),
+and the single-pose :meth:`score_coords` is a batch of one, so both paths are
+the same code and produce bit-identical scores.  The electrostatic
+exponential is skipped entirely when its weight is 0.0 (the default): with a
+zero weight the term contributes an exact ±0.0 to every pair, and adding a
+signed zero to the partial sum never changes it, because the preceding
+Gaussian terms are strictly non-zero.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ from repro.exceptions import DockingError
 
 #: Pairs beyond this surface distance (Å) contribute nothing.
 CUTOFF = 8.0
+
+#: Poses scored per block by :meth:`VinaScoringFunction.score_coords_batch`.
+#: The per-pose cost is lowest from about 20 to 100 poses per block and
+#: climbs past that, as the distance tensor outgrows the CPU caches.
+CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,7 @@ class VinaScoringFunction:
         self._charge_product_flat = self._charge_product.ravel()
         self._receptor_sq = np.einsum("ij,ij->i", self.receptor.coords, self.receptor.coords)
         self._receptor_neg2t = np.ascontiguousarray((-2.0 * self.receptor.coords).T)
-        # Pair arrays tiled across poses, grown lazily to the largest batch
+        # Pair arrays tiled across poses, grown lazily to the largest block
         # seen: masked flat indices then gather pair properties directly,
         # with no per-call modulo to recover the within-pose pair index.
         self._hydrophobic_tile: np.ndarray | None = None
@@ -183,11 +189,12 @@ class VinaScoringFunction:
     def score_coords_batch(self, pose_coords: np.ndarray) -> np.ndarray:
         """Score ``P`` ligand poses at once: ``(P, A, 3) -> (P,)`` kcal/mol.
 
-        One distance tensor covers the whole batch; the Gaussian, repulsion
-        and hydrophobic terms are evaluated only on within-cutoff pairs
-        through flat masked indexing and scattered back into a dense
-        contribution tensor, so the per-pose reduction order — and therefore
-        every score bit — matches a full-matrix evaluation of the same pose.
+        Poses are scored in blocks of :data:`CHUNK_ROWS`.  One distance
+        tensor covers a block; the Gaussian, repulsion and hydrophobic terms
+        are evaluated only on within-cutoff pairs through flat masked
+        indexing and scattered back into a dense contribution tensor, so the
+        per-pose reduction order — and therefore every score bit — matches a
+        full-matrix evaluation of the same pose, whatever the block.
         """
         pose_coords = np.asarray(pose_coords, dtype=float)
         if pose_coords.ndim != 3 or pose_coords.shape[1:] != self.ligand.coords.shape:
@@ -195,6 +202,14 @@ class VinaScoringFunction:
                 f"pose batch shape {pose_coords.shape} does not match (P, "
                 f"{self.ligand.coords.shape[0]}, 3)"
             )
+        out = np.empty(pose_coords.shape[0])
+        for start in range(0, len(out), CHUNK_ROWS):
+            block = slice(start, start + CHUNK_ROWS)
+            out[block] = self._score_block(pose_coords[block])
+        return out
+
+    def _score_block(self, pose_coords: np.ndarray) -> np.ndarray:
+        """:meth:`score_coords_batch` on one block of at most :data:`CHUNK_ROWS` poses."""
         num_poses = pose_coords.shape[0]
         pairs_per_pose = self._radius_sum.size
         surf = self._surface_distances(pose_coords)
@@ -215,10 +230,13 @@ class VinaScoringFunction:
         np.exp(term, out=term)
         term *= w.gauss2
         raw += term
-        term = np.where(sv < 0.0, sv * sv, 0.0)
+        term = np.minimum(sv, 0.0)
+        np.square(term, out=term)
         term *= w.repulsion
         raw += term
-        term = np.clip(1.5 - sv, 0.0, 1.0)
+        term = np.subtract(1.5, sv)
+        np.maximum(term, 0.0, out=term)
+        np.minimum(term, 1.0, out=term)
         term *= self._hydrophobic_tile[flat_idx]
         term *= w.hydrophobic
         raw += term
@@ -246,7 +264,10 @@ class VinaScoringFunction:
         # (cutoff or not) leaves each per-atom maximum unchanged.
         hbond_sum = np.zeros(num_poses)
         if self._hb_lig.size:
-            vals = np.clip(surf[:, self._hb_lig, self._hb_rec] / -0.7, 0.0, 1.0)
+            vals = surf[:, self._hb_lig, self._hb_rec]
+            vals /= -0.7
+            np.maximum(vals, 0.0, out=vals)
+            np.minimum(vals, 1.0, out=vals)
             per_atom = np.zeros((num_poses, self._radius_sum.shape[0]))
             per_atom[:, self._hb_atoms] = np.maximum.reduceat(vals, self._hb_starts, axis=1)
             hbond_sum = per_atom.sum(axis=1)

@@ -8,18 +8,30 @@ distinct poses it visits, and polishes each of them with a short greedy local
 refinement.  Every run is fully determined by its seed, which is how the
 paper's per-seed docking reproducibility is achieved.
 
-Multi-seed lock-step
+Streams in lock-step
 --------------------
-One :meth:`MonteCarloPoseSearch.search` call runs every seed at one site.
-All seeds × walkers (20 × 5 under the paper preset) advance in lock-step:
-a Metropolis step is one batched proposal and one
+One search holds every binding site of a receptor.  One
+:meth:`MonteCarloPoseSearch.search` call runs a list of *streams*: a stream
+is one docking run at one site, with its own generator (the docking engine
+derives it from the run's recorded seed and the site index).  Each stream
+has the same number of walkers, and every walker of every stream, across
+sites and runs, advances in lock-step: a Metropolis step is one batched
+proposal and one
 :meth:`~repro.docking.scoring.VinaScoringFunction.score_coords_batch` call.
-Refinement runs in rounds: each seed picks its next candidate distinct from
-its refined poses, and all picks refine together.  Each walker draws from
-its own stream (walker 0: the seed's generator; others: spawned children)
-in the order a one-seed, one-walker-at-a-time search would, so the output
-is bit-identical to it.  Sites stay sequential: walker 0's draws carry from
-one site to the next.
+Refinement runs in rounds that span all streams: each stream picks its next
+candidate distinct from its refined poses, and all picks refine together.
+
+Draws
+-----
+Walker 0 of a stream draws from the stream's generator, the others from
+spawned children (:func:`walker_rngs`).  Each walker draws its start, then
+its whole walk in two calls: ``standard_normal((steps, 7))`` for the
+proposals and ``random(steps)`` for the Metropolis test, which draws a
+uniform on every step, uphill or not.  The stream's generator then draws
+``standard_normal((num_poses, refine_steps, 7))``, and the stream's k-th
+refined pose uses block k.  So the number of draws follows from the knobs
+alone, a step runs no per-stream Python, and a stream's poses are the same
+whichever other streams share its search.
 """
 
 from __future__ import annotations
@@ -62,23 +74,29 @@ def walker_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generato
 
 
 class MonteCarloPoseSearch:
-    """Metropolis pose search around a binding-site centre."""
+    """Metropolis pose search around one or more binding-site centres.
+
+    ``site_centers`` is one centre ``(3,)`` or one per site ``(K, 3)``;
+    ``site_radii`` is one radius for every site or one per site.
+    """
 
     def __init__(
         self,
         scorer: VinaScoringFunction,
-        site_center: np.ndarray,
-        site_radius: float = 6.0,
+        site_centers: np.ndarray,
+        site_radii: float | np.ndarray = 6.0,
         temperature: float = 1.2,
         translation_step: float = 1.0,
         rotation_step: float = 0.5,
         initial_rotations: list[np.ndarray] | None = None,
     ):
-        if site_radius <= 0:
-            raise DockingError(f"site radius must be positive, got {site_radius}")
         self.scorer = scorer
-        self.site_center = np.asarray(site_center, dtype=float).reshape(3)
-        self.site_radius = float(site_radius)
+        self.site_centers = np.asarray(site_centers, dtype=float).reshape(-1, 3)
+        self.site_radii = np.broadcast_to(
+            np.asarray(site_radii, dtype=float), len(self.site_centers)
+        ).copy()
+        if np.any(self.site_radii <= 0):
+            raise DockingError(f"site radii must be positive, got {self.site_radii.tolist()}")
         self.temperature = float(temperature)
         self.translation_step = float(translation_step)
         self.rotation_step = float(rotation_step)
@@ -94,25 +112,24 @@ class MonteCarloPoseSearch:
     # -- proposals ---------------------------------------------------------------
 
     def _initial_state(
-        self, walker: int, rng: np.random.Generator
+        self, walker: int, site: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Starting (rotation, translation) of one walker (scoring separate)."""
+        """Starting (rotation, translation) of one walker at ``site`` (scoring separate)."""
         if walker < len(self.initial_rotations):
             rotation = self.initial_rotations[walker]
             offset = rng.normal(scale=0.5, size=3)
         else:
             rotation = random_rotation(rng)
-            offset = rng.normal(scale=self.site_radius / 2.0, size=3)
-        return rotation, self.site_center + offset
+            offset = rng.normal(scale=self.site_radii[site] / 2.0, size=3)
+        return rotation, self.site_centers[site] + offset
 
     def _propose(
-        self, rotations: np.ndarray, translations: np.ndarray, rngs: list, scale: float = 1.0
+        self, rotations: np.ndarray, translations: np.ndarray, z: np.ndarray, scale: float = 1.0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Perturb and score stacked poses; row ``i`` draws ``standard_normal(7)`` from ``rngs[i]``.
+        """Perturb and score stacked poses by the standard normals ``z`` ``(P, 7)``.
 
-        Axis (3), angle (1), shift (3): the bits of separate ``normal`` calls.
+        Columns: rotation axis (3), angle (1), shift (3).
         """
-        z = np.stack([rng.standard_normal(7) for rng in rngs])
         turns = rotation_matrices(z[:, :3], (self.rotation_step * scale) * z[:, 3])
         rotations = np.matmul(turns, rotations)
         translations = translations + (self.translation_step * scale) * z[:, 4:]
@@ -125,33 +142,46 @@ class MonteCarloPoseSearch:
 
     # -- search ------------------------------------------------------------------
 
-    def _walk(self, walkers: int, steps: int, rngs: list) -> tuple[np.ndarray, ...]:
-        """Advance all streams in lock-step; stream ``i`` is walker ``i % walkers`` of its seed.
+    def _walk(
+        self, walkers: int, steps: int, rngs: list, sites: list[int]
+    ) -> tuple[np.ndarray, ...]:
+        """Advance every walker of every stream in lock-step.
 
-        Returns every visited pose as rows of ``(stream, rotations,
-        translations, scores)`` in step order: stacked arrays rather than a
-        :class:`Pose` per visit keep a many-seed walk's memory small.
+        Row ``i`` is walker ``i % walkers`` of stream ``i // walkers``.
+        Returns every visited pose as rows of ``(row, rotations, translations,
+        scores)`` in step order: stacked arrays rather than a :class:`Pose`
+        per visit keep a many-stream walk's memory small.
         """
-        states = [self._initial_state(i % walkers, rng) for i, rng in enumerate(rngs)]
-        rotations = np.stack([rotation for rotation, _ in states])
-        translations = np.stack([translation for _, translation in states])
+        rows = len(rngs) * walkers
+        rotations = np.empty((rows, 3, 3))
+        translations = np.empty((rows, 3))
+        normals = np.empty((steps, rows, 7))
+        uniforms = np.empty((steps, rows))
+        row = 0
+        for rng, site in zip(rngs, sites):
+            for walker, walker_rng in enumerate(walker_rngs(rng, walkers)):
+                rotations[row], translations[row] = self._initial_state(walker, site, walker_rng)
+                normals[:, row] = walker_rng.standard_normal((steps, 7))
+                uniforms[:, row] = walker_rng.random(steps)
+                row += 1
         current = (rotations, translations, self._score(rotations, translations))
-        visited = [(np.arange(len(rngs)), *(part.copy() for part in current))]
-        for _ in range(steps):
-            proposed = self._propose(rotations, translations, rngs)
-            # Metropolis acceptance draws a uniform only for uphill moves.
-            accepted = np.array([
-                delta <= 0 or rng.random() < np.exp(-delta / self.temperature)
-                for delta, rng in zip(proposed[2] - current[2], rngs)
-            ])
+        visited = [(np.arange(rows), *(part.copy() for part in current))]
+        for z, u in zip(normals, uniforms):
+            proposed = self._propose(current[0], current[1], z)
+            # Metropolis: accept with probability min(1, exp(-delta / T)).
+            delta = np.maximum(proposed[2] - current[2], 0.0)
+            accepted = u < np.exp(-delta / self.temperature)
             _update(current, proposed, accepted)
             visited.append((np.flatnonzero(accepted), *(part[accepted] for part in proposed)))
         return tuple(np.concatenate(parts) for parts in zip(*visited))
 
-    def _refine(self, current: tuple, rngs: list, steps: int) -> list[Pose]:
-        """Greedy lock-step refinement of stacked ``(rotations, translations, scores)``."""
-        for i in range(max(0, steps)):
-            proposed = self._propose(current[0], current[1], rngs, scale=0.5 / (1.0 + i))
+    def _refine(self, current: tuple, z: np.ndarray) -> list[Pose]:
+        """Greedy lock-step refinement of stacked ``(rotations, translations, scores)``.
+
+        Step ``i`` perturbs pose ``p`` by the standard normals ``z[p, i]``.
+        """
+        for i in range(z.shape[1]):
+            proposed = self._propose(current[0], current[1], z[:, i], scale=0.5 / (1.0 + i))
             _update(current, proposed, proposed[2] < current[2])
         return [Pose(r.copy(), t.copy(), float(s)) for r, t, s in zip(*current)]
 
@@ -159,45 +189,55 @@ class MonteCarloPoseSearch:
         self,
         steps: int,
         rngs: list[np.random.Generator],
+        sites: list[int],
         num_poses: int = 10,
         restarts: int = 3,
         refine_steps: int = 25,
     ) -> list[list[Pose]]:
-        """Run one search per seed generator; return each seed's best distinct poses.
+        """Search stream ``i`` at site ``sites[i]`` with generator ``rngs[i]``.
 
-        Poses are deduplicated on their translation (two poses closer than
-        1.0 Å are considered the same binding mode and only the better one is
-        kept), mirroring how Vina clusters its output modes.
+        Returns each stream's best distinct poses, best first.  Poses are
+        deduplicated on their translation (two poses closer than 1.0 Å are
+        considered the same binding mode and only the better one is kept),
+        mirroring how Vina clusters its output modes.
         """
         if steps <= 0:
             raise DockingError(f"steps must be positive, got {steps}")
         if not rngs:
-            raise DockingError("pose search needs at least one seed generator")
+            raise DockingError("pose search needs at least one stream")
+        if len(sites) != len(rngs) or not all(0 <= s < len(self.site_centers) for s in sites):
+            raise DockingError(
+                f"need one site in [0, {len(self.site_centers)}) per stream, got {list(sites)}"
+            )
         walkers = max(restarts, len(self.initial_rotations) + 1)
-        streams = [stream for rng in rngs for stream in walker_rngs(rng, walkers)]
-        stream, *poses = self._walk(walkers, max(1, steps // walkers), streams)
+        row, *poses = self._walk(walkers, max(1, steps // walkers), rngs, sites)
         translations, scores = poses[1:]
-        # Each seed's candidates best first; ties keep walker-major visit order.
-        queues = []
-        for seed in range(len(rngs)):
-            rows = np.flatnonzero(stream // walkers == seed)
-            queues.append(iter(rows[np.lexsort((stream[rows], scores[rows]))]))
-        # Selection and refinement consume each seed's own generator (its
-        # walker 0 stream): every round picks each seed's next candidate that
-        # is distinct from its refined poses, then refines all picks together.
+        # Each stream's candidates best first; ties keep walker-major visit order.
+        stream = row // walkers
+        order = np.lexsort((row, scores, stream))
+        queues = [
+            iter(rows)
+            for rows in np.split(order, np.searchsorted(stream[order], np.arange(1, len(rngs))))
+        ]
+        refine_draws = np.stack(
+            [rng.standard_normal((num_poses, max(0, refine_steps), 7)) for rng in rngs]
+        )
+        # Every round picks each stream's next candidate that is distinct
+        # from its refined poses, then refines all picks together.
         selected: list[list[Pose]] = [[] for _ in rngs]
         while True:
             picks: dict[int, int] = {}
-            for seed, (kept, queue) in enumerate(zip(selected, queues)):
+            for index, (kept, queue) in enumerate(zip(selected, queues)):
                 if len(kept) < num_poses:
-                    row = next((r for r in queue if _distinct(translations[r], kept)), None)
-                    if row is not None:
-                        picks[seed] = row
+                    pick = next((r for r in queue if _distinct(translations[r], kept)), None)
+                    if pick is not None:
+                        picks[index] = pick
             if not picks:
                 break
             current = tuple(part[list(picks.values())] for part in poses)
-            for seed, pose in zip(picks, self._refine(current, [rngs[s] for s in picks], refine_steps)):
-                selected[seed].append(pose)
+            z = refine_draws[list(picks), [len(selected[index]) for index in picks]]
+            for index, pose in zip(picks, self._refine(current, z)):
+                selected[index].append(pose)
         if not all(selected):
             raise DockingError("pose search produced no candidates")
         for kept in selected:

@@ -15,7 +15,8 @@ the dock-relevant :class:`~repro.config.PipelineConfig` knobs
 (``docking_seeds``, ``docking_poses``, ``docking_mc_steps``, ``seed``) and
 runs the full multi-seed search.  Every run's seed derives from the master
 seed plus the receptor identity plus the run index (``child_seed``), never
-from worker assignment, so results are bit-identical for any worker count.
+from worker assignment, so results are bit-identical for any worker count;
+the run searches each binding site on its own stream derived from that seed.
 :meth:`DockingResult.from_dict` rebuilds a result from its serialised summary,
 which is what the engine's persistent cache stores; a warm cache therefore
 replays docking results without a single Monte-Carlo step.
@@ -215,15 +216,15 @@ class PreparedDock:
     """The seed-invariant part of a docking task, built once per receptor/ligand.
 
     Scorer construction (receptor typing plus all precomputed pair-type
-    matrices), pocket detection and the per-site search objects depend only on
-    the receptor/ligand pair, never on the run seed — so a multi-seed dock
+    matrices), pocket detection and the search over every site depend only
+    on the receptor/ligand pair, never on the run seed — so a multi-seed dock
     prepares them exactly once and replays the same prepared task for every
     seed.
     """
 
     ligand: Ligand
     scorer: VinaScoringFunction
-    searches: list[MonteCarloPoseSearch]
+    search: MonteCarloPoseSearch
     steps_per_site: int
 
 
@@ -239,8 +240,8 @@ class DockingEngine:
         master_seed: int = 101,
         site_radius: float = 6.0,
     ):
-        if num_seeds <= 0 or num_poses <= 0:
-            raise DockingError("num_seeds and num_poses must be positive")
+        if num_seeds <= 0 or num_poses <= 0 or mc_steps <= 0:
+            raise DockingError("num_seeds, num_poses and mc_steps must be positive")
         self.num_seeds = int(num_seeds)
         self.num_poses = int(num_poses)
         self.mc_steps = int(mc_steps)
@@ -249,19 +250,20 @@ class DockingEngine:
         self.site_radius = float(site_radius)
 
     def prepare(self, receptor: Structure, ligand: Ligand) -> PreparedDock:
-        """Build the seed-invariant task state: scorer, pockets, searches."""
+        """Build the seed-invariant task state: scorer, pockets, search."""
         centered = ligand.centered()
         scorer = VinaScoringFunction(receptor, centered, weights=self.weights)
         # Search every detected binding site (blind docking over the fragment
         # surface), the way Vina explores its whole search box.
         pockets = find_pockets(receptor, num_sites=3)
-        searches = [
-            MonteCarloPoseSearch(scorer, p.center, site_radius=min(self.site_radius, p.radius))
-            for p in pockets
-        ]
-        steps_per_site = max(10, self.mc_steps // len(searches))
+        search = MonteCarloPoseSearch(
+            scorer,
+            [p.center for p in pockets],
+            site_radii=[min(self.site_radius, p.radius) for p in pockets],
+        )
+        steps_per_site = max(10, self.mc_steps // len(pockets))
         return PreparedDock(
-            ligand=centered, scorer=scorer, searches=searches, steps_per_site=steps_per_site
+            ligand=centered, scorer=scorer, search=search, steps_per_site=steps_per_site
         )
 
     def dock(self, receptor: Structure, ligand: Ligand, receptor_id: str | None = None) -> DockingResult:
@@ -273,19 +275,25 @@ class DockingEngine:
     def dock_prepared(
         self, prepared: PreparedDock, receptor_id: str, ligand_name: str | None = None
     ) -> DockingResult:
-        """Run every seed against an already-prepared docking task, one search per site."""
+        """Run every seed at every site of an already-prepared docking task in one search.
+
+        Run ``seed`` searches site ``k`` on its own stream,
+        ``rng_for(seed, "run", k)``, so a recorded seed reproduces its run.
+        """
         result = DockingResult(
             receptor_id=receptor_id,
             ligand_name=ligand_name if ligand_name is not None else prepared.ligand.name,
         )
         seeds = [child_seed(self.master_seed, "docking", receptor_id, i) for i in range(self.num_seeds)]
-        rngs = [rng_for(seed, "run") for seed in seeds]
-        poses: list[list[Pose]] = [[] for _ in seeds]
-        for search in prepared.searches:
-            found = search.search(prepared.steps_per_site, rngs, num_poses=self.num_poses)
-            for run_poses, site_poses in zip(poses, found):
-                run_poses.extend(site_poses)
-        for seed, run_poses in zip(seeds, poses):
+        sites = range(len(prepared.search.site_centers))
+        found = prepared.search.search(
+            prepared.steps_per_site,
+            [rng_for(seed, "run", site) for seed in seeds for site in sites],
+            [site for _ in seeds for site in sites],
+            num_poses=self.num_poses,
+        )
+        for run, seed in enumerate(seeds):
+            run_poses = [pose for site in sites for pose in found[run * len(sites) + site]]
             run_poses.sort(key=lambda p: p.score)
             result.runs.append(self._build_run(seed, run_poses[: self.num_poses], prepared.ligand))
         return result

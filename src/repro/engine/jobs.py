@@ -41,10 +41,13 @@ from repro.lattice.hamiltonian import HamiltonianWeights
 #: energy metadata) can differ in the last bits from fold/v1 at equal knobs.
 FOLD_SCHEMA_VERSION = "fold/v2"
 BASELINE_SCHEMA_VERSION = "baseline_fold/v1"
-#: dock/v2: multi-walker Monte-Carlo search gives every restart its own RNG
-#: substream (previously all restarts shared one sequential stream), so
-#: docking outputs differ from dock/v1 at equal knobs.
-DOCK_SCHEMA_VERSION = "dock/v2"
+#: dock/v3: every (run, site) pair draws from its own stream, derived from
+#: the run's recorded seed and the site index, and the Metropolis test draws
+#: a uniform on every step, so one search can dock all sites of a job in
+#: lock-step.  Docking outputs differ from dock/v2 at equal knobs (dock/v2
+#: carried one stream per run from site to site; dock/v1 shared one stream
+#: among all restarts).
+DOCK_SCHEMA_VERSION = "dock/v3"
 
 #: The job kinds the engine knows how to execute.
 JOB_KINDS: tuple[str, ...] = ("fold", "baseline_fold", "dock")

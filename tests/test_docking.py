@@ -1,5 +1,7 @@
 """Tests for the docking engine: ligands, pockets, scoring, search, multi-seed runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.bio.geometry import random_rotation, rotation_matrices, rotation_matr
 from repro.bio.reference import ReferenceStructureGenerator
 from repro.docking.ligand import Ligand, SyntheticLigandGenerator
 from repro.docking.pocket import find_pocket, find_pockets
-from repro.docking.scoring import CUTOFF, ScoringWeights, VinaScoringFunction
+from repro.docking.scoring import CHUNK_ROWS, CUTOFF, ScoringWeights, VinaScoringFunction
 from repro.docking.search import MonteCarloPoseSearch, Pose, walker_rngs
 from repro.docking.vina import DockingEngine, DockingResult, pose_rmsd_lower, pose_rmsd_upper
 from repro.exceptions import DockingError
@@ -166,6 +168,15 @@ def test_batch_scoring_matches_scalar_exactly(reference_record, ligand):
     assert np.array_equal(batch, scalar)
 
 
+def test_batch_scoring_blocks_match_scalar_exactly(reference_record, ligand):
+    scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
+    pocket = find_pocket(reference_record.structure)
+    coords = _pose_batch(ligand.centered(), pocket.center, 3 * CHUNK_ROWS, seed=4)
+    scalar = np.array([scorer.score_coords(pose) for pose in coords])
+    for count in (CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS):
+        assert np.array_equal(scorer.score_coords_batch(coords[:count]), scalar[:count])
+
+
 def test_batch_scoring_invariant_to_batch_composition(reference_record, ligand):
     scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
     pocket = find_pocket(reference_record.structure)
@@ -220,7 +231,7 @@ def test_monte_carlo_search_returns_sorted_poses(reference_record, ligand):
     scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
     pocket = find_pocket(reference_record.structure)
     search = MonteCarloPoseSearch(scorer, pocket.center)
-    (poses,) = search.search(60, [np.random.default_rng(0)], num_poses=5)
+    (poses,) = search.search(60, [np.random.default_rng(0)], [0], num_poses=5)
     scores = [p.score for p in poses]
     assert scores == sorted(scores)
     assert 1 <= len(poses) <= 5
@@ -252,6 +263,11 @@ def test_docking_engine_deterministic(reference_record, ligand):
 def test_docking_engine_validation():
     with pytest.raises(DockingError):
         DockingEngine(num_seeds=0)
+    with pytest.raises(DockingError):
+        DockingEngine(num_poses=0)
+    for steps in (0, -5):
+        with pytest.raises(DockingError):
+            DockingEngine(mc_steps=steps)
 
 
 # -- multi-seed lock-step search ----------------------------------------------------------
@@ -290,65 +306,67 @@ def _score_pose(search, rotation, translation):
     return search.scorer.score_coords(search.scorer.ligand.transformed(rotation, translation))
 
 
-def _perturb(search, pose, rng, scale=1.0):
-    axis = rng.normal(size=3)
-    angle = rng.normal(scale=search.rotation_step * scale)
-    rotation = rotation_matrix(axis, angle) @ pose.rotation
-    translation = pose.translation + rng.normal(scale=search.translation_step * scale, size=3)
+def _perturb(search, pose, z, scale=1.0):
+    rotation = rotation_matrix(z[:3], (search.rotation_step * scale) * z[3]) @ pose.rotation
+    translation = pose.translation + (search.translation_step * scale) * z[4:]
     return Pose(rotation, translation, _score_pose(search, rotation, translation))
 
 
-def _scalar_walk(search, walkers, steps, rngs):
+def _scalar_walk(search, site, steps, rngs):
     """Reference walk: advance the walkers one at a time, scoring each pose alone."""
     candidates = []
-    for walker in range(walkers):
-        rng = rngs[walker]
-        rotation, translation = search._initial_state(walker, rng)
+    for walker, rng in enumerate(rngs):
+        rotation, translation = search._initial_state(walker, site, rng)
         current = Pose(rotation, translation, _score_pose(search, rotation, translation))
         candidates.append(current)
-        for _ in range(steps):
-            proposal = _perturb(search, current, rng)
+        normals = rng.standard_normal((steps, 7))
+        uniforms = rng.random(steps)
+        for z, u in zip(normals, uniforms):
+            proposal = _perturb(search, current, z)
             delta = proposal.score - current.score
-            if delta <= 0 or rng.random() < np.exp(-delta / search.temperature):
+            if delta <= 0 or u < np.exp(-delta / search.temperature):
                 current = proposal
                 candidates.append(current)
     return candidates
 
 
-def _scalar_refine(search, pose, rng, steps):
+def _scalar_refine(search, pose, draws):
     best = pose
-    for i in range(max(0, steps)):
-        trial = _perturb(search, best, rng, scale=0.5 / (1.0 + i))
+    for i, z in enumerate(draws):
+        trial = _perturb(search, best, z, scale=0.5 / (1.0 + i))
         if trial.score < best.score:
             best = trial
     return best
 
 
-def _reference_search(search, steps, rng, num_poses=10, restarts=3, refine_steps=25):
-    """Reference one-seed search: scalar walk, then sequential dedup-then-refine."""
+def _reference_search(search, site, steps, rng, num_poses=10, restarts=3, refine_steps=25):
+    """Reference one-stream search: scalar walk, then sequential dedup-then-refine."""
     walkers = max(restarts, len(search.initial_rotations) + 1)
-    candidates = _scalar_walk(search, walkers, max(1, steps // walkers), walker_rngs(rng, walkers))
+    candidates = _scalar_walk(search, site, max(1, steps // walkers), walker_rngs(rng, walkers))
     candidates.sort(key=lambda p: p.score)
+    draws = rng.standard_normal((num_poses, refine_steps, 7))
     selected = []
     for pose in candidates:
         if len(selected) >= num_poses:
             break
         if all(np.linalg.norm(pose.translation - kept.translation) > 1.0 for kept in selected):
-            selected.append(_scalar_refine(search, pose, rng, refine_steps))
+            selected.append(_scalar_refine(search, pose, draws[len(selected)]))
     selected.sort(key=lambda p: p.score)
     return selected
 
 
 def _reference_dock(engine, prepared, receptor_id):
-    """Reference engine loop: every seed searched on its own, site after site."""
+    """Reference engine loop: one run at a time, its sites in sequence, each on its own stream."""
     result = DockingResult(receptor_id=receptor_id, ligand_name=prepared.ligand.name)
     for i in range(engine.num_seeds):
         seed = child_seed(engine.master_seed, "docking", receptor_id, i)
-        rng = rng_for(seed, "run")
         poses = []
-        for search in prepared.searches:
+        for site in range(len(prepared.search.site_centers)):
             poses.extend(
-                _reference_search(search, prepared.steps_per_site, rng, num_poses=engine.num_poses)
+                _reference_search(
+                    prepared.search, site, prepared.steps_per_site, rng_for(seed, "run", site),
+                    num_poses=engine.num_poses,
+                )
             )
         poses.sort(key=lambda p: p.score)
         result.runs.append(engine._build_run(seed, poses[: engine.num_poses], prepared.ligand))
@@ -370,19 +388,21 @@ def _seed_rngs(count, base=3):
 def test_search_batch_matches_scalar(reference_record, ligand):
     scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
     pocket = find_pocket(reference_record.structure)
-    # The default 5 lock-step walkers per seed, a single walker, and a site
-    # beyond the scoring cutoff, where every pose scores exactly 0.0 and the
-    # candidate order rests on the tie-break alone.
+    # The default 5 lock-step walkers per stream over two sites, and a single
+    # walker.  The second site lies beyond the scoring cutoff, where every
+    # pose scores exactly 0.0 and the candidate order rests on the tie-break
+    # alone; it also has its own radius for the random restart.
     far = pocket.center + np.array([100.0, 0.0, 0.0])
-    for center, initial_rotations, restarts in (
-        (pocket.center, None, 3), (pocket.center, [], 1), (far, None, 3)
+    for centers, radii, initial_rotations, restarts in (
+        ([pocket.center, far], [6.0, 3.0], None, 3), (pocket.center, 6.0, [], 1)
     ):
-        search = MonteCarloPoseSearch(scorer, center, initial_rotations=initial_rotations)
-        for seeds in (1, 2, 5):
-            batched = search.search(80, _seed_rngs(seeds), num_poses=5, restarts=restarts)
-            assert len(batched) == seeds
-            for poses, rng in zip(batched, _seed_rngs(seeds)):
-                reference = _reference_search(search, 80, rng, num_poses=5, restarts=restarts)
+        search = MonteCarloPoseSearch(scorer, centers, radii, initial_rotations=initial_rotations)
+        for streams in (1, 2, 5):
+            sites = [k % len(search.site_centers) for k in range(streams)]
+            batched = search.search(80, _seed_rngs(streams), sites, num_poses=5, restarts=restarts)
+            assert len(batched) == streams
+            for poses, rng, site in zip(batched, _seed_rngs(streams), sites):
+                reference = _reference_search(search, site, 80, rng, num_poses=5, restarts=restarts)
                 _assert_same_poses(poses, reference)
                 # Returned poses own their arrays: a view would keep the
                 # refinement round's stacked arrays alive.
@@ -395,29 +415,103 @@ def test_search_seed_running_out_of_candidates_matches_scalar(reference_record, 
     search = MonteCarloPoseSearch(scorer, pocket.center)
     # One Metropolis step per walker leaves at most 10 candidates per seed,
     # and the four near-identity starts collapse under the 1 Å dedup.
-    batched = search.search(5, _seed_rngs(6), num_poses=6)
+    batched = search.search(5, _seed_rngs(6), [0] * 6, num_poses=6)
     lengths = [len(poses) for poses in batched]
     assert min(lengths) < 6 and max(lengths) > min(lengths)
     for poses, rng in zip(batched, _seed_rngs(6)):
-        _assert_same_poses(poses, _reference_search(search, 5, rng, num_poses=6))
+        _assert_same_poses(poses, _reference_search(search, 0, 5, rng, num_poses=6))
 
 
 def test_search_validation(reference_record, ligand):
     scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
-    search = MonteCarloPoseSearch(scorer, find_pocket(reference_record.structure).center)
+    center = find_pocket(reference_record.structure).center
+    search = MonteCarloPoseSearch(scorer, [center, center + 5.0])
     with pytest.raises(DockingError):
-        search.search(0, _seed_rngs(1))
+        search.search(0, _seed_rngs(1), [0])
     with pytest.raises(DockingError):
-        search.search(20, [])
+        search.search(20, [], [])
+    with pytest.raises(DockingError):
+        search.search(20, _seed_rngs(2), [0])
+    for site in (2, -1):
+        with pytest.raises(DockingError):
+            search.search(20, _seed_rngs(1), [site])
+    with pytest.raises(DockingError):
+        MonteCarloPoseSearch(scorer, [center, center + 5.0], site_radii=[6.0, 0.0])
 
 
 def test_docking_engine_matches_scalar_reference_walk(reference_record, ligand):
     engine = DockingEngine(num_seeds=3, num_poses=3, mc_steps=40)
     prepared = engine.prepare(reference_record.structure, ligand)
+    assert len(prepared.search.site_centers) == 3
     batched = engine.dock_prepared(prepared, "3eax:REF")
     assert batched.as_dict() == _reference_dock(engine, prepared, "3eax:REF").as_dict()
 
 
+def test_stream_poses_do_not_depend_on_the_other_sites(reference_record, ligand):
+    engine = DockingEngine(num_seeds=2, num_poses=3, mc_steps=60)
+    prepared = engine.prepare(reference_record.structure, ligand)
+    search = prepared.search
+    seeds = [child_seed(engine.master_seed, "docking", "3eax:REF", i) for i in range(2)]
+    sites = range(len(search.site_centers))
+    together = search.search(
+        prepared.steps_per_site,
+        [rng_for(seed, "run", site) for seed in seeds for site in sites],
+        [site for _ in seeds for site in sites],
+        num_poses=3,
+    )
+    for site in sites:
+        alone = MonteCarloPoseSearch(
+            prepared.scorer, search.site_centers[site], search.site_radii[site]
+        )
+        for run, seed in enumerate(seeds):
+            (poses,) = alone.search(
+                prepared.steps_per_site, [rng_for(seed, "run", site)], [0], num_poses=3
+            )
+            _assert_same_poses(together[run * len(sites) + site], poses)
+
+
+def test_dock_job_scorer_calls_follow_from_the_knobs(reference_record, ligand, monkeypatch):
+    engine = DockingEngine(num_seeds=2, num_poses=3, mc_steps=150)
+    prepared = engine.prepare(reference_record.structure, ligand)
+    widths = []
+    score = prepared.scorer.score_coords_batch
+
+    def counted_score(coords):
+        widths.append(len(coords))
+        return score(coords)
+
+    monkeypatch.setattr(prepared.scorer, "score_coords_batch", counted_score)
+    walkers = len(prepared.search.initial_rotations) + 1
+    walk_calls = 1 + prepared.steps_per_site // walkers
+    one_site = MonteCarloPoseSearch(
+        prepared.scorer, prepared.search.site_centers[:1], prepared.search.site_radii[:1]
+    )
+    for search in (prepared.search, one_site):
+        widths.clear()
+        engine.dock_prepared(replace(prepared, search=search), "3eax:REF")
+        streams = engine.num_seeds * len(search.site_centers)
+        assert widths[:walk_calls] == [streams * walkers] * walk_calls
+        refine_calls = len(widths) - walk_calls
+        assert refine_calls == engine.num_poses * 25
+        assert max(widths[walk_calls:]) == streams
+
+
+def test_stream_generator_state_depends_only_on_the_knobs(reference_record, ligand):
+    scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
+    pocket = find_pocket(reference_record.structure)
+    search = MonteCarloPoseSearch(scorer, [pocket.center, pocket.center + np.array([100.0, 0, 0])])
+    expected = np.random.default_rng(9)
+    expected.normal(scale=0.5, size=3)
+    expected.standard_normal((1, 7))
+    expected.random(1)
+    expected.standard_normal((6, 25, 7))
+    # Walker 0 of the stream draws from the stream's generator: its start,
+    # its one walk step and the refinement blocks, at any site, beside any
+    # other streams, and however many candidates the walk leaves.
+    for site, others in ((0, 0), (1, 0), (0, 3), (1, 5)):
+        rng = np.random.default_rng(9)
+        search.search(5, [rng, *_seed_rngs(others)], [site] + [0] * others, num_poses=6)
+        assert rng.bit_generator.state == expected.bit_generator.state
 def test_prepared_dock_replays_identically(reference_record, ligand):
     engine = DockingEngine(num_seeds=3, num_poses=3, mc_steps=40)
     direct = engine.dock(reference_record.structure, ligand, receptor_id="3eax:REF")
