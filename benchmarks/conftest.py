@@ -12,9 +12,9 @@ repeat benchmark sessions cheap:
 * ``QDOCKBANK_BENCH_CACHE=<dir>`` — persistent result cache; a warm cache
   skips every VQE execution, baseline fold and docking search on later
   sessions (CI's ``bench-warm-cache`` job exercises exactly this).
-* ``QDOCKBANK_BENCH_PROCESSES=<n>`` — fan engine jobs and context
-  preparation out over ``n`` worker processes (results are bit-identical to
-  a serial run).
+* ``QDOCKBANK_BENCH_PROCESSES=<n>`` — fan engine jobs out over ``n``
+  worker processes (results are bit-identical to a serial run); docking
+  contexts are derived in the building process.
 """
 
 from __future__ import annotations

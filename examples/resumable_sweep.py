@@ -117,31 +117,31 @@ def main(argv: list[str] | None = None) -> int:
         config = config.with_updates(serve_port=args.serve_port)
     if args.cache_remote:
         config = config.with_updates(cache_remote=args.cache_remote)
-    engine = Engine(config=config, processes=args.processes)
-    jobs = [
-        engine.spec(pdb_id, sequence) for pdb_id, sequence in FRAGMENTS
-    ] + [
-        engine.baseline_spec(pdb_id, sequence, method)
-        for pdb_id, sequence in FRAGMENTS
-        for method in BASELINE_METHODS
-    ]
-    if args.baseline_priority is not None:
-        from repro.engine import set_priority
+    with Engine(config=config, processes=args.processes) as engine:
+        jobs = [
+            engine.spec(pdb_id, sequence) for pdb_id, sequence in FRAGMENTS
+        ] + [
+            engine.baseline_spec(pdb_id, sequence, method)
+            for pdb_id, sequence in FRAGMENTS
+            for method in BASELINE_METHODS
+        ]
+        if args.baseline_priority is not None:
+            from repro.engine import set_priority
 
-        for job in jobs[len(FRAGMENTS):]:
-            set_priority(job, args.baseline_priority)
+            for job in jobs[len(FRAGMENTS):]:
+                set_priority(job, args.baseline_priority)
 
-    def progress(event):
-        print(
-            f"[{event.done}/{event.total}] {event.status:<9} {event.kind:<13} "
-            f"{event.spec_hash[:16]}",
-            flush=True,
-        )
+        def progress(event):
+            print(
+                f"[{event.done}/{event.total}] {event.status:<9} {event.kind:<13} "
+                f"{event.spec_hash[:16]}",
+                flush=True,
+            )
 
-    # Same session id every run: the first run creates the journal, any later
-    # run (after a crash or kill) resumes it and executes only the remainder.
-    session = engine.submit(jobs, session_id=args.session_id, progress=progress)
-    outcomes = session.results()
+        # Same session id every run: the first run creates the journal, any later
+        # run (after a crash or kill) resumes it and executes only the remainder.
+        session = engine.submit(jobs, session_id=args.session_id, progress=progress)
+        outcomes = session.results()
 
     if args.results_json:
         from repro.engine import JobFailure

@@ -243,7 +243,7 @@ def bench_transport_overhead(config: PipelineConfig, smoke: bool) -> dict[str, f
 
     spool = tempfile.mkdtemp(prefix="repro-bench-spool-")
     try:
-        filequeue = Engine(
+        with Engine(
             config=base.with_updates(
                 transport="filequeue",
                 spool_dir=spool,
@@ -252,8 +252,8 @@ def bench_transport_overhead(config: PipelineConfig, smoke: bool) -> dict[str, f
             ),
             cache=None,
             processes=2,
-        )
-        results["transport.ms_per_job.filequeue"] = run_batch(filequeue) * 1000.0 / len(jobs)
+        ) as filequeue:
+            results["transport.ms_per_job.filequeue"] = run_batch(filequeue) * 1000.0 / len(jobs)
     finally:
         shutil.rmtree(spool, ignore_errors=True)
 
@@ -263,7 +263,7 @@ def bench_transport_overhead(config: PipelineConfig, smoke: bool) -> dict[str, f
     spool = tempfile.mkdtemp(prefix="repro-bench-spool-")
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-tier-")
     try:
-        engine = Engine(
+        with Engine(
             config=base.with_updates(
                 transport="filequeue",
                 spool_dir=spool,
@@ -272,8 +272,8 @@ def bench_transport_overhead(config: PipelineConfig, smoke: bool) -> dict[str, f
                 cache_dir=cache_dir,
             ),
             processes=2,
-        )
-        results["transport.ms_per_job.filequeue_cached"] = run_batch(engine) * 1000.0 / len(jobs)
+        ) as engine:
+            results["transport.ms_per_job.filequeue_cached"] = run_batch(engine) * 1000.0 / len(jobs)
         # The bytes that crossed the spool per completion: the shared
         # filesystem traffic.  Result files stay on disk after harvest, so
         # sum them directly.

@@ -152,27 +152,26 @@ def cmd_resume(args: argparse.Namespace) -> int:
     config = config.with_updates(session_dir=str(root))
     if args.cache_dir is not None:
         config = config.with_updates(cache_dir=args.cache_dir)
-    engine = Engine(config=config, processes=args.processes)
-
-    try:
-        session = engine.submit(
-            specs,
-            session_id=args.session_id,
-            on_error=args.on_error,
-            progress=None if args.quiet else _print_progress,
-        )
-    except EngineError as exc:
-        print(f"repro-session: {exc}", file=sys.stderr)
-        return 2
-    aborted = False
-    try:
-        session.results()
-    except Exception as exc:  # --on-error raise: the first failing job aborts
-        aborted = True
-        print(
-            f"repro-session: session {args.session_id} aborted: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
+    with Engine(config=config, processes=args.processes) as engine:
+        try:
+            session = engine.submit(
+                specs,
+                session_id=args.session_id,
+                on_error=args.on_error,
+                progress=None if args.quiet else _print_progress,
+            )
+        except EngineError as exc:
+            print(f"repro-session: {exc}", file=sys.stderr)
+            return 2
+        aborted = False
+        try:
+            session.results()
+        except Exception as exc:  # --on-error raise: the first failing job aborts
+            aborted = True
+            print(
+                f"repro-session: session {args.session_id} aborted: {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
 
     summary = session.summary()
     summary["engine"] = engine.stats()

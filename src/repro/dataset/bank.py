@@ -81,7 +81,10 @@ class QDockBank:
                 write_pdb(entry.reference_structure, folder / "reference.pdb")
             for method, structure in entry.baseline_structures.items():
                 write_pdb(structure, folder / f"baseline_{method.lower()}.pdb")
-            write_json(folder / "metadata.json", entry.quantum_metadata)
+            # Key-sorted: metadata rebuilt from a cached or remote payload
+            # arrives in the payload's sorted order, so the file must not
+            # depend on where the fold ran.
+            write_json(folder / "metadata.json", dict(sorted(entry.quantum_metadata.items())))
             write_json(
                 folder / "docking.json",
                 {m: ev.as_dict() for m, ev in entry.evaluations.items()},

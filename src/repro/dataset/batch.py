@@ -9,9 +9,10 @@ the persistent result cache.  :meth:`BatchProcessor.build_entries` runs three
 phases:
 
 1. **fold** — one ``fold`` job per fragment plus one ``baseline_fold`` job per
-   fragment and method, submitted as a single engine batch;
-2. **dock** — reference structures and synthetic ligands are derived (cheap,
-   deterministic), then one ``dock`` job per predicted structure (quantum and
+   fragment and method, submitted as a single engine batch; while it runs,
+   the building process derives each fragment's reference structure and
+   synthetic ligand (deterministic, not engine-cached), one per outcome;
+2. **dock** — one ``dock`` job per predicted structure (quantum and
    baselines) goes through the engine, each run seeded per
    ``(receptor, run index)``;
 3. **assemble** — RMSD metrics and entry records are computed in-process.
@@ -32,7 +33,6 @@ whole build (``Engine.submit``'s ``on_error="isolate"``).
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.bio.reference import ReferenceRecord, ReferenceStructureGenerator
 from repro.bio.rmsd import ca_rmsd
@@ -57,9 +57,9 @@ def prepare_context(fragment: Fragment, seed: int) -> tuple[ReferenceRecord, Lig
     """Derive the reference structure and synthetic ligand for one fragment.
 
     Fully deterministic in ``(fragment, seed)`` — this is the docking phase's
-    input preparation, not engine-cached work.  Cheap once the fragment's
-    baseline folds ran in this process: the reference's ground-state solve is
-    memoised per process.
+    input preparation, not engine-cached work.  The reference's ground-state
+    solve is memoised per process, so it is shared with the fragment's
+    baseline folds when those run in this process too.
     """
     reference = ReferenceStructureGenerator(master_seed=seed).generate(
         fragment.pdb_id, fragment.sequence, start_seq_id=fragment.residue_start
@@ -103,15 +103,18 @@ class BatchProcessor:
     """Builds entries for many fragments through one engine.
 
     The engine supplies the configuration every job and context is built
-    with, and its ``processes`` count governs both the engine phases and the
-    context preparation between them.
+    with, and runs both engine phases on its transport.
     """
 
     def __init__(self, engine: Engine):
         self.engine = engine
 
-    def _run_phase(self, specs: list, phase: str, progress) -> list:
+    def _run_phase(self, specs: list, phase: str, progress, on_outcome=None) -> list:
         """Stream one phase's specs through an engine session.
+
+        ``on_outcome``, when given, is called with no arguments after each
+        outcome lands — work for the building process while the engine's
+        transport executes the rest of the phase.
 
         The session id is derived from the phase name and the specs' content
         hashes, so a crashed build re-run with the same fragments and
@@ -124,22 +127,10 @@ class BatchProcessor:
         session = self.engine.submit(
             specs, session_id=f"build-{phase}-{digest[:12]}", progress=progress
         )
+        for _ in session:
+            if on_outcome is not None:
+                on_outcome()
         return session.results()
-
-    def _prepare_contexts(self, fragments: list[Fragment]) -> list[tuple[ReferenceRecord, Ligand]]:
-        """:func:`prepare_context` for every fragment, in order.
-
-        The one pooled step outside the engine.  A context is derived from
-        the master seed, not cached as a job, yet its reference ground-state
-        solve is what a warm-cache build spends its time on; so it runs on a
-        plain process pool of the engine's size, or inline for a serial
-        engine or a single fragment.
-        """
-        seeds = [self.engine.config.seed] * len(fragments)
-        if self.engine.processes <= 1 or len(fragments) <= 1:
-            return list(map(prepare_context, fragments, seeds))
-        with ProcessPoolExecutor(max_workers=self.engine.processes) as pool:
-            return list(pool.map(prepare_context, fragments, seeds))
 
     def build_entries(
         self,
@@ -176,7 +167,26 @@ class BatchProcessor:
             for f in fragments
             for method in methods
         ]
-        fold_results = self._run_phase([*fold_specs, *baseline_specs], "fold", progress)
+        # Contexts are derived in the building process, one per phase-1
+        # outcome, so a remote transport's fleet hides that work.  Which
+        # fragments survive is not known yet: a context that fails to derive
+        # is left for the loop after the phase, which raises only if its
+        # fragment survived (a dropped fragment's error stays isolated).
+        seed = self.engine.config.seed
+        contexts: dict[int, tuple[ReferenceRecord, Ligand]] = {}
+        underived = iter(range(len(fragments)))
+
+        def derive_next_context() -> None:
+            i = next(underived, None)
+            if i is not None:
+                try:
+                    contexts[i] = prepare_context(fragments[i], seed)
+                except Exception:
+                    pass
+
+        fold_results = self._run_phase(
+            [*fold_specs, *baseline_specs], "fold", progress, on_outcome=derive_next_context
+        )
         quantum = fold_results[: len(fragments)]
         baselines = fold_results[len(fragments):]
 
@@ -198,10 +208,12 @@ class BatchProcessor:
             predictions[i] = [(m, o.prediction) for m, o in outcomes]
         alive = sorted(predictions)
 
-        # Phase 2: derive references/ligands for the surviving fragments, then
-        # every docking search through an engine session (seeded per receptor
-        # identity and run index).
-        contexts = dict(zip(alive, self._prepare_contexts([fragments[i] for i in alive])))
+        # Phase 2: derive the surviving fragments' contexts the fold phase
+        # left, then every docking search through an engine session (seeded
+        # per receptor identity and run index).
+        for i in alive:
+            if i not in contexts:
+                contexts[i] = prepare_context(fragments[i], seed)
         dock_specs = []
         dock_owner: list[int] = []
         for i in alive:

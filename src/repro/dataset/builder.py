@@ -24,8 +24,9 @@ class DatasetBuilder:
         Pipeline configuration (use :meth:`PipelineConfig.paper` for
         full-fidelity runs, :meth:`PipelineConfig.fast` for CI-scale runs).
     processes:
-        Worker processes for the engine fan-out and context preparation;
-        ``0``/``1`` runs serially (results are bit-identical either way).
+        Worker processes for the engine fan-out; ``0``/``1`` runs serially
+        (results are bit-identical either way).  Docking contexts are
+        derived in the building process while the fold phase runs.
     cache_dir:
         Directory of the engine's persistent result cache (folds, baseline
         folds and docking searches alike); repeated builds over the same
@@ -93,17 +94,23 @@ class DatasetBuilder:
         :class:`~repro.engine.session.SessionProgress` event per completed
         engine job (fold, baseline fold or docking search) — the long-sweep
         progress signal for CLIs and notebooks.
+
+        The engine is closed when the build returns or raises, so a spawned
+        worker fleet lives exactly as long as the build.
         """
         fragments = list(fragments) if fragments is not None else list(PAPER_FRAGMENTS)
         if not fragments:
             raise DatasetError("no fragments selected for dataset construction")
         logger.info("building QDockBank for %d fragments", len(fragments))
-        entries = self.processor.build_entries(
-            fragments,
-            keep_structures=keep_structures,
-            include_baselines=include_baselines,
-            progress=progress,
-        )
+        try:
+            entries = self.processor.build_entries(
+                fragments,
+                keep_structures=keep_structures,
+                include_baselines=include_baselines,
+                progress=progress,
+            )
+        finally:
+            self.engine.close()
         bank = QDockBank(entries=entries)
         logger.info("finished %d entries; engine stats: %s", len(bank), self.engine.stats())
         return bank

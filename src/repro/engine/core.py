@@ -31,6 +31,7 @@ cache state.
 
 from __future__ import annotations
 
+import weakref
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -123,6 +124,11 @@ def execute_job(spec) -> JobResult | DockJobResult:
     return executor_for(getattr(spec, "kind", "fold"))(spec)
 
 
+def _close_transports(transports: list[Transport]) -> None:
+    while transports:
+        transports.pop().close()
+
+
 class Engine:
     """Single entry point for job execution across all kinds.
 
@@ -147,6 +153,14 @@ class Engine:
     processes:
         Worker-process count for every batch this engine runs; ``None``,
         ``0`` and ``1`` execute serially.
+
+    The engine runs all its batches on one transport, created at the first
+    batch with jobs to execute, so a spawned ``filequeue`` fleet boots once
+    per engine, not once per batch.  Batches run on it one at a time: drain
+    or close a session before another one executes jobs.  :meth:`close` (or
+    leaving a ``with Engine(...) as engine:`` block) releases it; a closed
+    engine opens a new one on its next batch, and an engine dropped without
+    ``close()`` has its fleet stopped when it is garbage-collected.
     """
 
     def __init__(
@@ -162,13 +176,33 @@ class Engine:
         self.completed_jobs = 0
         self.failed_jobs = 0
         self.executed_by_kind: dict[str, int] = {}
+        # Holds at most one transport.  The finaliser closes it without
+        # referencing the engine, so a dropped engine still stops its fleet.
+        self._transports: list[Transport] = []
+        weakref.finalize(self, _close_transports, self._transports)
 
     def transport_for(self) -> Transport:
-        """A fresh one-batch transport resolved from this engine's configuration.
+        """This engine's transport, resolved from its configuration on first use.
 
-        Called by the session loop when a batch actually has jobs to execute.
+        Called by the session loop when a batch actually has jobs to execute;
+        every batch of the engine runs on the same transport until
+        :meth:`close`.
         """
-        return make_transport(self.config.transport, self.config, processes=self.processes)
+        if not self._transports:
+            self._transports.append(
+                make_transport(self.config.transport, self.config, processes=self.processes)
+            )
+        return self._transports[0]
+
+    def close(self) -> None:
+        """Release the engine's transport (stop a spawned fleet); idempotent."""
+        _close_transports(self._transports)
+
+    def __enter__(self) -> "Engine":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # -- job construction -----------------------------------------------------------
 

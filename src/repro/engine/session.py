@@ -51,6 +51,7 @@ source of results, and losing either only ever costs recompute time.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pickle
 import uuid
@@ -461,45 +462,48 @@ class Session:
         # ... then transport completions, in completion order (the serial
         # transport degrades to submission order).  The journal and cache are
         # updated *before* each yield, so breaking out of the stream can
-        # never lose a finished result; the transport's own teardown cancels
-        # whatever never completed.
+        # never lose a finished result.  Every exit closes the transport
+        # stream, which cancels whatever never completed, so the engine's
+        # next batch finds its transport idle.
         if pending:
-            stream = self.transport.stream([self.jobs[i] for i in pending])
-            for pos, result, exc in stream:
-                i = pending[pos]
-                key = self.keys[i]
-                kind = getattr(self.jobs[i], "kind", "fold")
-                if exc is None:
-                    if engine.cache is not None:
-                        engine.cache.put(key, result.to_payload())
-                    if self.journal is not None:
-                        self.journal.record_job(key, "completed", kind)
-                    engine.executed_jobs += 1
-                    engine.executed_by_kind[kind] = engine.executed_by_kind.get(kind, 0) + 1
-                    self.executed += 1
-                    self._outcomes[i] = result
-                    yield from self._deliver(i, "executed", duplicates_of)
-                else:
-                    # Remote transports report failures as data; preserve the
-                    # original error type/message they carried.
-                    error_type = getattr(exc, "error_type", type(exc).__name__)
-                    error_message = getattr(exc, "error_message", str(exc))
-                    if self.journal is not None:
-                        self.journal.record_job(
-                            key, "failed", kind,
-                            error_type=error_type, error_message=error_message,
+            with contextlib.closing(
+                self.transport.stream([self.jobs[i] for i in pending])
+            ) as stream:
+                for pos, result, exc in stream:
+                    i = pending[pos]
+                    key = self.keys[i]
+                    kind = getattr(self.jobs[i], "kind", "fold")
+                    if exc is None:
+                        if engine.cache is not None:
+                            engine.cache.put(key, result.to_payload())
+                        if self.journal is not None:
+                            self.journal.record_job(key, "completed", kind)
+                        engine.executed_jobs += 1
+                        engine.executed_by_kind[kind] = engine.executed_by_kind.get(kind, 0) + 1
+                        self.executed += 1
+                        self._outcomes[i] = result
+                        yield from self._deliver(i, "executed", duplicates_of)
+                    else:
+                        # Remote transports report failures as data; preserve the
+                        # original error type/message they carried.
+                        error_type = getattr(exc, "error_type", type(exc).__name__)
+                        error_message = getattr(exc, "error_message", str(exc))
+                        if self.journal is not None:
+                            self.journal.record_job(
+                                key, "failed", kind,
+                                error_type=error_type, error_message=error_message,
+                            )
+                        engine.failed_jobs += 1
+                        self.failed += 1
+                        if self.on_error == "raise":
+                            raise exc
+                        self._outcomes[i] = JobFailure(
+                            spec_hash=key,
+                            kind=kind,
+                            error_type=error_type,
+                            error_message=error_message,
                         )
-                    engine.failed_jobs += 1
-                    self.failed += 1
-                    if self.on_error == "raise":
-                        raise exc
-                    self._outcomes[i] = JobFailure(
-                        spec_hash=key,
-                        kind=kind,
-                        error_type=error_type,
-                        error_message=error_message,
-                    )
-                    yield from self._deliver(i, "failed", duplicates_of)
+                        yield from self._deliver(i, "failed", duplicates_of)
             stats = getattr(self.transport, "stats", None)
             if callable(stats):
                 try:
@@ -581,7 +585,11 @@ class Session:
         return list(self._outcomes)
 
     def close(self) -> None:
-        """Shut down a partially consumed session's stream (and worker pool).
+        """Shut down a partially consumed session's stream.
+
+        Closing ends the batch on the engine's transport: outstanding jobs
+        are withdrawn (a spawned fleet running them is stopped), and the
+        engine's next batch may reuse the transport.
 
         A no-op on new or finished sessions.  The journal keeps its records,
         so re-submitting the session id resumes the batch; iterating the

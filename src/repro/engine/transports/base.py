@@ -21,11 +21,16 @@ The two remote transports (``filequeue`` and ``network``) exchange one
 executing side (a ``repro-worker`` or ``repro-serve``) and turned back into a
 completion by :func:`record_completion` on the submitting side.
 
-A transport instance serves **one batch**: ``submit`` may be called once,
-``poll`` drains it incrementally, and ``cancel`` (idempotent) releases its
-resources.  :meth:`Transport.stream` packages that lifecycle as the generator
-the session consumes — cancellation on early exit comes for free from the
-``finally`` clause.
+A transport instance serves **one batch at a time**, for as many batches
+as its owner runs: ``submit`` starts a batch (and refuses while the previous
+one is still outstanding or its stream still open), ``poll`` drains it
+incrementally, ``cancel`` (idempotent) ends it and withdraws whatever never
+completed, and ``close`` releases what the transport keeps between batches
+(a spawned worker fleet).
+:meth:`Transport.stream` packages one batch as the generator the session
+consumes — cancellation on early exit comes for free from the ``finally``
+clause.  An :class:`~repro.engine.core.Engine` owns one transport for its
+whole lifetime and closes it in :meth:`~repro.engine.core.Engine.close`.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ Completion = tuple[int, Any | None, BaseException | None]
 
 
 class Transport(abc.ABC):
-    """One batch's execution substrate: submit, poll completions, cancel.
+    """An execution substrate for consecutive batches: submit, poll, cancel.
 
     Concrete transports implement the three primitives; :meth:`stream` is the
     session-facing generator built on top of them.  ``poll`` may block up to
@@ -58,11 +63,17 @@ class Transport(abc.ABC):
     #: Registry name of this transport.
     name: ClassVar[str] = "abstract"
 
+    #: True while a :meth:`stream` generator owns the current batch, even
+    #: once ``poll`` has harvested all of it but the consumer is suspended
+    #: before taking the last completions.
+    _streaming: bool = False
+
     @abc.abstractmethod
     def submit(self, specs: Sequence[Any]) -> int:
-        """Enqueue ``specs`` for execution; returns the number enqueued.
+        """Start a batch: enqueue ``specs``; returns the number enqueued.
 
-        May be called at most once per transport instance.
+        Raises :class:`EngineError` while the previous batch is outstanding
+        or its stream still open (see :meth:`_start_batch`).
         """
 
     @abc.abstractmethod
@@ -71,11 +82,24 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def cancel(self) -> None:
-        """Abandon outstanding work and release resources (idempotent)."""
+        """End the current batch: abandon outstanding work (idempotent)."""
 
     @abc.abstractmethod
     def outstanding(self) -> int:
         """How many submitted specs have not yet been returned by ``poll``."""
+
+    def close(self) -> None:
+        """Release everything, including what outlives a batch (idempotent)."""
+        self.cancel()
+
+    def _start_batch(self) -> None:
+        """Refuse a new batch while one is outstanding; end the drained one."""
+        if self.outstanding() > 0 or self._streaming:
+            raise EngineError(
+                "a transport runs one batch at a time; drain or cancel the "
+                "outstanding batch before submitting another"
+            )
+        self.cancel()
 
     def stream(self, specs: Sequence[Any]) -> Iterator[Completion]:
         """Submit ``specs`` and yield every completion, cancelling on exit.
@@ -84,16 +108,22 @@ class Transport(abc.ABC):
         consumer broke out of its ``for`` loop) lands in the ``finally``
         clause and abandons whatever has not completed.
         """
+        # Refuse an overlapping batch before the try: the finally clause
+        # would otherwise end the batch of another stream (a session of the
+        # same engine, suspended mid-stream).
+        self._start_batch()
         try:
             # submit() inside the try: a mid-enqueue failure (disk full on a
             # shared spool at task 500 of 1000) must still reach cancel(), or
             # the partially enqueued tasks are orphaned for external workers
             # to execute with nobody harvesting the results.
             self.submit(specs)
+            self._streaming = True
             while self.outstanding() > 0:
                 for completion in self.poll():
                     yield completion
         finally:
+            self._streaming = False
             self.cancel()
 
 
@@ -182,7 +212,7 @@ def record_completion(index: int, record: dict[str, Any], where: str | None) -> 
     )
 
 
-#: A transport factory: (config, processes) in, a fresh one-batch transport out.
+#: A transport factory: (config, processes) in, a new transport out.
 TransportFactory = Callable[[Any, int], Transport]
 
 _TRANSPORTS: dict[str, TransportFactory] = {}
@@ -191,8 +221,9 @@ _TRANSPORTS: dict[str, TransportFactory] = {}
 def register_transport(name: str, factory: TransportFactory, overwrite: bool = False) -> None:
     """Register ``factory`` under ``name`` (lower-cased).
 
-    Factories receive ``(config, processes)`` and must return a *fresh*
-    transport per call — transports are one-batch objects.
+    Factories receive ``(config, processes)`` and must return a *new*
+    transport per call: each engine owns the one it gets and runs all its
+    batches on it.
     """
     key = name.strip().lower()
     if not key:
@@ -208,7 +239,7 @@ def transport_names() -> tuple[str, ...]:
 
 
 def make_transport(name: str | None, config: Any, processes: int = 0) -> Transport:
-    """Build a fresh transport for one batch.
+    """Build a new transport (an engine keeps it for its lifetime).
 
     ``name`` of ``None`` or ``"auto"`` resolves from the worker count:
     ``processes <= 1`` executes serially, anything larger uses the process

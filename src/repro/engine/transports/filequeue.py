@@ -710,12 +710,16 @@ class FileQueueWorker:
 
 
 class FileQueueTransport(Transport):
-    """Submit one engine batch to the spool and harvest the fleet's results.
+    """Submit engine batches to the spool and harvest the fleet's results.
 
-    ``workers > 0`` spawns that many local ``repro-worker`` daemons for the
-    batch's lifetime (and respawns members that die while work remains, up to
-    ``respawn_limit``); ``workers == 0`` relies entirely on externally
-    launched daemons watching the same spool.  Each envelope carries the
+    ``workers > 0`` spawns that many local ``repro-worker`` daemons at the
+    first ``submit`` and keeps them across batches until :meth:`close`: each
+    ``submit`` replaces only members that have exited, and members that die
+    while work remains are respawned, up to ``respawn_limit`` per batch.  A
+    batch abandoned with work outstanding (:meth:`cancel`) stops the fleet
+    too, so a withdrawn job still running can never hold a worker of the next
+    batch.  ``workers == 0`` relies entirely on externally launched daemons
+    watching the same spool.  Each envelope carries the
     priority stamped on its spec by
     :func:`~repro.engine.scheduler.set_priority` (0 when unstamped); like all
     scheduling metadata it never enters a job hash.
@@ -740,22 +744,24 @@ class FileQueueTransport(Transport):
         self.worker_count = max(0, int(workers))
         self.poll_interval = max(0.005, float(poll_interval))
         self.respawn_limit = int(respawn_limit)
-        self.batch_id = uuid.uuid4().hex[:8]
         self.workers: list[subprocess.Popen] = []
+        self._new_batch()
+
+    def _new_batch(self) -> None:
+        """Reset the per-batch state: id, counters, outstanding tasks."""
+        self.batch_id = uuid.uuid4().hex[:8]
         self.reclaimed = 0
         self.respawned = 0
+        #: Worker processes started for this batch (fleet top-ups and respawns).
+        self.spawned = 0
         self._outstanding: dict[str, int] = {}
         self._bad_reads: dict[str, int] = {}
-        self._log_handles: list[Any] = []
-        self._submitted = False
-        self._cancelled = False
         self._last_activity = time.monotonic()
 
     # -- submission ------------------------------------------------------------------
 
     def submit(self, specs: Sequence[Any]) -> int:
-        if self._submitted:
-            raise EngineError("a transport serves one batch; submit() was already called")
+        self._start_batch()
         if self.spool.stop_requested():
             # Submitting against a stopped spool can never finish: standing
             # workers exit on the sentinel and spawned ones die immediately.
@@ -763,7 +769,7 @@ class FileQueueTransport(Transport):
                 f"spool {self.spool.root} has a 'stop' sentinel; remove "
                 f"{self.spool.stop_path} before submitting new batches"
             )
-        self._submitted = True
+        self._new_batch()
         for index, spec in enumerate(specs):
             task_id = f"{self.batch_id}-{index:05d}-{spec.content_hash()[:16]}"
             # Scheduling metadata rides the envelope header, never the hash:
@@ -775,12 +781,14 @@ class FileQueueTransport(Transport):
                 requires=job_requirements(spec),
             )
             self._outstanding[task_id] = index
-        for _ in range(self.worker_count):
+        self.workers = [proc for proc in self.workers if proc.poll() is None]
+        for _ in range(self.worker_count - len(self.workers)):
             self._spawn_worker()
         if self._outstanding:
             logger.info(
-                "filequeue %s: enqueued %d tasks under %s (%d spawned workers)",
+                "filequeue %s: enqueued %d tasks under %s (%d spawned workers, %d new)",
                 self.batch_id, len(self._outstanding), self.spool.root, len(self.workers),
+                self.spawned,
             )
             if self.worker_count == 0:
                 # An innocuous config (transport_workers=0, no external daemons)
@@ -809,10 +817,11 @@ class FileQueueTransport(Transport):
             "--lease-timeout", str(self.lease_timeout),
             "--poll-interval", str(max(0.02, min(self.poll_interval, 0.5))),
         ]
-        log = (self.spool.log_dir / f"{worker_id}.out").open("ab")
-        self._log_handles.append(log)
-        proc = subprocess.Popen(args, env=env, stdout=log, stderr=subprocess.STDOUT)
+        # The child keeps its own descriptor of the log; ours closes here.
+        with (self.spool.log_dir / f"{worker_id}.out").open("ab") as log:
+            proc = subprocess.Popen(args, env=env, stdout=log, stderr=subprocess.STDOUT)
         self.workers.append(proc)
+        self.spawned += 1
 
     # -- harvesting ------------------------------------------------------------------
 
@@ -934,19 +943,29 @@ class FileQueueTransport(Transport):
     # -- teardown --------------------------------------------------------------------
 
     def cancel(self) -> None:
-        """Withdraw unfinished tasks and stop the workers this batch spawned.
+        """End the batch; if work was still outstanding, withdraw it and stop
+        the spawned fleet.
 
+        A drained batch keeps the fleet for the next one.  An abandoned one
+        cannot: a withdrawn job may still be running on a spawned worker.
         Results already on disk stay (they are an audit trail, and identical
         bytes would be regenerated anyway); external daemons keep serving
         other batches.
         """
-        if self._cancelled:
+        if not self._outstanding:
             return
-        self._cancelled = True
         for task_id in self._outstanding:
             self.spool.remove_task(task_id)
             self.spool.release(task_id)
         self._outstanding.clear()
+        self._stop_fleet()
+
+    def close(self) -> None:
+        """End the batch and stop every spawned worker (idempotent)."""
+        self.cancel()
+        self._stop_fleet()
+
+    def _stop_fleet(self) -> None:
         for proc in self.workers:
             if proc.poll() is None:
                 proc.terminate()
@@ -956,20 +975,20 @@ class FileQueueTransport(Transport):
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=5.0)
-        for handle in self._log_handles:
-            try:
-                handle.close()
-            except OSError:
-                pass
-        self._log_handles.clear()
+        self.workers = []
 
     def stats(self) -> dict[str, Any]:
-        """Batch-level counters (for logs and the transport test battery)."""
+        """This batch's counters (for logs and the transport test battery).
+
+        ``spawned`` counts the processes started for this batch;
+        ``spawned_workers`` is the size of the spawned fleet.
+        """
         return {
             "batch_id": self.batch_id,
             "outstanding": len(self._outstanding),
             "reclaimed": self.reclaimed,
             "respawned": self.respawned,
+            "spawned": self.spawned,
             "spawned_workers": len(self.workers),
         }
 

@@ -18,7 +18,6 @@ from typing import Any, ClassVar, Iterator, Sequence
 
 from repro.engine.registry import pool_initializer
 from repro.engine.transports.base import Completion, Transport, register_transport
-from repro.exceptions import EngineError
 
 
 def _execute(spec: Any) -> Any:
@@ -52,12 +51,9 @@ class SerialTransport(Transport):
     def __init__(self) -> None:
         self._stream: Any = None
         self._remaining = 0
-        self._submitted = False
 
     def submit(self, specs: Sequence[Any]) -> int:
-        if self._submitted:
-            raise EngineError("a transport serves one batch; submit() was already called")
-        self._submitted = True
+        self._start_batch()
         specs = list(specs)
         self._remaining = len(specs)
         self._stream = _serial_stream(specs)
@@ -85,7 +81,12 @@ class SerialTransport(Transport):
 
 
 class PoolTransport(Transport):
-    """Fan the batch out over a process pool; completions in completion order."""
+    """Fan each batch out over a process pool; completions in completion order.
+
+    The pool lives for one batch: it starts at ``submit`` and shuts down at
+    ``cancel``, so an executor registered between batches reaches the next
+    batch's workers.
+    """
 
     name: ClassVar[str] = "pool"
 
@@ -94,12 +95,9 @@ class PoolTransport(Transport):
         self._pool: ProcessPoolExecutor | None = None
         self._futures: dict[Future, int] = {}
         self._serial: SerialTransport | None = None
-        self._submitted = False
 
     def submit(self, specs: Sequence[Any]) -> int:
-        if self._submitted:
-            raise EngineError("a transport serves one batch; submit() was already called")
-        self._submitted = True
+        self._start_batch()
         specs = list(specs)
         if len(specs) <= 1:
             # A single-job batch (e.g. a resume with one never-completed job)
@@ -131,6 +129,7 @@ class PoolTransport(Transport):
     def cancel(self) -> None:
         if self._serial is not None:
             self._serial.cancel()
+            self._serial = None
         self._futures.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)

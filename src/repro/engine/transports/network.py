@@ -59,7 +59,7 @@ _MAX_BUSY_RETRIES = 100
 
 
 class NetworkTransport(Transport):
-    """Execute one batch on a remote ``repro-serve`` over a socket."""
+    """Execute batches on a remote ``repro-serve``, one connection per batch."""
 
     name = "network"
 
@@ -89,16 +89,15 @@ class NetworkTransport(Transport):
         #: window has room.
         self._retry_at: dict[int, float] = {}
         self._window = 0  # the server's advertised cap, read from ``welcome``
-        self._submitted = False
-        self._cancelled = False
         self._dead: str | None = None  # why the connection is unusable
 
     # -- submission ------------------------------------------------------------------
 
     def submit(self, specs: Sequence[Any]) -> int:
-        if self._submitted:
-            raise EngineError("a transport instance serves exactly one batch")
-        self._submitted = True
+        self._start_batch()
+        self._frames = FrameBuffer()
+        self._busy_retries.clear()
+        self._dead = None
         self._specs = list(specs)
         try:
             self._sock, welcome = connect(
@@ -267,9 +266,6 @@ class NetworkTransport(Transport):
         return len(self._inflight) + len(self._unsent)
 
     def cancel(self) -> None:
-        if self._cancelled:
-            return
-        self._cancelled = True
         if self._sock is not None and self._dead is None:
             try:
                 send_message(self._sock, {"type": "bye"})

@@ -160,6 +160,49 @@ def test_filequeue_two_worker_fleet_is_bit_identical_to_serial(reference_run, tm
     assert engine.stats()["executed_jobs"] == 5  # the duplicate never executes
 
 
+def _bank_view(bank) -> list:
+    """Every number an entry carries: metrics, docking summaries, coordinates."""
+    return [
+        (
+            entry.metrics_record(),
+            {m: ev.docking_summary for m, ev in sorted(entry.evaluations.items())},
+            entry.predicted_structure.all_coords().tolist(),
+            entry.reference_structure.all_coords().tolist(),
+        )
+        for entry in bank
+    ]
+
+
+def test_dataset_build_on_one_spawned_fleet_is_bit_identical_to_serial(tmp_path, monkeypatch):
+    """A build boots its fleet once for both engine phases and stops it when
+    it returns or raises; its entries equal the serial build's bit for bit."""
+    from repro.dataset.builder import DatasetBuilder
+    from repro.engine import FileQueueTransport
+
+    spawned: list = []
+    spawn = FileQueueTransport._spawn_worker
+
+    def recording_spawn(self) -> None:
+        spawn(self)
+        spawned.append(self.workers[-1])
+
+    monkeypatch.setattr(FileQueueTransport, "_spawn_worker", recording_spawn)
+    fragments = DatasetBuilder.select_fragments(groups=["S"], limit_per_group=2)
+    serial = DatasetBuilder(config=CONFIG).build(fragments)
+    fleet = DatasetBuilder(config=_filequeue_config(tmp_path)).build(fragments)
+    assert len(serial) == 2 and _bank_view(fleet) == _bank_view(serial)
+    assert len(list((tmp_path / "spool" / "log").glob("*.out"))) == 2
+    assert len(spawned) == 2 and all(proc.poll() is not None for proc in spawned)
+
+    def interrupt(event) -> None:
+        raise KeyboardInterrupt  # a user stopping the build mid-phase
+
+    builder = DatasetBuilder(config=_filequeue_config(tmp_path / "interrupted"))
+    with pytest.raises(KeyboardInterrupt):
+        builder.build(fragments, progress=interrupt)
+    assert len(spawned) == 4 and all(proc.poll() is not None for proc in spawned)
+
+
 def test_filequeue_worker_kill_then_resume_is_bit_identical_to_serial(
     reference_run, tmp_path
 ):

@@ -7,13 +7,13 @@ import dataclasses
 import hashlib
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.bio.reference import ReferenceStructureGenerator
 from repro.config import PipelineConfig
-from repro.dataset import batch
 from repro.dataset.batch import BatchProcessor
 from repro.dataset.builder import DatasetBuilder
 from repro.docking.ligand import SyntheticLigandGenerator
@@ -490,31 +490,35 @@ def test_build_entries_warm_cache_runs_zero_vqe_and_zero_docking(
     config = job_config.with_updates(cache_dir=str(tmp_path / "cache"))
     fragments = DatasetBuilder.select_fragments(pdb_ids=["3eax", "1e2k"])
 
-    # The cold build runs both engine phases and the context preparation on
-    # the engine's worker count; the warm build below stays serial.
+    # The cold build runs both engine phases on one transport of the engine's
+    # worker count, and derives the contexts in this process; the warm build
+    # below stays serial.
     cold_engine = Engine(config=config, processes=processes)
     transports: list = []
     transport_for = cold_engine.transport_for
 
     def recording_transport_for():
         transport = transport_for()
-        transports.append(transport.name)
+        transports.append(transport)
         return transport
 
-    context_pools: list = []
+    pools: list = []
+    pool_init = ProcessPoolExecutor.__init__
 
-    class RecordingPool(batch.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            context_pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def recording_pool_init(self, *args, **kwargs):
+        pools.append(kwargs.get("max_workers"))
+        pool_init(self, *args, **kwargs)
 
     monkeypatch.setattr(cold_engine, "transport_for", recording_transport_for)
-    monkeypatch.setattr(batch, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", recording_pool_init)
     cold = BatchProcessor(cold_engine).build_entries(fragments)
     cold_stats = cold_engine.stats()
     assert cold_stats["executed_by_kind"] == {"fold": 2, "baseline_fold": 4, "dock": 6}
-    assert transports == 2 * ["pool" if processes > 1 else "serial"]
-    assert context_pools == ([processes] if processes > 1 else [])
+    assert len(transports) == 2 and transports[0] is transports[1]
+    assert transports[0].name == ("pool" if processes > 1 else "serial")
+    # The only process pools are the pool transport's, one per phase: the
+    # batch module starts none for its contexts.
+    assert pools == ([processes] * 2 if processes > 1 else [])
 
     # A brand-new engine over the same cache executes nothing at all.
     warm_engine = Engine(config=config)

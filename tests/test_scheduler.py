@@ -281,3 +281,23 @@ def test_session_summary_carries_transport_stats(tmp_path):
     stats = session.summary()["transport"]
     assert stats["outstanding"] == 0
     assert {"reclaimed", "respawned"} <= set(stats)
+
+
+def test_transport_stats_are_per_batch_on_one_engine_fleet(tmp_path):
+    """Two sessions share one spawned fleet; each reports its own batch."""
+    config = BASE_CONFIG.with_updates(
+        transport="filequeue",
+        spool_dir=str(tmp_path / "spool"),
+        transport_workers=2,
+        transport_lease_timeout=10.0,
+        transport_poll_interval=0.02,
+    )
+    with Engine(config=config, cache=None) as engine:
+        first = engine.submit([_baseline_spec("AF2")])
+        first.results()
+        second = engine.submit([_baseline_spec("AF3")])
+        second.results()
+    stats = [first.summary()["transport"], second.summary()["transport"]]
+    assert stats[0]["batch_id"] != stats[1]["batch_id"]
+    assert [s["spawned"] for s in stats] == [2, 0]
+    assert [(s["reclaimed"], s["respawned"], s["outstanding"]) for s in stats] == [(0, 0, 0)] * 2

@@ -534,13 +534,22 @@ def test_transport_fails_outstanding_jobs_when_the_server_dies_mid_batch():
         assert "unreachable" in exc.error_message
 
 
-def test_transport_submit_may_only_run_once():
+def test_transport_submit_refuses_while_a_batch_is_outstanding():
+    """Batches run one after another on one transport, each on its own
+    connection; a submit that would overlap the running batch is refused."""
     with ReproServer(workers=0, execute=_fake_execute) as server:
-        transport = NetworkTransport("127.0.0.1", server.port)
-        assert transport.submit([]) == 0
-        with pytest.raises(EngineError, match="one batch"):
-            transport.submit([])
-        transport.cancel()
+        transport = NetworkTransport("127.0.0.1", server.port, poll_interval=0.01)
+        assert transport.submit([PingSpec("a")]) == 1
+        with pytest.raises(EngineError, match="one batch at a time"):
+            transport.submit([PingSpec("b")])
+        first = []
+        while transport.outstanding():
+            first.extend(transport.poll(timeout=1.0))
+        second = list(transport.stream([PingSpec("b"), PingSpec("c")]))
+        assert [index for index, _, _ in first] == [0]
+        assert sorted(index for index, _, _ in second) == [0, 1]
+        stats = server.stats()
+        assert (stats["clients_served"], stats["jobs_completed"]) == (2, 3)
 
 
 # -- the repro-serve CLI -------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli.session import main as session_cli_main
 from repro.config import PipelineConfig
+from repro.dataset import batch as batch_module
 from repro.dataset.batch import BatchProcessor
 from repro.dataset.builder import DatasetBuilder
 from repro.engine import Engine, JobFailure, SessionJournal
@@ -655,5 +656,34 @@ def test_batch_processor_isolates_a_failed_fragment():
         # and docked; the crashed fragment never reached the docking phase.
         assert set(entries[0].evaluations) == {"QDock", "AF2", "AF3"}
         assert engine.stats()["executed_by_kind"]["dock"] == 3
+    finally:
+        register_executor("fold", execute_fold_job, overwrite=True)
+
+
+def test_batch_processor_isolates_a_dropped_fragments_context_error(monkeypatch):
+    """Contexts are derived during the fold phase, before anyone knows which
+    fragments survive: a context error of a dropped fragment stays isolated,
+    one of a surviving fragment still fails the build."""
+    prepare_context = batch_module.prepare_context
+
+    def exploding_context(fragment, seed):
+        if fragment.pdb_id in doomed:
+            raise RuntimeError(f"injected context crash for {fragment.pdb_id}")
+        return prepare_context(fragment, seed)
+
+    monkeypatch.setattr(batch_module, "prepare_context", exploding_context)
+    register_executor("fold", _exploding_fold, overwrite=True)
+    try:
+        config = PipelineConfig(
+            vqe_iterations=4, optimisation_shots=24, final_shots=48, ansatz_reps=1,
+            docking_seeds=2, docking_poses=2, docking_mc_steps=20, seed=9,
+        )
+        fragments = DatasetBuilder.select_fragments(pdb_ids=["3eax", "1e2k"])
+        doomed = {"1e2k"}
+        entries = BatchProcessor(Engine(config=config)).build_entries(fragments)
+        assert [entry.fragment.pdb_id for entry in entries] == ["3eax"]
+        doomed = {"3eax"}
+        with pytest.raises(RuntimeError, match="context crash for 3eax"):
+            BatchProcessor(Engine(config=config)).build_entries(fragments)
     finally:
         register_executor("fold", execute_fold_job, overwrite=True)

@@ -5,6 +5,7 @@ tasks and the repro-worker CLI."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -25,6 +26,7 @@ from repro.engine import (
     FileQueueWorker,
     JobFailure,
     PoolTransport,
+    RemoteJobError,
     SerialTransport,
     make_transport,
     register_executor,
@@ -63,6 +65,8 @@ class EchoResult:
 def execute_echo(spec: EchoSpec) -> EchoResult:
     if spec.name.startswith("boom"):
         raise ValueError(f"echo job {spec.name} exploded")
+    if spec.name.startswith("slow"):
+        time.sleep(30.0)  # outlives any test that abandons it
     return EchoResult(spec_hash=spec.content_hash(), name=spec.name)
 
 
@@ -137,8 +141,11 @@ def test_serial_transport_polls_in_submission_order():
         completions.extend(transport.poll())
     assert [index for index, _, _ in completions] == [0, 1, 2]
     assert [result.name for _, result, _ in completions] == ["a", "b", "c"]
-    with pytest.raises(EngineError, match="one batch"):
-        transport.submit([EchoSpec("again")])
+    # Batches run one after another on the same transport, never overlapping.
+    assert transport.submit([EchoSpec("again"), EchoSpec("more")]) == 2
+    with pytest.raises(EngineError, match="one batch at a time"):
+        transport.submit([EchoSpec("overlap")])
+    assert [result.name for _, result, _ in transport.poll()] == ["again"]
 
 
 def test_serial_transport_isolates_exceptions_and_cancels():
@@ -732,6 +739,112 @@ def test_filequeue_failure_keeps_original_error_type_through_the_engine(tmp_path
     assert failure.error_type == "EngineError"
     assert "AF9" in failure.error_message
     assert engine.stats()["failed_jobs"] == 1
+
+
+# -- one spawned fleet per engine ----------------------------------------------------
+
+
+@pytest.mark.parametrize("abandon", ["close", "raise"])
+def test_abandoned_batch_withdraws_its_tasks_and_stops_the_fleet(
+    tmp_path, monkeypatch, abandon
+):
+    """A batch left unfinished stops the fleet that may still run its
+    withdrawn job; the engine's next batch runs on a freshly spawned worker."""
+    # A spawned worker unpickling an EchoSpec imports this module, which
+    # registers the echo executor in the worker too.
+    path = [str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, path)))
+    config = BASE_CONFIG.with_updates(
+        transport="filequeue", spool_dir=str(tmp_path / "spool"),
+        transport_workers=1, transport_lease_timeout=10.0, transport_poll_interval=0.02,
+    )
+    spawned: list = []
+    spawn = FileQueueTransport._spawn_worker
+
+    def recording_spawn(self) -> None:
+        spawn(self)
+        spawned.append(self.workers[-1])
+
+    monkeypatch.setattr(FileQueueTransport, "_spawn_worker", recording_spawn)
+    spool = FileQueueSpool(config.spool_dir)
+    with Engine(config=config) as engine:
+        if abandon == "raise":
+            session = engine.submit([EchoSpec("boom"), EchoSpec("slow")], on_error="raise")
+            with pytest.raises(RemoteJobError, match="exploded"):
+                next(iter(session))
+        else:
+            session = engine.submit([_baseline_spec(method="AF2"), EchoSpec("slow")])
+            next(iter(session))
+            deadline = time.monotonic() + 20.0
+            while not spool.claim_ids() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert spool.claim_ids(), "the slow job never started"
+            session.close()
+        assert len(spawned) == 1 and spawned[0].poll() is not None
+        assert spool.task_ids() == [] and spool.claim_ids() == []
+
+        second = engine.submit([_baseline_spec(method="AF3")])
+        (outcome,) = second.results()
+        assert _canonical(outcome) == _canonical(execute_baseline_job(_baseline_spec(method="AF3")))
+        assert second.transport is session.transport
+        assert second.summary()["transport"]["spawned"] == 1
+        assert len(spawned) == 2 and spawned[1].poll() is None
+    assert spawned[1].poll() is not None
+    slow = EchoSpec("slow").content_hash()[:16]
+    assert not list(spool.results_dir.glob(f"*-{slow}.json"))  # withdrawn, never finished
+
+
+def test_drained_batches_share_one_fleet_and_a_dropped_engine_reaps_it(tmp_path):
+    config = BASE_CONFIG.with_updates(
+        transport="filequeue", spool_dir=str(tmp_path / "spool"),
+        transport_workers=2, transport_lease_timeout=10.0, transport_poll_interval=0.02,
+    )
+    engine = Engine(config=config)
+    engine.run([_baseline_spec(method="AF2")])
+    fleet = list(engine.transport_for().workers)
+    engine.run([_baseline_spec(method="AF3")])
+    assert engine.transport_for().workers == fleet  # kept across drained batches
+    assert len(fleet) == 2 and all(proc.poll() is None for proc in fleet)
+    assert len(list((tmp_path / "spool" / "log").glob("*.out"))) == 2
+    del engine
+    gc.collect()
+    assert all(proc.poll() is not None for proc in fleet)
+
+
+def test_a_closed_engine_opens_a_new_transport():
+    engine = Engine(config=BASE_CONFIG)
+    first = engine.transport_for()
+    assert engine.transport_for() is first
+    engine.close()
+    engine.close()  # idempotent
+    assert engine.transport_for() is not first
+
+
+@pytest.mark.parametrize("transport", ["serial", "filequeue"])
+def test_a_refused_overlapping_batch_leaves_the_running_one_alone(tmp_path, transport):
+    """A second session submitted while the first is suspended mid-stream is
+    refused, and the first still finishes with every outcome."""
+    config = BASE_CONFIG.with_updates(
+        transport=transport, spool_dir=str(tmp_path / "spool"),
+        transport_workers=1, transport_lease_timeout=10.0, transport_poll_interval=0.02,
+    )
+    specs = [_baseline_spec(method="AF2"), _baseline_spec(method="AF3"),
+             _baseline_spec(sequence="RYRDVA")]
+    other = _baseline_spec(sequence="RYRDVA", method="AF3")
+    with Engine(config=config) as engine:
+        first = engine.submit(specs)
+        next(iter(first))
+        with pytest.raises(EngineError, match="one batch at a time"):
+            engine.submit([other]).results()
+        outcomes = first.results()
+        assert [_canonical(o) for o in outcomes] == [
+            _canonical(execute_baseline_job(spec)) for spec in specs
+        ]
+        if transport == "filequeue":
+            workers = engine.transport_for().workers
+            assert len(workers) == 1 and workers[0].poll() is None  # fleet kept
+        (outcome,) = engine.submit([other]).results()
+        assert _canonical(outcome) == _canonical(execute_baseline_job(other))
 
 
 # -- the repro-worker CLI ------------------------------------------------------------
