@@ -55,6 +55,13 @@ class TieredCache:
         self.stats.writes += 1
         return stored
 
+    def close(self) -> None:
+        """Close every member tier that holds a connection."""
+        for tier in self.tiers:
+            close = getattr(tier, "close", None)
+            if close is not None:
+                close()
+
     # -- introspection / maintenance ---------------------------------------------------
 
     def entries(self) -> list[CacheEntry]:

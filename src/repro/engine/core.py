@@ -195,8 +195,13 @@ class Engine:
         return self._transports[0]
 
     def close(self) -> None:
-        """Release the engine's transport (stop a spawned fleet); idempotent."""
+        """Release the engine's transport (stop a spawned fleet) and its cache
+        tiers' connections; idempotent, and a closed remote tier reconnects on
+        its next request."""
         _close_transports(self._transports)
+        close_cache = getattr(self.cache, "close", None)
+        if close_cache is not None:
+            close_cache()
 
     def __enter__(self) -> "Engine":
         return self

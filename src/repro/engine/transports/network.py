@@ -161,6 +161,10 @@ class NetworkTransport(Transport):
                 return completions
             if completions or self.outstanding() == 0:
                 self._pump()
+                if self.outstanding() == 0:
+                    # Drained: release the connection now, not when the
+                    # consumer closes the stream.
+                    self.cancel()
                 return completions
             slice_ = self.poll_interval
             if deadline is not None:

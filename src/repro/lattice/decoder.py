@@ -10,6 +10,7 @@ backtracking) when possible, and returns the best decoded conformation.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,24 +38,36 @@ class ConformationDecoder:
         self.hamiltonian = hamiltonian
         self.encoding = hamiltonian.encoding
 
-    def decode_counts(self, counts: dict[str, int]) -> DecodedConformation:
-        """Decode a whole counts dictionary and return the best conformation.
+    def decode_counts(
+        self, counts: Mapping[str, int] | tuple[np.ndarray, np.ndarray]
+    ) -> DecodedConformation:
+        """Decode measurement counts and return the best conformation.
+
+        ``counts`` maps bitstrings to frequencies, or is the ``(codes,
+        counts)`` arrays the VQE's stage 2 groups its shots in: distinct
+        configuration codes (:meth:`FragmentEncoding.code_from_bits`) and
+        their frequencies.  A mapping's keys become codes in key order, so
+        keys differing only in interaction-register bits decode alike.
 
         Preference order: the lowest-energy *valid* conformation; if every
         measured bitstring decodes to an invalid conformation, the lowest-energy
         invalid one is returned (mirroring the pragmatic behaviour needed on
         noisy hardware).
 
-        Every distinct configuration register is scored in one kernel call,
-        then scanned in counts order: the 1e-9 energy tie-break is not
+        Every distinct configuration is scored in one kernel call, then
+        scanned in the given order: the 1e-9 energy tie-break is not
         transitive, so a vectorised argmin could pick a different winner.
         """
-        if not counts:
-            raise LatticeError("cannot decode an empty counts dictionary")
-        # Bitstrings that differ only in interaction-register bits decode alike.
-        width = self.encoding.configuration_qubits
-        keys = list(dict.fromkeys(bits[:width] for bits in counts))
-        turns = self.encoding.turns_from_keys(keys)
+        if isinstance(counts, Mapping):
+            codes = np.fromiter(
+                dict.fromkeys(self.encoding.code_from_bits(bits) for bits in counts),
+                dtype=np.int64,
+            )
+        else:
+            codes = np.asarray(counts[0], dtype=np.int64)
+        if codes.size == 0:
+            raise LatticeError("cannot decode an empty set of counts")
+        turns = self.encoding.turns_from_codes(codes)
         terms = self.hamiltonian.terms(turns)
         energies = self.hamiltonian.total(terms).tolist()
         valid = ((terms[:, 1] == 0.0) & (terms[:, 2] == 0.0)).tolist()
@@ -72,7 +85,7 @@ class ConformationDecoder:
             return False
 
         best_valid = best_any = None
-        for i in range(len(keys)):
+        for i in range(codes.size):
             if better(i, best_any):
                 best_any = i
             if valid[i] and better(i, best_valid):
@@ -83,6 +96,6 @@ class ConformationDecoder:
             turns=tuple(best_turns),
             ca_coords=turns_to_coords(best_turns, bond_length=self.hamiltonian.bond_length),
             energy=energies[best],
-            bitstring=keys[best],
+            bitstring=format(int(codes[best]), f"0{self.encoding.configuration_qubits}b"),
             valid=valid[best],
         )

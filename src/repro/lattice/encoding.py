@@ -146,24 +146,30 @@ class FragmentEncoding:
         the first ``configuration_qubits`` are used (extra interaction-register
         bits are ignored).  The first two turns are fixed to ``0`` and ``1``.
         """
-        if len(bits) < self.configuration_qubits:
-            raise EncodingError(
-                f"bitstring of length {len(bits)} is shorter than the "
-                f"{self.configuration_qubits}-qubit configuration register"
-            )
-        return self.turns_from_keys([bits[: self.configuration_qubits]])[0].tolist()
+        return self.turns_from_codes(np.array([self.code_from_bits(bits)]))[0].tolist()
 
-    def turns_from_keys(self, keys: list[str]) -> np.ndarray:
-        """Turn sequences ``[N, L-1]`` (fixed turns ``0, 1`` first) of keys of
-        exactly ``configuration_qubits`` ``0``/``1`` characters each."""
+    def code_from_bits(self, bits: str) -> int:
+        """The configuration register of a bitstring as a binary number,
+        qubit 0 the most significant bit (as :func:`pack_rows` packs it)."""
         width = self.configuration_qubits
-        bits = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8) - np.uint8(48)
-        if bits.size != len(keys) * width:
-            raise EncodingError(f"configuration keys must have {width} bits each")
-        bits = bits.reshape(len(keys), width)
-        fixed = np.broadcast_to(np.arange(FIXED_TURNS, dtype=np.uint8), (len(keys), FIXED_TURNS))
-        free = 2 * bits[:, 0::2] + bits[:, 1::2]
-        return np.concatenate([fixed, free], axis=1)[:, : self.length - 1]
+        key = bits[:width]
+        if len(key) < width or key.strip("01"):
+            raise EncodingError(
+                f"bitstring {bits!r} does not start with a {width}-bit "
+                "configuration register of 0/1 characters"
+            )
+        return int(key, 2)
+
+    def turns_from_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Turn sequences ``[N, L-1]`` (fixed turns ``0, 1`` first) of
+        configuration codes; free turn ``t`` is the bit pair of qubits ``2t``
+        (high) and ``2t + 1``, filled one column at a time."""
+        codes = np.asarray(codes, dtype=np.int64)
+        turns = np.empty((codes.size, FIXED_TURNS + self.num_free_turns), dtype=np.uint8)
+        turns[:, :FIXED_TURNS] = np.arange(FIXED_TURNS)
+        for t in range(self.num_free_turns):
+            turns[:, FIXED_TURNS + t] = (codes >> (self.configuration_qubits - 2 - 2 * t)) & 3
+        return turns[:, : self.length - 1]
 
     def bits_from_turns(self, turns: list[int]) -> str:
         """Inverse of :meth:`turns_from_bits` (configuration register only)."""

@@ -52,8 +52,8 @@ OFFSET_COEFF = 0.00135
 OFFSET_EXPONENT = 3.6
 
 #: Conformations per kernel pass: bounds the (rows, pairs, 3) distance tensor
-#: to a few MB whatever the batch size.
-CHUNK_ROWS = 1024
+#: to about half a MB (14 residues) whatever the batch size.
+CHUNK_ROWS = 256
 
 
 def encoding_offset(total_qubits: int) -> float:
@@ -210,7 +210,8 @@ class LatticeHamiltonian:
         raw[:, 0] = np.count_nonzero(left, axis=1)
         raw[:, 1] = np.count_nonzero(turns[:, 1:] == turns[:, :-1], axis=1)
         # H_d: residue pairs on the same site.
-        diff = coords[:, self._pair_j] - coords[:, self._pair_i]
+        diff = coords[:, self._pair_j]
+        diff -= coords[:, self._pair_i]
         dist2 = np.einsum("npk,npk->np", diff, diff)
         raw[:, 2] = np.count_nonzero(dist2 < 1e-6, axis=1)
         # H_i: MJ energies of non-local nearest-neighbour contacts ...

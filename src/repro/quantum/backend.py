@@ -30,62 +30,45 @@ from repro.quantum.statevector import StatevectorSimulator
 #: Compiled plans a backend keeps (FIFO); one per circuit structure.
 PLAN_CACHE_SIZE = 64
 
-
-def samples_to_bitstrings(samples: np.ndarray) -> list[str]:
-    """Convert a (shots, n) 0/1 array into bitstring form."""
-    samples = np.asarray(samples, dtype=np.uint8)
-    if samples.ndim != 2:
-        raise BackendError(f"samples must be 2-D, got shape {samples.shape}")
-    chars = samples + ord("0")
-    return [row.tobytes().decode("ascii") for row in chars.astype(np.uint8)]
+#: Widest row :func:`pack_rows` packs: one MSB-first code in a signed int64.
+MAX_PACKED_BITS = 63
 
 
-def unique_rows(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group a (shots, n) 0/1 array by row.
-
-    Returns ``(rows, inverse, counts)`` exactly as ``np.unique(samples,
-    axis=0, return_inverse=True, return_counts=True)`` would: the distinct
-    rows in lexicographic order, each shot's row index and each row's
-    multiplicity.  Rows up to 63 qubits wide are packed into one MSB-first
-    int64 code each, and a 1-D ``np.unique`` over the codes replaces the row
-    sort: numeric order of the codes *is* lexicographic order of the rows.
-    Wider rows fall back to ``axis=0``.
-    """
-    samples = np.asarray(samples, dtype=np.uint8)
-    width = samples.shape[1]
-    if width > 63:
-        rows, inverse, counts = np.unique(
-            samples, axis=0, return_inverse=True, return_counts=True
+def pack_rows(samples: np.ndarray) -> np.ndarray:
+    """One int64 code per row of a (shots, n) 0/1 array, column 0 the most
+    significant bit, so numeric order of the codes *is* lexicographic order
+    of the rows.  Rows may be at most :data:`MAX_PACKED_BITS` wide."""
+    if samples.shape[1] > MAX_PACKED_BITS:
+        raise BackendError(
+            f"cannot pack {samples.shape[1]}-bit rows into int64 codes "
+            f"(at most {MAX_PACKED_BITS})"
         )
-        return rows, np.ravel(inverse), counts
     codes = np.zeros(samples.shape[0], dtype=np.int64)
     for column in samples.T:
         codes <<= 1
         codes |= column
-    uniq, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    rows = ((uniq[:, None] >> shifts) & 1).astype(np.uint8)
-    return rows, inverse, counts
+    return codes
 
 
 def counts_from_samples(samples: np.ndarray) -> dict[str, int]:
     """Aggregate a (shots, n) sample array into a counts dictionary.
 
-    Aggregation happens in NumPy (:func:`unique_rows`) so that the per-shot
-    Python work is proportional to the number of *distinct* bitstrings, not
-    the shot count — this runs on every 100k-shot stage-2 sample.  Keys come
-    in lexicographic order.
+    Rows are grouped as packed codes (:func:`pack_rows`), so that the
+    per-shot Python work is proportional to the number of *distinct*
+    bitstrings, not the shot count.  Keys come in lexicographic order.
     """
     samples = np.asarray(samples, dtype=np.uint8)
     if samples.ndim != 2:
         raise BackendError(f"samples must be 2-D, got shape {samples.shape}")
     if samples.shape[0] == 0:
         return {}
-    rows, _, counts = unique_rows(samples)
-    return {
-        bits: int(freq)
-        for bits, freq in zip(samples_to_bitstrings(rows), counts)
-    }
+    if samples.shape[1] > MAX_PACKED_BITS:
+        rows, counts = np.unique(samples, axis=0, return_counts=True)
+        keys = [row.tobytes().decode("ascii") for row in rows + np.uint8(ord("0"))]
+        return dict(zip(keys, counts.tolist()))
+    codes, counts = np.unique(pack_rows(samples), return_counts=True)
+    fmt = f"0{samples.shape[1]}b"
+    return {format(code, fmt): freq for code, freq in zip(codes.tolist(), counts.tolist())}
 
 
 class Backend(ABC):

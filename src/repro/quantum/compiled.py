@@ -37,6 +37,7 @@ import numpy as np
 from repro.exceptions import BackendError, CircuitError
 from repro.quantum.circuit import Parameter, QuantumCircuit
 from repro.quantum.gates import _PARAMETRIC, gate_matrix
+from repro.quantum.statevector import MAX_STATEVECTOR_QUBITS, outcome_bits
 
 
 def circuit_structure_key(circuit: QuantumCircuit) -> tuple:
@@ -132,8 +133,6 @@ class CompiledCircuit:
 
     def __init__(self, circuit: QuantumCircuit, max_qubits: int | None = None):
         if max_qubits is None:
-            from repro.quantum.statevector import MAX_STATEVECTOR_QUBITS
-
             max_qubits = MAX_STATEVECTOR_QUBITS
         n = circuit.num_qubits
         if n > int(max_qubits):
@@ -197,6 +196,5 @@ class CompiledCircuit:
         if shots <= 0:
             raise BackendError(f"shots must be positive, got {shots}")
         probs = self.probabilities(values)
-        n = self.num_qubits
         outcomes = rng.choice(probs.size, size=shots, p=probs)
-        return ((outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+        return outcome_bits(outcomes, self.num_qubits)

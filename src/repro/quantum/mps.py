@@ -19,9 +19,9 @@ Implementation notes
 * Two-qubit gates act on adjacent sites via a theta-tensor SVD with truncation
   to the configured maximum bond dimension.
 * Sampling uses exact right environments plus a *vectorised* left-to-right
-  conditional sweep: all shots advance through the chain simultaneously, so
-  the inner loop is a handful of array operations per site regardless of the
-  shot count.
+  conditional sweep: all shots advance through the chain together, in column
+  blocks of :data:`SHOT_BLOCK`, so the inner loop is a handful of array
+  operations per site and block.
 * :class:`MPSPlan` resolves a circuit's gates once per structure (see
   :func:`~repro.quantum.compiled.resolve_gates`) and replays them at any
   parameter vector; :meth:`MPSSimulator.run` is the same replay of a bound
@@ -35,6 +35,11 @@ import numpy as np
 from repro.exceptions import BackendError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.compiled import parameter_values, resolve_gates
+
+#: Shots the sampling sweep advances at once: bounds its temporaries by the
+#: block, not the shot count, and keeps each per-site product below
+#: OpenBLAS's threading threshold (threading it costs more than it saves).
+SHOT_BLOCK = 4096
 
 
 class MPSState:
@@ -128,32 +133,44 @@ class MPSState:
         are ``w[b] R[k+1] w[b]^H``; one uniform per shot picks the outcome and
         the matching ``w`` carries on.  Shots run along the columns because
         OpenBLAS multiplies a short-wide operand far faster than a tall-skinny
-        one.
+        one, in blocks of :data:`SHOT_BLOCK`; each site draws all its uniforms
+        in one call, so the draws do not depend on the blocking.
         """
         if shots <= 0:
             raise BackendError(f"shots must be positive, got {shots}")
         envs = self.right_environments()
-        n = self.num_qubits
-        samples = np.empty((shots, n), dtype=np.uint8)
+        samples = np.empty((shots, self.num_qubits), dtype=np.uint8)
+        # A lone last column would switch matmul to its matrix-vector kernel,
+        # whose rounding may differ; it joins the block before it.
+        edges = list(range(0, shots, SHOT_BLOCK)) + [shots]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]
+        blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
         vec = np.ones((1, shots), dtype=complex)  # partial amplitudes per shot
-        for k in range(n):
-            a = self.tensors[k]
+        for k, a in enumerate(self.tensors):
             chi_l, _, chi_r = a.shape
-            # w[b, c, s] = sum_a A[a, b, c] vec[a, s]
-            w = (a.reshape(chi_l, 2 * chi_r).T @ vec).reshape(2, chi_r, shots)
-            # p[b, s] = sum_cd w[b, c, s] R[c, d] conj(w[b, d, s]); one outcome
-            # at a time, in place, to bound a 100k-shot sample's temporaries.
-            p = np.empty((2, shots))
-            for b in range(2):
-                weighted = envs[k + 1].T @ w[b]
-                weighted *= w[b].conj()
-                p[b] = weighted.sum(axis=0).real
-            p = np.clip(p, 0.0, None)
-            total = p[0] + p[1]
-            total[total <= 0] = 1.0
-            draws = rng.random(shots) < p[1] / total
-            samples[:, k] = draws
-            vec = np.where(draws, w[1], w[0])
+            step = a.reshape(chi_l, 2 * chi_r).T
+            env = envs[k + 1].T
+            uniforms = rng.random(shots)
+            # A block's amplitudes are read before they are overwritten, so
+            # a bond of unchanged dimension is advanced in place.
+            advanced = vec if chi_r == chi_l else np.empty((chi_r, shots), dtype=complex)
+            for block in blocks:
+                # w[b, c, s] = sum_a A[a, b, c] vec[a, s]
+                w = (step @ vec[:, block]).reshape(2, chi_r, -1)
+                # p[b, s] = sum_cd w[b, c, s] R[c, d] conj(w[b, d, s])
+                p = np.empty((2, w.shape[2]))
+                for b in range(2):
+                    weighted = env @ w[b]
+                    weighted *= w[b].conj()
+                    p[b] = weighted.sum(axis=0).real
+                np.clip(p, 0.0, None, out=p)
+                total = p[0] + p[1]
+                total[total <= 0] = 1.0
+                draws = uniforms[block] < p[1] / total
+                samples[block, k] = draws
+                advanced[:, block] = np.where(draws, w[1], w[0])
+            vec = advanced
         return samples
 
 

@@ -75,14 +75,24 @@ class StatevectorSimulator:
         return probs / total
 
     def sample(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample measurement outcomes; returns an (shots, n) array of 0/1 ints."""
+        """Sample measurement outcomes; returns an (shots, n) uint8 array of 0/1."""
         if shots <= 0:
             raise BackendError(f"shots must be positive, got {shots}")
         probs = self.probabilities(circuit)
-        n = circuit.num_qubits
         outcomes = rng.choice(probs.size, size=shots, p=probs)
-        bits = ((outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-        return bits
+        return outcome_bits(outcomes, circuit.num_qubits)
+
+
+def outcome_bits(outcomes: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The (shots, n) uint8 bits of basis-state indices, qubit 0 first.
+
+    Filled one column at a time, so no (shots, n) int64 temporary is built;
+    both statevector samplers expand their outcomes here.
+    """
+    bits = np.empty((outcomes.size, num_qubits), dtype=np.uint8)
+    for q in range(num_qubits):
+        bits[:, q] = (outcomes >> (num_qubits - 1 - q)) & 1
+    return bits
 
 
 def _apply_gate(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:

@@ -3,10 +3,15 @@
 The folding Hamiltonian is diagonal in the computational basis, so the
 expectation value ⟨ψ(θ)|H|ψ(θ)⟩ is estimated by sampling bitstrings from the
 ansatz and averaging their classical energies — exactly the estimator the
-paper's hybrid workflow uses on hardware.  Energies are cached per distinct
-configuration-register value, and each call's cache misses are scored in one
-batched kernel call, so repeated evaluation across optimiser iterations stays
-cheap even with large shot counts.
+paper's hybrid workflow uses on hardware.
+
+Each shot's configuration register is packed into one int64 code
+(:func:`~repro.quantum.backend.pack_rows`), and energies are memoised per
+distinct code in two arrays: the codes, kept sorted, and their energies.  A
+call looks its distinct codes up with ``np.searchsorted``, decodes the misses
+to turns with bit operations, scores them in one batched kernel call and
+merges them into the arrays once, so repeated evaluation across optimiser
+iterations stays cheap even with large shot counts and builds no string.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from repro.exceptions import VQEError
 from repro.lattice.hamiltonian import LatticeHamiltonian
-from repro.quantum.backend import samples_to_bitstrings, unique_rows
+from repro.quantum.backend import MAX_PACKED_BITS, pack_rows
 
 
 class DiagonalExpectation:
@@ -24,53 +29,66 @@ class DiagonalExpectation:
     def __init__(self, hamiltonian: LatticeHamiltonian):
         self.hamiltonian = hamiltonian
         self.encoding = hamiltonian.encoding
-        self._cache: dict[str, float] = {}
+        width = self.encoding.configuration_qubits
+        if width > MAX_PACKED_BITS:
+            raise VQEError(
+                f"a {len(hamiltonian.sequence)}-residue fragment needs a {width}-qubit "
+                f"configuration register; sampled energies pack at most "
+                f"{MAX_PACKED_BITS} qubits (34 residues)"
+            )
+        # The memo: ascending configuration codes and their energies.
+        self._codes = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0)
         self._hits = 0
         self._misses = 0
 
     @property
     def cache_size(self) -> int:
-        """Number of distinct configuration bitstrings currently cached."""
-        return len(self._cache)
+        """Number of distinct configurations currently cached."""
+        return self._codes.size
 
     def cache_info(self) -> dict[str, int]:
         """Hit/miss counters for the energy cache."""
-        return {"entries": len(self._cache), "hits": self._hits, "misses": self._misses}
+        return {"entries": self._codes.size, "hits": self._hits, "misses": self._misses}
 
     def energy_of_bits(self, bits: str) -> float:
         """Energy of one bitstring (configuration register prefix), cached."""
-        return self._energies([bits[: self.encoding.configuration_qubits]])[0]
+        code = self.encoding.code_from_bits(bits)
+        return float(self._energies(np.array([code], dtype=np.int64))[0])
 
-    def _energies(self, keys: list[str]) -> list[float]:
-        """Cached energies of configuration keys.  Keys missing from the cache
-        are scored in one kernel call, then the cache is updated key by key
-        exactly as one-at-a-time lookups would (hits, misses, insertion order)."""
-        missing = [key for key in dict.fromkeys(keys) if key not in self._cache]
-        scored = dict(zip(missing, self._score(missing))) if missing else {}
-        energies = []
-        for key in keys:
-            energy = self._cache.get(key)
-            if energy is not None:
-                self._hits += 1
-            else:
-                self._misses += 1
-                energy = self._cache[key] = scored[key]
-            energies.append(energy)
+    def _energies(self, codes: np.ndarray) -> np.ndarray:
+        """Cached energies of distinct, ascending configuration codes.
+
+        Each code counts one hit or one miss, as a one-at-a-time lookup
+        would.  The misses are scored in one kernel call (rows are
+        batch-independent, so the bits do not depend on the batch) and
+        merged into the memo arrays once.
+        """
+        at = np.searchsorted(self._codes, codes)
+        known = at < self._codes.size
+        known[known] = self._codes[at[known]] == codes[known]
+        energies = np.empty(codes.size)
+        energies[known] = self._values[at[known]]
+        missing = ~known
+        new = codes[missing]
+        if new.size:
+            scored = self.hamiltonian.energies(self.encoding.turns_from_codes(new))
+            energies[missing] = scored
+            self._codes = np.insert(self._codes, at[missing], new)
+            self._values = np.insert(self._values, at[missing], scored)
+        self._hits += codes.size - new.size
+        self._misses += new.size
         return energies
-
-    def _score(self, keys: list[str]) -> list[float]:
-        return self.hamiltonian.energies(self.encoding.turns_from_keys(keys)).tolist()
 
     def _unique_config_energies(
         self, samples: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Group a sample array by configuration register and decode each row once.
+        """Group a sample array by configuration register and score each group once.
 
         Returns ``(energies, inverse, counts)`` where ``energies[i]`` is the
-        energy of the i-th distinct configuration row, ``inverse`` maps every
-        shot back to its row, and ``counts`` is the multiplicity of each row.
-        Grouping keeps the Python-level decoding work proportional to the
-        number of distinct conformations rather than the shot count.
+        energy of the i-th distinct configuration row (rows in lexicographic
+        order), ``inverse`` maps every shot back to its row, and ``counts`` is
+        the multiplicity of each row.
         """
         samples = np.asarray(samples, dtype=np.uint8)
         if samples.ndim != 2 or samples.shape[0] == 0:
@@ -81,11 +99,10 @@ class DiagonalExpectation:
                 f"samples have {samples.shape[1]} qubits, but the configuration "
                 f"register needs {width}"
             )
-        # Rows come in lexicographic order, so the energy cache's insertion
-        # order does not depend on how the rows are grouped.
-        uniq, inverse, counts = unique_rows(samples[:, :width])
-        energies = np.array(self._energies(samples_to_bitstrings(uniq)))
-        return energies, inverse, counts
+        codes, inverse, counts = np.unique(
+            pack_rows(samples[:, :width]), return_inverse=True, return_counts=True
+        )
+        return self._energies(codes), inverse, counts
 
     def estimate_from_samples(self, samples: np.ndarray) -> float:
         """Mean energy of a (shots, n) sample array."""

@@ -31,7 +31,7 @@ from repro.lattice.decoder import ConformationDecoder
 from repro.lattice.encoding import circuit_depth_for_qubits
 from repro.lattice.hamiltonian import LatticeHamiltonian
 from repro.quantum.ansatz import EfficientSU2
-from repro.quantum.backend import Backend, counts_from_samples
+from repro.quantum.backend import Backend, counts_from_samples, pack_rows
 from repro.utils.rng import rng_for
 from repro.vqe.expectation import DiagonalExpectation
 from repro.vqe.optimizer import CobylaOptimizer, OptimizerResult
@@ -136,11 +136,14 @@ class VQE:
             lambda x: self._objective(x, rng_opt), x0
         )
 
-        # Stage 2: freeze parameters, sample with the production shot count.
+        # Stage 2: freeze parameters, sample with the production shot count,
+        # and decode the distinct configurations in lexicographic order.
         final_shots = self.effective_final_shots()
         final_samples = self._sample(opt_result.optimal_parameters, final_shots, rng_final)
+        width = self.encoding.configuration_qubits
+        codes, counts = np.unique(pack_rows(final_samples[:, :width]), return_counts=True)
+        best = self.decoder.decode_counts((codes, counts))
         final_counts = counts_from_samples(final_samples)
-        best = self.decoder.decode_counts(final_counts)
 
         total_qubits = self.encoding.total_qubits
         return VQEResult(

@@ -450,21 +450,21 @@ def test_cache_topology_remote_tier_is_bit_identical(reference_run, tmp_path):
             cache_dir=str(tmp_path / "client-cache"),
             cache_remote=f"127.0.0.1:{server.port}",
         )
-        engine = Engine(config=config)
-        assert _canonical(engine.run(_mixed_jobs(engine))) == reference_run
-        assert engine.stats()["executed_jobs"] == 5
-        # The session writes every executed result through every tier, the
-        # serving daemon's included.
-        remote_tier = engine.cache.tiers[-1]
-        assert remote_tier.stats.writes == 5
+        with Engine(config=config) as engine:
+            assert _canonical(engine.run(_mixed_jobs(engine))) == reference_run
+            assert engine.stats()["executed_jobs"] == 5
+            # The session writes every executed result through every tier,
+            # the serving daemon's included.
+            remote_tier = engine.cache.tiers[-1]
+            assert remote_tier.stats.writes == 5
 
         # "Another machine": no local cache at all, just the remote tier.
-        warm = Engine(config=_network_config(
+        with Engine(config=_network_config(
             server.port, cache_remote=f"127.0.0.1:{server.port}"
-        ))
-        assert _canonical(warm.run(_mixed_jobs(warm))) == reference_run
-        assert warm.stats()["executed_jobs"] == 0
-        assert warm.stats()["cache"]["misses"] == 0
+        )) as warm:
+            assert _canonical(warm.run(_mixed_jobs(warm))) == reference_run
+            assert warm.stats()["executed_jobs"] == 0
+            assert warm.stats()["cache"]["misses"] == 0
 
 
 def test_session_knobs_never_enter_job_hashes():

@@ -83,6 +83,8 @@ def batches():
 
 
 def test_rows_are_bit_identical_in_any_batch_and_chunk(batches, monkeypatch):
+    # The 10-mer batch spans many chunks of the production size.
+    assert max(len(turns) for _, turns in batches) > 3 * hamiltonian_module.CHUNK_ROWS
     for h, turns in batches:
         one_by_one = np.concatenate([h.terms(row[None]) for row in turns]).tobytes()
         for chunk in (1, 7, len(turns), hamiltonian_module.CHUNK_ROWS):
@@ -201,6 +203,46 @@ def test_decoder_matches_the_scalar_scan_on_shuffled_counts():
             assert _decode(h, counts) == _scan_decode(h, counts)
 
 
+def _codes_of(h: LatticeHamiltonian, counts: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``counts`` in the ``(codes, counts)`` form (keys must be distinct
+    configuration registers)."""
+    codes = np.array([h.encoding.code_from_bits(bits) for bits in counts], dtype=np.int64)
+    return codes, np.array(list(counts.values()))
+
+
+def _decoded_coords(h: LatticeHamiltonian, counts) -> np.ndarray:
+    return ConformationDecoder(h).decode_counts(counts).ca_coords
+
+
+def test_decoding_codes_matches_decoding_the_counts_dict():
+    """Stage 2's ``(codes, counts)`` form and the dict form pick the same
+    conformation, on mixed and on all-invalid count sets."""
+    h = LatticeHamiltonian("PWWERYQP")
+    rows = all_turns(8).tolist()
+    keys = [h.encoding.bits_from_turns(row) for row in rows]
+    invalid = [key for key, row in zip(keys, rows) if not h.is_valid(row)]
+    rng = np.random.default_rng(6)
+    for pool in (keys, invalid):
+        for _ in range(3):
+            chosen = sorted(pool[i] for i in rng.permutation(len(pool))[:300])
+            counts = {key: int(n) for key, n in zip(chosen, rng.integers(1, 50, len(chosen)))}
+            decoded = _decode(h, _codes_of(h, counts))
+            assert decoded == _decode(h, counts) == _scan_decode(h, counts)
+            assert decoded[3] == (pool is keys)
+            coords = _decoded_coords(h, _codes_of(h, counts))
+            assert np.array_equal(coords, _decoded_coords(h, counts))
+
+
+def test_decoding_codes_breaks_exact_ties_like_the_counts_dict():
+    rows = sorted(tuple(row) for row in all_turns(6).tolist())
+    low, high = rows[7], rows[40]
+    h = _ScriptedHamiltonian("DGPHGM", {low: 0.0, high: 0.0})
+    counts = {h.encoding.bits_from_turns(list(row)): 1 for row in rows}
+    decoded = _decode(h, _codes_of(h, counts))
+    assert decoded == _decode(h, counts) == _scan_decode(h, counts)
+    assert decoded[1] == low
+
+
 # -- the expectation cache -------------------------------------------------------
 
 
@@ -216,6 +258,8 @@ def _replay(h, cache, counters, key) -> float:
 
 
 def test_expectation_batches_misses_without_changing_cache_or_counters():
+    """The code → energy memo holds exactly what the one-at-a-time string
+    cache held, kept sorted by code, with the same counters."""
     h = LatticeHamiltonian("PWWERYQP")
     width = h.encoding.configuration_qubits
     rng = np.random.default_rng(5)
@@ -227,6 +271,9 @@ def test_expectation_batches_misses_without_changing_cache_or_counters():
         energies, _, _ = expectation._unique_config_energies(samples)
         keys = ["".join(map(str, row)) for row in np.unique(samples, axis=0)]
         assert energies.tolist() == [_replay(h, cache, counters, key) for key in keys]
-        assert list(expectation._cache.items()) == list(cache.items())
+        codes = expectation._codes.tolist()
+        assert codes == sorted(codes)
+        memo = dict(zip(codes, expectation._values.tolist()))
+        assert memo == {int(key, 2): energy for key, energy in cache.items()}
         info = expectation.cache_info()
-        assert {name: info[name] for name in counters} == counters
+        assert info == {"entries": len(cache), **counters}

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import BackendError, CircuitError
+from repro.quantum import mps as mps_module
 from repro.quantum.ansatz import EfficientSU2
 from repro.quantum.backend import AutoBackend, MPSBackend, StatevectorBackend, counts_from_samples
 from repro.quantum.circuit import Parameter, QuantumCircuit
 from repro.quantum.gates import GATES, gate_matrix, is_unitary, rx_matrix, ry_matrix, rz_matrix
 from repro.quantum.mps import MPSSimulator, MPSState
 from repro.quantum.noise import NoiseModel
-from repro.quantum.statevector import StatevectorSimulator
+from repro.quantum.statevector import StatevectorSimulator, outcome_bits
 
 angles = st.floats(-np.pi, np.pi, allow_nan=False)
 
@@ -225,6 +226,43 @@ def test_mps_kernel_matches_einsum_reference(width):
                 )
 
 
+def _unblocked_sample(state: MPSState, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference sweep: every shot in one pass, the sweep the shot-blocked
+    ``MPSState.sample`` replaced."""
+    envs = state.right_environments()
+    samples = np.empty((shots, state.num_qubits), dtype=np.uint8)
+    vec = np.ones((1, shots), dtype=complex)
+    for k, a in enumerate(state.tensors):
+        chi_l, _, chi_r = a.shape
+        w = (a.reshape(chi_l, 2 * chi_r).T @ vec).reshape(2, chi_r, shots)
+        p = np.empty((2, shots))
+        for b in range(2):
+            weighted = envs[k + 1].T @ w[b]
+            weighted *= w[b].conj()
+            p[b] = weighted.sum(axis=0).real
+        p = np.clip(p, 0.0, None)
+        total = p[0] + p[1]
+        total[total <= 0] = 1.0
+        draws = rng.random(shots) < p[1] / total
+        samples[:, k] = draws
+        vec = np.where(draws, w[1], w[0])
+    return samples
+
+
+@pytest.mark.parametrize("reps,chi", [(1, 2), (2, 4)])
+def test_mps_shot_blocks_match_the_unblocked_sweep(reps, chi):
+    ansatz = EfficientSU2(10, reps=reps)
+    circuit = ansatz.bound(_random_values(ansatz.num_parameters, reps) * 2.5)
+    state = MPSSimulator(max_bond_dimension=8).run(circuit)
+    assert max(t.shape[2] for t in state.tensors) == chi
+    block = mps_module.SHOT_BLOCK
+    # Below one block, exactly two blocks, two blocks plus a remainder, and
+    # a remainder of one shot (it joins the block before it).
+    for shots in (1, 100, 2 * block, 2 * block + 100, 2 * block + 1):
+        reference = _unblocked_sample(state, shots, np.random.default_rng(shots))
+        assert np.array_equal(state.sample(shots, np.random.default_rng(shots)), reference)
+
+
 @given(st.integers(2, 6), st.integers(0, 2), st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_mps_matches_statevector_for_efficient_su2(n, reps, seed):
@@ -370,6 +408,16 @@ def test_compiled_sample_matches_simulator_rng_stream():
     direct = StatevectorSimulator().sample(ansatz.bound(values), 64, np.random.default_rng(9))
     replay = plan.sample(values, 64, np.random.default_rng(9))
     assert np.array_equal(direct, replay)
+
+
+@pytest.mark.parametrize("width", [1, 5, 16, 24])
+def test_outcome_bits_match_the_broadcast_expansion(width):
+    outcomes = np.random.default_rng(width).integers(0, 2**width, size=3000)
+    outcomes[:2] = 0, 2**width - 1
+    expected = ((outcomes[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+    bits = outcome_bits(outcomes, width)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, expected)
 
 
 def test_compiled_handles_fixed_and_parameterised_gates():

@@ -7,6 +7,7 @@ from repro.config import PipelineConfig
 from repro.exceptions import VQEError
 from repro.lattice.hamiltonian import LatticeHamiltonian
 from repro.lattice.classical import ClassicalFoldingSolver
+from repro.quantum.backend import MPSBackend
 from repro.vqe.expectation import DiagonalExpectation
 from repro.vqe.optimizer import CobylaOptimizer, SPSAOptimizer
 from repro.vqe.vqe import VQE
@@ -33,6 +34,17 @@ def test_cvar_below_or_equal_mean():
     cvar = exp.cvar_from_samples(samples, alpha=0.1)
     assert cvar <= mean + 1e-9
     assert exp.cvar_from_samples(samples, alpha=1.0) == pytest.approx(mean)
+
+
+def test_configuration_register_wider_than_a_packed_code_is_refused():
+    widest = LatticeHamiltonian("A" * 34)
+    assert DiagonalExpectation(widest).encoding.configuration_qubits == 62
+    too_wide = LatticeHamiltonian("A" * 35)
+    assert too_wide.encoding.configuration_qubits == 64
+    with pytest.raises(VQEError, match="34 residues"):
+        DiagonalExpectation(too_wide)
+    with pytest.raises(VQEError, match="34 residues"):
+        VQE(too_wide, backend=MPSBackend())
 
 
 def test_cvar_alpha_validation():
