@@ -2,8 +2,8 @@
 
 Start one daemon and point any number of client sessions at it; no shared
 filesystem is needed.  The server multiplexes every client onto one shared
-worker pool and one shared result cache, applies per-client admission
-control, and streams results back as they complete — see
+worker pool and one shared result cache (admitting up to ``--max-inflight``
+jobs per client), and streams results back as they complete — see
 :mod:`repro.serve.server` for the service semantics and
 :mod:`repro.serve.protocol` for the wire format.
 
@@ -31,11 +31,7 @@ import json
 import signal
 import sys
 
-from repro.serve.server import (
-    DEFAULT_MAX_INFLIGHT,
-    DEFAULT_MAX_PENDING,
-    ReproServer,
-)
+from repro.serve.server import DEFAULT_MAX_INFLIGHT, ReproServer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,11 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-inflight", type=int, default=DEFAULT_MAX_INFLIGHT,
-        help="per-client in-flight job cap (default %(default)s)",
-    )
-    parser.add_argument(
-        "--max-pending", type=int, default=DEFAULT_MAX_PENDING,
-        help="server-wide cap on accepted-but-unfinished jobs (default %(default)s)",
+        help="per-client in-flight job window, the only admission rule (default %(default)s)",
     )
     parser.add_argument(
         "--preload", action="append", default=[], metavar="MODULE",
@@ -90,7 +82,6 @@ def main(argv: list[str] | None = None) -> int:
             port=args.port,
             workers=args.workers,
             max_inflight=args.max_inflight,
-            max_pending=args.max_pending,
             cache=args.cache_dir,
         ).start()
     except Exception as exc:

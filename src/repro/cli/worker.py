@@ -20,8 +20,8 @@ envelope).  ``--tags`` declares the capabilities a worker has — e.g.
 requirements it cannot cover instead of claiming and poisoning them; an
 untagged worker claims anything.
 
-Workers exit cleanly when ``<spool>/stop`` exists (``touch /shared/spool/stop``),
-after ``--max-jobs`` tasks, or after ``--idle-exit`` seconds without work.
+Workers exit cleanly when ``<spool>/stop`` exists (``touch /shared/spool/stop``)
+or after ``--max-jobs`` tasks.
 ``--preload`` imports modules before serving, so daemons can register
 third-party job kinds/backends (task pickles are trusted local state — only
 serve spool directories you or your tooling wrote).
@@ -68,10 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after processing this many tasks (default: serve forever)",
     )
     parser.add_argument(
-        "--idle-exit", type=float, default=None,
-        help="exit after this many seconds without work (default: never)",
-    )
-    parser.add_argument(
         "--tags", default=None, metavar="TAG[,TAG...]",
         help="capabilities this worker declares (e.g. fold,dock,mps); tasks "
              "requiring anything else are skipped, never claimed "
@@ -105,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"repro-worker: {exc}", file=sys.stderr)
         return 2
-    processed = worker.serve(max_jobs=args.max_jobs, idle_exit=args.idle_exit)
+    processed = worker.serve(max_jobs=args.max_jobs)
     print(
         f"repro-worker {worker.worker_id}: processed {processed} tasks "
         f"({worker.executed} completed, {worker.failed} failed)",

@@ -677,18 +677,14 @@ class FileQueueWorker:
         # written above still resolves the task for both of us.
         self.spool.release(task_id, owner=self.worker_id)
 
-    def serve(
-        self, max_jobs: int | None = None, idle_exit: float | None = None
-    ) -> int:
+    def serve(self, max_jobs: int | None = None) -> int:
         """Process tasks until told to stop; returns the number processed.
 
-        Stops when the spool's ``stop`` sentinel appears, after ``max_jobs``
-        tasks, or after ``idle_exit`` seconds without work.  Between tasks the
-        worker also reclaims stale leases, so any member of the fleet can
-        recover another member's crash.
+        Stops when the spool's ``stop`` sentinel appears or after ``max_jobs``
+        tasks.  Between tasks the worker also reclaims stale leases, so any
+        member of the fleet can recover another member's crash.
         """
         processed = 0
-        idle_since = time.monotonic()
         while True:
             if self.spool.stop_requested():
                 logger.info("worker %s: stop sentinel found, exiting", self.worker_id)
@@ -698,13 +694,9 @@ class FileQueueWorker:
             task_id = self.run_once()
             if task_id is not None:
                 processed += 1
-                idle_since = time.monotonic()
                 continue
             if self.spool.reclaim_stale(self.lease_timeout):
                 continue
-            if idle_exit is not None and time.monotonic() - idle_since > idle_exit:
-                logger.info("worker %s: idle for %.1fs, exiting", self.worker_id, idle_exit)
-                break
             time.sleep(self.poll_interval)
         return processed
 

@@ -9,11 +9,11 @@ resume need no network awareness at all.
 Three behaviours matter beyond the happy path:
 
 * **Windowing.** The server's ``welcome`` frame advertises its per-client
-  admission cap (``repro-serve --max-inflight``); the transport keeps at
-  most that many jobs in flight and tops the window up as results land, so
-  a well-behaved client never triggers the server's quota rejection.
-  ``busy`` frames (the server-wide backlog filled up) re-queue the job with
-  bounded retries.
+  window (``repro-serve --max-inflight``), the server's only admission rule.
+  The transport keeps at most that many jobs in flight and tops the window
+  up, in submission order, as results land.  Every job it sends is
+  accepted and queued, so no job ever waits on a retry or fails for
+  waiting; a job over the window would be a protocol error.
 * **Failures are completions, not hangs.**  A server that dies mid-batch
   surfaces as one :class:`RemoteJobError` *per outstanding job* — the batch
   finishes, the session journals the failures under ``on_error="isolate"``,
@@ -53,10 +53,6 @@ from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
-#: How many times one job may be re-queued after a ``busy`` rejection before
-#: it resolves as a failed completion instead of retrying forever.
-_MAX_BUSY_RETRIES = 100
-
 
 class NetworkTransport(Transport):
     """Execute batches on a remote ``repro-serve``, one connection per batch."""
@@ -82,12 +78,6 @@ class NetworkTransport(Transport):
         self._specs: list[Any] = []
         self._unsent: deque[int] = deque()
         self._inflight: dict[int, Any] = {}
-        self._busy_retries: dict[int, int] = {}
-        #: Per-job backoff deadlines after ``busy`` rejections.  Scoped to the
-        #: rejected index on purpose: one slow job backing off must not
-        #: head-of-line block sends of every *other* unsent job while the
-        #: window has room.
-        self._retry_at: dict[int, float] = {}
         self._window = 0  # the server's advertised cap, read from ``welcome``
         self._dead: str | None = None  # why the connection is unusable
 
@@ -96,7 +86,6 @@ class NetworkTransport(Transport):
     def submit(self, specs: Sequence[Any]) -> int:
         self._start_batch()
         self._frames = FrameBuffer()
-        self._busy_retries.clear()
         self._dead = None
         self._specs = list(specs)
         try:
@@ -119,31 +108,18 @@ class NetworkTransport(Transport):
         return len(self._specs)
 
     def _pump(self) -> None:
-        """Top the in-flight window up from the unsent queue.
-
-        Jobs inside their per-index busy backoff are held back (and re-queued
-        behind everything else); every other job keeps flowing — the backoff
-        paces the rejected job, not the whole batch.
-        """
-        now = time.monotonic()
-        held: list[int] = []
+        """Top the in-flight window up from the unsent queue, in order."""
         while self._unsent and len(self._inflight) < self._window and self._dead is None:
             index = self._unsent.popleft()
-            if self._retry_at.get(index, 0.0) > now:
-                held.append(index)
-                continue
-            self._retry_at.pop(index, None)
             try:
                 send_message(self._sock, {
                     "type": "job", "index": index, "spec": self._specs[index],
                 })
             except (OSError, ProtocolError) as exc:
                 self._unsent.appendleft(index)
-                self._unsent.extend(held)
                 self._mark_dead(f"cannot send job to server: {exc}")
                 return
             self._inflight[index] = self._specs[index]
-        self._unsent.extend(held)
 
     # -- harvesting ------------------------------------------------------------------
 
@@ -171,9 +147,6 @@ class NetworkTransport(Transport):
                 slice_ = min(slice_, deadline - time.monotonic())
                 if slice_ <= 0:
                     return completions
-            # Everything in flight may have been busy-rejected; the timeout
-            # slice is the retry pacing before the window refills.
-            self._pump()
             self._sock.settimeout(max(0.005, slice_))
             try:
                 data = self._sock.recv(1 << 20)
@@ -201,38 +174,10 @@ class NetworkTransport(Transport):
                 index = message.get("index")
                 if index in self._inflight:
                     del self._inflight[index]
-                    self._busy_retries.pop(index, None)
-                    self._retry_at.pop(index, None)
                     record = message.get("record") or {}
                     completions.append(record_completion(
                         index, record, record.get("server_id") or self.server_id
                     ))
-            elif kind == "busy":
-                index = message.get("index")
-                if index in self._inflight:
-                    del self._inflight[index]
-                    retries = self._busy_retries.get(index, 0) + 1
-                    if retries > _MAX_BUSY_RETRIES:
-                        completions.append((
-                            index, None,
-                            RemoteJobError(
-                                "ServerBusy",
-                                f"server rejected the job {retries} times: "
-                                f"{message.get('reason')}",
-                                self.server_id,
-                            ),
-                        ))
-                    else:
-                        self._busy_retries[index] = retries
-                        self._unsent.append(index)
-                        # Linear backoff before re-offering *this* job: a
-                        # full server rejects at wire speed, and retrying in
-                        # a tight loop would burn the whole retry budget
-                        # before any capacity can possibly free up.  Scoped
-                        # per index — other jobs are not paced by it.
-                        self._retry_at[index] = time.monotonic() + min(
-                            1.0, 4 * self.poll_interval * retries
-                        )
             elif kind == "error":
                 self._mark_dead(f"server reported a protocol error: {message.get('reason')}")
                 return
@@ -261,7 +206,6 @@ class NetworkTransport(Transport):
             )
         self._inflight.clear()
         self._unsent.clear()
-        self._retry_at.clear()
         return completions
 
     # -- lifecycle -------------------------------------------------------------------
@@ -278,7 +222,6 @@ class NetworkTransport(Transport):
         self._close_socket()
         self._inflight.clear()
         self._unsent.clear()
-        self._retry_at.clear()
 
     def _mark_dead(self, reason: str) -> None:
         if self._dead is None:

@@ -18,15 +18,10 @@ from repro.serve.protocol import (
     recv_message,
     send_message,
 )
-from repro.serve.server import (
-    DEFAULT_MAX_INFLIGHT,
-    DEFAULT_MAX_PENDING,
-    ReproServer,
-)
+from repro.serve.server import DEFAULT_MAX_INFLIGHT, ReproServer
 
 __all__ = [
     "DEFAULT_MAX_INFLIGHT",
-    "DEFAULT_MAX_PENDING",
     "FrameBuffer",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",

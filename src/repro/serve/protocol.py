@@ -27,7 +27,6 @@ frame             direction   fields
 ``welcome``        s -> c     ``protocol``, ``server_id``, ``max_inflight``
 ``job``            c -> s     ``index``, ``spec`` (pickled spec object)
 ``result``         s -> c     ``index``, ``record`` (spool-format result record)
-``busy``           s -> c     ``index``, ``reason`` (admission-control rejection)
 ``error``          s -> c     ``reason`` (protocol violation; connection closes)
 ``bye``            c -> s     clean disconnect (submitter walked away)
 ``cache_get``      c -> s     ``key``, optional ``peek`` (stat-neutral lookup)
@@ -53,7 +52,9 @@ from typing import Any
 from repro.exceptions import EngineError
 
 #: Protocol version spoken by this build; ``hello``/``welcome`` must agree.
-PROTOCOL_VERSION = 1
+#: Version 1 also had an admission-rejection frame, which version 2 clients
+#: never read (the per-client window is the only admission rule).
+PROTOCOL_VERSION = 2
 
 #: Hard cap on a single frame.  A job spec or result record larger than this
 #: is almost certainly a bug (the cache payloads these mirror are a few MB at
@@ -96,18 +97,18 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_message(sock: socket.socket) -> dict[str, Any]:
-    """Read one frame, blocking until it is complete.
-
-    Raises ``ConnectionError`` on EOF and :class:`ProtocolError` on a frame
-    that is oversized or does not decode to a message dict.
-    """
-    (length,) = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size))
+def _frame_length(prefix: bytes | bytearray) -> int:
+    """The body length a length prefix announces, refused over the cap."""
+    (length,) = _LENGTH.unpack(prefix)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})"
         )
-    body = _recv_exact(sock, length)
+    return length
+
+
+def _decode_body(body: bytes) -> dict[str, Any]:
+    """Unpickle one frame body into a message dict."""
     try:
         message = pickle.loads(body)
     except Exception as exc:
@@ -115,6 +116,16 @@ def recv_message(sock: socket.socket) -> dict[str, Any]:
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError(f"frame is not a message dict: {type(message).__name__}")
     return message
+
+
+def recv_message(sock: socket.socket) -> dict[str, Any]:
+    """Read one frame, blocking until it is complete.
+
+    Raises ``ConnectionError`` on EOF and :class:`ProtocolError` on a frame
+    that is oversized or does not decode to a message dict.
+    """
+    length = _frame_length(_recv_exact(sock, _LENGTH.size))
+    return _decode_body(_recv_exact(sock, length))
 
 
 def connect(
@@ -169,22 +180,9 @@ class FrameBuffer:
         """The next complete message, or ``None`` when more bytes are needed."""
         if len(self._buffer) < _LENGTH.size:
             return None
-        (length,) = _LENGTH.unpack(self._buffer[: _LENGTH.size])
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})"
-            )
-        end = _LENGTH.size + length
+        end = _LENGTH.size + _frame_length(self._buffer[: _LENGTH.size])
         if len(self._buffer) < end:
             return None
         body = bytes(self._buffer[_LENGTH.size : end])
         del self._buffer[:end]
-        try:
-            message = pickle.loads(body)
-        except Exception as exc:
-            raise ProtocolError(
-                f"cannot decode frame: {type(exc).__name__}: {exc}"
-            ) from exc
-        if not isinstance(message, dict) or "type" not in message:
-            raise ProtocolError(f"frame is not a message dict: {type(message).__name__}")
-        return message
+        return _decode_body(body)

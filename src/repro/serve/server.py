@@ -12,10 +12,9 @@ the socket equivalent of the spool directory: a long-running daemon that
   in-process threads for ``workers=0``) and **one shared**
   :class:`~repro.engine.cache.LocalDirTier` — a job any client ever completed
   is served to every later client without re-execution,
-* applies per-client **admission control**: at most ``max_inflight`` jobs in
-  flight per client id, and a bounded server-wide backlog (``max_pending``)
-  — a submission over either limit is rejected with an explicit ``busy``
-  frame instead of an unbounded queue, and
+* applies one **admission rule**: at most ``max_inflight`` jobs in flight
+  per client (the window advertised in ``welcome``; a job over it is a
+  protocol error), while every admitted job queues in arrival order, and
 * streams one ``result`` frame per job back to its submitting client as it
   completes, in completion order.
 
@@ -32,7 +31,7 @@ Threading model: one acceptor thread; per connection one reader thread
 (frames in) and one sender thread (frames out, decoupled by a queue so a
 stalled client can never block another client's completions); the shared
 executor pool completes jobs and hands records back through per-future
-callbacks.  All admission counters live behind one server lock.
+callbacks.  All counters live behind one server lock.
 """
 
 from __future__ import annotations
@@ -64,9 +63,6 @@ logger = get_logger(__name__)
 #: Default per-client in-flight job cap (the admission-control window a
 #: server advertises in its ``welcome`` frame).
 DEFAULT_MAX_INFLIGHT = 32
-
-#: Default server-wide backlog cap across all clients.
-DEFAULT_MAX_PENDING = 1024
 
 
 def _execute(spec: Any) -> Any:
@@ -199,8 +195,7 @@ class ReproServer:
         executors) stay visible.
     max_inflight:
         Per-client admission window, advertised in the ``welcome`` frame.
-    max_pending:
-        Server-wide cap on accepted-but-unfinished jobs across all clients.
+        It is the server's only admission rule.
     cache:
         The shared :class:`LocalDirTier` (instance, directory path, or
         ``None`` to serve without one).
@@ -216,7 +211,6 @@ class ReproServer:
         port: int = 0,
         workers: int = 0,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        max_pending: int = DEFAULT_MAX_PENDING,
         cache: LocalDirTier | str | Path | None = None,
         execute: Callable[[Any], Any] | None = None,
     ):
@@ -224,7 +218,6 @@ class ReproServer:
         self.port = int(port)
         self.workers = max(0, int(workers))
         self.max_inflight = max(1, int(max_inflight))
-        self.max_pending = max(1, int(max_pending))
         if isinstance(cache, (str, Path)):
             cache = LocalDirTier(cache)
         self.cache = cache
@@ -232,7 +225,6 @@ class ReproServer:
         self.server_id = f"serve-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self._lock = threading.Lock()
         self._clients: set[_ClientConnection] = set()
-        self._pending_total = 0
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._pool: Any = None
@@ -241,7 +233,6 @@ class ReproServer:
         self.jobs_accepted = 0
         self.jobs_completed = 0
         self.jobs_failed = 0
-        self.jobs_rejected = 0
         self.cache_hits = 0
         self.cache_gets = 0
         self.cache_puts = 0
@@ -273,11 +264,10 @@ class ReproServer:
         )
         self._accept_thread.start()
         logger.info(
-            "repro-serve %s: listening on %s:%d (%s, max %d in flight per "
-            "client, %d pending total)",
+            "repro-serve %s: listening on %s:%d (%s, max %d in flight per client)",
             self.server_id, self.host, self.port,
             f"{self.workers} worker processes" if self.workers else "in-process execution",
-            self.max_inflight, self.max_pending,
+            self.max_inflight,
         )
         return self
 
@@ -373,25 +363,14 @@ class ReproServer:
         spec = message.get("spec")
         with self._lock:
             if conn.inflight >= self.max_inflight:
-                reason = (
-                    f"client quota exceeded ({conn.inflight} jobs in flight, "
-                    f"max {self.max_inflight} per client)"
+                # ``welcome`` told the client its window: overrunning it is a
+                # protocol violation, not a reason to queue or retry.
+                raise ProtocolError(
+                    f"client window overrun: job {index} sent with {conn.inflight} "
+                    f"jobs in flight (max {self.max_inflight} per client)"
                 )
-            elif self._pending_total >= self.max_pending:
-                reason = (
-                    f"queue full ({self._pending_total} jobs pending, "
-                    f"max {self.max_pending} server-wide)"
-                )
-            else:
-                reason = None
-                conn.inflight += 1
-                self._pending_total += 1
-                self.jobs_accepted += 1
-        if reason is not None:
-            with self._lock:
-                self.jobs_rejected += 1
-            conn.send({"type": "busy", "index": index, "reason": f"server busy: {reason}"})
-            return
+            conn.inflight += 1
+            self.jobs_accepted += 1
         try:
             key = spec.content_hash()
         except Exception:
@@ -518,7 +497,6 @@ class ReproServer:
         record = dict(record, server_id=self.server_id)
         with self._lock:
             conn.inflight -= 1
-            self._pending_total -= 1
             if record["status"] == "completed":
                 self.jobs_completed += 1
             else:
@@ -537,9 +515,8 @@ class ReproServer:
                 "jobs_accepted": self.jobs_accepted,
                 "jobs_completed": self.jobs_completed,
                 "jobs_failed": self.jobs_failed,
-                "jobs_rejected": self.jobs_rejected,
                 "cache_hits": self.cache_hits,
                 "cache_gets": self.cache_gets,
                 "cache_puts": self.cache_puts,
-                "pending": self._pending_total,
+                "pending": self.jobs_accepted - self.jobs_completed - self.jobs_failed,
             }

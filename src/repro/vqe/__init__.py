@@ -1,14 +1,13 @@
 """Variational Quantum Eigensolver framework for the folding Hamiltonian."""
 
 from repro.vqe.expectation import DiagonalExpectation
-from repro.vqe.optimizer import CobylaOptimizer, SPSAOptimizer, OptimizerResult
+from repro.vqe.optimizer import CobylaOptimizer, OptimizerResult
 from repro.vqe.result import VQEResult
 from repro.vqe.vqe import VQE
 
 __all__ = [
     "DiagonalExpectation",
     "CobylaOptimizer",
-    "SPSAOptimizer",
     "OptimizerResult",
     "VQEResult",
     "VQE",

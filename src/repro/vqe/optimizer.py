@@ -2,10 +2,7 @@
 
 The paper uses gradient-free COBYLA with 200+ iterations (Sec. 4.3.2, 5.2);
 :class:`CobylaOptimizer` wraps :func:`scipy.optimize.minimize` with that
-method.  :class:`SPSAOptimizer` is provided as the standard
-stochastic-approximation alternative used in the ablation benchmarks (it needs
-only two function evaluations per iteration, which matters when every
-evaluation is a hardware job).
+method.
 """
 
 from __future__ import annotations
@@ -78,54 +75,5 @@ class CobylaOptimizer:
             optimal_parameters=final_x,
             optimal_value=final_val,
             iterations=len(history),
-            history=history,
-        )
-
-
-class SPSAOptimizer:
-    """Simultaneous-perturbation stochastic approximation (ablation baseline)."""
-
-    def __init__(
-        self,
-        max_iterations: int = 100,
-        a: float = 0.2,
-        c: float = 0.15,
-        alpha: float = 0.602,
-        gamma: float = 0.101,
-        seed: int = 0,
-    ):
-        if max_iterations <= 0:
-            raise VQEError(f"max_iterations must be positive, got {max_iterations}")
-        self.max_iterations = int(max_iterations)
-        self.a = float(a)
-        self.c = float(c)
-        self.alpha = float(alpha)
-        self.gamma = float(gamma)
-        self.seed = int(seed)
-
-    def minimize(self, objective: Callable[[np.ndarray], float], x0: np.ndarray) -> OptimizerResult:
-        """Minimise ``objective`` with SPSA updates."""
-        rng = np.random.default_rng(self.seed)
-        x = np.array(x0, dtype=float)
-        history: list[float] = []
-        best_x = x.copy()
-        best_val = np.inf
-        for k in range(1, self.max_iterations + 1):
-            ak = self.a / k**self.alpha
-            ck = self.c / k**self.gamma
-            delta = rng.choice([-1.0, 1.0], size=x.shape)
-            plus = float(objective(x + ck * delta))
-            minus = float(objective(x - ck * delta))
-            history.extend([plus, minus])
-            grad = (plus - minus) / (2.0 * ck) * delta
-            x = x - ak * grad
-            current = min(plus, minus)
-            if current < best_val:
-                best_val = current
-                best_x = x.copy()
-        return OptimizerResult(
-            optimal_parameters=best_x,
-            optimal_value=best_val,
-            iterations=self.max_iterations,
             history=history,
         )

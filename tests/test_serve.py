@@ -1,8 +1,8 @@
-"""The ``repro-serve`` battery: wire-protocol framing, admission control
-(per-client quota + bounded backlog), the shared result cache, server-side
-poison isolation, record parity with the file-queue worker, and the network
-transport's error paths — server down at submit, server killed mid-batch,
-busy re-queueing."""
+"""The ``repro-serve`` battery: wire-protocol framing, the one admission rule
+(the per-client window: an overrun is a protocol error), the shared result
+cache, server-side poison isolation, record parity with the file-queue
+worker, and the network transport's error paths — server down at submit,
+server killed mid-batch."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import json
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
@@ -198,7 +197,10 @@ def _fake_peer(reply: dict[str, Any]):
     "reply, reason",
     [
         ({"type": "error", "reason": "draining"}, "rejected the connection: draining"),
-        ({"type": "welcome", "protocol": PROTOCOL_VERSION + 1}, "speaks protocol 2"),
+        (
+            {"type": "welcome", "protocol": PROTOCOL_VERSION + 1},
+            f"speaks protocol {PROTOCOL_VERSION + 1}",
+        ),
     ],
     ids=["error-frame", "protocol-mismatch"],
 )
@@ -220,6 +222,9 @@ def test_clients_surface_a_rejected_handshake(reply, reason):
 
 
 def test_server_enforces_the_per_client_quota():
+    """The window advertised in ``welcome`` is binding: a job frame over it
+    is a protocol violation — an ``error`` frame naming the overrun, then the
+    server closes the connection."""
     gate = threading.Event()
 
     def blocked(spec):
@@ -232,36 +237,13 @@ def test_server_enforces_the_per_client_quota():
                 assert _hello(sock)["max_inflight"] == 1
                 send_message(sock, {"type": "job", "index": 0, "spec": PingSpec("a")})
                 send_message(sock, {"type": "job", "index": 1, "spec": PingSpec("b")})
-                busy = recv_message(sock)  # the window is full: instant rejection
-                assert busy["type"] == "busy" and busy["index"] == 1
-                assert "server busy" in busy["reason"] and "quota" in busy["reason"]
-                gate.set()
-                result = recv_message(sock)
-                assert result["type"] == "result" and result["index"] == 0
-                assert result["record"]["status"] == "completed"
-                assert server.stats()["jobs_rejected"] == 1
-    finally:
-        gate.set()
-
-
-def test_server_enforces_the_global_backlog_cap():
-    gate = threading.Event()
-
-    def blocked(spec):
-        gate.wait(timeout=10.0)
-        return _fake_execute(spec)
-
-    try:
-        with ReproServer(workers=0, max_inflight=8, max_pending=1, execute=blocked) as server:
-            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
-                _hello(sock)
-                send_message(sock, {"type": "job", "index": 0, "spec": PingSpec("a")})
-                send_message(sock, {"type": "job", "index": 1, "spec": PingSpec("b")})
-                busy = recv_message(sock)
-                assert busy["type"] == "busy" and busy["index"] == 1
-                assert "queue full" in busy["reason"]
-                gate.set()
-                assert recv_message(sock)["index"] == 0
+                error = recv_message(sock)  # the window is full: job 1 overruns it
+                assert error["type"] == "error"
+                assert "window overrun" in error["reason"] and "job 1" in error["reason"]
+                assert "max 1 per client" in error["reason"]
+                with pytest.raises(ConnectionError):
+                    recv_message(sock)  # closed: no result for job 0 either
+                assert server.stats()["jobs_accepted"] == 1
     finally:
         gate.set()
 
@@ -397,110 +379,35 @@ def test_transport_serves_a_second_client_from_the_shared_cache(tmp_path):
     assert not result2.from_cache
 
 
-def test_transport_requeues_after_busy_until_capacity_frees_up():
-    gate = threading.Event()
+def test_clients_keep_to_their_window_and_every_queued_job_completes():
+    """The window is the only admission rule: two clients each stream four
+    jobs through a 1-job window, the server queues whatever arrives, and
+    every job completes; none waits on a retry or fails for waiting."""
 
-    def gated(spec):
-        gate.wait(timeout=10.0)
+    def slow(spec):
+        time.sleep(0.02)
         return execute_baseline_job(spec)
 
-    specs = [_baseline_spec(method="AF2"), _baseline_spec(method="AF3")]
-    try:
-        # max_pending=1: the second job is busy-rejected until the first
-        # finishes — the client must re-queue it, not fail or hang.
-        with ReproServer(workers=0, max_pending=1, execute=gated) as server:
-            transport = NetworkTransport("127.0.0.1", server.port, poll_interval=0.01)
-            transport.submit(specs)
-            time.sleep(0.1)  # let the busy frame land
-            gate.set()
-            completions = []
-            deadline = time.monotonic() + 20.0
-            while transport.outstanding() and time.monotonic() < deadline:
-                completions.extend(transport.poll(timeout=1.0))
-            transport.cancel()
-            assert server.stats()["jobs_rejected"] >= 1
-    finally:
-        gate.set()
-    assert sorted(index for index, _, _ in completions) == [0, 1]
-    assert all(exc is None for _, _, exc in completions)
+    results: dict[str, list] = {}
+    with ReproServer(workers=0, max_inflight=1, execute=slow) as server:
 
+        def run(name: str) -> None:
+            transport = NetworkTransport(
+                "127.0.0.1", server.port, client_id=name, poll_interval=0.01
+            )
+            specs = [_baseline_spec(pdb_id=f"{name}{i}") for i in range(4)]
+            results[name] = list(transport.stream(specs))
 
-def test_busy_backoff_is_scoped_to_the_rejected_job_only():
-    """The head-of-line regression: one job's busy backoff used to gate *all*
-    sends through a single scalar deadline; it must hold back only the
-    rejected index while every other unsent job keeps flowing."""
-    transport = NetworkTransport("127.0.0.1", 1, poll_interval=0.01)
-    wire = FrameBuffer()
-
-    class _Sock:
-        def sendall(self, data: bytes) -> None:
-            wire.feed(data)
-
-    transport._sock = _Sock()
-    transport._specs = [PingSpec("a"), PingSpec("b"), PingSpec("c")]
-    transport._unsent = deque([0, 1, 2])
-    transport._window = 8
-    transport._retry_at = {0: time.monotonic() + 60.0}  # job 0 is backing off
-    transport._pump()
-    sent = []
-    while (message := wire.next_message()) is not None:
-        sent.append(message["index"])
-    assert sent == [1, 2]  # unaffected jobs keep flowing
-    assert list(transport._unsent) == [0]  # the rejected job is merely held
-    assert set(transport._inflight) == {1, 2}
-    # Once its deadline passes, the held job goes out too.
-    transport._retry_at[0] = 0.0
-    transport._pump()
-    assert wire.next_message()["index"] == 0
-    assert set(transport._inflight) == {0, 1, 2} and not transport._unsent
-
-
-def test_one_jobs_backoff_does_not_stall_the_rest_against_a_full_server():
-    gate = threading.Event()
-
-    def gated(spec):
-        if spec.pdb_id == "slow":
-            gate.wait(timeout=10.0)
-        return execute_baseline_job(spec)
-
-    try:
-        # max_pending=1: "slow" fills the only slot, so "b" and "c" are both
-        # busy-rejected and land in per-job backoff.
-        with ReproServer(workers=0, max_pending=1, execute=gated) as server:
-            transport = NetworkTransport("127.0.0.1", server.port, poll_interval=0.01)
-            transport.submit([
-                _baseline_spec(pdb_id="slow"),
-                _baseline_spec(pdb_id="bbbb"),
-                _baseline_spec(pdb_id="cccc"),
-            ])
-            completions = []
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and not (
-                {1, 2} <= set(transport._unsent)
-            ):
-                completions.extend(transport.poll(timeout=0.05))
-            assert {1, 2} <= set(transport._unsent)
-            # Pin "b" in a long backoff (as if rejected many more times); the
-            # transport is driven only by this thread, so the deadline is in
-            # force at every subsequent _pump.  A global gate would now stall
-            # "c" as well — the pre-fix behaviour.
-            transport._retry_at[1] = time.monotonic() + 30.0
-            gate.set()
-            deadline = time.monotonic() + 10.0
-            while len(completions) < 2 and time.monotonic() < deadline:
-                completions.extend(transport.poll(timeout=0.2))
-            assert sorted(index for index, _, _ in completions) == [0, 2]
-            assert transport.outstanding() == 1  # only the pinned job remains
-            transport._retry_at[1] = 0.0  # backoff over: it drains too
-            deadline = time.monotonic() + 10.0
-            while transport.outstanding() and time.monotonic() < deadline:
-                completions.extend(transport.poll(timeout=0.2))
-            transport.cancel()
-            assert server.stats()["jobs_rejected"] >= 2
-    finally:
-        gate.set()
-    assert sorted(index for index, _, _ in completions) == [0, 1, 2]
-    assert all(exc is None for _, _, exc in completions)
+        threads = [threading.Thread(target=run, args=(name,)) for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        stats = server.stats()
+    for name in ("a", "b"):
+        assert sorted(index for index, _, _ in results[name]) == [0, 1, 2, 3]
+        assert all(exc is None for _, _, exc in results[name])
+    assert (stats["jobs_accepted"], stats["jobs_completed"], stats["jobs_failed"]) == (8, 8, 0)
 
 
 def test_transport_fails_outstanding_jobs_when_the_server_dies_mid_batch():

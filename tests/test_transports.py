@@ -9,6 +9,7 @@ import gc
 import hashlib
 import json
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -32,6 +33,7 @@ from repro.engine import (
     register_executor,
     transport_names,
 )
+from repro.engine import registry
 from repro.engine.core import execute_baseline_job
 from repro.exceptions import EngineError
 from repro.utils.io import _NumpyJSONEncoder
@@ -869,6 +871,60 @@ def test_worker_cli_stops_on_sentinel(tmp_path, capsys):
     rc = worker_cli_main([str(tmp_path / "spool"), "--max-jobs", "5"])
     assert rc == 0
     assert spool.read_result("task-1") is None  # wound down before claiming it
+
+
+@dataclass(frozen=True)
+class PluginSpec:
+    """A job kind only a preloaded plugin can execute.  Defined here, not in
+    the plugin, so unpickling a task never imports (and registers) it."""
+
+    name: str
+
+    kind: ClassVar[str] = "preload-plugin"
+
+    def content_hash(self) -> str:
+        return hashlib.sha256(f"plugin/v1\x1f{self.name}".encode("utf-8")).hexdigest()
+
+
+_PLUGIN_SOURCE = """
+from repro.engine import register_executor
+
+
+class _Outcome:
+    def __init__(self, spec):
+        self.spec = spec
+
+    def to_payload(self):
+        return {"spec_hash": self.spec.content_hash(), "schema": "plugin/v1", "name": self.spec.name}
+
+
+register_executor("preload-plugin", _Outcome)
+"""
+
+
+def test_worker_cli_preload_registers_a_custom_job_kind(tmp_path, monkeypatch):
+    module = "repro_preload_plugin"
+    (tmp_path / f"{module}.py").write_text(_PLUGIN_SOURCE)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    spool = FileQueueSpool(tmp_path / "spool")
+    argv = [str(spool.root), "--max-jobs", "1", "--poll-interval", "0.01"]
+    try:
+        spool.enqueue("task-1", PluginSpec("a"))
+        assert worker_cli_main(argv) == 0
+        failed = spool.read_result("task-1")
+        assert failed["status"] == "failed"
+        assert "no executor registered for job kind 'preload-plugin'" in failed["error_message"]
+
+        spool.enqueue("task-2", PluginSpec("b"))
+        assert worker_cli_main(argv + ["--preload", module]) == 0
+        done = spool.read_result("task-2")
+        assert done["status"] == "completed"
+        assert done["payload"] == {
+            "spec_hash": PluginSpec("b").content_hash(), "schema": "plugin/v1", "name": "b",
+        }
+    finally:
+        registry._EXECUTORS.pop("preload-plugin", None)
+        sys.modules.pop(module, None)
 
 
 def test_worker_cli_rejects_a_bad_preload(tmp_path, capsys):

@@ -9,7 +9,7 @@ from repro.lattice.hamiltonian import LatticeHamiltonian
 from repro.lattice.classical import ClassicalFoldingSolver
 from repro.quantum.backend import MPSBackend
 from repro.vqe.expectation import DiagonalExpectation
-from repro.vqe.optimizer import CobylaOptimizer, SPSAOptimizer
+from repro.vqe.optimizer import CobylaOptimizer
 from repro.vqe.vqe import VQE
 
 
@@ -62,13 +62,6 @@ def test_cobyla_minimises_quadratic():
     assert result.optimal_value < 0.05
     assert result.iterations > 0
     assert result.lowest_value <= result.highest_value
-
-
-def test_spsa_minimises_quadratic():
-    result = SPSAOptimizer(max_iterations=200, seed=1).minimize(
-        lambda x: float(np.sum((x - 0.7) ** 2)), np.zeros(4)
-    )
-    assert result.optimal_value < 0.3
 
 
 def test_optimizer_history_tracks_range():
