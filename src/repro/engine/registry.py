@@ -22,7 +22,10 @@ from it.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import threading
 from typing import Any, Callable
 
 from repro.config import PipelineConfig
@@ -133,9 +136,23 @@ def _picklable(mapping: dict, what: str) -> dict:
 def _restore_registries(
     backends: dict[str, BackendBuilder], executors: dict[str, JobExecutor]
 ) -> None:
-    """Merge both registries into this process (the worker-process initializer)."""
+    """Merge both registries into this process (the worker-process initializer).
+
+    The worker also exits when its parent dies: a SIGKILLed parent runs no
+    pool shutdown, and its workers would otherwise idle on, orphaned.
+    """
     _REGISTRY.update(backends)
     _EXECUTORS.update(executors)
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with, args=(parent,), name="parent-watch", daemon=True
+        ).start()
+
+
+def _exit_with(parent: Any) -> None:
+    parent.join()  # returns once the parent's end of the sentinel pipe closes
+    os._exit(1)
 
 
 def pool_initializer() -> dict[str, Any]:

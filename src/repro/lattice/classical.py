@@ -101,8 +101,12 @@ class ClassicalFoldingSolver:
     ) -> ClassicalFoldingResult:
         """Simulated annealing over single-turn moves.
 
-        Temperatures default to fractions of the Hamiltonian's clash penalty so
-        the schedule adapts to the per-fragment energy scale.
+        Every single-turn neighbour of the current conformation is scored in
+        one kernel call, re-made only after an accepted move; each proposal
+        reads its energy from that table.  ``evaluations`` counts the start
+        and the proposals scored.  Temperatures default to fractions of the
+        Hamiltonian's clash penalty so the schedule adapts to the per-fragment
+        energy scale.
         """
         rng = rng_for(seed, "classical-annealing", str(self.hamiltonian.sequence))
         length = self.encoding.length
@@ -118,7 +122,21 @@ class ClassicalFoldingSolver:
         # Start from an alternating pattern which is always backtrack-free.
         for k in range(first_free, n_turns):
             turns[k] = (k % 2) * 2  # 0, 2, 0, 2 ... never equal to the previous index
-        current_e = self.hamiltonian.energy(turns)
+
+        # The single-turn neighbours of ``turns``: row 4 * (pos - first_free)
+        # + value sets turns[pos] = value; the last row is ``turns`` itself.
+        # Kernel rows do not depend on their batch, so one call per accepted
+        # move gives every proposal the bits a call of its own would.
+        rows = np.arange(4 * n_free)
+        columns = first_free + rows // 4
+
+        def neighbourhood() -> list[float]:
+            neighbours = np.repeat(turns[None], 4 * n_free + 1, axis=0)
+            neighbours[rows, columns] = rows % 4
+            return self.hamiltonian.energies(neighbours).tolist()
+
+        table = neighbourhood()
+        current_e = table[-1]
         best_turns = turns.copy()
         best_e = current_e
         evaluations = 1
@@ -126,21 +144,18 @@ class ClassicalFoldingSolver:
         temperatures = np.geomspace(max(t_start, 1e-9), max(t_end, 1e-9), num=max(1, sweeps))
         for temp in temperatures:
             for pos in range(first_free, n_turns):
-                old = turns[pos]
                 new = int(rng.integers(0, 4))
-                if new == old:
+                if new == turns[pos]:
                     continue
-                turns[pos] = new
-                e = self.hamiltonian.energy(turns)
+                e = table[4 * (pos - first_free) + new]
                 evaluations += 1
-                accept = e <= current_e or rng.random() < np.exp(-(e - current_e) / temp)
-                if accept:
+                if e <= current_e or rng.random() < np.exp(-(e - current_e) / temp):
+                    turns[pos] = new
                     current_e = e
                     if e < best_e:
                         best_e = e
                         best_turns = turns.copy()
-                else:
-                    turns[pos] = old
+                    table = neighbourhood()
         return ClassicalFoldingResult(
             turns=tuple(int(t) for t in best_turns),
             energy=float(best_e),

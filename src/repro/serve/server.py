@@ -152,6 +152,8 @@ class _ClientConnection:
         client_id = hello.get("client_id")
         if client_id:
             self.client_id = str(client_id)
+        with self.server._lock:  # a probe that never says hello is no client
+            self.server.clients_served += 1
         self.send({
             "type": "welcome",
             "protocol": PROTOCOL_VERSION,
@@ -341,7 +343,6 @@ class ReproServer:
             conn = _ClientConnection(self, sock, address)
             with self._lock:
                 self._clients.add(conn)
-                self.clients_served += 1
             conn.start()
 
     def _forget_client(self, conn: _ClientConnection) -> None:

@@ -144,6 +144,67 @@ def test_registry_snapshot_roundtrips_through_restore():
     assert (backend_names(), executor_kinds()) == before
 
 
+_POOL_CHILD = """
+import multiprocessing, sys, time
+from concurrent.futures import ProcessPoolExecutor, wait
+from repro.engine.registry import pool_initializer
+
+method = sys.argv[1]
+pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context(method), **pool_initializer())
+wait([pool.submit(time.sleep, 0.5) for _ in range(2)], timeout=120)
+print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """False once ``pid`` has exited (a zombie nobody reaps counts as exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.parametrize("method", ["spawn", "fork"])  # repro-serve's, the pool transport's
+def test_pool_workers_exit_when_their_parent_is_killed(method):
+    """A SIGKILLed parent runs no pool shutdown; the initializer's parent
+    watch must still take its workers down."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import threading
+    import time
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src_dir + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    child = subprocess.Popen(
+        [sys.executable, "-c", _POOL_CHILD, method], env=env, stdout=subprocess.PIPE, text=True
+    )
+    hung = threading.Timer(120.0, child.kill)  # a child that never prints fails, not hangs
+    hung.start()
+    try:
+        workers = [int(pid) for pid in child.stdout.readline().split()]
+    finally:
+        hung.cancel()
+        child.kill()
+        child.wait(timeout=10.0)
+        child.stdout.close()
+    assert len(workers) == 2
+    deadline = time.monotonic() + 10.0
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    orphans = [pid for pid in workers if _running(pid)]
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    assert not orphans
+
+
 # -- cache --------------------------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """The batched lattice-energy kernel, ``LatticeHamiltonian.terms``.
 
 ``scalar_terms`` keeps the per-conformation formulas the kernel replaced, as
-the reference.  The kernel agrees with it per term within 1e-9 relative (its
+the reference, and ``sequential_annealing`` the one-proposal-per-call
+annealer the neighbour-table one replaced.  The kernel agrees with it per term within 1e-9 relative (its
 left-to-right sums may round differently from NumPy's pairwise and BLAS
 sums), and every row is bit-identical whatever batch or chunk scores it.
 The callers moved onto the kernel must decide exactly as their
@@ -16,10 +17,11 @@ import pytest
 from repro.bio.miyazawa_jernigan import interaction_matrix_for_sequence
 from repro.dataset.builder import DatasetBuilder
 from repro.lattice import hamiltonian as hamiltonian_module
-from repro.lattice.classical import ClassicalFoldingSolver
+from repro.lattice.classical import ClassicalFoldingResult, ClassicalFoldingSolver
 from repro.lattice.decoder import ConformationDecoder
 from repro.lattice.hamiltonian import HamiltonianWeights, LatticeHamiltonian
 from repro.lattice.tetrahedral import backtracking_count, turns_to_coords
+from repro.utils.rng import rng_for
 from repro.vqe.expectation import DiagonalExpectation
 
 #: One sequence per length 5-10; the tests score every encodable conformation.
@@ -125,6 +127,125 @@ def test_slice_ground_states_match_the_scalar_formulas(monkeypatch):
         reference = ClassicalFoldingSolver(LatticeHamiltonian(seq)).solve(seed=7)
         assert reference.turns == expected.turns, seq
         assert reference.energy == pytest.approx(expected.energy, rel=1e-9)
+
+
+# -- the annealed reference solve -----------------------------------------------
+
+#: ``(sequence, seed, turns, energy.hex(), evaluations)`` of ``solve`` on the 9
+#: benchmark-slice sequences, recorded from the one-proposal-per-call
+#: annealer: the 13-14-mers anneal, the rest are enumerated exactly.
+PINNED_GROUND_STATES = (
+    ("ELISNSSDALDKI", 1, (0, 1, 2, 1, 1, 3, 1, 2, 3, 2, 2, 1), "0x1.72dc6d57f60d9p+13", 2971),
+    ("ELISNSSDALDKI", 7, (0, 1, 2, 0, 3, 2, 0, 3, 2, 3, 1, 2), "0x1.79dde3b5b4b46p+13", 2971),
+    ("ELISNSSDALDKI", 2025, (0, 1, 0, 3, 1, 0, 2, 1, 3, 1, 1, 2), "0x1.665f75f86a5aep+13", 2988),
+    ("YLVTHLMGADLNNI", 1, (0, 1, 1, 2, 2, 1, 0, 3, 1, 0, 2, 1, 3), "0x1.6bce6587bc8dcp+13", 3351),
+    ("YLVTHLMGADLNNI", 7, (0, 1, 2, 1, 1, 2, 0, 2, 1, 0, 1, 1, 2), "0x1.99284d8453668p+13", 3261),
+    ("YLVTHLMGADLNNI", 2025, (0, 1, 0, 1, 1, 3, 1, 0, 3, 1, 2, 0, 0), "0x1.995570b776390p+13", 3321),
+    ("VVLPYMKHGDLRNF", 1, (0, 1, 3, 2, 3, 0, 1, 3, 0, 3, 0, 0, 2), "0x1.0723b6c7aea78p+14", 3339),
+    ("VVLPYMKHGDLRNF", 7, (0, 1, 3, 0, 1, 2, 1, 3, 0, 1, 0, 0, 2), "0x1.da5cc54e85828p+13", 3331),
+    ("VVLPYMKHGDLRNF", 2025, (0, 1, 0, 0, 1, 3, 0, 1, 1, 0, 2, 1, 3), "0x1.1362219365446p+14", 3346),
+    ("AQITMGMPY", 1, (0, 1, 3, 0, 1, 2, 0, 1), "0x1.12c95d87ef4c6p+11", 4096),
+    ("AQITMGMPY", 7, (0, 1, 3, 0, 1, 2, 0, 1), "0x1.12c95d87ef4c6p+11", 4096),
+    ("AQITMGMPY", 2025, (0, 1, 3, 0, 1, 2, 0, 1), "0x1.12c95d87ef4c6p+11", 4096),
+    ("SAPLRVYVE", 1, (0, 1, 3, 0, 1, 2, 0, 1), "0x1.144f59183d2e2p+11", 4096),
+    ("SAPLRVYVE", 7, (0, 1, 3, 0, 1, 2, 0, 1), "0x1.144f59183d2e2p+11", 4096),
+    ("SAPLRVYVE", 2025, (0, 1, 3, 0, 1, 2, 0, 1), "0x1.144f59183d2e2p+11", 4096),
+    ("TAGATSANE", 1, (0, 1, 3, 2, 1, 3, 1, 3), "0x1.10f5f2354b254p+11", 4096),
+    ("TAGATSANE", 7, (0, 1, 3, 2, 1, 3, 1, 3), "0x1.10f5f2354b254p+11", 4096),
+    ("TAGATSANE", 2025, (0, 1, 3, 2, 1, 3, 1, 3), "0x1.10f5f2354b254p+11", 4096),
+    ("DGPHGM", 1, (0, 1, 0, 3, 2), "0x1.ae002cf79264ap+6", 64),
+    ("DGPHGM", 7, (0, 1, 0, 3, 2), "0x1.ae002cf79264ap+6", 64),
+    ("DGPHGM", 2025, (0, 1, 0, 3, 2), "0x1.ae002cf79264ap+6", 64),
+    ("SIHSYS", 1, (0, 1, 3, 0, 1), "0x1.a1e1308e4b641p+6", 64),
+    ("SIHSYS", 7, (0, 1, 3, 0, 1), "0x1.a1e1308e4b641p+6", 64),
+    ("SIHSYS", 2025, (0, 1, 3, 0, 1), "0x1.a1e1308e4b641p+6", 64),
+    ("PWWERYQP", 1, (0, 1, 0, 1, 3, 0, 1), "0x1.428047536ce8dp+10", 1024),
+    ("PWWERYQP", 7, (0, 1, 0, 1, 3, 0, 1), "0x1.428047536ce8dp+10", 1024),
+    ("PWWERYQP", 2025, (0, 1, 0, 1, 3, 0, 1), "0x1.428047536ce8dp+10", 1024),
+)
+
+
+def sequential_annealing(
+    solver: ClassicalFoldingSolver, seed: int, sweeps: int, t_start=None, t_end=None
+) -> tuple[ClassicalFoldingResult, int]:
+    """The annealer that scored each proposal in a kernel call of its own
+    (test reference only), and its number of accepted moves."""
+    h = solver.hamiltonian
+    rng = rng_for(seed, "classical-annealing", str(h.sequence))
+    n_turns = solver.encoding.length - 1
+    n_free = solver.encoding.num_free_turns
+    first_free = n_turns - n_free
+    t_start = h._clash_penalty * 0.5 if t_start is None else t_start
+    t_end = h._clash_penalty * 0.005 if t_end is None else t_end
+    turns = np.array(([0, 1][:n_turns]) + [0] * n_free, dtype=int)[:n_turns]
+    for k in range(first_free, n_turns):
+        turns[k] = (k % 2) * 2
+    current_e = h.energy(turns)
+    best_turns, best_e = turns.copy(), current_e
+    evaluations, accepted = 1, 0
+    for temp in np.geomspace(max(t_start, 1e-9), max(t_end, 1e-9), num=max(1, sweeps)):
+        for pos in range(first_free, n_turns):
+            old = turns[pos]
+            new = int(rng.integers(0, 4))
+            if new == old:
+                continue
+            turns[pos] = new
+            e = h.energy(turns)
+            evaluations += 1
+            if e <= current_e or rng.random() < np.exp(-(e - current_e) / temp):
+                current_e = e
+                accepted += 1
+                if e < best_e:
+                    best_e, best_turns = e, turns.copy()
+            else:
+                turns[pos] = old
+    result = ClassicalFoldingResult(
+        turns=tuple(int(t) for t in best_turns),
+        energy=float(best_e),
+        ca_coords=turns_to_coords(best_turns, bond_length=h.bond_length),
+        exact=False,
+        evaluations=evaluations,
+    )
+    return result, accepted
+
+
+def test_slice_ground_states_are_pinned():
+    for sequence, seed, turns, energy, evaluations in PINNED_GROUND_STATES:
+        result = ClassicalFoldingSolver(LatticeHamiltonian(sequence)).solve(seed=seed)
+        assert (result.turns, result.energy.hex(), result.evaluations) == (
+            turns, energy, evaluations
+        ), (sequence, seed)
+        assert result.exact == (len(sequence) <= 10)
+
+
+@pytest.mark.parametrize(
+    "length, sweeps, hot",
+    [(11, 400, False), (12, 1, False), (13, 7, False), (14, 100, False),
+     (15, 400, False), (16, 100, False), (12, 100, True), (16, 7, True)],
+)
+def test_neighbour_table_annealer_matches_the_sequential_one(length, sweeps, hot, monkeypatch):
+    """Same turns, energy bits, evaluations and trace as one kernel call per
+    proposal, with one kernel call per accepted move plus the start."""
+    rng = np.random.default_rng(length * 1000 + sweeps)
+    sequence = "".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), size=length))
+    solver = ClassicalFoldingSolver(LatticeHamiltonian(sequence))
+    # A hot schedule accepts most uphill moves, so the table is re-made often.
+    temperatures = (solver.hamiltonian._clash_penalty * 50, solver.hamiltonian._clash_penalty)
+    kwargs = dict(zip(("t_start", "t_end"), temperatures)) if hot else {}
+    expected, accepted = sequential_annealing(solver, seed=length, sweeps=sweeps, **kwargs)
+    calls = []
+    energies = LatticeHamiltonian.energies
+    monkeypatch.setattr(
+        LatticeHamiltonian, "energies", lambda self, turns: calls.append(1) or energies(self, turns)
+    )
+    result = solver.solve_annealing(seed=length, sweeps=sweeps, **kwargs)
+    assert (result.turns, result.energy.hex(), result.evaluations) == (
+        expected.turns, expected.energy.hex(), expected.evaluations
+    )
+    assert result.ca_coords.tobytes() == expected.ca_coords.tobytes()
+    assert len(calls) == 1 + accepted
+    if hot:
+        assert accepted > expected.evaluations // 2
 
 
 # -- the decoder's tie-break -----------------------------------------------------

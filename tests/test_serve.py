@@ -154,6 +154,15 @@ def test_server_welcome_advertises_its_admission_window():
             assert welcome["server_id"] == server.server_id
 
 
+def test_server_counts_clients_at_the_handshake_not_at_connect():
+    """A readiness probe that connects and closes without a hello is no client."""
+    with ReproServer(workers=0, execute=_fake_execute) as server:
+        socket.create_connection(("127.0.0.1", server.port), timeout=5.0).close()
+        transport = NetworkTransport("127.0.0.1", server.port, poll_interval=0.01)
+        assert len(list(transport.stream([PingSpec("a")]))) == 1
+        assert server.stats()["clients_served"] == 1
+
+
 def test_server_rejects_a_protocol_version_mismatch():
     with ReproServer(workers=0, execute=_fake_execute) as server:
         with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
