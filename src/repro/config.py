@@ -86,8 +86,7 @@ class PipelineConfig:
         Seconds before an untouched task claim counts as abandoned by a dead
         worker and is requeued (stale-lease reclamation).
     transport_poll_interval:
-        Seconds between the submitting transport's spool scans (also the
-        ``network`` transport's socket-poll slice).
+        Seconds between the submitting transport's spool scans.
     serve_host / serve_port:
         Address of the ``repro-serve`` daemon the ``network`` transport
         submits to (start one with ``repro-serve``).  The client keeps as

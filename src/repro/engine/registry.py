@@ -217,4 +217,3 @@ register_backend("statevector", _build_statevector)
 register_backend("mps", _build_mps)
 register_backend("auto", _build_auto)
 register_backend("eagle", _build_eagle)
-register_backend("eagle_emulator", _build_eagle)

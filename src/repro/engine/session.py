@@ -403,10 +403,7 @@ class Session:
         if self._state == "finished":
             return iter(list(zip(self.jobs, self._outcomes)))
         if self._state == "closed":
-            raise EngineError(
-                f"session {self.session_id!r} was closed before finishing; "
-                "re-submit its session_id to complete the batch"
-            )
+            raise self._closed_error()
         if self._stream_gen is None:
             self._state = "running"
             self._stream_gen = self._stream()
@@ -463,7 +460,7 @@ class Session:
         # transport degrades to submission order).  The journal and cache are
         # updated *before* each yield, so breaking out of the stream can
         # never lose a finished result.  Every exit closes the transport
-        # stream, which cancels whatever never completed, so the engine's
+        # stream, which withdraws whatever never completed, so the engine's
         # next batch finds its transport idle.
         if pending:
             with contextlib.closing(
@@ -504,12 +501,24 @@ class Session:
                             error_message=error_message,
                         )
                         yield from self._deliver(i, "failed", duplicates_of)
+            # Every pending job completes exactly once, as an execution or a
+            # failure.  Fewer means the transport was closed under this
+            # suspended session (Engine.close()): raise, never finish with
+            # None holes.
+            if self.executed + self.failed < len(pending):
+                raise self._closed_error()
             stats = getattr(self.transport, "stats", None)
             if callable(stats):
                 try:
                     self.transport_stats = stats()
                 except Exception:  # diagnostics only: never fail a finished batch
                     self.transport_stats = None
+
+    def _closed_error(self) -> EngineError:
+        return EngineError(
+            f"session {self.session_id!r} was closed before finishing; "
+            "re-submit its session_id to complete the batch"
+        )
 
     def _lookup(self, job: Any, key: str, journalled_done: dict[str, Any]) -> Any | None:
         """Resolve a job without executing it: from the result cache."""

@@ -1,10 +1,9 @@
 """The executor transport protocol: *where* jobs run, behind one interface.
 
-The engine's session loop needs exactly three things from an execution
-substrate: hand it a batch of job specs (:meth:`Transport.submit`), harvest
-``(index, result, exception)`` completions as they land
-(:meth:`Transport.poll`), and abandon whatever is still outstanding when the
-consumer walks away (:meth:`Transport.cancel`).  Everything else about a
+The engine's session loop needs one thing from an execution substrate: hand
+it a batch of job specs and iterate ``(index, result, exception)``
+completions as they land, abandoning whatever is still outstanding when the
+consumer walks away (:meth:`Transport.stream`).  Everything else about a
 transport — in-process calls, a process pool, a fleet of independent worker
 daemons coordinating over a spool directory — is an implementation detail the
 session never sees, which is what keeps the PR 3 determinism contract
@@ -21,16 +20,16 @@ The two remote transports (``filequeue`` and ``network``) exchange one
 executing side (a ``repro-worker`` or ``repro-serve``) and turned back into a
 completion by :func:`record_completion` on the submitting side.
 
-A transport instance serves **one batch at a time**, for as many batches
-as its owner runs: ``submit`` starts a batch (and refuses while the previous
-one is still outstanding or its stream still open), ``poll`` drains it
-incrementally, ``cancel`` (idempotent) ends it and withdraws whatever never
-completed, and ``close`` releases what the transport keeps between batches
-(a spawned worker fleet).
-:meth:`Transport.stream` packages one batch as the generator the session
-consumes — cancellation on early exit comes for free from the ``finally``
-clause.  An :class:`~repro.engine.core.Engine` owns one transport for its
-whole lifetime and closes it in :meth:`~repro.engine.core.Engine.close`.
+A transport runs **one batch at a time**, for as many batches as its owner
+runs.  A batch is one generator (:meth:`Transport.run`): it takes the specs,
+yields a completion per spec as each lands, and its ``finally`` clause
+withdraws whatever never completed, so every exit (drained, raised, closed
+early) ends the batch.  :meth:`Transport.stream` is the session-facing
+wrapper: it refuses a batch while another one's stream is open, and
+:meth:`Transport.close` closes that open stream before releasing what
+outlives a batch (a spawned worker fleet).  An
+:class:`~repro.engine.core.Engine` owns one transport for its whole lifetime
+and closes it in :meth:`~repro.engine.core.Engine.close`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 import abc
 import json
 import time
-from typing import Any, Callable, ClassVar, Iterator, Sequence
+from typing import Any, Callable, ClassVar, Generator, Iterator, Sequence
 
 from repro.engine.jobs import result_from_payload
 from repro.exceptions import EngineError
@@ -49,82 +48,61 @@ Completion = tuple[int, Any | None, BaseException | None]
 
 
 class Transport(abc.ABC):
-    """An execution substrate for consecutive batches: submit, poll, cancel.
+    """An execution substrate for consecutive batches, one generator each.
 
-    Concrete transports implement the three primitives; :meth:`stream` is the
-    session-facing generator built on top of them.  ``poll`` may block up to
-    ``timeout`` seconds waiting for the first completion, returning however
-    many have landed (possibly none on timeout); it must never return a
-    completion twice, and must raise :class:`EngineError` if the batch can
-    provably never finish (e.g. every worker of a spawned fleet is gone and
-    respawning is exhausted).
+    Concrete transports implement :meth:`run`; :meth:`stream` is the
+    session-facing generator built on top of it.
     """
 
     #: Registry name of this transport.
     name: ClassVar[str] = "abstract"
 
-    #: True while a :meth:`stream` generator owns the current batch, even
-    #: once ``poll`` has harvested all of it but the consumer is suspended
-    #: before taking the last completions.
-    _streaming: bool = False
+    #: The batch generator of the open :meth:`stream`, if any.
+    _active: Generator[Completion, None, None] | None = None
 
     @abc.abstractmethod
-    def submit(self, specs: Sequence[Any]) -> int:
-        """Start a batch: enqueue ``specs``; returns the number enqueued.
+    def run(self, specs: list[Any]) -> Generator[Completion, None, None]:
+        """Run one batch: yield one completion per spec as it lands.
 
-        Raises :class:`EngineError` while the previous batch is outstanding
-        or its stream still open (see :meth:`_start_batch`).
+        Every spec gets exactly one completion, in any order; a job's
+        exception is a completion, never a raise.  The generator raises
+        :class:`EngineError` only if the batch can provably never finish
+        (e.g. every worker of a spawned fleet is gone and respawning is
+        exhausted), and its ``finally`` clause withdraws whatever never
+        completed, however the generator ends.
         """
-
-    @abc.abstractmethod
-    def poll(self, timeout: float | None = None) -> list[Completion]:
-        """Harvest completions, waiting up to ``timeout`` seconds for one."""
-
-    @abc.abstractmethod
-    def cancel(self) -> None:
-        """End the current batch: abandon outstanding work (idempotent)."""
-
-    @abc.abstractmethod
-    def outstanding(self) -> int:
-        """How many submitted specs have not yet been returned by ``poll``."""
 
     def close(self) -> None:
-        """Release everything, including what outlives a batch (idempotent)."""
-        self.cancel()
+        """Withdraw the open batch, then release what outlives a batch.
 
-    def _start_batch(self) -> None:
-        """Refuse a new batch while one is outstanding; end the drained one."""
-        if self.outstanding() > 0 or self._streaming:
-            raise EngineError(
-                "a transport runs one batch at a time; drain or cancel the "
-                "outstanding batch before submitting another"
-            )
-        self.cancel()
+        Idempotent.  Subclasses that keep something between batches extend
+        this.  A consumer of the closed stream sees it end early.
+        """
+        if self._active is not None:
+            self._active.close()
+            self._active = None
 
     def stream(self, specs: Sequence[Any]) -> Iterator[Completion]:
-        """Submit ``specs`` and yield every completion, cancelling on exit.
+        """Run ``specs`` as one batch and yield every completion.
 
-        The generator the session loop consumes: closing it early (the
-        consumer broke out of its ``for`` loop) lands in the ``finally``
-        clause and abandons whatever has not completed.
+        The generator the session loop consumes.  Closing it early (the
+        consumer broke out of its ``for`` loop) closes the batch, which
+        withdraws whatever has not completed.  While one stream is open, a
+        second one raises :class:`EngineError` at its first ``next()`` and
+        leaves the open batch alone.
         """
-        # Refuse an overlapping batch before the try: the finally clause
-        # would otherwise end the batch of another stream (a session of the
-        # same engine, suspended mid-stream).
-        self._start_batch()
+        if self._active is not None:
+            raise EngineError(
+                "a transport runs one batch at a time; drain or close the "
+                "open batch before starting another"
+            )
+        batch = self._active = self.run(list(specs))
         try:
-            # submit() inside the try: a mid-enqueue failure (disk full on a
-            # shared spool at task 500 of 1000) must still reach cancel(), or
-            # the partially enqueued tasks are orphaned for external workers
-            # to execute with nobody harvesting the results.
-            self.submit(specs)
-            self._streaming = True
-            while self.outstanding() > 0:
-                for completion in self.poll():
-                    yield completion
+            yield from batch
         finally:
-            self._streaming = False
-            self.cancel()
+            if self._active is batch:
+                self._active = None
+            batch.close()
 
 
 class RemoteJobError(EngineError):

@@ -84,7 +84,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Sequence
+from typing import Any, Callable, ClassVar, Generator
 
 from repro.engine.scheduler import (
     DEFAULT_PRIORITY,
@@ -705,12 +705,12 @@ class FileQueueTransport(Transport):
     """Submit engine batches to the spool and harvest the fleet's results.
 
     ``workers > 0`` spawns that many local ``repro-worker`` daemons at the
-    first ``submit`` and keeps them across batches until :meth:`close`: each
-    ``submit`` replaces only members that have exited, and members that die
+    first batch and keeps them across batches until :meth:`close`: each
+    batch replaces only members that have exited, and members that die
     while work remains are respawned, up to ``respawn_limit`` per batch.  A
-    batch abandoned with work outstanding (:meth:`cancel`) stops the fleet
-    too, so a withdrawn job still running can never hold a worker of the next
-    batch.  ``workers == 0`` relies entirely on externally launched daemons
+    batch that ends with work outstanding stops the fleet too, so a
+    withdrawn job still running can never hold a worker of the next batch.
+    ``workers == 0`` relies entirely on externally launched daemons
     watching the same spool.  Each envelope carries the
     priority stamped on its spec by
     :func:`~repro.engine.scheduler.set_priority` (0 when unstamped); like all
@@ -740,20 +740,15 @@ class FileQueueTransport(Transport):
         self._new_batch()
 
     def _new_batch(self) -> None:
-        """Reset the per-batch state: id, counters, outstanding tasks."""
+        """Reset the per-batch counters :meth:`stats` reports."""
         self.batch_id = uuid.uuid4().hex[:8]
         self.reclaimed = 0
         self.respawned = 0
         #: Worker processes started for this batch (fleet top-ups and respawns).
         self.spawned = 0
-        self._outstanding: dict[str, int] = {}
-        self._bad_reads: dict[str, int] = {}
-        self._last_activity = time.monotonic()
 
-    # -- submission ------------------------------------------------------------------
-
-    def submit(self, specs: Sequence[Any]) -> int:
-        self._start_batch()
+    def run(self, specs: list[Any]) -> Generator[Completion, None, None]:
+        """Enqueue ``specs``, then scan ``results/``, maintain, sleep, repeat."""
         if self.spool.stop_requested():
             # Submitting against a stopped spool can never finish: standing
             # workers exit on the sentinel and spawned ones die immediately.
@@ -762,37 +757,71 @@ class FileQueueTransport(Transport):
                 f"{self.spool.stop_path} before submitting new batches"
             )
         self._new_batch()
-        for index, spec in enumerate(specs):
-            task_id = f"{self.batch_id}-{index:05d}-{spec.content_hash()[:16]}"
-            # Scheduling metadata rides the envelope header, never the hash:
-            # the spec's set_priority stamp, plus the capability tags a
-            # claiming worker must declare.
-            self.spool.enqueue(
-                task_id, spec,
-                priority=job_priority(spec),
-                requires=job_requirements(spec),
-            )
-            self._outstanding[task_id] = index
-        self.workers = [proc for proc in self.workers if proc.poll() is None]
-        for _ in range(self.worker_count - len(self.workers)):
-            self._spawn_worker()
-        if self._outstanding:
+        outstanding: dict[str, int] = {}
+        try:
+            for index, spec in enumerate(specs):
+                task_id = f"{self.batch_id}-{index:05d}-{spec.content_hash()[:16]}"
+                # Scheduling metadata rides the envelope header, never the hash:
+                # the spec's set_priority stamp, plus the capability tags a
+                # claiming worker must declare.
+                self.spool.enqueue(
+                    task_id, spec,
+                    priority=job_priority(spec),
+                    requires=job_requirements(spec),
+                )
+                outstanding[task_id] = index
+            self.workers = [proc for proc in self.workers if proc.poll() is None]
+            for _ in range(self.worker_count - len(self.workers)):
+                self._spawn_worker()
             logger.info(
                 "filequeue %s: enqueued %d tasks under %s (%d spawned workers, %d new)",
-                self.batch_id, len(self._outstanding), self.spool.root, len(self.workers),
+                self.batch_id, len(outstanding), self.spool.root, len(self.workers),
                 self.spawned,
             )
             if self.worker_count == 0:
                 # An innocuous config (transport_workers=0, no external daemons)
-                # would otherwise block in poll() forever with no diagnostics.
+                # would otherwise wait forever with no diagnostics.
                 logger.warning(
                     "filequeue %s: no local workers spawned — the batch relies "
                     "entirely on external repro-worker daemons watching %s; "
                     "start one with: repro-worker %s",
                     self.batch_id, self.spool.root, self.spool.root,
                 )
-        self._last_activity = time.monotonic()
-        return len(self._outstanding)
+            bad_reads: dict[str, int] = {}
+            last_activity = time.monotonic()
+            while outstanding:
+                completions = self._harvest(outstanding, bad_reads)
+                if completions:
+                    last_activity = time.monotonic()
+                    yield from completions
+                    continue
+                self._maintain(len(outstanding))
+                # Warn (periodically) when nothing is completing *and*
+                # nothing is claimed: the signature of a fleet that is not
+                # there at all.  A live claim is a worker mid-job: progress.
+                now = time.monotonic()
+                if now - last_activity >= _STALL_WARN_INTERVAL:
+                    if not self.spool.claim_ids():
+                        logger.warning(
+                            "filequeue %s: no progress for %.0fs — %d tasks pending, "
+                            "no live claims, %d spawned workers; are repro-worker "
+                            "daemons watching %s?",
+                            self.batch_id, now - last_activity, len(outstanding),
+                            len(self.workers), self.spool.root,
+                        )
+                    last_activity = now  # re-arm: repeat the warning, don't spam it
+                time.sleep(self.poll_interval)
+        finally:
+            # A batch ending with work outstanding withdraws it and stops the
+            # spawned fleet: a withdrawn job may still be running there.
+            # Results already on disk stay (an audit trail, and identical
+            # bytes would be regenerated anyway); external daemons keep
+            # serving other batches.
+            if outstanding:
+                for task_id in outstanding:
+                    self.spool.remove_task(task_id)
+                    self.spool.release(task_id)
+                self._stop_fleet()
 
     def _spawn_worker(self) -> None:
         import repro
@@ -815,20 +844,8 @@ class FileQueueTransport(Transport):
         self.workers.append(proc)
         self.spawned += 1
 
-    # -- harvesting ------------------------------------------------------------------
-
-    def poll(self, timeout: float | None = None) -> list[Completion]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            completions = self._harvest()
-            if completions or not self._outstanding:
-                return completions
-            self._maintain()
-            if deadline is not None and time.monotonic() >= deadline:
-                return []
-            time.sleep(self.poll_interval)
-
-    def _harvest(self) -> list[Completion]:
+    def _harvest(self, outstanding: dict[str, int], bad_reads: dict[str, int]) -> list[Completion]:
+        """Pop and return the completions of every landed task."""
         completions: list[Completion] = []
         # One directory scan per cycle, not an open()+stat() per outstanding
         # task: a large sweep over a network filesystem (the natural home of
@@ -839,16 +856,16 @@ class FileQueueTransport(Transport):
                 landed = {e.name[: -len(".json")] for e in entries if e.name.endswith(".json")}
         except OSError:
             landed = set()
-        for task_id in list(self._outstanding):
+        for task_id in list(outstanding):
             if task_id not in landed:
                 continue
             record = self.spool.read_result(task_id)
             if record is None:
                 # Atomic writes make this near-impossible; cap the retries
                 # so a hand-corrupted result cannot hang the batch.
-                self._bad_reads[task_id] = self._bad_reads.get(task_id, 0) + 1
-                if self._bad_reads[task_id] >= _MAX_BAD_RESULT_READS:
-                    index = self._outstanding.pop(task_id)
+                bad_reads[task_id] = bad_reads.get(task_id, 0) + 1
+                if bad_reads[task_id] >= _MAX_BAD_RESULT_READS:
+                    index = outstanding.pop(task_id)
                     # Quarantine the corrupt file (results/<id>.json.bad):
                     # left in place, a worker's result-exists check and the
                     # reclaimer's result-stands rule would treat the task as
@@ -865,18 +882,14 @@ class FileQueueTransport(Transport):
                         RemoteJobError("SpoolError", f"unreadable result file for {task_id}"),
                     ))
                 continue
-            index = self._outstanding.pop(task_id)
+            index = outstanding.pop(task_id)
             completions.append(record_completion(index, record, record.get("worker_id")))
-        if completions:
-            self._last_activity = time.monotonic()
         return completions
 
-    def _maintain(self) -> None:
+    def _maintain(self, remaining: int) -> None:
         """Between harvests: recover stale leases, keep the spawned fleet
-        alive, and complain loudly instead of hanging silently."""
+        alive, and raise instead of waiting on a batch that cannot finish."""
         self.reclaimed += len(self.spool.reclaim_stale(self.lease_timeout))
-        if not self._outstanding:
-            return
         if self.spool.stop_requested():
             # Workers (spawned and external alike) exit between jobs on the
             # sentinel, so the rest of the batch can provably never finish —
@@ -885,13 +898,12 @@ class FileQueueTransport(Transport):
             raise EngineError(
                 f"filequeue {self.batch_id}: spool {self.spool.root} was "
                 f"stopped by an operator ({self.spool.stop_path} exists) with "
-                f"{len(self._outstanding)} tasks outstanding; remove the "
+                f"{remaining} tasks outstanding; remove the "
                 "sentinel and resume the session to finish the batch"
             )
-        self._warn_if_stalled()
-        self._tend_fleet()
+        self._tend_fleet(remaining)
 
-    def _tend_fleet(self) -> None:
+    def _tend_fleet(self, remaining: int) -> None:
         """Respawn spawned workers that exited while work remains (an
         external fleet has nothing spawned, so nothing to tend)."""
         for i, proc in enumerate(self.workers):
@@ -906,55 +918,17 @@ class FileQueueTransport(Transport):
                 )
             logger.warning(
                 "filequeue %s: worker exited with code %s while %d tasks remain; respawning",
-                self.batch_id, proc.returncode, len(self._outstanding),
+                self.batch_id, proc.returncode, remaining,
             )
             del self.workers[i]
             self._spawn_worker()
-            return  # list mutated; the next _maintain pass checks the rest
-
-    def _warn_if_stalled(self) -> None:
-        """Log (periodically) when nothing is completing *and* nothing is
-        claimed — the signature of a fleet that is not there at all."""
-        now = time.monotonic()
-        if now - self._last_activity < _STALL_WARN_INTERVAL:
-            return
-        if self.spool.claim_ids():
-            self._last_activity = now  # a worker is mid-job: that is progress
-            return
-        logger.warning(
-            "filequeue %s: no progress for %.0fs — %d tasks pending, no live "
-            "claims, %d spawned workers; are repro-worker daemons watching %s?",
-            self.batch_id, now - self._last_activity, len(self._outstanding),
-            len(self.workers), self.spool.root,
-        )
-        self._last_activity = now  # re-arm: repeat the warning, don't spam it
-
-    def outstanding(self) -> int:
-        return len(self._outstanding)
+            return  # list mutated; the next maintenance pass checks the rest
 
     # -- teardown --------------------------------------------------------------------
 
-    def cancel(self) -> None:
-        """End the batch; if work was still outstanding, withdraw it and stop
-        the spawned fleet.
-
-        A drained batch keeps the fleet for the next one.  An abandoned one
-        cannot: a withdrawn job may still be running on a spawned worker.
-        Results already on disk stay (they are an audit trail, and identical
-        bytes would be regenerated anyway); external daemons keep serving
-        other batches.
-        """
-        if not self._outstanding:
-            return
-        for task_id in self._outstanding:
-            self.spool.remove_task(task_id)
-            self.spool.release(task_id)
-        self._outstanding.clear()
-        self._stop_fleet()
-
     def close(self) -> None:
-        """End the batch and stop every spawned worker (idempotent)."""
-        self.cancel()
+        """Withdraw the open batch and stop every spawned worker (idempotent)."""
+        super().close()
         self._stop_fleet()
 
     def _stop_fleet(self) -> None:
@@ -970,14 +944,13 @@ class FileQueueTransport(Transport):
         self.workers = []
 
     def stats(self) -> dict[str, Any]:
-        """This batch's counters (for logs and the transport test battery).
+        """The last batch's counters (for logs and the transport test battery).
 
         ``spawned`` counts the processes started for this batch;
         ``spawned_workers`` is the size of the spawned fleet.
         """
         return {
             "batch_id": self.batch_id,
-            "outstanding": len(self._outstanding),
             "reclaimed": self.reclaimed,
             "respawned": self.respawned,
             "spawned": self.spawned,

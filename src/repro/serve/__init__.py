@@ -11,7 +11,6 @@ records back per client.  The submitting side is
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    FrameBuffer,
     ProtocolError,
     connect,
     encode_frame,
@@ -22,7 +21,6 @@ from repro.serve.server import DEFAULT_MAX_INFLIGHT, ReproServer
 
 __all__ = [
     "DEFAULT_MAX_INFLIGHT",
-    "FrameBuffer",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "ProtocolError",

@@ -13,6 +13,10 @@ shared filesystem.  The wire format mirrors the spool's file format:
   rebuilds byte-identical payloads whether a job travelled over a socket or
   a spool directory.
 
+Client and server read frames with the one blocking :func:`recv_message`:
+it refuses a length prefix over :data:`MAX_FRAME_BYTES` before allocating
+and a body that does not decode to a message dict.
+
 Like spool pickles, frames are **trusted local state**: bind ``repro-serve``
 to localhost or a private network you control — never expose it to clients
 you would not let write your spool directory.
@@ -91,31 +95,10 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     while remaining > 0:
         chunk = sock.recv(min(remaining, 1 << 20))
         if not chunk:
-            raise ConnectionError("connection closed mid-frame")
+            raise ConnectionError("peer closed the connection")
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
-
-
-def _frame_length(prefix: bytes | bytearray) -> int:
-    """The body length a length prefix announces, refused over the cap."""
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})"
-        )
-    return length
-
-
-def _decode_body(body: bytes) -> dict[str, Any]:
-    """Unpickle one frame body into a message dict."""
-    try:
-        message = pickle.loads(body)
-    except Exception as exc:
-        raise ProtocolError(f"cannot decode frame: {type(exc).__name__}: {exc}") from exc
-    if not isinstance(message, dict) or "type" not in message:
-        raise ProtocolError(f"frame is not a message dict: {type(message).__name__}")
-    return message
 
 
 def recv_message(sock: socket.socket) -> dict[str, Any]:
@@ -124,8 +107,19 @@ def recv_message(sock: socket.socket) -> dict[str, Any]:
     Raises ``ConnectionError`` on EOF and :class:`ProtocolError` on a frame
     that is oversized or does not decode to a message dict.
     """
-    length = _frame_length(_recv_exact(sock, _LENGTH.size))
-    return _decode_body(_recv_exact(sock, length))
+    (length,) = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size))
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})"
+        )
+    body = _recv_exact(sock, length)
+    try:
+        message = pickle.loads(body)
+    except Exception as exc:
+        raise ProtocolError(f"cannot decode frame: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(message, dict) or "type" not in message:
+        raise ProtocolError(f"frame is not a message dict: {type(message).__name__}")
+    return message
 
 
 def connect(
@@ -160,29 +154,3 @@ def connect(
         raise
     return sock, welcome
 
-
-class FrameBuffer:
-    """Incremental frame parser for a non-blocking reader.
-
-    The client transport reads the socket in timeout-bounded slices (its
-    ``poll`` must honour a deadline); whatever bytes arrive are fed here and
-    complete messages are drained with :meth:`next_message` — partial frames
-    wait for the next slice.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
-
-    def next_message(self) -> dict[str, Any] | None:
-        """The next complete message, or ``None`` when more bytes are needed."""
-        if len(self._buffer) < _LENGTH.size:
-            return None
-        end = _LENGTH.size + _frame_length(self._buffer[: _LENGTH.size])
-        if len(self._buffer) < end:
-            return None
-        body = bytes(self._buffer[_LENGTH.size : end])
-        del self._buffer[:end]
-        return _decode_body(body)

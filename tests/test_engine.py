@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _support import running
 from repro.config import PipelineConfig
 from repro.engine import (
     Engine,
@@ -157,15 +158,6 @@ time.sleep(600)
 """
 
 
-def _running(pid: int) -> bool:
-    """False once ``pid`` has exited (a zombie nobody reaps counts as exited)."""
-    try:
-        with open(f"/proc/{pid}/stat") as stat:
-            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
 @pytest.mark.parametrize("method", ["spawn", "fork"])  # repro-serve's, the pool transport's
 def test_pool_workers_exit_when_their_parent_is_killed(method):
     """A SIGKILLed parent runs no pool shutdown; the initializer's parent
@@ -197,9 +189,9 @@ def test_pool_workers_exit_when_their_parent_is_killed(method):
         child.stdout.close()
     assert len(workers) == 2
     deadline = time.monotonic() + 10.0
-    while any(map(_running, workers)) and time.monotonic() < deadline:
+    while any(map(running, workers)) and time.monotonic() < deadline:
         time.sleep(0.1)
-    orphans = [pid for pid in workers if _running(pid)]
+    orphans = [pid for pid in workers if running(pid)]
     for pid in orphans:
         os.kill(pid, signal.SIGKILL)
     assert not orphans

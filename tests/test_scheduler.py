@@ -15,6 +15,7 @@ from typing import Any, ClassVar
 
 import pytest
 
+from _support import drive, stop_and_join, wait_until
 from repro.config import PipelineConfig
 from repro.engine import (
     Engine,
@@ -230,6 +231,9 @@ class _FakeProc:
     def poll(self):
         return self.returncode
 
+    def wait(self, timeout=None):
+        return self.returncode
+
 
 def test_fleet_respawns_crashed_workers_up_to_the_cap(tmp_path):
     transport = FileQueueTransport(tmp_path / "spool", workers=1, respawn_limit=2)
@@ -241,26 +245,49 @@ def test_fleet_respawns_crashed_workers_up_to_the_cap(tmp_path):
         transport.workers.append(proc)
 
     transport._spawn_worker = fake_spawn
-    transport.submit([EchoSpec("a"), EchoSpec("b"), EchoSpec("c")])
-    transport._tend_fleet()
+    fake_spawn()  # the fleet a batch starts with
+    transport._tend_fleet(remaining=3)
     assert len(spawned) == 1 and transport.respawned == 0  # a live worker is left alone
     # A crash (nonzero exit) is replaced and burns the respawn budget ...
     for expected in (1, 2):
         transport.workers[0].returncode = 1
-        transport._tend_fleet()
+        transport._tend_fleet(remaining=3)
         assert transport.respawned == expected and len(transport.workers) == 1
     # ... and exhausting it raises.
     transport.workers[0].returncode = 1
     with pytest.raises(EngineError, match="died"):
-        transport._tend_fleet()
+        transport._tend_fleet(remaining=3)
     assert len(spawned) == 3
 
 
+def test_a_batch_ends_when_its_fleet_cannot_be_respawned(tmp_path):
+    """The respawn cap reaches the stream: a fleet that keeps dying raises
+    out of the batch, which withdraws its tasks."""
+    transport = FileQueueTransport(
+        tmp_path / "spool", workers=1, respawn_limit=1, poll_interval=0.01
+    )
+
+    def dead_spawn() -> None:
+        proc = _FakeProc()
+        proc.returncode = 1
+        transport.workers.append(proc)
+        transport.spawned += 1
+
+    transport._spawn_worker = dead_spawn
+    with pytest.raises(EngineError, match="died 2 times"):
+        list(transport.stream([EchoSpec("a"), EchoSpec("b")]))
+    assert transport.spool.task_ids() == [] and transport.workers == []
+    assert transport.respawned == 2
+
+
 def test_external_fleet_is_left_alone(tmp_path):
-    transport = FileQueueTransport(tmp_path / "spool", workers=0)
-    transport.submit([EchoSpec("a"), EchoSpec("b")])
-    transport._tend_fleet()
-    assert transport.workers == [] and transport.respawned == 0
+    """A batch on an external fleet (``workers=0``) spawns and tends nothing."""
+    transport = FileQueueTransport(tmp_path / "spool", workers=0, poll_interval=0.01)
+    thread, _, errors = drive(transport.stream([EchoSpec("a"), EchoSpec("b")]))
+    wait_until(transport.spool.task_ids)
+    time.sleep(0.05)  # a few maintenance passes over the idle batch
+    assert transport.workers == [] and transport.spawned == 0 and transport.respawned == 0
+    stop_and_join(transport, thread, errors)
 
 
 # -- transport stats surface through the session -------------------------------------
@@ -279,8 +306,7 @@ def test_session_summary_carries_transport_stats(tmp_path):
     results = session.results()
     assert len(results) == 2
     stats = session.summary()["transport"]
-    assert stats["outstanding"] == 0
-    assert {"reclaimed", "respawned"} <= set(stats)
+    assert {"reclaimed", "respawned", "spawned"} <= set(stats)
 
 
 def test_transport_stats_are_per_batch_on_one_engine_fleet(tmp_path):
@@ -300,4 +326,4 @@ def test_transport_stats_are_per_batch_on_one_engine_fleet(tmp_path):
     stats = [first.summary()["transport"], second.summary()["transport"]]
     assert stats[0]["batch_id"] != stats[1]["batch_id"]
     assert [s["spawned"] for s in stats] == [2, 0]
-    assert [(s["reclaimed"], s["respawned"], s["outstanding"]) for s in stats] == [(0, 0, 0)] * 2
+    assert [(s["reclaimed"], s["respawned"]) for s in stats] == [(0, 0)] * 2

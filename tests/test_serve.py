@@ -9,15 +9,22 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, ClassVar
 
 import numpy as np
 import pytest
 
+from _support import children, running, wait_until
 from repro.cli.serve import build_parser, main as serve_cli_main
 from repro.config import PipelineConfig
 from repro.engine import (
@@ -32,7 +39,6 @@ from repro.exceptions import EngineError
 from repro.serve import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    FrameBuffer,
     ProtocolError,
     ReproServer,
     connect,
@@ -116,29 +122,40 @@ def test_frame_round_trip_through_a_socketpair():
                 pass
 
 
-def test_frame_buffer_reassembles_split_frames():
+def test_recv_message_reassembles_split_frames():
     frame = encode_frame({"type": "result", "index": 0}) + encode_frame({"type": "bye"})
-    buffer = FrameBuffer()
-    messages = []
-    for offset in range(0, len(frame), 3):  # drip-feed 3 bytes at a time
-        buffer.feed(frame[offset : offset + 3])
-        while (message := buffer.next_message()) is not None:
-            messages.append(message)
-    assert [m["type"] for m in messages] == ["result", "bye"]
-    assert buffer.next_message() is None
+    left, right = socket.socketpair()
+    right.settimeout(10.0)
+
+    def drip() -> None:
+        for offset in range(0, len(frame), 3):  # 3 bytes at a time
+            left.sendall(frame[offset : offset + 3])
+            time.sleep(0.001)
+
+    sender = threading.Thread(target=drip, daemon=True)
+    sender.start()
+    try:
+        assert [recv_message(right)["type"] for _ in range(2)] == ["result", "bye"]
+    finally:
+        sender.join(timeout=10.0)
+        left.close()
+        right.close()
+    assert not sender.is_alive()
 
 
 def test_protocol_rejects_oversize_and_malformed_frames():
     with pytest.raises(ProtocolError, match="exceeds"):
         encode_frame({"type": "blob", "data": bytearray(MAX_FRAME_BYTES + 1)})
-    buffer = FrameBuffer()
-    buffer.feed(b"\xff\xff\xff\xff")  # a 4 GiB frame announcement
-    with pytest.raises(ProtocolError, match="cap"):
-        buffer.next_message()
-    buffer = FrameBuffer()
-    buffer.feed(encode_frame({"no-type-key": 1}))
-    with pytest.raises(ProtocolError, match="not a message dict"):
-        buffer.next_message()
+    for data, match in [
+        (b"\xff\xff\xff\xff", "cap"),  # a 4 GiB frame announcement
+        (encode_frame({"no-type-key": 1}), "not a message dict"),
+        (b"\x00\x00\x00\x03abc", "cannot decode frame"),
+    ]:
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(data)
+            with pytest.raises(ProtocolError, match=match):
+                recv_message(right)
 
 
 # -- handshake and admission control -------------------------------------------------
@@ -158,7 +175,7 @@ def test_server_counts_clients_at_the_handshake_not_at_connect():
     """A readiness probe that connects and closes without a hello is no client."""
     with ReproServer(workers=0, execute=_fake_execute) as server:
         socket.create_connection(("127.0.0.1", server.port), timeout=5.0).close()
-        transport = NetworkTransport("127.0.0.1", server.port, poll_interval=0.01)
+        transport = NetworkTransport("127.0.0.1", server.port)
         assert len(list(transport.stream([PingSpec("a")]))) == 1
         assert server.stats()["clients_served"] == 1
 
@@ -222,8 +239,7 @@ def test_clients_surface_a_rejected_handshake(reply, reason):
             connect("127.0.0.1", port, "probe", timeout=5.0)
         transport = NetworkTransport("127.0.0.1", port, client_id="submitter", connect_timeout=5.0)
         with pytest.raises(EngineError, match=reason):
-            transport.submit([_baseline_spec()])
-        transport.cancel()
+            next(transport.stream([_baseline_spec()]))
         tier = RemoteTier("127.0.0.1", port, timeout=5.0)
         assert tier.get("0" * 64) is None
         assert tier.stats.misses == 1
@@ -357,14 +373,13 @@ def test_transport_raises_immediately_when_no_server_listens():
     probe.close()
     transport = NetworkTransport("127.0.0.1", port, connect_timeout=2.0)
     with pytest.raises(EngineError, match="cannot reach repro-serve"):
-        transport.submit([_baseline_spec()])
-    transport.cancel()
+        next(transport.stream([_baseline_spec()]))
 
 
 def test_transport_end_to_end_matches_local_execution():
     specs = [_baseline_spec(method="AF2"), _baseline_spec(method="AF3")]
     with ReproServer(workers=0) as server:
-        transport = NetworkTransport("127.0.0.1", server.port, poll_interval=0.01)
+        transport = NetworkTransport("127.0.0.1", server.port)
         completions = sorted(transport.stream(specs), key=lambda c: c[0])
     assert [index for index, _, _ in completions] == [0, 1]
     for (index, result, exc), spec in zip(completions, specs):
@@ -376,9 +391,9 @@ def test_transport_end_to_end_matches_local_execution():
 def test_transport_serves_a_second_client_from_the_shared_cache(tmp_path):
     spec = _baseline_spec()
     with ReproServer(workers=0, cache=tmp_path / "serve-cache") as server:
-        first = NetworkTransport("127.0.0.1", server.port, poll_interval=0.01)
+        first = NetworkTransport("127.0.0.1", server.port)
         [(_, result1, _)] = list(first.stream([spec]))
-        second = NetworkTransport("127.0.0.1", server.port, poll_interval=0.01)
+        second = NetworkTransport("127.0.0.1", server.port)
         [(_, result2, _)] = list(second.stream([spec]))
         stats = server.stats()
     assert stats["jobs_completed"] == 2 and stats["cache_hits"] == 1
@@ -401,9 +416,7 @@ def test_clients_keep_to_their_window_and_every_queued_job_completes():
     with ReproServer(workers=0, max_inflight=1, execute=slow) as server:
 
         def run(name: str) -> None:
-            transport = NetworkTransport(
-                "127.0.0.1", server.port, client_id=name, poll_interval=0.01
-            )
+            transport = NetworkTransport("127.0.0.1", server.port, client_id=name)
             specs = [_baseline_spec(pdb_id=f"{name}{i}") for i in range(4)]
             results[name] = list(transport.stream(specs))
 
@@ -429,20 +442,24 @@ def test_transport_fails_outstanding_jobs_when_the_server_dies_mid_batch():
         return _fake_execute(spec)
 
     server = ReproServer(workers=0, max_inflight=4, execute=blocked).start()
+    transport = NetworkTransport("127.0.0.1", server.port)
+    completions: list = []
+    consumer = threading.Thread(
+        target=lambda: completions.extend(
+            transport.stream([PingSpec("a"), PingSpec("b"), PingSpec("c")])
+        ),
+        daemon=True,
+    )
     try:
-        transport = NetworkTransport("127.0.0.1", server.port, poll_interval=0.01)
-        assert transport.submit([PingSpec("a"), PingSpec("b"), PingSpec("c")]) == 3
+        consumer.start()
         deadline = time.monotonic() + 5.0
         while server.stats()["jobs_accepted"] < 3 and time.monotonic() < deadline:
             time.sleep(0.01)
         server.shutdown()  # the service dies with the whole batch in flight
     finally:
         gate.set()
-    completions = []
-    deadline = time.monotonic() + 10.0
-    while transport.outstanding() and time.monotonic() < deadline:
-        completions.extend(transport.poll(timeout=1.0))
-    transport.cancel()
+    consumer.join(timeout=10.0)
+    assert not consumer.is_alive()
     assert len(completions) == 3
     for _, result, exc in completions:
         assert result is None
@@ -450,17 +467,29 @@ def test_transport_fails_outstanding_jobs_when_the_server_dies_mid_batch():
         assert "unreachable" in exc.error_message
 
 
+def test_transport_releases_the_connection_with_the_last_result():
+    """The connection closes as the last result lands, not at the consumer's
+    next pull: a caller pausing after its last completion holds no server
+    connection (and none of its threads) open."""
+    with ReproServer(workers=0) as server:
+        transport = NetworkTransport("127.0.0.1", server.port)
+        stream = transport.stream([_baseline_spec()])
+        index, _, exc = next(stream)
+        assert (index, exc) == (0, None)
+        wait_until(lambda: not server._clients)
+        assert list(stream) == []
+
+
 def test_transport_submit_refuses_while_a_batch_is_outstanding():
     """Batches run one after another on one transport, each on its own
     connection; a submit that would overlap the running batch is refused."""
     with ReproServer(workers=0, execute=_fake_execute) as server:
-        transport = NetworkTransport("127.0.0.1", server.port, poll_interval=0.01)
-        assert transport.submit([PingSpec("a")]) == 1
+        transport = NetworkTransport("127.0.0.1", server.port)
+        running = transport.stream([PingSpec("a")])
+        first = [next(running)]
         with pytest.raises(EngineError, match="one batch at a time"):
-            transport.submit([PingSpec("b")])
-        first = []
-        while transport.outstanding():
-            first.extend(transport.poll(timeout=1.0))
+            next(transport.stream([PingSpec("b")]))
+        first.extend(running)
         second = list(transport.stream([PingSpec("b"), PingSpec("c")]))
         assert [index for index, _, _ in first] == [0]
         assert sorted(index for index, _, _ in second) == [0, 1]
@@ -477,6 +506,104 @@ def test_serve_cli_parser_defaults():
     assert args.port == 7377
     assert args.workers == 0
     assert args.cache_dir is None
+
+
+_PLUGIN_SPEC_SOURCE = """
+import hashlib
+from dataclasses import dataclass
+from typing import ClassVar
+
+
+@dataclass(frozen=True)
+class PluginSpec:
+    pdb_id: str
+    sequence: str
+    method: str
+
+    kind: ClassVar[str] = "serve-plugin"
+
+    def content_hash(self):
+        key = f"serve-plugin/v1\\x1f{self.pdb_id}\\x1f{self.sequence}\\x1f{self.method}"
+        return hashlib.sha256(key.encode("utf-8")).hexdigest()
+"""
+
+_PLUGIN_SOURCE = """
+from repro.config import PipelineConfig
+from repro.engine import BaselineFoldSpec, register_executor
+from repro.engine.core import execute_baseline_job
+
+
+def run(spec):
+    return execute_baseline_job(BaselineFoldSpec(
+        pdb_id=spec.pdb_id, sequence=spec.sequence, method=spec.method,
+        config=PipelineConfig(seed=5),
+    ))
+
+
+register_executor("serve-plugin", run)
+"""
+
+
+@contextlib.contextmanager
+def _serve_process(tmp_path, *args: str):
+    """A ``repro-serve --port 0 --workers 1`` subprocess with ``tmp_path`` on
+    its PYTHONPATH; yields its port.  On exit the server is SIGTERMed and
+    must exit 0 and leave none of its children running."""
+    import repro
+
+    env = dict(os.environ)
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src_dir, str(tmp_path), env.get("PYTHONPATH")])
+    )
+    log_path = tmp_path / f"serve-{len(list(tmp_path.glob('serve-*.log')))}.log"
+    with log_path.open("w") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli.serve", "--port", "0", "--workers", "1", *args],
+            env=env, stdout=subprocess.DEVNULL, stderr=log,
+        )
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (match := re.search(r"listening on \S+:(\d+)", log_path.read_text())):
+            assert proc.poll() is None, log_path.read_text()
+            assert time.monotonic() < deadline, "repro-serve never started listening"
+            time.sleep(0.05)
+        yield int(match.group(1))
+        child_pids = children(proc.pid)
+        assert child_pids, "repro-serve has no children to watch"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30.0) == 0, log_path.read_text()
+        deadline = time.monotonic() + 15.0
+        while any(map(running, child_pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, child_pids)), "a child outlived repro-serve"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10.0)
+
+
+def test_serve_cli_preload_registers_a_custom_job_kind(tmp_path, monkeypatch):
+    """``--preload`` registers a job kind the server's pool workers run: the
+    plugin's job completes there, and fails on a server started without it."""
+    (tmp_path / "repro_serve_plugin_spec.py").write_text(_PLUGIN_SPEC_SOURCE)
+    (tmp_path / "repro_serve_plugin.py").write_text(_PLUGIN_SOURCE)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        from repro_serve_plugin_spec import PluginSpec
+
+        spec = PluginSpec("3eax", "RYRDV", "AF2")
+        with _serve_process(tmp_path, "--preload", "repro_serve_plugin") as port:
+            [(_, result, exc)] = list(NetworkTransport("127.0.0.1", port).stream([spec]))
+        assert exc is None
+        assert _canonical(result) == _canonical(execute_baseline_job(_baseline_spec()))
+
+        with _serve_process(tmp_path) as port:
+            [(_, result, exc)] = list(NetworkTransport("127.0.0.1", port).stream([spec]))
+        assert result is None
+        assert "no executor registered for job kind 'serve-plugin'" in exc.error_message
+    finally:
+        sys.modules.pop("repro_serve_plugin_spec", None)
 
 
 def test_serve_cli_rejects_a_bad_preload(capsys):

@@ -5,6 +5,7 @@ tasks and the repro-worker CLI."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -18,6 +19,7 @@ from typing import Any, ClassVar
 
 import pytest
 
+from _support import drive, stop_and_join, wait_until
 from repro.cli.worker import main as worker_cli_main
 from repro.config import PipelineConfig
 from repro.engine import (
@@ -36,6 +38,7 @@ from repro.engine import (
 from repro.engine import registry
 from repro.engine.core import execute_baseline_job
 from repro.exceptions import EngineError
+from repro.serve import ReproServer
 from repro.utils.io import _NumpyJSONEncoder
 
 # -- a trivial picklable job kind for the local transports ---------------------------
@@ -137,30 +140,29 @@ def test_transport_registry_and_auto_resolution():
 
 def test_serial_transport_polls_in_submission_order():
     transport = SerialTransport()
-    assert transport.submit([EchoSpec("a"), EchoSpec("b"), EchoSpec("c")]) == 3
-    completions = []
-    while transport.outstanding():
-        completions.extend(transport.poll())
+    completions = list(transport.stream([EchoSpec("a"), EchoSpec("b"), EchoSpec("c")]))
     assert [index for index, _, _ in completions] == [0, 1, 2]
     assert [result.name for _, result, _ in completions] == ["a", "b", "c"]
     # Batches run one after another on the same transport, never overlapping.
-    assert transport.submit([EchoSpec("again"), EchoSpec("more")]) == 2
+    running = transport.stream([EchoSpec("again"), EchoSpec("more")])
+    assert next(running)[1].name == "again"
     with pytest.raises(EngineError, match="one batch at a time"):
-        transport.submit([EchoSpec("overlap")])
-    assert [result.name for _, result, _ in transport.poll()] == ["again"]
+        next(transport.stream([EchoSpec("overlap")]))
+    assert [result.name for _, result, _ in running] == ["more"]
 
 
 def test_serial_transport_isolates_exceptions_and_cancels():
     transport = SerialTransport()
-    transport.submit([EchoSpec("a"), EchoSpec("boom"), EchoSpec("b")])
-    _, result, exc = transport.poll()[0]
+    stream = transport.stream([EchoSpec("a"), EchoSpec("boom"), EchoSpec("b")])
+    _, result, exc = next(stream)
     assert result.name == "a" and exc is None
-    index, result, exc = transport.poll()[0]
+    index, result, exc = next(stream)
     assert (index, result) == (1, None)
     assert isinstance(exc, ValueError)
-    transport.cancel()  # abandon "b"
-    assert transport.outstanding() == 0
-    assert transport.poll() == []
+    stream.close()  # abandon "b"
+    assert list(stream) == []
+    # The closed batch is over: the next one is not refused.
+    assert [result.name for _, result, _ in transport.stream([EchoSpec("c")])] == ["c"]
 
 
 # -- pool transport ------------------------------------------------------------------
@@ -174,15 +176,20 @@ def test_pool_transport_completes_every_item():
     for index, result, exc in completions:
         assert exc is None
         assert result.name == f"job{index}"
-    transport.cancel()  # idempotent after the stream's own teardown
+    transport.close()  # idempotent after the stream's own teardown
 
 
-def test_pool_transport_degrades_to_inprocess_for_a_single_job():
+def test_pool_transport_degrades_to_inprocess_for_a_single_job(monkeypatch):
     """One pending job (e.g. a resume's last stray) never pays for a pool —
     it runs in the calling process, where runtime registrations stay live."""
+    import repro.engine.transports.local as local
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single-job batch built a ProcessPoolExecutor")
+
+    monkeypatch.setattr(local, "ProcessPoolExecutor", no_pool)
     transport = PoolTransport(processes=4)
     completions = list(transport.stream([EchoSpec("only")]))
-    assert transport._pool is None  # no ProcessPoolExecutor was ever built
     assert completions[0][1].name == "only"
 
 
@@ -556,16 +563,21 @@ def test_worker_serve_honours_stop_sentinel_and_max_jobs(tmp_path):
 # -- the filequeue transport ---------------------------------------------------------
 
 
-def test_filequeue_transport_poll_times_out_and_cancel_withdraws(tmp_path):
+def test_filequeue_transport_withdraws_unclaimed_tasks_on_early_exit(tmp_path):
+    """Closing a batch early withdraws the task no worker has claimed."""
     transport = FileQueueTransport(tmp_path / "spool", workers=0, lease_timeout=5.0,
                                    poll_interval=0.01)
-    assert transport.submit([_baseline_spec()]) == 1
-    assert transport.poll(timeout=0.05) == []  # no workers: nothing lands
-    assert transport.outstanding() == 1
-    transport.cancel()
-    assert transport.outstanding() == 0
+    worker = FileQueueWorker(transport.spool, lease_timeout=5.0, poll_interval=0.01)
+    thread = threading.Thread(target=worker.serve, kwargs={"max_jobs": 1}, daemon=True)
+    thread.start()
+    stream = transport.stream([_baseline_spec(method="AF2"), _baseline_spec(method="AF3")])
+    _, result, exc = next(stream)  # one worker job, then the other task waits
+    thread.join(timeout=30.0)
+    assert not thread.is_alive() and exc is None
+    assert len(transport.spool.task_ids()) == 1
+    stream.close()
     assert transport.spool.task_ids() == []  # the unclaimed task was withdrawn
-    transport.cancel()  # idempotent
+    transport.close()  # idempotent
 
 
 def test_filequeue_transport_refuses_a_stopped_spool(tmp_path):
@@ -574,26 +586,26 @@ def test_filequeue_transport_refuses_a_stopped_spool(tmp_path):
     transport = FileQueueTransport(tmp_path / "spool", workers=0, lease_timeout=5.0)
     transport.spool.stop_path.touch()
     with pytest.raises(EngineError, match="stop"):
-        transport.submit([_baseline_spec()])
+        next(transport.stream([_baseline_spec()]))
     assert transport.spool.task_ids() == []  # nothing was enqueued
 
 
 def test_filequeue_transport_raises_when_spool_stopped_mid_batch(tmp_path):
     """A 'stop' sentinel appearing mid-batch means the rest of the batch can
-    never finish; poll must say so instead of burning respawn_limit (spawned
-    workers exit 0 on the sentinel) or hanging forever (external fleets)."""
+    never finish; the stream must say so instead of burning respawn_limit
+    (spawned workers exit 0 on the sentinel) or hanging forever (external
+    fleets)."""
     transport = FileQueueTransport(tmp_path / "spool", workers=0, lease_timeout=5.0,
                                    poll_interval=0.01)
-    transport.submit([_baseline_spec()])
-    transport.spool.stop_path.touch()
-    with pytest.raises(EngineError, match="stopped by an operator"):
-        transport.poll(timeout=1.0)
-    transport.cancel()
+    thread, completions, errors = drive(transport.stream([_baseline_spec()]))
+    wait_until(transport.spool.task_ids)
+    stop_and_join(transport, thread, errors)
+    assert isinstance(errors[0], EngineError) and completions == []
 
 
 def test_filequeue_transport_warns_on_external_reliance_and_stall(tmp_path, caplog, monkeypatch):
-    """workers=0 with no external daemons must not hang silently: submit
-    warns about the reliance and poll warns periodically while stalled."""
+    """workers=0 with no external daemons must not hang silently: the batch
+    warns about the reliance at its start and periodically while stalled."""
     import repro.engine.transports.filequeue as fq
 
     monkeypatch.setattr(fq, "_STALL_WARN_INTERVAL", 0.05)
@@ -601,12 +613,12 @@ def test_filequeue_transport_warns_on_external_reliance_and_stall(tmp_path, capl
     transport = FileQueueTransport(tmp_path / "spool", workers=0, lease_timeout=5.0,
                                    poll_interval=0.01)
     with caplog.at_level("WARNING", logger=fq.logger.name):
-        transport.submit([_baseline_spec()])
-        assert transport.poll(timeout=0.3) == []
+        thread, completions, errors = drive(transport.stream([_baseline_spec()]))
+        wait_until(lambda: any("no progress for" in r.getMessage() for r in caplog.records))
+        stop_and_join(transport, thread, errors)
     messages = [record.getMessage() for record in caplog.records]
     assert any("relies entirely on external repro-worker daemons" in m for m in messages)
-    assert any("no progress for" in m for m in messages)
-    transport.cancel()
+    assert completions == []
 
 
 def test_filequeue_transport_end_to_end_with_inprocess_worker(tmp_path):
@@ -645,15 +657,15 @@ def test_filequeue_transport_rejects_a_non_positive_lease_timeout(tmp_path, leas
 def test_filequeue_transport_reclaims_a_stale_lease_while_polling(tmp_path):
     transport = FileQueueTransport(tmp_path / "spool", workers=0, lease_timeout=0.2,
                                    poll_interval=0.01)
-    transport.submit([_baseline_spec()])
-    task_id = next(iter(transport._outstanding))
+    thread, completions, errors = drive(transport.stream([_baseline_spec()]))
+    wait_until(transport.spool.task_ids)
+    (task_id,) = transport.spool.task_ids()
     claim = transport.spool.claim(task_id)  # a doomed worker grabs it and dies
     stale = time.time() - 100
     os.utime(claim, (stale, stale))
-    assert transport.poll(timeout=0.3) == []  # maintenance ran while waiting
-    assert transport.reclaimed >= 1
+    wait_until(lambda: transport.reclaimed >= 1)  # maintenance ran while waiting
     assert transport.spool.task_ids() == [task_id]  # requeued for the fleet
-    transport.cancel()
+    stop_and_join(transport, thread, errors)
 
 
 def test_filequeue_quarantines_a_permanently_corrupt_result(tmp_path, monkeypatch):
@@ -666,16 +678,15 @@ def test_filequeue_quarantines_a_permanently_corrupt_result(tmp_path, monkeypatc
     monkeypatch.setattr(fq, "_MAX_BAD_RESULT_READS", 3)
     transport = FileQueueTransport(tmp_path / "spool", workers=0, lease_timeout=5.0,
                                    poll_interval=0.01)
-    transport.submit([_baseline_spec()])
-    task_id = next(iter(transport._outstanding))
     spool = transport.spool
+    thread, completions, errors = drive(transport.stream([_baseline_spec()]))
+    wait_until(spool.task_ids)
+    (task_id,) = spool.task_ids()
     spool.claim(task_id, owner="w1")  # the (doomed) worker held the lease
     spool._atomic_write(spool.result_path(task_id), b"this is not json")
+    thread.join(timeout=10.0)
+    assert not thread.is_alive() and errors == []
 
-    completions: list = []
-    deadline = time.monotonic() + 5.0
-    while not completions and time.monotonic() < deadline:
-        completions = transport.poll(timeout=0.2)
     (index, result, exc) = completions[0]
     assert result is None
     assert exc.error_type == "SpoolError"
@@ -686,7 +697,6 @@ def test_filequeue_quarantines_a_permanently_corrupt_result(tmp_path, monkeypatc
     bad = spool.result_path(task_id).with_suffix(".json.bad")
     assert bad.read_bytes() == b"this is not json"
     assert spool.claim_ids() == [] and spool.claim_owner(task_id) is None
-    transport.cancel()
 
 
 def test_spool_clock_offset_protects_live_leases_from_skew(tmp_path, monkeypatch):
@@ -822,18 +832,28 @@ def test_a_closed_engine_opens_a_new_transport():
     assert engine.transport_for() is not first
 
 
-@pytest.mark.parametrize("transport", ["serial", "filequeue"])
+@contextlib.contextmanager
+def _engine_on(transport: str, tmp_path, **updates):
+    """An engine on ``transport``; ``network`` gets an in-process repro-serve."""
+    with contextlib.ExitStack() as stack:
+        if transport == "network":
+            updates["serve_port"] = stack.enter_context(ReproServer(workers=0)).port
+        config = BASE_CONFIG.with_updates(
+            transport=transport, spool_dir=str(tmp_path / "spool"),
+            transport_workers=1, transport_lease_timeout=10.0, transport_poll_interval=0.02,
+            **updates,
+        )
+        yield stack.enter_context(Engine(config=config))
+
+
+@pytest.mark.parametrize("transport", ["serial", "pool", "filequeue", "network"])
 def test_a_refused_overlapping_batch_leaves_the_running_one_alone(tmp_path, transport):
     """A second session submitted while the first is suspended mid-stream is
     refused, and the first still finishes with every outcome."""
-    config = BASE_CONFIG.with_updates(
-        transport=transport, spool_dir=str(tmp_path / "spool"),
-        transport_workers=1, transport_lease_timeout=10.0, transport_poll_interval=0.02,
-    )
     specs = [_baseline_spec(method="AF2"), _baseline_spec(method="AF3"),
              _baseline_spec(sequence="RYRDVA")]
     other = _baseline_spec(sequence="RYRDVA", method="AF3")
-    with Engine(config=config) as engine:
+    with _engine_on(transport, tmp_path) as engine:
         first = engine.submit(specs)
         next(iter(first))
         with pytest.raises(EngineError, match="one batch at a time"):
@@ -847,6 +867,29 @@ def test_a_refused_overlapping_batch_leaves_the_running_one_alone(tmp_path, tran
             assert len(workers) == 1 and workers[0].poll() is None  # fleet kept
         (outcome,) = engine.submit([other]).results()
         assert _canonical(outcome) == _canonical(execute_baseline_job(other))
+
+
+@pytest.mark.parametrize("transport", ["serial", "filequeue"])
+def test_closing_the_engine_under_a_suspended_session_raises(tmp_path, transport):
+    """Engine.close() withdraws a suspended session's batch.  The session then
+    raises instead of finishing with None holes, and its journal resumes
+    exactly the jobs that never completed."""
+    specs = [_baseline_spec(method="AF2"), _baseline_spec(method="AF3"),
+             _baseline_spec(sequence="RYRDVA")]
+    dirs = {"session_dir": str(tmp_path / "sessions"), "cache_dir": str(tmp_path / "cache")}
+    with _engine_on(transport, tmp_path, **dirs) as engine:
+        session = engine.submit(specs, session_id="cut")
+        next(iter(session))
+        engine.close()
+        with pytest.raises(EngineError, match="closed before finishing"):
+            session.results()
+        assert session.summary()["done"] == 1
+    with _engine_on(transport, tmp_path, **dirs) as engine:
+        resumed = engine.submit(session_id="cut")
+        assert [_canonical(o) for o in resumed.results()] == [
+            _canonical(execute_baseline_job(spec)) for spec in specs
+        ]
+        assert (resumed.summary()["cached"], resumed.summary()["executed"]) == (1, 2)
 
 
 # -- the repro-worker CLI ------------------------------------------------------------
