@@ -11,7 +11,7 @@ Subcommands
   JSON whose ``spec_hash`` matches the file name), optionally deleting
   corrupt entries.
 
-``TIER`` is a cache-tier spec: a local directory (or ``local:DIR``), or
+``TIER`` is a cache-tier spec: a local directory, or
 ``remote:HOST:PORT`` to query a running ``repro-serve`` daemon's tier over
 the wire.  ``stats`` accepts both; ``ls``/``prune``/``verify`` need local
 files to walk and refuse remote specs with a pointer to run them on the

@@ -16,7 +16,7 @@ Clients submit with ``PipelineConfig.transport = "network"`` (plus
 like spool pickles: bind to localhost or a private network you control.
 
 ``--preload`` imports modules before serving, so the daemon can register
-third-party job kinds/backends (they are snapshot-replicated into the
+third-party job kinds (their executors are snapshot-replicated into the
 worker pool, like the local ``pool`` transport).  The server runs until
 SIGINT/SIGTERM, then prints its service counters.
 
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--preload", action="append", default=[], metavar="MODULE",
-        help="import MODULE before serving (registers custom job kinds/backends; repeatable)",
+        help="import MODULE before serving (registers custom job kinds; repeatable)",
     )
     return parser
 

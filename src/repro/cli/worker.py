@@ -23,7 +23,7 @@ untagged worker claims anything.
 Workers exit cleanly when ``<spool>/stop`` exists (``touch /shared/spool/stop``)
 or after ``--max-jobs`` tasks.
 ``--preload`` imports modules before serving, so daemons can register
-third-party job kinds/backends (task pickles are trusted local state — only
+third-party job kinds (task pickles are trusted local state — only
 serve spool directories you or your tooling wrote).
 
 Exit status: 0 on a clean stop, 2 on usage errors.
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--preload", action="append", default=[], metavar="MODULE",
-        help="import MODULE before serving (registers custom job kinds/backends; repeatable)",
+        help="import MODULE before serving (registers custom job kinds; repeatable)",
     )
     return parser
 

@@ -50,8 +50,8 @@ class PipelineConfig:
     seed:
         Master seed; every task derives its own deterministic child seed.
     backend:
-        Name of the execution backend, resolved through the engine's backend
-        registry (``"statevector"``, ``"mps"``, ``"auto"`` or ``"eagle"``).
+        Name of the execution backend: ``"statevector"``, ``"mps"``,
+        ``"auto"`` or ``"eagle"`` (see :func:`repro.engine.registry.make_backend`).
     cache_dir:
         Directory of the engine's persistent result cache; ``None`` disables
         caching.
@@ -79,7 +79,9 @@ class PipelineConfig:
         it is selected; created if absent).
     transport_workers:
         How many local ``repro-worker`` daemons the ``filequeue`` transport
-        spawns per batch.  ``None`` (the default) falls back to the engine's
+        keeps running: the fleet boots at an engine's first batch, serves
+        every batch of that engine, and members that exit while work remains
+        are respawned.  ``None`` (the default) falls back to the engine's
         ``processes`` value; ``0`` spawns none and relies on externally
         launched workers watching the spool.
     transport_lease_timeout:

@@ -1,4 +1,4 @@
-"""Job-oriented execution engine (typed jobs, registries, fan-out, result cache).
+"""Job-oriented execution engine (typed jobs, fan-out, result cache).
 
 The single entry point for all expensive work — quantum folds, baseline
 folds and docking searches are one typed job family::
@@ -19,7 +19,7 @@ they complete, with progress callbacks, journalled per-job status and
 isolated :class:`~repro.engine.session.JobFailure` records.  Re-submitting a
 ``session_id`` resumes its batch after a crash or interrupt.
 
-Where jobs *run* is a pluggable executor transport
+Where jobs *run* is the executor transport
 (``config.transport = "serial" | "pool" | "filequeue" | "network"``):
 in-process, on a local process pool, across a fleet of independent
 ``repro-worker`` daemons coordinating over a shared spool directory, or on a
@@ -28,9 +28,9 @@ results on every transport.
 
 See :mod:`repro.engine.core` for the execution model, :mod:`repro.engine.jobs`
 for the job kinds and content hashing, :mod:`repro.engine.session` for
-sessions/journals/resume, :mod:`repro.engine.registry` for named backends and
-per-kind executors, :mod:`repro.engine.transports` for the transport layer,
-:mod:`repro.engine.cache` for the persistent store (LRU-pruned on demand),
+sessions/journals/resume, :mod:`repro.engine.registry` for backends by name
+and executors by job kind, :mod:`repro.engine.transports` for the transport
+layer, :mod:`repro.engine.cache` for the persistent store (LRU-pruned on demand),
 and :mod:`repro.cli.cache` / :mod:`repro.cli.session` /
 :mod:`repro.cli.worker` for the ``repro-cache``, ``repro-session`` and
 ``repro-worker`` tools.
@@ -50,7 +50,6 @@ from repro.engine.jobs import (
     BASELINE_SCHEMA_VERSION,
     DOCK_SCHEMA_VERSION,
     FOLD_SCHEMA_VERSION,
-    JOB_KINDS,
     BaselineFoldSpec,
     DockJobResult,
     DockSpec,
@@ -60,11 +59,9 @@ from repro.engine.jobs import (
     result_from_payload,
 )
 from repro.engine.registry import (
-    backend_names,
     executor_for,
     executor_kinds,
     make_backend,
-    register_backend,
     register_executor,
 )
 from repro.engine.scheduler import (
@@ -73,7 +70,6 @@ from repro.engine.scheduler import (
     job_priority,
     job_requirements,
     parse_tags,
-    require_tags,
     set_priority,
 )
 from repro.engine.session import (
@@ -93,8 +89,6 @@ from repro.engine.transports import (
     SerialTransport,
     Transport,
     make_transport,
-    register_transport,
-    transport_names,
 )
 from repro.engine.core import (
     Engine,
@@ -108,7 +102,6 @@ __all__ = [
     "BASELINE_SCHEMA_VERSION",
     "DOCK_SCHEMA_VERSION",
     "FOLD_SCHEMA_VERSION",
-    "JOB_KINDS",
     "SESSION_SCHEMA_VERSION",
     "BaselineFoldSpec",
     "CacheEntry",
@@ -135,7 +128,6 @@ __all__ = [
     "SessionProgress",
     "TieredCache",
     "Transport",
-    "backend_names",
     "capabilities_match",
     "config_fingerprint",
     "execute_baseline_job",
@@ -150,12 +142,8 @@ __all__ = [
     "make_transport",
     "parse_tags",
     "parse_tier_spec",
-    "register_backend",
     "register_executor",
-    "require_tags",
     "resolve_cache",
-    "register_transport",
     "result_from_payload",
     "set_priority",
-    "transport_names",
 ]

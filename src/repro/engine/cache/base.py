@@ -1,14 +1,15 @@
 """The :class:`CacheTier` protocol and the bookkeeping types tiers share.
 
 A *cache tier* is any store that maps a job's content hash to its canonical
-JSON payload.  The engine, the session layer, the transports and the
-``repro-cache`` CLI all speak this one protocol; whether the bytes live in a
-local sharded directory (:class:`~repro.engine.cache.local.LocalDirTier`), on
-the other end of a ``repro-serve`` socket
-(:class:`~repro.engine.cache.remote.RemoteTier`), or across an ordered stack
-of both (:class:`~repro.engine.cache.tiered.TieredCache`) is invisible to
+JSON payload.  The engine and the session layer speak this one protocol;
+whether the bytes live in a local sharded directory
+(:class:`~repro.engine.cache.local.LocalDirTier`), on the other end of a
+``repro-serve`` socket (:class:`~repro.engine.cache.remote.RemoteTier`), or
+in both (:class:`~repro.engine.cache.tiered.TieredCache`) is invisible to
 them — that invisibility is asserted bit-for-bit by the determinism harness's
-cache-topology clause.
+cache-topology clause.  Maintenance (listing, pruning, verifying) is the
+local directory's own business: ``repro-cache`` opens a
+:class:`~repro.engine.cache.local.LocalDirTier` directly.
 """
 
 from __future__ import annotations
@@ -64,12 +65,7 @@ class CacheEntry:
 
 @runtime_checkable
 class CacheTier(Protocol):
-    """What every cache tier provides; see the module docstring.
-
-    ``entries``/``prune``/``verify`` are maintenance surface: tiers without
-    local state (a remote client) implement them as documented no-ops rather
-    than raising, so tier-generic tooling never needs isinstance checks.
-    """
+    """What every cache tier provides; see the module docstring."""
 
     stats: CacheStats
 
@@ -83,16 +79,4 @@ class CacheTier(Protocol):
 
     def put(self, key: str, payload: dict[str, Any]) -> bool:
         """Store ``payload`` under ``key``; ``True`` when it is durably held."""
-        ...
-
-    def entries(self) -> list[CacheEntry]:
-        """Locally enumerable entries, eviction order first (``[]`` if none)."""
-        ...
-
-    def prune(self, max_bytes: int) -> list[str]:
-        """Evict down to ``max_bytes`` where supported; evicted keys."""
-        ...
-
-    def verify(self, delete: bool = False) -> tuple[list[str], list[tuple[str, str]]]:
-        """Audit locally held entries: ``(valid_keys, corrupt_pairs)``."""
         ...

@@ -24,7 +24,7 @@ import threading
 import uuid
 from typing import Any
 
-from repro.engine.cache.base import CacheEntry, CacheStats
+from repro.engine.cache.base import CacheStats
 from repro.exceptions import EngineError
 from repro.utils.logging import get_logger
 
@@ -159,21 +159,6 @@ class RemoteTier:
         """The *server-side* tier's stats dict, or ``None`` when unreachable."""
         reply = self._request({"type": "cache_stats"}, "cache_stats")
         return reply.get("stats") if reply else None
-
-    def entries(self) -> list[CacheEntry]:
-        """No locally enumerable entries — maintenance happens server-side."""
-        return []
-
-    def prune(self, max_bytes: int) -> list[str]:
-        """No-op: eviction is the server tier's policy, not the client's."""
-        return []
-
-    def verify(self, delete: bool = False) -> tuple[list[str], list[tuple[str, str]]]:
-        """No-op audit: the server audits its own tier (``repro-cache verify``)."""
-        return [], []
-
-    def __contains__(self, key: str) -> bool:
-        return self.peek(key) is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"RemoteTier({self.host!r}, {self.port})"

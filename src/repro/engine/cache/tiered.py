@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.engine.cache.base import CacheEntry, CacheStats, CacheTier
+from repro.engine.cache.base import CacheStats, CacheTier
 from repro.exceptions import EngineError
 
 
@@ -61,43 +61,6 @@ class TieredCache:
             close = getattr(tier, "close", None)
             if close is not None:
                 close()
-
-    # -- introspection / maintenance ---------------------------------------------------
-
-    def entries(self) -> list[CacheEntry]:
-        """Union of member entries, deduplicated by key (earliest tier wins)."""
-        seen: dict[str, CacheEntry] = {}
-        for tier in self.tiers:
-            for entry in tier.entries():
-                seen.setdefault(entry.key, entry)
-        return sorted(seen.values(), key=lambda e: (e.mtime, e.key))
-
-    def total_bytes(self) -> int:
-        """Total bytes across all locally enumerable member entries."""
-        return sum(e.size_bytes for e in self.entries())
-
-    def prune(self, max_bytes: int) -> list[str]:
-        """Prune every member to ``max_bytes``; evicted keys."""
-        evicted: list[str] = []
-        for tier in self.tiers:
-            evicted.extend(tier.prune(max_bytes))
-        return evicted
-
-    def verify(self, delete: bool = False) -> tuple[list[str], list[tuple[str, str]]]:
-        """Combined audit of every member tier."""
-        valid: list[str] = []
-        corrupt: list[tuple[str, str]] = []
-        for tier in self.tiers:
-            tier_valid, tier_corrupt = tier.verify(delete=delete)
-            valid.extend(tier_valid)
-            corrupt.extend(tier_corrupt)
-        return valid, corrupt
-
-    def __contains__(self, key: str) -> bool:
-        return any(key in tier for tier in self.tiers)
-
-    def __len__(self) -> int:
-        return len({entry.key for tier in self.tiers for entry in tier.entries()})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"TieredCache({list(self.tiers)!r})"

@@ -143,12 +143,13 @@ class Engine:
     cache:
         A cache tier instance (:class:`~repro.engine.cache.LocalDirTier`,
         :class:`~repro.engine.cache.RemoteTier`,
-        :class:`~repro.engine.cache.TieredCache`), a tier spec string or
-        directory path, a sequence of specs/tiers (composed into a
-        :class:`~repro.engine.cache.TieredCache`), or ``None``.  ``None``
-        resolves from ``config.cache_dir``; a spec string or path stands in
-        for it.  Either way ``config.cache_remote`` is appended as the
-        outermost tier; with neither set the engine runs cacheless.  See
+        :class:`~repro.engine.cache.TieredCache`), taken as it is; or a
+        directory (or tier spec string), which replaces ``config.cache_dir``
+        in the engine's :attr:`config`, so the specs it builds — and the
+        session journals that pickle them — name it; or ``None``.  Without
+        an instance, the cache resolves from ``config.cache_dir`` with
+        ``config.cache_remote`` appended as the outermost tier; with neither
+        set the engine runs cacheless.  See
         :func:`repro.engine.cache.resolve_cache`.
     processes:
         Worker-process count for every batch this engine runs; ``None``,
@@ -170,6 +171,9 @@ class Engine:
         processes: int | None = None,
     ):
         self.config = config or PipelineConfig()
+        if isinstance(cache, (str, Path)):
+            self.config = self.config.with_updates(cache_dir=str(cache))
+            cache = None
         self.cache = resolve_cache(self.config, cache)
         self.processes = 0 if processes is None else int(processes)
         self.executed_jobs = 0

@@ -49,9 +49,6 @@ BASELINE_SCHEMA_VERSION = "baseline_fold/v1"
 #: among all restarts).
 DOCK_SCHEMA_VERSION = "dock/v3"
 
-#: The job kinds the engine knows how to execute.
-JOB_KINDS: tuple[str, ...] = ("fold", "baseline_fold", "dock")
-
 #: The configuration fields that influence a quantum fold result (and
 #: therefore the fold job hash).  Everything else — docking knobs, worker
 #: counts, cache paths — is orchestration detail.

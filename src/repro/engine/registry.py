@@ -1,23 +1,20 @@
-"""Backend and executor registries: execution strategy resolved by name.
+"""Backends by name, executors by job kind.
 
 Call sites used to hand-wire simulator objects (``AutoBackend(...)``,
-``EagleEmulatorBackend(...)``) wherever a circuit needed sampling.  The
-backend registry replaces that with a single factory,
-``make_backend(name, config)``, so the backend is a *configuration choice*
-(``PipelineConfig.backend``) rather than code: the same pipeline runs on the
-exact statevector simulator, the MPS engine, the width-dispatching auto
-backend or the noisy Eagle emulator by changing one string.
+``EagleEmulatorBackend(...)``) wherever a circuit needed sampling.
+``make_backend(name, config)`` replaces that with one fixed table, so the
+backend is a *configuration choice* (``PipelineConfig.backend``) rather than
+code: the same pipeline runs on the exact statevector simulator, the MPS
+engine, the width-dispatching auto backend or the noisy Eagle emulator by
+changing one string.
 
-The *executor registry* is the same idea one level up: every job kind
-(``fold``, ``baseline_fold``, ``dock`` — see :mod:`repro.engine.jobs`) maps to
-the module-level function that executes one spec of that kind.
-:func:`repro.engine.core.execute_job` dispatches through it, which is what
-lets one :class:`~repro.engine.core.Engine` run a heterogeneous batch.
-
-Third-party backends and executors can be added at runtime with
-:func:`register_backend` / :func:`register_executor`; backend builders receive
-the :class:`~repro.config.PipelineConfig` and pull whatever knobs they need
-from it.
+The *executor registry* maps every job kind (``fold``, ``baseline_fold``,
+``dock`` — see :mod:`repro.engine.jobs`) to the module-level function that
+executes one spec of that kind.  :func:`repro.engine.core.execute_job`
+dispatches through it, which is what lets one
+:class:`~repro.engine.core.Engine` run a heterogeneous batch.  Plugin job
+kinds are added at runtime with :func:`register_executor` (``repro-worker``
+and ``repro-serve`` import them with ``--preload``).
 """
 
 from __future__ import annotations
@@ -35,12 +32,8 @@ from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
-BackendBuilder = Callable[[PipelineConfig], Backend]
-
 #: A job executor: one spec of the registered kind in, its result out.
 JobExecutor = Callable[[Any], Any]
-
-_REGISTRY: dict[str, BackendBuilder] = {}
 
 _EXECUTORS: dict[str, JobExecutor] = {}
 
@@ -49,8 +42,8 @@ def register_executor(kind: str, executor: JobExecutor, overwrite: bool = False)
     """Register the executor function for one job ``kind``.
 
     Raises :class:`EngineError` if the kind is already taken, unless
-    ``overwrite`` is set.  Like backend builders, executors must be picklable
-    module-level functions for parallel runs to ship them to workers.
+    ``overwrite`` is set.  Executors must be picklable module-level
+    functions for parallel runs to ship them to workers.
     """
     key = kind.strip().lower()
     if not key:
@@ -80,68 +73,41 @@ def executor_for(kind: str) -> JobExecutor:
     return executor
 
 
-def register_backend(name: str, builder: BackendBuilder, overwrite: bool = False) -> None:
-    """Register ``builder`` under ``name`` (lower-cased).
-
-    Raises :class:`BackendError` if the name is already taken, unless
-    ``overwrite`` is set (useful for tests that stub a backend out).
-
-    The engine replicates the registry into its worker processes (spawn-based
-    start methods do not inherit parent module state), so builders must be
-    picklable — define them at module level, not as lambdas or closures — for
-    parallel runs to see them.
-    """
-    key = name.strip().lower()
-    if not key:
-        raise BackendError("backend name must be a non-empty string")
-    if key in _REGISTRY and not overwrite:
-        raise BackendError(f"backend {key!r} is already registered")
-    _REGISTRY[key] = builder
+#: Job kinds already warned about as unpicklable — one warning per kind for
+#: the process lifetime, not one per fan-out.
+_PICKLE_WARNED: set[str] = set()
 
 
-def backend_names() -> tuple[str, ...]:
-    """The names currently registered, sorted alphabetically."""
-    return tuple(sorted(_REGISTRY))
+def _picklable(executors: dict[str, JobExecutor]) -> dict[str, JobExecutor]:
+    """The executors that can ship to worker processes.
 
-
-#: Registry entries already warned about as unpicklable — one warning per
-#: ``(registry, name)`` for the process lifetime, not one per fan-out.
-_PICKLE_WARNED: set[tuple[str, str]] = set()
-
-
-def _picklable(mapping: dict, what: str) -> dict:
-    """The registry entries that can ship to worker processes.
-
-    Unpicklable entries (lambdas, closures) are dropped with a warning rather
-    than failing the whole fan-out: they only matter if a job actually selects
-    them, in which case the worker raises a clear lookup error.  The warning
-    fires once per entry name, not on every fan-out.
+    Unpicklable executors (lambdas, closures) are dropped with a warning
+    rather than failing the whole fan-out: they only matter if a job of their
+    kind is submitted, in which case the worker raises a clear lookup error.
+    The warning fires once per kind, not on every fan-out.
     """
     out = {}
-    for name, value in mapping.items():
+    for kind, executor in executors.items():
         try:
-            pickle.dumps(value)
+            pickle.dumps(executor)
         except Exception:
-            if (what, name) not in _PICKLE_WARNED:
-                _PICKLE_WARNED.add((what, name))
+            if kind not in _PICKLE_WARNED:
+                _PICKLE_WARNED.add(kind)
                 logger.warning(
-                    "%s %r is unpicklable; it will be unavailable in engine worker processes",
-                    what, name,
+                    "executor %r is unpicklable; it will be unavailable in engine worker processes",
+                    kind,
                 )
             continue
-        out[name] = value
+        out[kind] = executor
     return out
 
 
-def _restore_registries(
-    backends: dict[str, BackendBuilder], executors: dict[str, JobExecutor]
-) -> None:
-    """Merge both registries into this process (the worker-process initializer).
+def _restore_executors(executors: dict[str, JobExecutor]) -> None:
+    """Merge the executor registry into this process (the worker initializer).
 
     The worker also exits when its parent dies: a SIGKILLed parent runs no
     pool shutdown, and its workers would otherwise idle on, orphaned.
     """
-    _REGISTRY.update(backends)
     _EXECUTORS.update(executors)
     parent = multiprocessing.parent_process()
     if parent is not None:
@@ -156,32 +122,14 @@ def _exit_with(parent: Any) -> None:
 
 
 def pool_initializer() -> dict[str, Any]:
-    """``ProcessPoolExecutor`` keyword arguments that replicate both registries.
+    """``ProcessPoolExecutor`` keyword arguments that replicate the executors.
 
     Spawn-based start methods do not inherit parent module state, so every
-    pool worker merges a picklable snapshot of this process's backend and
-    executor registries before running its first job.
+    pool worker merges a picklable snapshot of this process's executor
+    registry before running its first job.  Backends need no snapshot: every
+    process builds them from the same fixed table.
     """
-    return {
-        "initializer": _restore_registries,
-        "initargs": (_picklable(_REGISTRY, "backend"), _picklable(_EXECUTORS, "executor")),
-    }
-
-
-def make_backend(name: str | None = None, config: PipelineConfig | None = None) -> Backend:
-    """Build the backend registered under ``name``, configured from ``config``.
-
-    ``name`` of ``None`` uses ``config.backend`` (the pipeline's configured
-    default); ``config`` of ``None`` uses the default :class:`PipelineConfig`.
-    """
-    config = config or PipelineConfig()
-    key = (name or config.backend).strip().lower()
-    builder = _REGISTRY.get(key)
-    if builder is None:
-        raise BackendError(
-            f"unknown backend {key!r}; registered backends: {', '.join(backend_names())}"
-        )
-    return builder(config)
+    return {"initializer": _restore_executors, "initargs": (_picklable(_EXECUTORS),)}
 
 
 def _build_statevector(config: PipelineConfig) -> Backend:
@@ -213,7 +161,23 @@ def _build_eagle(config: PipelineConfig) -> Backend:
     )
 
 
-register_backend("statevector", _build_statevector)
-register_backend("mps", _build_mps)
-register_backend("auto", _build_auto)
-register_backend("eagle", _build_eagle)
+_BACKENDS: dict[str, Callable[[PipelineConfig], Backend]] = {
+    "statevector": _build_statevector,
+    "mps": _build_mps,
+    "auto": _build_auto,
+    "eagle": _build_eagle,
+}
+
+
+def make_backend(name: str | None = None, config: PipelineConfig | None = None) -> Backend:
+    """Build the backend called ``name``, configured from ``config``.
+
+    ``name`` of ``None`` uses ``config.backend`` (the pipeline's configured
+    default); ``config`` of ``None`` uses the default :class:`PipelineConfig`.
+    """
+    config = config or PipelineConfig()
+    key = (name or config.backend).strip().lower()
+    builder = _BACKENDS.get(key)
+    if builder is None:
+        raise BackendError(f"unknown backend {key!r}; backends: {', '.join(sorted(_BACKENDS))}")
+    return builder(config)

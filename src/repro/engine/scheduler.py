@@ -68,18 +68,6 @@ def job_priority(spec: Any) -> int:
 # -- capability tags ------------------------------------------------------------------
 
 
-def require_tags(spec: Any, *tags: str) -> Any:
-    """Add explicit capability requirements to ``spec`` (hash-neutral).
-
-    Merged into :func:`job_requirements` on top of the derived ones — for
-    jobs that need a capability the engine cannot infer (a licensed tool, a
-    GPU, a dataset only some machines hold).
-    """
-    existing = frozenset(getattr(spec, "_requires", ()) or ())
-    object.__setattr__(spec, "_requires", existing | {str(t) for t in tags})
-    return spec
-
-
 def job_requirements(spec: Any) -> frozenset[str]:
     """The capability tags a worker must declare to claim this job.
 
@@ -88,10 +76,9 @@ def job_requirements(spec: Any) -> frozenset[str]:
     without it).  A fold pinned to a concrete backend additionally requires
     that backend's name, so an MPS-incapable worker never claims — and never
     poisons — an MPS fold; ``backend="auto"`` adds nothing (resolution
-    happens on the worker and every full worker serves it).  Explicit
-    :func:`require_tags` requirements are merged in.
+    happens on the worker and every full worker serves it).
     """
-    requires = set(getattr(spec, "_requires", ()) or ())
+    requires = set()
     kind = getattr(spec, "kind", None)
     if kind:
         requires.add(str(kind))

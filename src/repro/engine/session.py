@@ -241,10 +241,6 @@ class SessionJournal:
                     journal.failed[spec_hash] = record
             elif kind == "resume":
                 journal.resumes += 1
-            elif kind == "compact":
-                # Earlier builds could compact a journal, folding its resume
-                # markers into one record so the audit count survived.
-                journal.resumes += int(record.get("resumes", 0) or 0)
         if not saw_header:
             raise EngineError(
                 f"session journal {journal.path} has no readable header record"

@@ -1,7 +1,7 @@
-"""Pluggable executor transports: *where* engine jobs run.
+"""Executor transports: *where* engine jobs run.
 
-The session loop streams ``(spec, outcome)`` pairs identically over any
-registered transport; the transport only decides where the executors run:
+The session loop streams ``(spec, outcome)`` pairs identically over each of
+the four transports; the transport only decides where the executors run:
 
 * ``serial`` — in the calling process, one job at a time (the reference);
 * ``pool`` — a local process pool, completions in completion order;
@@ -15,19 +15,16 @@ registered transport; the transport only decides where the executors run:
   :mod:`repro.engine.transports.network` and :mod:`repro.serve`).
 
 Select one with ``PipelineConfig.transport`` (default ``"auto"``: serial for
-``processes <= 1``, pool otherwise).  Determinism is transport-independent —
-a job's result depends only on its spec, so every transport produces
-bit-identical results.
+``processes <= 1``, pool otherwise); :func:`make_transport` builds it.
+Determinism is transport-independent — a job's result depends only on its
+spec, so every transport produces bit-identical results.
 """
 
-from repro.engine.transports.base import (
-    Completion,
-    RemoteJobError,
-    Transport,
-    make_transport,
-    register_transport,
-    transport_names,
-)
+from __future__ import annotations
+
+from typing import Any, Callable
+
+from repro.engine.transports.base import Completion, RemoteJobError, Transport
 from repro.engine.transports.filequeue import (
     DEFAULT_LEASE_TIMEOUT,
     FileQueueSpool,
@@ -36,6 +33,7 @@ from repro.engine.transports.filequeue import (
 )
 from repro.engine.transports.local import PoolTransport, SerialTransport
 from repro.engine.transports.network import NetworkTransport
+from repro.exceptions import EngineError
 
 __all__ = [
     "DEFAULT_LEASE_TIMEOUT",
@@ -49,6 +47,61 @@ __all__ = [
     "SerialTransport",
     "Transport",
     "make_transport",
-    "register_transport",
-    "transport_names",
 ]
+
+
+def _build_filequeue(config: Any, processes: int) -> FileQueueTransport:
+    spool_dir = getattr(config, "spool_dir", None)
+    if not spool_dir:
+        raise EngineError(
+            "transport 'filequeue' needs a spool directory: set config.spool_dir"
+        )
+    workers = getattr(config, "transport_workers", None)
+    if workers is None:
+        workers = max(0, int(processes))
+    return FileQueueTransport(
+        spool_dir,
+        workers=workers,
+        lease_timeout=getattr(config, "transport_lease_timeout", DEFAULT_LEASE_TIMEOUT),
+        poll_interval=getattr(config, "transport_poll_interval", 0.05),
+    )
+
+
+def _build_network(config: Any, processes: int) -> NetworkTransport:
+    port = getattr(config, "serve_port", 0)
+    if not port:
+        raise EngineError(
+            "transport 'network' needs a server address: set config.serve_port "
+            "(and serve_host) to a running repro-serve"
+        )
+    return NetworkTransport(getattr(config, "serve_host", "127.0.0.1") or "127.0.0.1", port)
+
+
+#: Transport name -> builder of a new transport from ``(config, processes)``.
+_TRANSPORTS: dict[str, Callable[[Any, int], Transport]] = {
+    "serial": lambda config, processes: SerialTransport(),
+    "pool": lambda config, processes: PoolTransport(processes=processes),
+    "filequeue": _build_filequeue,
+    "network": _build_network,
+}
+
+
+def make_transport(name: str | None, config: Any, processes: int = 0) -> Transport:
+    """Build a new transport (an engine keeps it for its lifetime).
+
+    ``name`` of ``None`` or ``"auto"`` resolves from the worker count:
+    ``processes <= 1`` executes serially, anything larger uses the process
+    pool.  The two remote transports are never auto-selected: ``filequeue``
+    needs a spool directory (its fleet is ``config.transport_workers``
+    daemons it spawns, or workers started by hand), and ``network`` needs a
+    running ``repro-serve``.
+    """
+    key = (name or getattr(config, "transport", None) or "auto").strip().lower()
+    if key == "auto":
+        key = "pool" if processes > 1 else "serial"
+    build = _TRANSPORTS.get(key)
+    if build is None:
+        raise EngineError(
+            f"unknown transport {key!r}; transports: auto, {', '.join(sorted(_TRANSPORTS))}"
+        )
+    return build(config, processes)

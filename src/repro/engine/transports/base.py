@@ -10,10 +10,9 @@ session never sees, which is what keeps the PR 3 determinism contract
 transport-agnostic: a job's result depends only on its spec, so serial, pool
 and distributed runs are bit-identical.
 
-Transports are *configuration*, not code: they register by name
-(:func:`register_transport`) and the engine resolves
-``PipelineConfig.transport`` through :func:`make_transport`, exactly like the
-backend and executor registries.
+Transports are *configuration*, not code: the engine resolves
+``PipelineConfig.transport`` to one of the four built-in transports through
+:func:`repro.engine.transports.make_transport`.
 
 The two remote transports (``filequeue`` and ``network``) exchange one
 *result record*: a JSON-able dict produced by :func:`execution_record` on the
@@ -54,7 +53,7 @@ class Transport(abc.ABC):
     session-facing generator built on top of it.
     """
 
-    #: Registry name of this transport.
+    #: Name of this transport (``PipelineConfig.transport``).
     name: ClassVar[str] = "abstract"
 
     #: The batch generator of the open :meth:`stream`, if any.
@@ -188,49 +187,3 @@ def record_completion(index: int, record: dict[str, Any], where: str | None) -> 
         record.get("error_message") or "remote job failed",
         where,
     )
-
-
-#: A transport factory: (config, processes) in, a new transport out.
-TransportFactory = Callable[[Any, int], Transport]
-
-_TRANSPORTS: dict[str, TransportFactory] = {}
-
-
-def register_transport(name: str, factory: TransportFactory, overwrite: bool = False) -> None:
-    """Register ``factory`` under ``name`` (lower-cased).
-
-    Factories receive ``(config, processes)`` and must return a *new*
-    transport per call: each engine owns the one it gets and runs all its
-    batches on it.
-    """
-    key = name.strip().lower()
-    if not key:
-        raise EngineError("transport name must be a non-empty string")
-    if key in _TRANSPORTS and not overwrite:
-        raise EngineError(f"transport {key!r} is already registered")
-    _TRANSPORTS[key] = factory
-
-
-def transport_names() -> tuple[str, ...]:
-    """The transport names currently registered, sorted alphabetically."""
-    return tuple(sorted(_TRANSPORTS))
-
-
-def make_transport(name: str | None, config: Any, processes: int = 0) -> Transport:
-    """Build a new transport (an engine keeps it for its lifetime).
-
-    ``name`` of ``None`` or ``"auto"`` resolves from the worker count:
-    ``processes <= 1`` executes serially, anything larger uses the process
-    pool.  The distributed file-queue transport is never auto-selected — it
-    needs a spool directory and (usually) externally launched workers, so it
-    is an explicit ``config.transport = "filequeue"`` choice.
-    """
-    key = (name or getattr(config, "transport", None) or "auto").strip().lower()
-    if key == "auto":
-        key = "pool" if processes > 1 else "serial"
-    factory = _TRANSPORTS.get(key)
-    if factory is None:
-        raise EngineError(
-            f"unknown transport {key!r}; registered transports: {', '.join(transport_names())}"
-        )
-    return factory(config, processes)

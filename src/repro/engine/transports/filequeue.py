@@ -100,7 +100,6 @@ from repro.engine.transports.base import (
     Transport,
     execution_record,
     record_completion,
-    register_transport,
 )
 from repro.exceptions import EngineError
 from repro.utils.io import utcnow_iso
@@ -956,23 +955,3 @@ class FileQueueTransport(Transport):
             "spawned": self.spawned,
             "spawned_workers": len(self.workers),
         }
-
-
-def _build_filequeue(config: Any, processes: int) -> FileQueueTransport:
-    spool_dir = getattr(config, "spool_dir", None)
-    if not spool_dir:
-        raise EngineError(
-            "transport 'filequeue' needs a spool directory: set config.spool_dir"
-        )
-    workers = getattr(config, "transport_workers", None)
-    if workers is None:
-        workers = max(0, int(processes))
-    return FileQueueTransport(
-        spool_dir,
-        workers=workers,
-        lease_timeout=getattr(config, "transport_lease_timeout", DEFAULT_LEASE_TIMEOUT),
-        poll_interval=getattr(config, "transport_poll_interval", 0.05),
-    )
-
-
-register_transport("filequeue", _build_filequeue)

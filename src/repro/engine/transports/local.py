@@ -5,10 +5,9 @@ execution every other transport must reproduce bit-identically, and the one
 unit tests default to.  ``PoolTransport`` fans the batch out over a
 :class:`concurrent.futures.ProcessPoolExecutor` (one future per spec, no
 chunking, completions in completion order), replicating the parent's
-backend/executor registries into every worker the way the PR 3 session loop
-did — spawn-based start methods do not inherit parent module state, and
-unpicklable registry entries are dropped with a one-time warning rather than
-failing the fan-out.
+executor registry into every worker — spawn-based start methods do not
+inherit parent module state, and unpicklable executors are dropped with a
+one-time warning rather than failing the fan-out.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, ClassVar, Generator
 
 from repro.engine.registry import pool_initializer
-from repro.engine.transports.base import Completion, Transport, register_transport
+from repro.engine.transports.base import Completion, Transport
 
 
 def _execute(spec: Any) -> Any:
@@ -72,15 +71,3 @@ class PoolTransport(Transport):
                 yield futures[future], None if exc is not None else future.result(), exc
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _build_serial(config: Any, processes: int) -> SerialTransport:
-    return SerialTransport()
-
-
-def _build_pool(config: Any, processes: int) -> PoolTransport:
-    return PoolTransport(processes=processes)
-
-
-register_transport("serial", _build_serial)
-register_transport("pool", _build_pool)

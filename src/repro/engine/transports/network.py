@@ -45,7 +45,6 @@ from repro.engine.transports.base import (
     RemoteJobError,
     Transport,
     record_completion,
-    register_transport,
 )
 from repro.exceptions import EngineError
 from repro.serve.protocol import ProtocolError, connect, recv_message, send_message
@@ -141,17 +140,3 @@ class NetworkTransport(Transport):
                 send_message(sock, {"type": "bye"})
             sock.close()
         yield from tail
-
-
-def _build_network(config: Any, processes: int) -> NetworkTransport:
-    """Factory for ``transport="network"``: server address from the config."""
-    port = getattr(config, "serve_port", 0)
-    if not port:
-        raise EngineError(
-            "transport 'network' needs a server address: set config.serve_port "
-            "(and serve_host) to a running repro-serve"
-        )
-    return NetworkTransport(getattr(config, "serve_host", "127.0.0.1") or "127.0.0.1", port)
-
-
-register_transport("network", _build_network)

@@ -8,7 +8,7 @@ the socket equivalent of the spool directory: a long-running daemon that
 * accepts length-prefixed job submissions (:mod:`repro.serve.protocol`) from
   many concurrent client sessions,
 * multiplexes them onto **one shared worker pool** (a process pool with the
-  same registry replication the local pool transport uses, or
+  same executor replication the local pool transport uses, or
   in-process threads for ``workers=0``) and **one shared**
   :class:`~repro.engine.cache.LocalDirTier` — a job any client ever completed
   is served to every later client without re-execution,
@@ -190,8 +190,8 @@ class ReproServer:
         one back from :attr:`port` after :meth:`start` — handy in tests).
     workers:
         Size of the shared execution pool.  ``> 0`` builds a process pool
-        with the parent's backend/executor registries replicated into every
-        worker (exactly like the local ``pool`` transport); ``0`` executes
+        with the parent's executor registry replicated into every worker
+        (exactly like the local ``pool`` transport); ``0`` executes
         in-process on a small thread pool — no isolation or parallel
         speed-up, but runtime registrations (test doubles, injected
         executors) stay visible.

@@ -1,4 +1,4 @@
-"""Tests for the job engine: registry, content hashing, cache, fan-out."""
+"""Tests for the job engine: backends by name, content hashing, cache, fan-out."""
 
 from __future__ import annotations
 
@@ -12,10 +12,8 @@ from repro.engine import (
     JobResult,
     JobSpec,
     LocalDirTier,
-    backend_names,
     execute_job,
     make_backend,
-    register_backend,
 )
 from repro.engine.registry import executor_kinds, pool_initializer
 from repro.exceptions import BackendError
@@ -45,11 +43,14 @@ def _structures_identical(a, b) -> bool:
     )
 
 
-# -- backend registry ---------------------------------------------------------------
+# -- backends by name --------------------------------------------------------------
 
 
-def test_registry_knows_all_builtin_backends():
-    assert {"statevector", "mps", "auto", "eagle"} <= set(backend_names())
+def test_registry_knows_all_builtin_backends(engine_config):
+    for name in ("statevector", "mps", "auto", "eagle"):
+        assert make_backend(name, engine_config) is not None
+    with pytest.raises(BackendError, match="backends: auto, eagle, mps, statevector"):
+        make_backend("teleport", engine_config)
 
 
 def test_make_backend_types_and_config_wiring(engine_config):
@@ -71,11 +72,6 @@ def test_make_backend_defaults_to_config_backend(engine_config):
 def test_make_backend_unknown_name_raises(engine_config):
     with pytest.raises(BackendError):
         make_backend("no_such_backend", engine_config)
-
-
-def test_register_backend_rejects_duplicates():
-    with pytest.raises(BackendError):
-        register_backend("auto", lambda config: None)
 
 
 def test_auto_backend_selection_at_exact_boundary():
@@ -138,11 +134,11 @@ def test_content_hash_memo_is_dropped_on_pickle(engine_config):
 
 def test_registry_snapshot_roundtrips_through_restore():
     initializer = pool_initializer()
-    backends, executors = initializer["initargs"]
-    assert "auto" in backends and "fold" in executors
-    before = (backend_names(), executor_kinds())
+    (executors,) = initializer["initargs"]
+    assert {"fold", "baseline_fold", "dock"} <= set(executors)
+    before = executor_kinds()
     initializer["initializer"](*initializer["initargs"])  # idempotent merge
-    assert (backend_names(), executor_kinds()) == before
+    assert executor_kinds() == before
 
 
 _POOL_CHILD = """
@@ -294,19 +290,12 @@ def test_picklable_warns_once_per_entry_name():
     target = logging.getLogger("repro.engine.registry")
     target.addHandler(capture)
     try:
-        mapping = {"unpicklable_entry_for_test": lambda config: None}
-        # Repeated fan-outs must not re-warn about the same entry ...
-        registry._picklable(mapping, "backend")
-        registry._picklable(mapping, "backend")
-        registry._picklable(mapping, "backend")
-        backend_warnings = [m for m in capture.messages if "unpicklable_entry_for_test" in m]
-        assert len(backend_warnings) == 1
-        # ... but the same name in the *other* registry is a separate warning.
-        registry._picklable(mapping, "executor")
-        both = [m for m in capture.messages if "unpicklable_entry_for_test" in m]
-        assert len(both) == 2
-        # The entry is still dropped silently on later calls.
-        assert registry._picklable(mapping, "backend") == {}
+        mapping = {"unpicklable_entry_for_test": lambda spec: None}
+        # Every fan-out drops the entry, but only the first one warns.
+        for _ in range(3):
+            assert registry._picklable(mapping) == {}
+        warnings = [m for m in capture.messages if "unpicklable_entry_for_test" in m]
+        assert len(warnings) == 1
     finally:
         target.removeHandler(capture)
 

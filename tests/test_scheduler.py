@@ -1,5 +1,5 @@
 """The fleet-scheduler battery: claim order (priority classes + the age-order
-FIFO fix), hash-neutral priority/requirement stamping, capability-tag
+FIFO fix), hash-neutral priority stamping, capability-tag
 matching, exclusive result publication (first publisher wins, loser
 superseded), and crash respawn against the respawn cap."""
 
@@ -27,7 +27,6 @@ from repro.engine import (
     job_requirements,
     parse_tags,
     register_executor,
-    require_tags,
     set_priority,
 )
 from repro.engine.scheduler import (
@@ -108,13 +107,11 @@ def test_job_requirements_cover_kind_and_pinned_backend():
     assert job_requirements(auto) == {"fold"}  # auto resolves on the worker
     pinned = Engine(config=BASE_CONFIG.with_updates(backend="mps")).spec("2bok", "EDACQ")
     assert job_requirements(pinned) == {"fold", "mps"}
-    tagged = require_tags(EchoSpec("b"), "gpu", "licensed")
-    assert job_requirements(tagged) == {"sched_echo", "gpu", "licensed"}
 
 
 def test_priority_and_requirements_are_hash_neutral_and_survive_pickling():
     plain = _baseline_spec()
-    stamped = set_priority(require_tags(_baseline_spec(), "mps"), 7)
+    stamped = set_priority(_baseline_spec(), 7)
     assert job_priority(plain) == DEFAULT_PRIORITY
     assert job_priority(stamped) == 7
     # Orchestration metadata must never split the cache or break equality.
@@ -122,7 +119,6 @@ def test_priority_and_requirements_are_hash_neutral_and_survive_pickling():
     assert stamped == plain
     clone = pickle.loads(pickle.dumps(stamped))
     assert job_priority(clone) == 7
-    assert "mps" in job_requirements(clone)
 
 
 # -- spool claim order ---------------------------------------------------------------
@@ -170,8 +166,7 @@ def test_priority_classes_claim_before_age_under_contention(tmp_path):
 
 def test_tagged_worker_skips_tasks_it_cannot_serve_without_poisoning(tmp_path):
     spool = FileQueueSpool(tmp_path / "spool")
-    spec = require_tags(EchoSpec("needs-mps"), "mps")
-    spool.enqueue("t-00000-x", spec, requires=job_requirements(spec))
+    spool.enqueue("t-00000-x", EchoSpec("needs-mps"), requires={"sched_echo", "mps"})
     limited = FileQueueWorker(
         spool, worker_id="limited", tags={"sched_echo"}, execute=_fake_execute
     )

@@ -560,43 +560,6 @@ def test_cli_status_reports_failures_with_exit_code(session_engine, capsys):
     assert status["failures"][0]["error_type"] == "ValueError"
 
 
-# -- journals compacted by earlier builds --------------------------------------------
-
-
-def test_compacted_journal_keeps_its_resume_count(replay_engine):
-    """Earlier builds could compact a journal into a header, one ``compact``
-    record folding the resume markers, and the latest record per job.  Such a
-    journal still opens: the folded count adds to later markers, a completed
-    record beats an earlier failed one, and a re-submit executes nothing."""
-    (job,) = _baselines(replay_engine, 1)
-    replay_engine.run([job])  # fills the result cache; run() never journals
-    key = job.content_hash()
-    root = Path(replay_engine.config.session_dir)
-    SessionJournal.create(root, "old", [job])
-    records = [
-        {"record": "job", "spec_hash": key, "status": "failed", "kind": job.kind,
-         "from_cache": False, "error_type": "ValueError", "error_message": "kapow"},
-        {"record": "job", "spec_hash": key, "status": "completed", "kind": job.kind,
-         "from_cache": False},
-        {"record": "compact", "resumes": 3, "compacted_at": "2025-01-01T00:00:00+00:00"},
-        {"record": "resume", "resumed_at": "2025-01-02T00:00:00+00:00"},
-    ]
-    with (root / "old.jsonl").open("a", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
-
-    journal = SessionJournal.open(root, "old")
-    assert journal.resumes == 4
-    assert set(journal.completed) == {key}
-    assert key not in journal.failed
-
-    fresh = Engine(config=replay_engine.config)
-    resumed = fresh.submit(session_id="old")
-    assert resumed.results()[0].from_cache
-    assert resumed.summary()["executed"] == 0
-    assert fresh.stats()["executed_jobs"] == 0
-    assert SessionJournal.open(root, "old").resumes == 5
-
-
 def test_cli_resume_on_error_raise_reports_the_abort(session_engine, capsys):
     """A job failing under ``--on-error raise`` aborts the resume with a
     one-line report and exit status 1, and the summary is still printed."""
@@ -622,6 +585,29 @@ def test_cli_resume_on_error_raise_reports_the_abort(session_engine, capsys):
     assert rc == 1
     assert "aborted: ValueError" in captured.err
     assert "session abort: " in captured.out
+
+
+def test_builder_cache_dir_reaches_the_journals_of_every_build_phase(tmp_path, capsys):
+    """A cache passed as ``DatasetBuilder(cache_dir=...)`` rides in the
+    journalled specs' config, so ``repro-session`` finds it: status counts
+    every completed job as replayable and a resume executes nothing."""
+    root = tmp_path / "sessions"
+    config = PipelineConfig.fast().with_updates(session_dir=str(root))
+    builder = DatasetBuilder(config=config, cache_dir=tmp_path / "cache")
+    builder.build(builder.select_fragments(pdb_ids=["3eax"]), keep_structures=False)
+
+    session_ids = sorted(j.session_id for j in SessionJournal.list_sessions(root))
+    assert [s.split("-")[1] for s in session_ids] == ["dock", "fold"]
+    for session_id in session_ids:
+        assert session_cli_main(["status", str(root), session_id, "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["completed"] > 0
+        assert status["replayable_from_cache"] == status["completed"]
+
+        assert session_cli_main(["resume", str(root), session_id, "--json", "--quiet"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["executed"] == 0
+        assert summary["cached"] == summary["total"] > 0
 
 
 # -- the streaming BatchProcessor ----------------------------------------------------

@@ -33,7 +33,6 @@ from repro.engine import (
     SerialTransport,
     make_transport,
     register_executor,
-    transport_names,
 )
 from repro.engine import registry
 from repro.engine.core import execute_baseline_job
@@ -117,17 +116,20 @@ def _canonical(outcome) -> str:
     return json.dumps(outcome.to_payload(), sort_keys=True, cls=_NumpyJSONEncoder)
 
 
-# -- registry ------------------------------------------------------------------------
+# -- resolution by name ------------------------------------------------------------
 
 
 def test_transport_registry_and_auto_resolution():
-    assert {"serial", "pool", "filequeue", "network"} <= set(transport_names())
     config = PipelineConfig()
+    assert isinstance(make_transport("serial", config), SerialTransport)
+    assert isinstance(make_transport("pool", config, processes=2), PoolTransport)
     assert isinstance(make_transport("auto", config, processes=0), SerialTransport)
     assert isinstance(make_transport("auto", config, processes=4), PoolTransport)
     # None resolves through config.transport (default "auto").
     assert isinstance(make_transport(None, config, processes=0), SerialTransport)
-    with pytest.raises(EngineError, match="unknown transport"):
+    with pytest.raises(
+        EngineError, match="unknown transport 'teleport'; transports: auto, filequeue, network, pool, serial"
+    ):
         make_transport("teleport", config)
     with pytest.raises(EngineError, match="spool_dir"):
         make_transport("filequeue", config)  # filequeue is never implicit
