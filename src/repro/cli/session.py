@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 
 from repro.config import PipelineConfig
+from repro.engine.cache import resolve_cache
 from repro.engine.core import Engine
 from repro.engine.session import ON_ERROR_POLICIES, SessionJournal, SessionProgress
 from repro.exceptions import EngineError
@@ -87,21 +88,25 @@ def cmd_status(args: argparse.Namespace) -> int:
 
     # Journal-aware cache lookup: which completed jobs can actually replay
     # from the cache (stat-neutral peek — status must not skew hit rates or
-    # LRU order), and which would re-execute on resume.
+    # LRU order), and which would re-execute on resume.  It peeks the stack
+    # resume opens: cache_dir (or --cache-dir) in front of cache_remote.
     replayable = None
-    cache_dir = args.cache_dir
-    if cache_dir is None:
+    try:
+        specs = journal.load_specs()
+        config = getattr(specs[0], "config", None) if specs else None
+    except EngineError:
+        config = None
+    config = config if config is not None else PipelineConfig()
+    cache_dir = args.cache_dir or config.cache_dir
+    if cache_dir and not Path(cache_dir).expanduser().is_dir():
+        cache_dir = None  # an absent directory holds nothing; status creates none
+    cache = resolve_cache(config.with_updates(cache_dir=cache_dir))
+    if cache is not None:
         try:
-            specs = journal.load_specs()
-            config = getattr(specs[0], "config", None) if specs else None
-            cache_dir = config.cache_dir if config is not None else None
-        except EngineError:
-            cache_dir = None
-    if cache_dir and Path(cache_dir).expanduser().is_dir():
-        from repro.engine.cache import LocalDirTier
-
-        cache = LocalDirTier(cache_dir)
-        replayable = sum(1 for key in journal.completed if cache.peek(key) is not None)
+            replayable = sum(1 for key in journal.completed if cache.peek(key) is not None)
+        finally:
+            if hasattr(cache, "close"):
+                cache.close()
     summary["replayable_from_cache"] = replayable
     summary["failures"] = [
         {

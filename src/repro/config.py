@@ -78,12 +78,15 @@ class PipelineConfig:
         Shared spool directory of the ``filequeue`` transport (required when
         it is selected; created if absent).
     transport_workers:
-        How many local ``repro-worker`` daemons the ``filequeue`` transport
-        keeps running: the fleet boots at an engine's first batch, serves
-        every batch of that engine, and members that exit while work remains
-        are respawned.  ``None`` (the default) falls back to the engine's
-        ``processes`` value; ``0`` spawns none and relies on externally
-        launched workers watching the spool.
+        How many local workers the ``filequeue`` transport keeps running:
+        the fleet boots at an engine's first batch, serves every batch of
+        that engine, and members that exit while work remains are respawned.
+        Each member is forked from the submitting process (POSIX only), so
+        it inherits the imported modules and executor registry, needs no
+        ``--preload``, and exits with its parent.  ``None`` (the default)
+        falls back to the engine's ``processes`` value; ``0`` spawns none and
+        relies on externally launched ``repro-worker`` daemons watching the
+        spool.
     transport_lease_timeout:
         Seconds before an untouched task claim counts as abandoned by a dead
         worker and is requeued (stale-lease reclamation).

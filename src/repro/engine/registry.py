@@ -103,12 +103,16 @@ def _picklable(executors: dict[str, JobExecutor]) -> dict[str, JobExecutor]:
 
 
 def _restore_executors(executors: dict[str, JobExecutor]) -> None:
-    """Merge the executor registry into this process (the worker initializer).
-
-    The worker also exits when its parent dies: a SIGKILLed parent runs no
-    pool shutdown, and its workers would otherwise idle on, orphaned.
-    """
+    """Merge the executor registry into this process (the worker initializer),
+    then :func:`watch_parent`."""
     _EXECUTORS.update(executors)
+    watch_parent()
+
+
+def watch_parent() -> None:
+    """End this multiprocessing child when its parent dies: a SIGKILLed
+    parent runs no shutdown, and its workers would otherwise idle on,
+    orphaned."""
     parent = multiprocessing.parent_process()
     if parent is not None:
         threading.Thread(

@@ -71,21 +71,29 @@ Result publication is therefore create-exclusive
 (:meth:`FileQueueSpool.publish_result`): the first finisher wins the result
 file, the loser's publish is refused and logged as ``superseded`` (never
 ``completed`` twice), and its release is ownership-checked.
+
+Workers are ``repro-worker`` daemons, started by an operator on any host that
+shares the spool, or the local fleet a transport spawns (``workers=N``).  The
+local fleet is forked from the submitter (POSIX only): each member runs the
+daemon's loop with the modules and executor registry the submitter already
+imported, so it needs neither an interpreter boot nor ``--preload``, and it
+exits when the submitter dies.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
-import subprocess
-import sys
+import signal
 import threading
 import time
 import uuid
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Generator
 
+from repro.engine.registry import watch_parent
 from repro.engine.scheduler import (
     DEFAULT_PRIORITY,
     PendingTask,
@@ -700,18 +708,35 @@ class FileQueueWorker:
         return processed
 
 
+def _serve_forked(
+    log_fd: int, spool_root: Path, worker_id: str, lease_timeout: float, poll_interval: float
+) -> None:
+    """A spawned fleet member: the ``repro-worker`` loop in a child forked
+    from the submitter, so it starts with the submitter's imported modules
+    and executor registry instead of booting an interpreter."""
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, signal.SIG_DFL)  # not the submitter's handlers
+    os.dup2(log_fd, 1)  # nothing a member prints reaches the submitter's output
+    os.dup2(log_fd, 2)
+    watch_parent()
+    FileQueueWorker(
+        spool_root, worker_id=worker_id, lease_timeout=lease_timeout, poll_interval=poll_interval
+    ).serve()
+
+
 class FileQueueTransport(Transport):
     """Submit engine batches to the spool and harvest the fleet's results.
 
-    ``workers > 0`` spawns that many local ``repro-worker`` daemons at the
-    first batch and keeps them across batches until :meth:`close`: each
+    ``workers > 0`` forks that many local fleet members from this process at
+    the first batch (:func:`_serve_forked`; POSIX only, and each member exits
+    with its parent) and keeps them across batches until :meth:`close`: each
     batch replaces only members that have exited, and members that die
     while work remains are respawned, up to ``respawn_limit`` per batch.  A
     batch that ends with work outstanding stops the fleet too, so a
     withdrawn job still running can never hold a worker of the next batch.
     ``workers == 0`` relies entirely on externally launched daemons
-    watching the same spool.  Each envelope carries the
-    priority stamped on its spec by
+    watching the same spool.  Each envelope carries the priority stamped on
+    its spec by
     :func:`~repro.engine.scheduler.set_priority` (0 when unstamped); like all
     scheduling metadata it never enters a job hash.
     """
@@ -733,9 +758,15 @@ class FileQueueTransport(Transport):
             raise EngineError(f"lease_timeout must be positive, got {lease_timeout}")
         self.spool = FileQueueSpool(spool_dir)
         self.worker_count = max(0, int(workers))
+        if self.worker_count and "fork" not in multiprocessing.get_all_start_methods():
+            raise EngineError(
+                "a local filequeue fleet is forked from the submitter, and this "
+                "platform cannot fork; set transport_workers=0 and start "
+                f"repro-worker daemons on {self.spool.root}"
+            )
         self.poll_interval = max(0.005, float(poll_interval))
         self.respawn_limit = int(respawn_limit)
-        self.workers: list[subprocess.Popen] = []
+        self.workers: list[multiprocessing.Process] = []
         self._new_batch()
 
     def _new_batch(self) -> None:
@@ -769,7 +800,7 @@ class FileQueueTransport(Transport):
                     requires=job_requirements(spec),
                 )
                 outstanding[task_id] = index
-            self.workers = [proc for proc in self.workers if proc.poll() is None]
+            self.workers = [proc for proc in self.workers if proc.is_alive()]
             for _ in range(self.worker_count - len(self.workers)):
                 self._spawn_worker()
             logger.info(
@@ -823,23 +854,17 @@ class FileQueueTransport(Transport):
                 self._stop_fleet()
 
     def _spawn_worker(self) -> None:
-        import repro
-
         worker_id = f"{self.batch_id}-w{len(self.workers)}-{uuid.uuid4().hex[:4]}"
-        env = dict(os.environ)
-        src_dir = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src_dir + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        args = [
-            sys.executable, "-m", "repro.cli.worker", str(self.spool.root),
-            "--worker-id", worker_id,
-            "--lease-timeout", str(self.lease_timeout),
-            "--poll-interval", str(max(0.02, min(self.poll_interval, 0.5))),
-        ]
         # The child keeps its own descriptor of the log; ours closes here.
         with (self.spool.log_dir / f"{worker_id}.out").open("ab") as log:
-            proc = subprocess.Popen(args, env=env, stdout=log, stderr=subprocess.STDOUT)
+            proc = multiprocessing.get_context("fork").Process(
+                target=_serve_forked,
+                args=(log.fileno(), self.spool.root, worker_id, self.lease_timeout,
+                      max(0.02, min(self.poll_interval, 0.5))),
+                name=worker_id,
+                daemon=True,
+            )
+            proc.start()
         self.workers.append(proc)
         self.spawned += 1
 
@@ -906,18 +931,18 @@ class FileQueueTransport(Transport):
         """Respawn spawned workers that exited while work remains (an
         external fleet has nothing spawned, so nothing to tend)."""
         for i, proc in enumerate(self.workers):
-            if proc.poll() is None:
+            if proc.is_alive():
                 continue
             self.respawned += 1
             if self.respawned > self.respawn_limit:
                 raise EngineError(
                     f"filequeue {self.batch_id}: spawned workers died "
-                    f"{self.respawned} times (exit code {proc.returncode}); "
+                    f"{self.respawned} times (exit code {proc.exitcode}); "
                     f"see {self.spool.log_dir} for worker output"
                 )
             logger.warning(
                 "filequeue %s: worker exited with code %s while %d tasks remain; respawning",
-                self.batch_id, proc.returncode, remaining,
+                self.batch_id, proc.exitcode, remaining,
             )
             del self.workers[i]
             self._spawn_worker()
@@ -932,14 +957,13 @@ class FileQueueTransport(Transport):
 
     def _stop_fleet(self) -> None:
         for proc in self.workers:
-            if proc.poll() is None:
+            if proc.is_alive():
                 proc.terminate()
         for proc in self.workers:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=5.0)
+            if proc.exitcode is None:
                 proc.kill()
-                proc.wait(timeout=5.0)
+                proc.join(timeout=5.0)
         self.workers = []
 
     def stats(self) -> dict[str, Any]:

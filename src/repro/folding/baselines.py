@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bio.amino_acids import get as get_aa
 from repro.bio.geometry import superimpose
 from repro.bio.reference import ReferenceStructureGenerator
 from repro.bio.sequence import ProteinSequence

@@ -4,6 +4,10 @@ a transport's batch stream from a thread, and watching processes through
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -65,3 +69,34 @@ def running(pid: int) -> bool:
         return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
     except FileNotFoundError:
         return False
+
+
+def orphans_of_killed_parent(script: str, *argv: str) -> list[int]:
+    """Run ``script`` in a child interpreter until it prints the pids of the
+    workers it started, SIGKILL it, and return the workers still running
+    10 s later (each SIGKILLed on the way out, so a failure leaks nothing)."""
+    import repro
+
+    env = dict(os.environ)
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src_dir + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    child = subprocess.Popen(
+        [sys.executable, "-c", script, *argv], env=env, stdout=subprocess.PIPE, text=True
+    )
+    hung = threading.Timer(120.0, child.kill)  # a child that never prints fails, not hangs
+    hung.start()
+    try:
+        workers = [int(pid) for pid in child.stdout.readline().split()]
+    finally:
+        hung.cancel()
+        child.kill()
+        child.wait(timeout=10.0)
+        child.stdout.close()
+    assert len(workers) == 2
+    deadline = time.monotonic() + 10.0
+    while any(map(running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    orphans = [pid for pid in workers if running(pid)]
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    return orphans

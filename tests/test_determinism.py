@@ -192,7 +192,7 @@ def test_dataset_build_on_one_spawned_fleet_is_bit_identical_to_serial(tmp_path,
     fleet = DatasetBuilder(config=_filequeue_config(tmp_path)).build(fragments)
     assert len(serial) == 2 and _bank_view(fleet) == _bank_view(serial)
     assert len(list((tmp_path / "spool" / "log").glob("*.out"))) == 2
-    assert len(spawned) == 2 and all(proc.poll() is not None for proc in spawned)
+    assert len(spawned) == 2 and all(proc.exitcode is not None for proc in spawned)
 
     def interrupt(event) -> None:
         raise KeyboardInterrupt  # a user stopping the build mid-phase
@@ -200,7 +200,7 @@ def test_dataset_build_on_one_spawned_fleet_is_bit_identical_to_serial(tmp_path,
     builder = DatasetBuilder(config=_filequeue_config(tmp_path / "interrupted"))
     with pytest.raises(KeyboardInterrupt):
         builder.build(fragments, progress=interrupt)
-    assert len(spawned) == 4 and all(proc.poll() is not None for proc in spawned)
+    assert len(spawned) == 4 and all(proc.exitcode is not None for proc in spawned)
 
 
 def test_filequeue_worker_kill_then_resume_is_bit_identical_to_serial(

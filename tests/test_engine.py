@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _support import running
+from _support import orphans_of_killed_parent
 from repro.config import PipelineConfig
 from repro.engine import (
     Engine,
@@ -158,39 +158,7 @@ time.sleep(600)
 def test_pool_workers_exit_when_their_parent_is_killed(method):
     """A SIGKILLed parent runs no pool shutdown; the initializer's parent
     watch must still take its workers down."""
-    import os
-    import signal
-    import subprocess
-    import sys
-    import threading
-    import time
-    from pathlib import Path
-
-    import repro
-
-    env = dict(os.environ)
-    src_dir = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src_dir + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    child = subprocess.Popen(
-        [sys.executable, "-c", _POOL_CHILD, method], env=env, stdout=subprocess.PIPE, text=True
-    )
-    hung = threading.Timer(120.0, child.kill)  # a child that never prints fails, not hangs
-    hung.start()
-    try:
-        workers = [int(pid) for pid in child.stdout.readline().split()]
-    finally:
-        hung.cancel()
-        child.kill()
-        child.wait(timeout=10.0)
-        child.stdout.close()
-    assert len(workers) == 2
-    deadline = time.monotonic() + 10.0
-    while any(map(running, workers)) and time.monotonic() < deadline:
-        time.sleep(0.1)
-    orphans = [pid for pid in workers if running(pid)]
-    for pid in orphans:
-        os.kill(pid, signal.SIGKILL)
-    assert not orphans
+    assert not orphans_of_killed_parent(_POOL_CHILD, method)
 
 
 # -- cache --------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from repro.bio.reference import ReferenceStructureGenerator, _ground_state
 from repro.bio.rmsd import ca_rmsd
-from repro.config import PipelineConfig
 from repro.folding.baselines import (
     AF2LikePredictor,
     AF3LikePredictor,

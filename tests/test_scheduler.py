@@ -221,13 +221,13 @@ def test_losing_publisher_logs_superseded_not_completed(tmp_path):
 
 class _FakeProc:
     def __init__(self):
-        self.returncode = None
+        self.exitcode = None
 
-    def poll(self):
-        return self.returncode
+    def is_alive(self):
+        return self.exitcode is None
 
-    def wait(self, timeout=None):
-        return self.returncode
+    def join(self, timeout=None):
+        pass
 
 
 def test_fleet_respawns_crashed_workers_up_to_the_cap(tmp_path):
@@ -245,11 +245,11 @@ def test_fleet_respawns_crashed_workers_up_to_the_cap(tmp_path):
     assert len(spawned) == 1 and transport.respawned == 0  # a live worker is left alone
     # A crash (nonzero exit) is replaced and burns the respawn budget ...
     for expected in (1, 2):
-        transport.workers[0].returncode = 1
+        transport.workers[0].exitcode = 1
         transport._tend_fleet(remaining=3)
         assert transport.respawned == expected and len(transport.workers) == 1
     # ... and exhausting it raises.
-    transport.workers[0].returncode = 1
+    transport.workers[0].exitcode = 1
     with pytest.raises(EngineError, match="died"):
         transport._tend_fleet(remaining=3)
     assert len(spawned) == 3
@@ -264,7 +264,7 @@ def test_a_batch_ends_when_its_fleet_cannot_be_respawned(tmp_path):
 
     def dead_spawn() -> None:
         proc = _FakeProc()
-        proc.returncode = 1
+        proc.exitcode = 1
         transport.workers.append(proc)
         transport.spawned += 1
 

@@ -610,6 +610,30 @@ def test_builder_cache_dir_reaches_the_journals_of_every_build_phase(tmp_path, c
         assert summary["cached"] == summary["total"] > 0
 
 
+def test_cli_status_peeks_a_remote_only_cache_like_resume_replays_it(tmp_path, capsys):
+    """A session whose only cache is a repro-serve tier: status counts as
+    replayable exactly the jobs resume replays from that tier."""
+    from repro.engine import BaselineFoldSpec
+    from repro.serve import ReproServer
+
+    root = str(tmp_path / "sessions")
+    with ReproServer(workers=0, cache=tmp_path / "serve-cache") as server:
+        config = PipelineConfig(session_dir=root, cache_remote=f"127.0.0.1:{server.port}")
+        jobs = [
+            BaselineFoldSpec(pdb_id="3eax", sequence="RYRDV", method=method, config=config)
+            for method in ("AF2", "AF3")
+        ]
+        with Engine(config=config) as engine:
+            engine.submit(jobs, session_id="remote").results()
+        assert session_cli_main(["status", root, "remote", "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert session_cli_main(["resume", root, "remote", "--json", "--quiet"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+    assert status["completed"] == 2
+    assert status["replayable_from_cache"] == summary["cached"] == 2
+    assert summary["executed"] == 0
+
+
 # -- the streaming BatchProcessor ----------------------------------------------------
 
 

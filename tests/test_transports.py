@@ -19,7 +19,7 @@ from typing import Any, ClassVar
 
 import pytest
 
-from _support import drive, stop_and_join, wait_until
+from _support import drive, orphans_of_killed_parent, stop_and_join, wait_until
 from repro.cli.worker import main as worker_cli_main
 from repro.config import PipelineConfig
 from repro.engine import (
@@ -764,10 +764,6 @@ def test_abandoned_batch_withdraws_its_tasks_and_stops_the_fleet(
 ):
     """A batch left unfinished stops the fleet that may still run its
     withdrawn job; the engine's next batch runs on a freshly spawned worker."""
-    # A spawned worker unpickling an EchoSpec imports this module, which
-    # registers the echo executor in the worker too.
-    path = [str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")]
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, path)))
     config = BASE_CONFIG.with_updates(
         transport="filequeue", spool_dir=str(tmp_path / "spool"),
         transport_workers=1, transport_lease_timeout=10.0, transport_poll_interval=0.02,
@@ -794,7 +790,7 @@ def test_abandoned_batch_withdraws_its_tasks_and_stops_the_fleet(
                 time.sleep(0.01)
             assert spool.claim_ids(), "the slow job never started"
             session.close()
-        assert len(spawned) == 1 and spawned[0].poll() is not None
+        assert len(spawned) == 1 and not spawned[0].is_alive()
         assert spool.task_ids() == [] and spool.claim_ids() == []
 
         second = engine.submit([_baseline_spec(method="AF3")])
@@ -802,8 +798,8 @@ def test_abandoned_batch_withdraws_its_tasks_and_stops_the_fleet(
         assert _canonical(outcome) == _canonical(execute_baseline_job(_baseline_spec(method="AF3")))
         assert second.transport is session.transport
         assert second.summary()["transport"]["spawned"] == 1
-        assert len(spawned) == 2 and spawned[1].poll() is None
-    assert spawned[1].poll() is not None
+        assert len(spawned) == 2 and spawned[1].is_alive()
+    assert spawned[1].exitcode is not None
     slow = EchoSpec("slow").content_hash()[:16]
     assert not list(spool.results_dir.glob(f"*-{slow}.json"))  # withdrawn, never finished
 
@@ -818,11 +814,29 @@ def test_drained_batches_share_one_fleet_and_a_dropped_engine_reaps_it(tmp_path)
     fleet = list(engine.transport_for().workers)
     engine.run([_baseline_spec(method="AF3")])
     assert engine.transport_for().workers == fleet  # kept across drained batches
-    assert len(fleet) == 2 and all(proc.poll() is None for proc in fleet)
+    assert len(fleet) == 2 and all(proc.is_alive() for proc in fleet)
     assert len(list((tmp_path / "spool" / "log").glob("*.out"))) == 2
     del engine
     gc.collect()
-    assert all(proc.poll() is not None for proc in fleet)
+    assert all(proc.exitcode is not None for proc in fleet)
+
+
+_FLEET_CHILD = """
+import sys, time
+from repro.engine import FileQueueTransport
+
+transport = FileQueueTransport(sys.argv[1], workers=2)
+for _ in range(2):
+    transport._spawn_worker()
+print(*[proc.pid for proc in transport.workers], flush=True)
+time.sleep(600)
+"""
+
+
+def test_fleet_members_exit_when_their_submitter_is_killed(tmp_path):
+    """A SIGKILLed submitter never stops its fleet; each member's parent
+    watch must take it down, or it would poll the spool forever."""
+    assert not orphans_of_killed_parent(_FLEET_CHILD, str(tmp_path / "spool"))
 
 
 def test_a_closed_engine_opens_a_new_transport():
@@ -866,7 +880,7 @@ def test_a_refused_overlapping_batch_leaves_the_running_one_alone(tmp_path, tran
         ]
         if transport == "filequeue":
             workers = engine.transport_for().workers
-            assert len(workers) == 1 and workers[0].poll() is None  # fleet kept
+            assert len(workers) == 1 and workers[0].is_alive()  # fleet kept
         (outcome,) = engine.submit([other]).results()
         assert _canonical(outcome) == _canonical(execute_baseline_job(other))
 
