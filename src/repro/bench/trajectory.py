@@ -106,27 +106,31 @@ def build_report(
     }
 
 
+def _numbered_reports(root: str | Path) -> list[tuple[int, Path]]:
+    """Every ``BENCH_<n>.json`` under ``root`` with its number, highest first."""
+    matches = ((_BENCH_FILE_RE.match(path.name), path) for path in Path(root).glob("BENCH_*.json"))
+    return sorted(((int(m.group(1)), path) for m, path in matches if m), reverse=True)
+
+
 def find_previous_report(root: str | Path, before_id: int | None = None) -> Path | None:
-    """The highest-numbered ``BENCH_<n>.json`` under ``root`` (below ``before_id``)."""
-    best: tuple[int, Path] | None = None
-    for path in Path(root).glob("BENCH_*.json"):
-        match = _BENCH_FILE_RE.match(path.name)
-        if not match:
-            continue
-        n = int(match.group(1))
+    """The highest-numbered ``bench/v1`` report under ``root`` (below ``before_id``);
+    other schemas are skipped, as a gate against one compares almost no keys."""
+    for n, path in _numbered_reports(root):
         if before_id is not None and n >= before_id:
             continue
-        if best is None or n > best[0]:
-            best = (n, path)
-    return best[1] if best else None
+        try:
+            report = load_report(path)
+        except (OSError, ValueError):
+            continue
+        if isinstance(report, dict) and report.get("schema") == BENCH_SCHEMA_VERSION:
+            return path
+    return None
 
 
 def next_bench_id(root: str | Path) -> int:
-    """One past the highest committed trajectory number (1 when none exist)."""
-    previous = find_previous_report(root)
-    if previous is None:
-        return 1
-    return int(_BENCH_FILE_RE.match(previous.name).group(1)) + 1
+    """One past the highest trajectory number of any schema (1 when none exist)."""
+    numbered = _numbered_reports(root)
+    return numbered[0][0] + 1 if numbered else 1
 
 
 def same_machine(a: dict, b: dict) -> bool:

@@ -10,6 +10,11 @@ substrate:
 * a single pseudo side-chain atom (CB) per non-glycine residue, scaled by
   side-chain volume, which is what the coarse-grained docking scorer needs;
 * simple per-atom partial charges in the spirit of Gasteiger charges.
+
+Every residue is templated in whole-array steps, bit-identical to one residue
+at a time: each row norm and dot product is a stacked ``(1, 3) @ (3, 1)``
+matmul, which rounds like the BLAS ``ddot`` behind ``np.linalg.norm`` and
+``np.dot`` of one 3-vector (``einsum`` and ``norm(axis=1)`` do not).
 """
 
 from __future__ import annotations
@@ -25,28 +30,31 @@ BOND_N_CA = 1.458
 BOND_CA_C = 1.525
 BOND_C_O = 1.231
 BOND_CA_CB = 1.530
-BOND_C_N = 1.329  # peptide bond
 
 #: Partial charges assigned to backbone atoms (united-atom convention: the
 #: amide nitrogen carries its hydrogen, so the NH group is net positive).
 BACKBONE_CHARGES: dict[str, float] = {"N": 0.25, "CA": 0.10, "C": 0.45, "O": -0.45, "CB": 0.0}
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n < 1e-12:
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[i], b[i])`` for every row of two ``(n, 3)`` arrays, bit for bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _units(v: np.ndarray) -> np.ndarray:
+    """Every row of ``v`` scaled to unit length."""
+    n = np.sqrt(_row_dots(v, v))
+    if (n < 1e-12).any():
         raise StructureError("degenerate direction vector in backbone templating")
-    return v / n
+    return v / n[:, None]
 
 
-def _perpendicular(v: np.ndarray) -> np.ndarray:
-    """A unit vector perpendicular to ``v`` (deterministic choice)."""
-    v = _unit(v)
-    trial = np.array([1.0, 0.0, 0.0])
-    if abs(np.dot(trial, v)) > 0.9:
-        trial = np.array([0.0, 1.0, 0.0])
-    perp = trial - np.dot(trial, v) * v
-    return _unit(perp)
+def _perpendiculars(v: np.ndarray) -> np.ndarray:
+    """A unit vector perpendicular to each row of ``v`` (deterministic choice)."""
+    v = _units(v)
+    trial = np.tile((1.0, 0.0, 0.0), (len(v), 1))
+    trial[np.abs(_row_dots(trial, v)) > 0.9] = (0.0, 1.0, 0.0)
+    return _units(trial - _row_dots(trial, v)[:, None] * v)
 
 
 def sidechain_charge(code: str) -> float:
@@ -72,7 +80,8 @@ def build_backbone_from_ca(
     pseudo-atom along the local normal (except glycine).  Terminal residues
     reuse the direction of their single neighbour.  The construction is purely
     geometric and deterministic, which is all the rigid-body docking and RMSD
-    evaluation downstream require.
+    evaluation downstream require.  Coincident consecutive Cα atoms raise
+    :class:`StructureError`.
     """
     ca = np.asarray(ca_coords, dtype=float)
     L = len(sequence)
@@ -81,37 +90,40 @@ def build_backbone_from_ca(
     if L < 2:
         raise StructureError("cannot build a backbone for fewer than 2 residues")
 
+    bonds = _units(ca[1:] - ca[:-1])
+    prev_dir = np.concatenate([bonds[:1], bonds])
+    next_dir = np.concatenate([bonds, bonds[-1:]])
+
+    n_pos = ca - BOND_N_CA * prev_dir
+    c_pos = ca + BOND_CA_C * next_dir
+
+    # Carbonyl oxygen: off the CA->C axis, in the plane defined by the
+    # backbone direction and a deterministic perpendicular.
+    perp = _perpendiculars(next_dir)
+    o_dir = perp.copy()
+    o_dir[:-1] = _units(0.55 * perp[:-1] - 0.83 * next_dir[:-1])
+    o_pos = c_pos + BOND_C_O * _units(o_dir + 1e-6)
+
+    # Pseudo side chain along the local normal, scaled by volume (never for G).
+    side = [i for i, code in enumerate(sequence) if code.upper() != "G"]
+    normal = np.cross(prev_dir[side], next_dir[side])
+    flat = np.sqrt(_row_dots(normal, normal)) < 1e-6
+    normal[flat] = perp[side][flat]
+    cb_dir = _units(_units(normal) - 0.5 * (prev_dir[side] + next_dir[side]))
+    scale = [BOND_CA_CB * (get_aa(sequence[i]).volume / 140.0) ** (1.0 / 3.0) for i in side]
+    cb_pos = np.zeros((L, 3))
+    cb_pos[side] = ca[side] + np.array(scale).reshape(-1, 1) * cb_dir
+
     chain = Chain("A")
     for i, code in enumerate(sequence):
-        prev_dir = _unit(ca[i] - ca[i - 1]) if i > 0 else _unit(ca[i + 1] - ca[i])
-        next_dir = _unit(ca[i + 1] - ca[i]) if i < L - 1 else _unit(ca[i] - ca[i - 1])
-
-        n_pos = ca[i] - BOND_N_CA * prev_dir
-        c_pos = ca[i] + BOND_CA_C * next_dir
-
-        # Carbonyl oxygen: off the CA->C axis, in the plane defined by the
-        # backbone direction and a deterministic perpendicular.
-        perp = _perpendicular(next_dir)
-        o_dir = _unit(0.55 * perp - 0.83 * next_dir) if i < L - 1 else perp
-        o_pos = c_pos + BOND_C_O * _unit(o_dir + 1e-6)
-
         atoms = [
-            Atom("N", "N", n_pos, BACKBONE_CHARGES["N"]),
+            Atom("N", "N", n_pos[i], BACKBONE_CHARGES["N"]),
             Atom("CA", "C", ca[i], BACKBONE_CHARGES["CA"]),
-            Atom("C", "C", c_pos, BACKBONE_CHARGES["C"]),
-            Atom("O", "O", o_pos, BACKBONE_CHARGES["O"]),
+            Atom("C", "C", c_pos[i], BACKBONE_CHARGES["C"]),
+            Atom("O", "O", o_pos[i], BACKBONE_CHARGES["O"]),
         ]
-
         if code.upper() != "G":
-            # Pseudo side chain along the local normal, scaled by volume.
-            normal = np.cross(prev_dir, next_dir)
-            if np.linalg.norm(normal) < 1e-6:
-                normal = _perpendicular(next_dir)
-            cb_dir = _unit(_unit(normal) - 0.5 * (prev_dir + next_dir))
-            scale = BOND_CA_CB * (get_aa(code).volume / 140.0) ** (1.0 / 3.0)
-            cb_pos = ca[i] + scale * cb_dir
-            atoms.append(Atom("CB", "C", cb_pos, sidechain_charge(code)))
-
+            atoms.append(Atom("CB", "C", cb_pos[i], sidechain_charge(code)))
         chain.residues.append(Residue(code, start_seq_id + i, atoms))
 
     return Structure(structure_id, [chain])

@@ -16,6 +16,7 @@ optionally, gates it against a previous report::
     repro-bench --validate BENCH_6.json
     repro-bench --validate BENCH_6.json --against BENCH_5.json --max-regression 2.0
 
+The baseline is schema-checked too, and an invalid one fails the gate.
 The regression gate compares machine-dependent medians only when both reports
 carry the same machine fingerprint and the same smoke flag (smoke mode shrinks
 the workloads); the derived speedup ratios (batched vs scalar docking, compiled
@@ -48,26 +49,24 @@ from repro.exceptions import ReproError
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    """Schema-validate a report; optionally gate it against a previous one."""
-    try:
-        report = load_report(args.validate)
-    except (OSError, ValueError) as exc:
-        print(f"repro-bench: cannot read {args.validate!r}: {exc}", file=sys.stderr)
-        return 1
-    errors = validate_report(report)
-    for error in errors:
-        print(f"invalid: {error}")
-    if errors:
-        return 1
-    print(f"{args.validate}: valid ({len(report.get('benchmarks', {}))} metrics)")
+    """Schema-validate a report and its baseline; optionally gate one against the other."""
+    reports = []
+    for path in [args.validate] if args.against is None else [args.validate, args.against]:
+        try:
+            report = load_report(path)
+        except (OSError, ValueError) as exc:
+            print(f"repro-bench: cannot read {path!r}: {exc}", file=sys.stderr)
+            return 1
+        errors = validate_report(report)
+        for error in errors:
+            print(f"invalid: {path}: {error}")
+        if errors:
+            return 1
+        reports.append(report)
+    print(f"{args.validate}: valid ({len(reports[0].get('benchmarks', {}))} metrics)")
     if args.against is None:
         return 0
-    try:
-        previous = load_report(args.against)
-    except (OSError, ValueError) as exc:
-        print(f"repro-bench: cannot read {args.against!r}: {exc}", file=sys.stderr)
-        return 1
-    failures = regressions(report, previous, max_ratio=args.max_regression)
+    failures = regressions(*reports, max_ratio=args.max_regression)
     for failure in failures:
         print(f"regression: {failure}")
     if failures:

@@ -120,13 +120,18 @@ class SyntheticLigandGenerator:
     first atom is placed at the detected pocket centre, and every further atom
     is added one covalent-bond length away from an existing ligand atom at the
     candidate position that maximises favourable receptor contacts (atoms in
-    the 3.4–4.6 Å shell) while avoiding steric clashes with both the receptor
+    the 3.8–5.2 Å shell) while avoiding steric clashes with both the receptor
     and the growing ligand.  Atom polarity is chosen to complement the nearest
     receptor atom (donor across from acceptor and vice versa, carbon next to
     hydrophobic side chains).  The result is a rigid molecule that fits the
     *reference* geometry snugly — so receptors that deviate from the reference
     dock it less favourably, which is the mechanism behind the paper's
     affinity comparison.
+
+    The receptor terms of an atom's 48 growth candidates (clash flag, shell
+    and polar contacts) are computed once, when the atom is placed; a growth
+    step scores the six newest atoms' candidates in one array and tests only
+    their clashes with the ligand, bit-identical to one parent at a time.
     """
 
     def __init__(self, master_seed: int = 23, min_atoms: int = 8, max_atoms: int = 18):
@@ -143,6 +148,21 @@ class SyntheticLigandGenerator:
     SHELL_MIN = 3.8
     SHELL_MAX = 5.2
 
+    def _growth_candidates(
+        self, parent: np.ndarray, directions: np.ndarray, receptor: np.ndarray, polar: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A placed atom's growth candidates with their receptor terms (clash
+        flags, contact scores), which never change once the atom is placed."""
+        candidates = parent + self.BOND_LENGTH * directions
+        dist_receptor = np.linalg.norm(candidates[:, None, :] - receptor[None, :, :], axis=2)
+        clash = (dist_receptor < self.CLASH_RECEPTOR).any(axis=1)
+        in_shell = (dist_receptor >= self.SHELL_MIN) & (dist_receptor <= self.SHELL_MAX)
+        # Hydrogen-bond opportunities (polar receptor atoms at contact
+        # distance) are worth several generic contacts: they are what makes
+        # the designed complex a deep, geometry-specific minimum.
+        polar_contacts = (in_shell & polar[None, :]).sum(axis=1)
+        return candidates, clash, in_shell.sum(axis=1) + 4.0 * polar_contacts
+
     def generate(self, reference: ReferenceRecord) -> Ligand:
         """Build the native-like ligand for a reference fragment."""
         from repro.docking.pocket import find_pocket  # local import to avoid a cycle at module load
@@ -155,83 +175,45 @@ class SyntheticLigandGenerator:
         pocket = find_pocket(reference.structure)
         n_atoms = int(np.clip(self.min_atoms + len(reference.sequence) // 2, self.min_atoms, self.max_atoms))
 
-        positions: list[np.ndarray] = [pocket.center.copy()]
         # Pre-sample candidate growth directions once (deterministic).
         directions = rng.normal(size=(48, 3))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
 
+        positions = [pocket.center.copy()]
+        grown = [self._growth_candidates(positions[0], directions, receptor_coords, receptor_polar)]
         for _ in range(n_atoms - 1):
-            best_pos = None
-            best_score = -np.inf
-            grown = np.array(positions)
             # Growing from every existing atom keeps the molecule centred on
             # the pocket seed, so its centroid stays close to the detected
             # pocket centre — the convention the docking search also uses for
-            # its initial poses.
-            for parent in positions[::-1][:6]:
-                candidates = parent + self.BOND_LENGTH * directions
-                dist_receptor = np.linalg.norm(
-                    candidates[:, None, :] - receptor_coords[None, :, :], axis=2
-                )
-                dist_self = np.linalg.norm(
-                    candidates[:, None, :] - grown[None, :, :], axis=2
-                )
-                clash = (dist_receptor < self.CLASH_RECEPTOR).any(axis=1) | (
-                    dist_self < self.CLASH_SELF
-                ).any(axis=1)
-                in_shell = (dist_receptor >= self.SHELL_MIN) & (dist_receptor <= self.SHELL_MAX)
-                contacts = in_shell.sum(axis=1)
-                # Hydrogen-bond opportunities (polar receptor atoms at contact
-                # distance) are worth several generic contacts: they are what
-                # makes the designed complex a deep, geometry-specific minimum.
-                polar_contacts = (in_shell & receptor_polar[None, :]).sum(axis=1)
-                score = np.where(
-                    clash, -np.inf, contacts + 4.0 * polar_contacts + 0.01 * rng.random(len(candidates))
-                )
-                idx = int(np.argmax(score))
-                if score[idx] > best_score:
-                    best_score = float(score[idx])
-                    best_pos = candidates[idx]
-            if best_pos is None or not np.isfinite(best_score):
+            # its initial poses.  The six newest parents are scored at once,
+            # newest first, so ``argmax`` picks the first best candidate.
+            candidates, clash, contacts = (np.concatenate(terms) for terms in zip(*grown[::-1][:6]))
+            dist_self = np.linalg.norm(
+                candidates[:, None, :] - np.array(positions)[None, :, :], axis=2
+            )
+            clash = clash | (dist_self < self.CLASH_SELF).any(axis=1)
+            score = np.where(clash, -np.inf, contacts + 0.01 * rng.random(len(candidates)))
+            idx = int(np.argmax(score))
+            if not np.isfinite(score[idx]):
                 break
-            positions.append(best_pos)
+            positions.append(candidates[idx])
+            grown.append(self._growth_candidates(candidates[idx], directions, receptor_coords, receptor_polar))
 
         coords = np.array(positions)
         # Type every ligand atom to complement the receptor atoms it touches:
         # a donor across from an acceptor (and vice versa), carbon elsewhere.
-        elements: list[str] = []
-        hydrophobic, donor, acceptor, charges = [], [], [], []
-        dist_all = np.linalg.norm(coords[:, None, :] - receptor_coords[None, :, :], axis=2)
-        for k in range(coords.shape[0]):
-            near = dist_all[k] <= 4.5
-            near_elements = set(receptor_elements[near])
-            if "O" in near_elements:
-                elements.append("N")
-                donor.append(True)
-                acceptor.append(False)
-                hydrophobic.append(False)
-                charges.append(0.3)
-            elif "N" in near_elements:
-                elements.append("O")
-                donor.append(False)
-                acceptor.append(True)
-                hydrophobic.append(False)
-                charges.append(-0.3)
-            else:
-                elements.append("C")
-                donor.append(False)
-                acceptor.append(False)
-                hydrophobic.append(True)
-                charges.append(0.0)
+        near = np.linalg.norm(coords[:, None, :] - receptor_coords[None, :, :], axis=2) <= 4.5
+        donor = (near & (receptor_elements == "O")).any(axis=1)
+        acceptor = (near & (receptor_elements == "N")).any(axis=1) & ~donor
 
         return Ligand(
             name=f"{reference.pdb_id}_ligand",
             coords=coords,
-            elements=elements,
-            hydrophobic=np.array(hydrophobic),
-            donor=np.array(donor),
-            acceptor=np.array(acceptor),
-            charges=np.array(charges),
+            elements=np.where(donor, "N", np.where(acceptor, "O", "C")).tolist(),
+            hydrophobic=~(donor | acceptor),
+            donor=donor,
+            acceptor=acceptor,
+            charges=np.where(donor, 0.3, np.where(acceptor, -0.3, 0.0)),
             num_rotatable_bonds=int(rng.integers(2, 7)),
             anchor=pocket.center.copy(),
         )

@@ -14,7 +14,10 @@ layout stage pick a longer defect-free chain.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Number of physical qubits on the Eagle r3 processor.
 EAGLE_QUBITS: int = 127
@@ -46,6 +49,8 @@ def heavy_hex_coupling_map() -> nx.Graph:
     and ``column`` record the lattice position (connector qubits get a
     half-integer row).  Edges are undirected two-qubit couplings.
     """
+    import networkx as nx  # here, not at module level: a dataset build never needs it
+
     graph = nx.Graph()
     index = 0
     row_nodes: list[dict[int, int]] = []

@@ -19,11 +19,13 @@ pulses on the critical path).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.exceptions import TranspilerError
 from repro.hardware.coupling import heavy_hex_coupling_map, longest_chain
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)

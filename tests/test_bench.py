@@ -95,12 +95,28 @@ def test_validate_report_failure_modes(scoring_results):
 def test_trajectory_numbering(tmp_path):
     assert find_previous_report(tmp_path) is None
     assert next_bench_id(tmp_path) == 1
-    (tmp_path / "BENCH_2.json").write_text("{}")
-    (tmp_path / "BENCH_5.json").write_text("{}")
-    (tmp_path / "BENCH_x.json").write_text("{}")  # ignored: not a trajectory file
+    stub = json.dumps({"schema": BENCH_SCHEMA_VERSION})
+    (tmp_path / "BENCH_2.json").write_text(stub)
+    (tmp_path / "BENCH_5.json").write_text(stub)
+    (tmp_path / "BENCH_x.json").write_text(stub)  # ignored: not a trajectory file
     assert find_previous_report(tmp_path).name == "BENCH_5.json"
     assert find_previous_report(tmp_path, before_id=5).name == "BENCH_2.json"
     assert next_bench_id(tmp_path) == 6
+
+
+def test_foreign_schema_reports_are_never_a_baseline(tmp_path, scoring_results):
+    """A perfbench-shaped record numbered above the last ``bench/v1`` report
+    is neither picked as the previous report nor accepted by ``--against``."""
+    results, derived = scoring_results
+    write_report(tmp_path / "BENCH_9.json", _report_from(results, derived, bench_id=9))
+    foreign = {"schema": "perfbench/v1", "runs": [{"workload": "slice-warm", "build_s": [0.15]}]}
+    write_report(tmp_path / "BENCH_10.json", foreign)
+    (tmp_path / "BENCH_11.json").write_text("not json")
+    assert find_previous_report(tmp_path).name == "BENCH_9.json"
+    assert next_bench_id(tmp_path) == 12
+    current = write_report(tmp_path / "smoke.json", _report_from(results, derived, bench_id=12))
+    assert main(["--validate", str(current), "--against", str(tmp_path / "BENCH_9.json")]) == 0
+    assert main(["--validate", str(current), "--against", str(tmp_path / "BENCH_10.json")]) == 1
 
 
 # -- comparison and gating --------------------------------------------------------
