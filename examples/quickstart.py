@@ -4,8 +4,8 @@ Run with:  python examples/quickstart.py
 
 All fold work — this single fragment as much as the 55-fragment dataset build —
 is routed through the job engine (``repro.engine``), which resolves the
-execution backend by name from ``PipelineConfig.backend`` (``"statevector"``,
-``"mps"``, ``"auto"`` or ``"eagle"``), fans batches out over worker processes,
+simulator backend by name from ``PipelineConfig.backend`` (``"statevector"``,
+``"mps"`` or ``"auto"``), fans batches out over worker processes,
 and reuses previously folded fragments from a persistent on-disk cache::
 
     from repro.engine import Engine

@@ -5,9 +5,9 @@ structures were predicted with VQE on utility-level IBM quantum processors and
 evaluated with AutoDock Vina docking against AlphaFold2/3 baselines.  This
 package reimplements the full pipeline and all of its substrates in pure
 Python (NumPy/SciPy/NetworkX): the coarse-grained lattice folding model, the
-quantum circuit simulators and the Eagle hardware emulator, the VQE driver,
-the docking engine, the baseline predictors, the dataset builder and the
-analysis/benchmark harness.
+quantum circuit simulators, the Eagle processor's topology, runtime and cost
+models, the VQE driver, the docking engine, the baseline predictors, the
+dataset builder and the analysis/benchmark harness.
 
 Quickstart
 ----------

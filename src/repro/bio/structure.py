@@ -30,7 +30,7 @@ class Atom:
 
     def __post_init__(self) -> None:
         self.coords = np.asarray(self.coords, dtype=float).reshape(3)
-        if not np.all(np.isfinite(self.coords)):
+        if not np.isfinite(self.coords).all():
             raise StructureError(f"atom {self.name!r} has non-finite coordinates")
 
     def distance_to(self, other: "Atom") -> float:

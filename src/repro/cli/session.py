@@ -145,8 +145,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        # Load the spec pickle once; submit() gets the loaded specs (and does
-        # the single full journal parse) instead of unpickling them again.
+        # The specs supply the engine's configuration.  submit() loads them
+        # again itself: handed this list, it would check their hashes against
+        # the journal's and refuse a journal written before a hash-input
+        # change, whose jobs should re-execute under their new hashes.
         specs = SessionJournal(root, args.session_id).load_specs()
     except EngineError as exc:
         print(f"repro-session: {exc}", file=sys.stderr)
@@ -160,7 +162,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     with Engine(config=config, processes=args.processes) as engine:
         try:
             session = engine.submit(
-                specs,
+                None,
                 session_id=args.session_id,
                 on_error=args.on_error,
                 progress=None if args.quiet else _print_progress,

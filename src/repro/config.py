@@ -33,25 +33,21 @@ class PipelineConfig:
     ansatz_reps:
         Number of EfficientSU2 repetition blocks.
     max_statevector_qubits:
-        Above this size the MPS / emulator backends are used instead of the
-        exact statevector simulator.
+        Above this size the ``auto`` backend samples with the MPS simulator
+        instead of the exact statevector simulator.
     mps_bond_dimension:
         Bond-dimension cap of the MPS backend.
-    ancilla_margin:
-        Extra qubits allocated per job to reduce routing depth (Sec. 5.3).
     docking_seeds:
         Independent docking runs per structure (paper: 20).
     docking_poses:
         Poses returned per run (paper: top 10).
     docking_mc_steps:
         Monte-Carlo steps per docking run.
-    noise_enabled:
-        Whether the hardware emulator injects readout / depolarising noise.
     seed:
         Master seed; every task derives its own deterministic child seed.
     backend:
-        Name of the execution backend: ``"statevector"``, ``"mps"``,
-        ``"auto"`` or ``"eagle"`` (see :func:`repro.engine.registry.make_backend`).
+        Name of the simulator backend: ``"statevector"``, ``"mps"`` or
+        ``"auto"`` (see :func:`repro.engine.registry.make_backend`).
     cache_dir:
         Directory of the engine's persistent result cache; ``None`` disables
         caching.
@@ -104,11 +100,9 @@ class PipelineConfig:
     ansatz_reps: int = 1
     max_statevector_qubits: int = 16
     mps_bond_dimension: int = 8
-    ancilla_margin: int = 5
     docking_seeds: int = 20
     docking_poses: int = 10
     docking_mc_steps: int = 120
-    noise_enabled: bool = True
     seed: int = 2025
     backend: str = "auto"
     cache_dir: str | None = None
@@ -134,7 +128,6 @@ class PipelineConfig:
             optimisation_shots=4096,
             final_shots=100_000,
             ansatz_reps=1,
-            ancilla_margin=8,
             docking_seeds=20,
             docking_poses=10,
             docking_mc_steps=2000,
@@ -148,7 +141,6 @@ class PipelineConfig:
             optimisation_shots=192,
             final_shots=1024,
             ansatz_reps=1,
-            ancilla_margin=5,
             docking_seeds=4,
             docking_poses=5,
             docking_mc_steps=120,

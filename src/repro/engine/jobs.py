@@ -59,8 +59,6 @@ _FOLD_CONFIG_FIELDS: tuple[str, ...] = (
     "ansatz_reps",
     "max_statevector_qubits",
     "mps_bond_dimension",
-    "ancilla_margin",
-    "noise_enabled",
     "seed",
     "cvar_alpha",
     "max_final_shots",

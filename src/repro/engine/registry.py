@@ -1,12 +1,9 @@
 """Backends by name, executors by job kind.
 
-Call sites used to hand-wire simulator objects (``AutoBackend(...)``,
-``EagleEmulatorBackend(...)``) wherever a circuit needed sampling.
-``make_backend(name, config)`` replaces that with one fixed table, so the
-backend is a *configuration choice* (``PipelineConfig.backend``) rather than
-code: the same pipeline runs on the exact statevector simulator, the MPS
-engine, the width-dispatching auto backend or the noisy Eagle emulator by
-changing one string.
+``make_backend(name, config)`` builds every simulator backend from one fixed
+table, so the backend is a *configuration choice* (``PipelineConfig.backend``)
+rather than code: the same pipeline runs on the exact statevector simulator,
+the MPS engine or the width-dispatching auto backend by changing one string.
 
 The *executor registry* maps every job kind (``fold``, ``baseline_fold``,
 ``dock`` — see :mod:`repro.engine.jobs`) to the module-level function that
@@ -153,23 +150,10 @@ def _build_auto(config: PipelineConfig) -> Backend:
     )
 
 
-def _build_eagle(config: PipelineConfig) -> Backend:
-    # Imported lazily: the hardware layer pulls in the full topology /
-    # transpiler stack, which most simulator-only runs never need.
-    from repro.hardware.eagle import EagleEmulatorBackend
-
-    return EagleEmulatorBackend(
-        ancilla_margin=config.ancilla_margin,
-        max_bond_dimension=config.mps_bond_dimension,
-        noise_enabled=config.noise_enabled,
-    )
-
-
 _BACKENDS: dict[str, Callable[[PipelineConfig], Backend]] = {
     "statevector": _build_statevector,
     "mps": _build_mps,
     "auto": _build_auto,
-    "eagle": _build_eagle,
 }
 
 

@@ -1,12 +1,12 @@
 """Fragment structure predictors built on the lattice + VQE stack.
 
 :func:`fold_fragment` is the single implementation of the paper's pipeline:
-encode the fragment, run the two-stage VQE on a quantum backend (simulator or
-Eagle emulator), decode the best conformation and reconstruct a docking-ready
-structure.  The job engine's ``fold`` executor calls it;
-:class:`QuantumFoldingPredictor` wraps the engine in a predictor API, so every
-quantum prediction runs through one engine, with the backend named by
-``config.backend`` and the engine's persistent result cache.
+encode the fragment, run the two-stage VQE on a simulator backend
+(statevector, MPS or width-dispatching auto), decode the best conformation
+and reconstruct a docking-ready structure.  The job engine's ``fold``
+executor calls it; :class:`QuantumFoldingPredictor` wraps the engine in a
+predictor API, so every quantum prediction runs through one engine, with the
+backend named by ``config.backend`` and the engine's persistent result cache.
 :class:`ClassicalFoldingPredictor` replaces the VQE with the exact /
 simulated-annealing classical solver and is used by the ablation benchmarks.
 """

@@ -7,9 +7,9 @@ edges carry an extra qubit, giving a maximum connectivity degree of 3.  The
 (0, 4, 8, 12) and (2, 6, 10, 14) from one gap to the next.
 
 :func:`heavy_hex_coupling_map` builds that graph with :mod:`networkx`; the
-transpiler uses it for qubit layout and SWAP routing, and the margin strategy
-(Sec. 5.3) exploits its structure: adding a few spare qubits to a job lets the
-layout stage pick a longer defect-free chain.
+router (:mod:`repro.hardware.routing`) lays registers out on it, and the
+margin strategy (Sec. 5.3) exploits its structure: adding a few spare qubits
+to a job lets the layout stage pick a longer defect-free chain.
 """
 
 from __future__ import annotations

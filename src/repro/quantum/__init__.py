@@ -5,7 +5,6 @@ from repro.quantum.circuit import Parameter, Instruction, QuantumCircuit
 from repro.quantum.ansatz import EfficientSU2
 from repro.quantum.statevector import StatevectorSimulator
 from repro.quantum.mps import MPSSimulator
-from repro.quantum.noise import NoiseModel
 from repro.quantum.backend import (
     Backend,
     StatevectorBackend,
@@ -26,7 +25,6 @@ __all__ = [
     "EfficientSU2",
     "StatevectorSimulator",
     "MPSSimulator",
-    "NoiseModel",
     "Backend",
     "StatevectorBackend",
     "MPSBackend",

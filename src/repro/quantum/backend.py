@@ -1,18 +1,16 @@
 """Execution backends: a common interface over the simulators.
 
-A backend takes a *bound* circuit and a shot count and returns a counts
-dictionary (bitstring → frequency), mirroring the sampler primitive the paper
-uses on IBM hardware.  Three backends are provided:
+A backend takes a *bound* circuit and a shot count and returns a
+``(shots, num_qubits)`` array of measured bits, mirroring the sampler
+primitive the paper uses on IBM hardware; :func:`counts_from_samples` turns
+it into a counts dictionary (bitstring → frequency).  Three backends are
+provided:
 
 * :class:`StatevectorBackend` — exact, for narrow circuits (tests, oracles);
 * :class:`MPSBackend` — bounded-bond-dimension MPS, exact for the linear
   EfficientSU2 circuits used by the pipeline and scalable to 100+ qubits;
 * :class:`AutoBackend` — picks the statevector simulator when the circuit is
   small enough and falls back to MPS otherwise.
-
-The noisy hardware emulator (:class:`repro.hardware.eagle.EagleEmulatorBackend`)
-samples through an :class:`MPSBackend` and adds transpilation metadata, noise
-and timing.
 """
 
 from __future__ import annotations
@@ -89,10 +87,6 @@ class Backend(ABC):
     @abstractmethod
     def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
         """Return a (shots, num_qubits) array of measurement outcomes."""
-
-    def run(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> dict[str, int]:
-        """Execute and return a counts dictionary."""
-        return counts_from_samples(self.sample_array(circuit, shots, rng))
 
     def sample_parameterised(
         self, circuit: QuantumCircuit, values, shots: int, rng: np.random.Generator

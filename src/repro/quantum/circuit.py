@@ -3,9 +3,7 @@
 A deliberately small circuit IR: a circuit is a list of
 :class:`Instruction` objects (gate name, qubit tuple, parameters).  Parameters
 may be free (:class:`Parameter`) or bound floats; :meth:`QuantumCircuit.bind`
-produces a fully bound copy for the simulators.  Depth and gate counting are
-implemented the way Qiskit defines them (greedy per-qubit layering), which is
-what the paper's "circuit depth after parameterisation" column reports.
+produces a fully bound copy for the simulators.
 """
 
 from __future__ import annotations
@@ -88,22 +86,6 @@ class QuantumCircuit:
         self.instructions.append(Instruction(name, qubits, tuple(params)))
         return self
 
-    def x(self, q: int) -> "QuantumCircuit":
-        """Pauli-X gate."""
-        return self.append("x", (q,))
-
-    def sx(self, q: int) -> "QuantumCircuit":
-        """Sqrt-X gate."""
-        return self.append("sx", (q,))
-
-    def h(self, q: int) -> "QuantumCircuit":
-        """Hadamard gate."""
-        return self.append("h", (q,))
-
-    def rx(self, theta: object, q: int) -> "QuantumCircuit":
-        """X-rotation gate."""
-        return self.append("rx", (q,), (theta,))
-
     def ry(self, theta: object, q: int) -> "QuantumCircuit":
         """Y-rotation gate."""
         return self.append("ry", (q,), (theta,))
@@ -115,23 +97,6 @@ class QuantumCircuit:
     def cx(self, control: int, target: int) -> "QuantumCircuit":
         """CNOT gate."""
         return self.append("cx", (control, target))
-
-    def cz(self, a: int, b: int) -> "QuantumCircuit":
-        """CZ gate."""
-        return self.append("cz", (a, b))
-
-    def swap(self, a: int, b: int) -> "QuantumCircuit":
-        """SWAP gate."""
-        return self.append("swap", (a, b))
-
-    def ecr(self, a: int, b: int) -> "QuantumCircuit":
-        """Echoed cross-resonance gate (IBM native)."""
-        return self.append("ecr", (a, b))
-
-    def barrier(self) -> "QuantumCircuit":
-        """Barrier (layering hint only; ignored by the simulators)."""
-        self.instructions.append(Instruction("barrier", tuple(range(self.num_qubits))))
-        return self
 
     # -- parameters -------------------------------------------------------------
 
@@ -183,50 +148,6 @@ class QuantumCircuit:
     def is_bound(self) -> bool:
         """True when no instruction has a free parameter."""
         return not any(inst.is_parameterised for inst in self.instructions)
-
-    # -- metrics ----------------------------------------------------------------
-
-    def count_ops(self) -> dict[str, int]:
-        """Gate-name histogram (barriers excluded)."""
-        counts: dict[str, int] = {}
-        for inst in self.instructions:
-            if inst.name == "barrier":
-                continue
-            counts[inst.name] = counts.get(inst.name, 0) + 1
-        return counts
-
-    def depth(self) -> int:
-        """Circuit depth via greedy per-qubit layering (barriers excluded)."""
-        levels = np.zeros(self.num_qubits, dtype=int)
-        for inst in self.instructions:
-            if inst.name == "barrier":
-                continue
-            qs = list(inst.qubits)
-            layer = int(levels[qs].max()) + 1
-            levels[qs] = layer
-        return int(levels.max(initial=0))
-
-    def two_qubit_gate_count(self) -> int:
-        """Number of two-qubit gates."""
-        return sum(1 for inst in self.instructions if inst.name != "barrier" and inst.num_qubits == 2)
-
-    # -- composition -------------------------------------------------------------
-
-    def compose(self, other: "QuantumCircuit") -> "QuantumCircuit":
-        """Return a new circuit applying ``self`` then ``other`` (same width)."""
-        if other.num_qubits != self.num_qubits:
-            raise CircuitError(
-                f"cannot compose circuits of width {self.num_qubits} and {other.num_qubits}"
-            )
-        combined = QuantumCircuit(self.num_qubits, name=self.name)
-        combined.instructions = list(self.instructions) + list(other.instructions)
-        return combined
-
-    def copy(self) -> "QuantumCircuit":
-        """Shallow copy (instructions are immutable)."""
-        c = QuantumCircuit(self.num_qubits, name=self.name)
-        c.instructions = list(self.instructions)
-        return c
 
     def __len__(self) -> int:
         return len([i for i in self.instructions if i.name != "barrier"])

@@ -1,8 +1,7 @@
-"""Gate matrices for the circuit simulators and the basis translator.
+"""Gate matrices for the circuit simulators.
 
-Includes both the "textbook" gates used to express the EfficientSU2 ansatz
-(RY, RZ, CX, ...) and the IBM Eagle native set (ECR, ID, RZ, SX, X) that the
-transpiler targets (paper Sec. 5.1).
+The "textbook" gate set: the EfficientSU2 ansatz is written in RY, RZ and CX,
+and the remaining fixed gates serve hand-built test circuits.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
 S = np.array([[1, 0], [0, 1j]], dtype=complex)
 SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
 T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
-SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 
 CX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -29,16 +27,6 @@ CX = np.array(
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-# Echoed cross-resonance gate (IBM native 2-qubit entangler), up to local phases.
-ECR = _SQ2 * np.array(
-    [
-        [0, 1, 0, 1j],
-        [1, 0, -1j, 0],
-        [0, 1j, 0, 1],
-        [-1j, 0, 1, 0],
-    ],
-    dtype=complex,
 )
 
 #: Fixed (non-parameterised) gates by name.
@@ -51,11 +39,9 @@ GATES: dict[str, np.ndarray] = {
     "s": S,
     "sdg": SDG,
     "t": T,
-    "sx": SX,
     "cx": CX,
     "cz": CZ,
     "swap": SWAP,
-    "ecr": ECR,
 }
 
 

@@ -33,7 +33,7 @@ import scipy
 from repro.config import PipelineConfig
 from repro.dataset.builder import DatasetBuilder
 from repro.dataset.fragments import fragments_by_group
-from repro.engine.jobs import BaselineFoldSpec, JobSpec
+from repro.engine import Engine
 from repro.folding.baselines import BASELINE_PREDICTORS
 
 RECORD = Path(__file__).with_name("jobs.json")
@@ -71,16 +71,14 @@ def _sort(rows: list[dict]) -> list[dict]:
 
 def hash_rows() -> list[dict]:
     """The fold and baseline rows' kind, identity and content hash, without
-    executing a job."""
-    cfg = config()
+    executing a job: the specs come from the helpers the build uses."""
+    engine = Engine(config())
     rows = []
     for f in fragments():
-        spec = JobSpec(f.pdb_id, f.sequence, config=cfg, start_seq_id=f.residue_start)
+        spec = engine.spec(f.pdb_id, f.sequence, start_seq_id=f.residue_start)
         rows.append({"kind": "fold", "identity": f.pdb_id, "content_hash": spec.content_hash()})
         for method in BASELINE_PREDICTORS:
-            spec = BaselineFoldSpec(
-                f.pdb_id, f.sequence, method, config=cfg, start_seq_id=f.residue_start
-            )
+            spec = engine.baseline_spec(f.pdb_id, f.sequence, method, start_seq_id=f.residue_start)
             rows.append({
                 "kind": "baseline_fold",
                 "identity": f"{f.pdb_id}:{method}",

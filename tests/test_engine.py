@@ -18,7 +18,6 @@ from repro.engine import (
 from repro.engine.registry import executor_kinds, pool_initializer
 from repro.exceptions import BackendError
 from repro.folding.predictor import QuantumFoldingPredictor
-from repro.hardware.eagle import EagleEmulatorBackend
 from repro.quantum.backend import AutoBackend, MPSBackend, StatevectorBackend
 from repro.quantum.circuit import QuantumCircuit
 
@@ -47,10 +46,11 @@ def _structures_identical(a, b) -> bool:
 
 
 def test_registry_knows_all_builtin_backends(engine_config):
-    for name in ("statevector", "mps", "auto", "eagle"):
+    for name in ("statevector", "mps", "auto"):
         assert make_backend(name, engine_config) is not None
-    with pytest.raises(BackendError, match="backends: auto, eagle, mps, statevector"):
-        make_backend("teleport", engine_config)
+    for name in ("teleport", "eagle"):
+        with pytest.raises(BackendError, match="backends: auto, mps, statevector"):
+            make_backend(name, engine_config)
 
 
 def test_make_backend_types_and_config_wiring(engine_config):
@@ -59,9 +59,6 @@ def test_make_backend_types_and_config_wiring(engine_config):
     mps = make_backend("mps", engine_config.with_updates(mps_bond_dimension=5))
     assert isinstance(mps, MPSBackend)
     assert mps.max_bond_dimension == 5
-    eagle = make_backend("eagle", engine_config.with_updates(noise_enabled=False))
-    assert isinstance(eagle, EagleEmulatorBackend)
-    assert eagle.noise_enabled is False
 
 
 def test_make_backend_defaults_to_config_backend(engine_config):

@@ -538,6 +538,26 @@ def test_cli_resume_executes_only_pending_jobs(fold_config, capsys):
     assert sessions[0]["pending"] == 0
 
 
+def test_cli_resume_reexecutes_jobs_whose_hash_inputs_changed(fold_config, capsys, monkeypatch):
+    """A journal written before a hash-input change (here: a fold field list
+    that still named ``docking_seeds``) resumes: its fold re-executes under
+    the new hash, once."""
+    from repro.engine import jobs as jobs_module
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            jobs_module, "_FOLD_CONFIG_FIELDS", (*jobs_module._FOLD_CONFIG_FIELDS, "docking_seeds")
+        )
+        engine = Engine(config=fold_config)
+        engine.submit([engine.spec("3eax", "RYRDV")], session_id="moved").results()
+
+    for executed, cached in ((1, 0), (0, 1)):
+        rc = session_cli_main(["resume", fold_config.session_dir, "moved", "--json", "--quiet"])
+        summary = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert (summary["executed"], summary["cached"], summary["failed"]) == (executed, cached, 0)
+
+
 def test_cli_rejects_missing_directory_and_journal(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         session_cli_main(["ls", str(tmp_path / "nope")])

@@ -67,9 +67,10 @@ def test_structure_copy_is_deep():
     assert not np.allclose(s.ca_coords(), c.ca_coords())
 
 
-def test_atom_non_finite_coords_raise():
-    with pytest.raises(StructureError):
-        Atom("CA", "C", (np.nan, 0, 0))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_atom_non_finite_coords_raise(bad):
+    with pytest.raises(StructureError, match="'CA' has non-finite coordinates"):
+        Atom("CA", "C", (0, bad, 0))
 
 
 # -- backbone templates -----------------------------------------------------------
