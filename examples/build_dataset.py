@@ -5,14 +5,15 @@ Run with:  python examples/build_dataset.py [output_dir] [--groups S,M,L] [--per
 Building all 55 fragments at paper fidelity takes a long time; by default this
 example builds two fragments per group with the fast preset (a couple of
 minutes) and writes the S/M/L folder structure, per-entry PDB files, quantum
-metadata JSON and docking JSON plus the index used by the analysis layer.
+metadata JSON and docking JSON plus the index used by the analysis layer, then
+reloads the written bank and checks that it holds the built entries.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro import DatasetBuilder, PipelineConfig
+from repro import DatasetBuilder, PipelineConfig, QDockBank
 from repro.analysis.comparison import compare_methods
 from repro.analysis.report import format_table, winrate_report
 
@@ -38,7 +39,11 @@ def main() -> None:
 
     bank = builder.build(fragments)
     bank.save(args.output)
-    print(f"Dataset written to {args.output}/")
+    built = [e.pdb_id for e in bank.entries]
+    reloaded = [e.pdb_id for e in QDockBank.load(args.output).entries]
+    if reloaded != built:
+        raise SystemExit(f"{args.output}/ reloads as {reloaded}, but the build made {built}")
+    print(f"Dataset written to {args.output}/ and reloaded ({len(reloaded)} entries)")
     print(f"Engine stats: {builder.engine.stats()}")
 
     comparisons = {m: compare_methods(bank, m) for m in ("AF2", "AF3")}

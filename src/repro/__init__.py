@@ -25,7 +25,6 @@ from repro.bio.sequence import ProteinSequence
 from repro.bio.reference import ReferenceStructureGenerator
 from repro.folding.predictor import (
     QuantumFoldingPredictor,
-    ClassicalFoldingPredictor,
     FoldingPrediction,
     fold_fragment,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "ProteinSequence",
     "ReferenceStructureGenerator",
     "QuantumFoldingPredictor",
-    "ClassicalFoldingPredictor",
     "FoldingPrediction",
     "fold_fragment",
     "BaselineFoldSpec",

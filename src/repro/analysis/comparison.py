@@ -42,13 +42,6 @@ class ScatterSeries:
         """Number of fragments in the panel."""
         return int(self.reference_values.size)
 
-    @property
-    def win_rate(self) -> float:
-        """Fraction of fragments won by the reference method."""
-        if self.total == 0:
-            raise AnalysisError(f"empty scatter series for {self.metric}/{self.group}")
-        return self.wins / self.total
-
 
 @dataclass
 class MethodComparison:
@@ -68,21 +61,10 @@ class MethodComparison:
                 f"available: {sorted(self.series)}"
             ) from None
 
-    def win_rate(self, metric: str, group: str = "All") -> float:
-        """Win rate of the reference method for a metric/group."""
-        return self.panel(metric, group).win_rate
-
     def wins(self, metric: str, group: str = "All") -> tuple[int, int]:
         """(wins, total) for a metric/group."""
         panel = self.panel(metric, group)
         return panel.wins, panel.total
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        """Nested {metric: {group: win_rate}} summary used by reports and tests."""
-        out: dict[str, dict[str, float]] = {}
-        for (metric, group), panel in self.series.items():
-            out.setdefault(metric, {})[group] = panel.win_rate
-        return out
 
 
 def _entries_for_group(bank: QDockBank, group: str):

@@ -21,7 +21,7 @@ from repro.bio.geometry import (
 from repro.bio.structure import Atom, Residue, Chain, Structure
 from repro.bio.pdb import write_pdb, read_pdb, structure_to_pdb_string
 from repro.bio.rmsd import rmsd, ca_rmsd, rmsd_without_superposition
-from repro.bio.miyazawa_jernigan import MJ_MATRIX, contact_energy
+from repro.bio.miyazawa_jernigan import MJ_MATRIX
 
 __all__ = [
     "AMINO_ACIDS",
@@ -43,5 +43,4 @@ __all__ = [
     "ca_rmsd",
     "rmsd_without_superposition",
     "MJ_MATRIX",
-    "contact_energy",
 ]

@@ -62,14 +62,6 @@ MJ_MATRIX: np.ndarray = _build_matrix()
 MJ_MATRIX.setflags(write=False)
 
 
-def contact_energy(a: str, b: str) -> float:
-    """Contact energy (RT units) between residue types ``a`` and ``b``."""
-    try:
-        return float(MJ_MATRIX[AA_INDEX[a.upper()], AA_INDEX[b.upper()]])
-    except KeyError as exc:
-        raise KeyError(f"unknown amino-acid code in contact_energy: {exc}") from None
-
-
 def interaction_matrix_for_sequence(sequence: str) -> np.ndarray:
     """Return the (L, L) matrix of pairwise contact energies for a sequence."""
     idx = np.array([AA_INDEX[c] for c in sequence.upper()])

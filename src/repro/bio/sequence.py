@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from repro.bio.amino_acids import AMINO_ACIDS, get as get_aa
+from repro.bio.amino_acids import AMINO_ACIDS
 from repro.exceptions import SequenceError
 
 
@@ -34,19 +33,8 @@ class ProteinSequence:
     def __len__(self) -> int:
         return len(self.residues)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.residues)
-
-    def __getitem__(self, item: int | slice) -> str:
-        return self.residues[item]
-
     def __str__(self) -> str:
         return self.residues
-
-    @property
-    def mass(self) -> float:
-        """Sum of residue masses plus one water (18.015 Da)."""
-        return sum(get_aa(c).mass for c in self.residues) + 18.015
 
     def pair_types(self) -> list[tuple[str, str]]:
         """All unordered residue-type pairs occurring within this fragment.
@@ -61,10 +49,3 @@ class ProteinSequence:
             for j in range(i + 1, len(seq)):
                 pairs.append((seq[i], seq[j]))
         return pairs
-
-    def composition(self) -> dict[str, int]:
-        """Residue-type counts."""
-        counts: dict[str, int] = {}
-        for c in self.residues:
-            counts[c] = counts.get(c, 0) + 1
-        return counts

@@ -9,7 +9,7 @@ be flattened to an ``(N, 3)`` coordinate array for the vectorised kernels
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -33,13 +33,6 @@ class Atom:
         if not np.isfinite(self.coords).all():
             raise StructureError(f"atom {self.name!r} has non-finite coordinates")
 
-    def distance_to(self, other: "Atom") -> float:
-        """Euclidean distance to another atom."""
-        return float(np.linalg.norm(self.coords - other.coords))
-
-    def copy(self) -> "Atom":
-        """Deep copy of this atom."""
-        return Atom(self.name, self.element, self.coords.copy(), self.charge, self.occupancy, self.b_factor)
 
 
 @dataclass
@@ -73,10 +66,6 @@ class Residue:
         """The alpha-carbon atom."""
         return self.atom("CA")
 
-    def copy(self) -> "Residue":
-        """Deep copy of this residue."""
-        return Residue(self.code, self.seq_id, [a.copy() for a in self.atoms])
-
 
 @dataclass
 class Chain:
@@ -85,20 +74,10 @@ class Chain:
     chain_id: str = "A"
     residues: list[Residue] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.residues)
-
-    def __iter__(self) -> Iterator[Residue]:
-        return iter(self.residues)
-
     @property
     def sequence(self) -> str:
         """One-letter sequence of the chain."""
         return "".join(r.code for r in self.residues)
-
-    def copy(self) -> "Chain":
-        """Deep copy of this chain."""
-        return Chain(self.chain_id, [r.copy() for r in self.residues])
 
 
 @dataclass
@@ -108,32 +87,7 @@ class Structure:
     structure_id: str = "FRAG"
     chains: list[Chain] = field(default_factory=list)
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_ca_coords(
-        cls,
-        sequence: str,
-        ca_coords: np.ndarray,
-        structure_id: str = "FRAG",
-        start_seq_id: int = 1,
-    ) -> "Structure":
-        """Build a Cα-only structure from a sequence and an (L, 3) coordinate array."""
-        ca_coords = np.asarray(ca_coords, dtype=float)
-        if ca_coords.shape != (len(sequence), 3):
-            raise StructureError(
-                f"expected ({len(sequence)}, 3) CA coordinates, got {ca_coords.shape}"
-            )
-        chain = Chain("A")
-        for i, (code, xyz) in enumerate(zip(sequence, ca_coords)):
-            res = Residue(code, start_seq_id + i, [Atom("CA", "C", xyz)])
-            chain.residues.append(res)
-        return cls(structure_id, [chain])
-
     # -- accessors -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(len(c) for c in self.chains)
 
     @property
     def residues(self) -> list[Residue]:
@@ -179,24 +133,7 @@ class Structure:
             atom.coords += v
         return self
 
-    def rotate(self, rotation: np.ndarray) -> "Structure":
-        """Rotate every atom about the origin in place; returns self."""
-        rot = np.asarray(rotation, dtype=float)
-        if rot.shape != (3, 3):
-            raise StructureError(f"rotation must be 3x3, got {rot.shape}")
-        for atom in self.atoms:
-            atom.coords = rot @ atom.coords
-        return self
-
     def center(self) -> "Structure":
         """Translate the structure so its centroid is at the origin; returns self."""
         coords = self.all_coords()
         return self.translate(-coords.mean(axis=0))
-
-    def centroid(self) -> np.ndarray:
-        """Centroid of all atoms."""
-        return self.all_coords().mean(axis=0)
-
-    def copy(self) -> "Structure":
-        """Deep copy of this structure."""
-        return Structure(self.structure_id, [c.copy() for c in self.chains])

@@ -90,12 +90,16 @@ def cmd_status(args: argparse.Namespace) -> int:
     # from the cache (stat-neutral peek — status must not skew hit rates or
     # LRU order), and which would re-execute on resume.  It peeks the stack
     # resume opens: cache_dir (or --cache-dir) in front of cache_remote.
+    # Resume runs the specs under their current hashes, which differ from
+    # the journalled ones after a hash-input change, so only those count.
     replayable = None
     try:
         specs = journal.load_specs()
         config = getattr(specs[0], "config", None) if specs else None
+        keys = dict.fromkeys(spec.content_hash() for spec in specs)
     except EngineError:
         config = None
+        keys = dict.fromkeys(journal.spec_hashes)
     config = config if config is not None else PipelineConfig()
     cache_dir = args.cache_dir or config.cache_dir
     if cache_dir and not Path(cache_dir).expanduser().is_dir():
@@ -103,7 +107,9 @@ def cmd_status(args: argparse.Namespace) -> int:
     cache = resolve_cache(config.with_updates(cache_dir=cache_dir))
     if cache is not None:
         try:
-            replayable = sum(1 for key in journal.completed if cache.peek(key) is not None)
+            replayable = sum(
+                1 for key in keys if key in journal.completed and cache.peek(key) is not None
+            )
         finally:
             if hasattr(cache, "close"):
                 cache.close()

@@ -35,10 +35,6 @@ class QDockBank:
     def __iter__(self) -> Iterator[QDockBankEntry]:
         return iter(self.entries)
 
-    def add(self, entry: QDockBankEntry) -> None:
-        """Append an entry (PDB IDs may repeat only for distinct sequences)."""
-        self.entries.append(entry)
-
     def entry(self, pdb_id: str) -> QDockBankEntry:
         """Look up an entry by PDB ID."""
         key = pdb_id.lower()
@@ -126,7 +122,7 @@ class QDockBank:
             reference = folder / "reference.pdb"
             if reference.exists():
                 entry.reference_structure = read_pdb(reference)
-            bank.add(entry)
+            bank.entries.append(entry)
         return bank
 
 

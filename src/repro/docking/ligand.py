@@ -89,13 +89,9 @@ class Ligand:
         """Per-atom van-der-Waals radii."""
         return np.array([VDW_RADII.get(e.upper(), 1.9) for e in self.elements])
 
-    def centroid(self) -> np.ndarray:
-        """Geometric centre of the ligand."""
-        return self.coords.mean(axis=0)
-
     def centered(self) -> "Ligand":
         """A copy translated so its anchor (or centroid) is at the origin."""
-        origin = self.anchor if self.anchor is not None else self.centroid()
+        origin = self.anchor if self.anchor is not None else self.coords.mean(axis=0)
         return Ligand(
             name=self.name,
             coords=self.coords - origin,

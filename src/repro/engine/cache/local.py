@@ -187,14 +187,3 @@ class LocalDirTier:
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns the number of files removed."""
-        removed = 0
-        for path in self.root.glob("*/*.json"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed

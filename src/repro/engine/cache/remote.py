@@ -159,6 +159,3 @@ class RemoteTier:
         """The *server-side* tier's stats dict, or ``None`` when unreachable."""
         reply = self._request({"type": "cache_stats"}, "cache_stats")
         return reply.get("stats") if reply else None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"RemoteTier({self.host!r}, {self.port})"

@@ -61,6 +61,3 @@ class TieredCache:
             close = getattr(tier, "close", None)
             if close is not None:
                 close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"TieredCache({list(self.tiers)!r})"

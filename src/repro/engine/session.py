@@ -125,11 +125,6 @@ class SessionProgress:
     executed: int
     failed: int
 
-    @property
-    def fraction(self) -> float:
-        """Completed fraction of the session (0.0 when empty)."""
-        return self.done / self.total if self.total else 0.0
-
 
 class SessionJournal:
     """Append-only on-disk record of one session's per-job status.
@@ -384,9 +379,6 @@ class Session:
         self.done = 0
 
     # -- streaming -------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.jobs)
 
     def __iter__(self) -> Iterator[tuple[Any, Any]]:
         """Iterate outcomes as they complete.

@@ -1,12 +1,11 @@
 """Folding core: the quantum fragment predictor and the baseline predictors."""
 
-from repro.folding.predictor import FoldingPrediction, QuantumFoldingPredictor, ClassicalFoldingPredictor
+from repro.folding.predictor import FoldingPrediction, QuantumFoldingPredictor
 from repro.folding.baselines import AF2LikePredictor, AF3LikePredictor, PriorBiasedPredictor
 
 __all__ = [
     "FoldingPrediction",
     "QuantumFoldingPredictor",
-    "ClassicalFoldingPredictor",
     "AF2LikePredictor",
     "AF3LikePredictor",
     "PriorBiasedPredictor",

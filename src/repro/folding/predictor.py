@@ -7,8 +7,6 @@ and reconstruct a docking-ready structure.  The job engine's ``fold``
 executor calls it; :class:`QuantumFoldingPredictor` wraps the engine in a
 predictor API, so every quantum prediction runs through one engine, with the
 backend named by ``config.backend`` and the engine's persistent result cache.
-:class:`ClassicalFoldingPredictor` replaces the VQE with the exact /
-simulated-annealing classical solver and is used by the ablation benchmarks.
 """
 
 from __future__ import annotations
@@ -39,11 +37,6 @@ class FoldingPrediction:
     method: str
     structure: Structure
     metadata: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def length(self) -> int:
-        """Number of residues in the fragment."""
-        return len(self.sequence)
 
 
 #: Method label attached to quantum predictions (the dataset's primary rows).
@@ -140,42 +133,4 @@ class QuantumFoldingPredictor:
         return self.engine.fold(
             pdb_id, str(sequence), start_seq_id=start_seq_id,
             weights=self.weights, register=self.register,
-        )
-
-
-class ClassicalFoldingPredictor:
-    """Sequence → structure via the exact / annealed classical solver (ablation baseline)."""
-
-    method_name = "ClassicalLattice"
-
-    def __init__(self, config: PipelineConfig | None = None, weights: HamiltonianWeights | None = None):
-        self.config = config or PipelineConfig()
-        self.weights = weights
-
-    def predict(self, pdb_id: str, sequence: ProteinSequence | str, start_seq_id: int = 1) -> FoldingPrediction:
-        """Fold one fragment with the classical solver."""
-        seq = sequence if isinstance(sequence, ProteinSequence) else ProteinSequence(str(sequence))
-        hamiltonian = LatticeHamiltonian(seq, weights=self.weights)
-        solver = ClassicalFoldingSolver(hamiltonian)
-        result = solver.solve(seed=self.config.seed)
-        structure = reconstruct_structure(
-            seq,
-            result.ca_coords,
-            structure_id=f"{pdb_id.lower()}_classical",
-            start_seq_id=start_seq_id,
-            center=True,
-        )
-        metadata = {
-            "pdb_id": pdb_id.lower(),
-            "method": self.method_name,
-            "energy": result.energy,
-            "exact": result.exact,
-            "evaluations": result.evaluations,
-        }
-        return FoldingPrediction(
-            pdb_id=pdb_id.lower(),
-            sequence=str(seq),
-            method=self.method_name,
-            structure=structure,
-            metadata=metadata,
         )

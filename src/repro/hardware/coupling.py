@@ -128,56 +128,23 @@ def snake_path(graph: nx.Graph) -> list[int]:
     return path
 
 
-def longest_chain(graph: nx.Graph, length: int, start_candidates: int = 8) -> list[int]:
-    """Find a simple path of ``length`` nodes in the coupling graph (greedy DFS).
+def longest_chain(graph: nx.Graph, length: int) -> list[int]:
+    """The first ``length`` qubits of the graph's :func:`snake_path`: a chain
+    of adjacent physical qubits.
 
-    Returns a list of physical qubit indices forming a chain of adjacent
-    qubits.  Raises ``ValueError`` when no chain of the requested length can be
-    found from the attempted starting points (cannot happen for the Eagle graph
-    and lengths up to 109, but guards against malformed graphs).
+    Raises ``ValueError`` when the snake is shorter than ``length`` (on the
+    Eagle graph it covers 109 qubits, more than the largest fragment
+    register plus its margin) or the graph has no snake.
     """
     if length <= 0:
         raise ValueError(f"chain length must be positive, got {length}")
-    if length > graph.number_of_nodes():
-        raise ValueError(
-            f"requested chain of {length} qubits on a {graph.number_of_nodes()}-qubit device"
-        )
-
-    # Fast path: the canonical snake chain covers up to 109 qubits on Eagle.
     try:
         snake = snake_path(graph)
     except (KeyError, ValueError):
         snake = []
-    if len(snake) >= length:
-        return snake[:length]
-
-    # Deterministic starting points: lowest-degree corner nodes first.
-    starts = sorted(graph.nodes, key=lambda n: (graph.degree[n], n))[: max(start_candidates, 1)]
-    best: list[int] = []
-
-    def dfs(path: list[int], visited: set[int]) -> list[int] | None:
-        if len(path) == length:
-            return path
-        # Prefer low-degree unvisited neighbours: keeps the chain hugging the
-        # boundary of the heavy-hex lattice, which is where long paths live.
-        neighbours = sorted(
-            (n for n in graph.neighbors(path[-1]) if n not in visited),
-            key=lambda n: (graph.degree[n], n),
+    if len(snake) < length:
+        raise ValueError(
+            f"could not find a {length}-qubit chain in the "
+            f"{graph.number_of_nodes()}-qubit coupling graph"
         )
-        for nxt in neighbours:
-            visited.add(nxt)
-            path.append(nxt)
-            found = dfs(path, visited)
-            if found is not None:
-                return found
-            path.pop()
-            visited.remove(nxt)
-        return None
-
-    for start in starts:
-        found = dfs([start], {start})
-        if found is not None:
-            return list(found)
-        if not best:
-            best = [start]
-    raise ValueError(f"could not find a {length}-qubit chain in the coupling graph")
+    return snake[:length]

@@ -38,11 +38,6 @@ class RoutingResult:
     swap_count: int
     defective_qubits: tuple[int, ...]
 
-    @property
-    def used_margin(self) -> int:
-        """Extra qubits allocated beyond the logical register width."""
-        return self.allocated_qubits - self.logical_qubits
-
 
 class LinearChainRouter:
     """Routes linear-entanglement registers onto the heavy-hex coupling map."""

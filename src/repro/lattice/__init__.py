@@ -3,7 +3,6 @@
 from repro.lattice.tetrahedral import (
     CA_VIRTUAL_BOND,
     turns_to_coords,
-    is_self_avoiding,
 )
 from repro.lattice.encoding import FragmentEncoding, qubit_count_for_length, circuit_depth_for_qubits
 from repro.lattice.hamiltonian import HamiltonianWeights, LatticeHamiltonian
@@ -14,7 +13,6 @@ from repro.lattice.classical import ClassicalFoldingSolver
 __all__ = [
     "CA_VIRTUAL_BOND",
     "turns_to_coords",
-    "is_self_avoiding",
     "FragmentEncoding",
     "qubit_count_for_length",
     "circuit_depth_for_qubits",

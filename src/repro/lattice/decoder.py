@@ -10,7 +10,6 @@ backtracking) when possible, and returns the best decoded conformation.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +37,12 @@ class ConformationDecoder:
         self.hamiltonian = hamiltonian
         self.encoding = hamiltonian.encoding
 
-    def decode_counts(
-        self, counts: Mapping[str, int] | tuple[np.ndarray, np.ndarray]
-    ) -> DecodedConformation:
+    def decode_counts(self, counts: tuple[np.ndarray, np.ndarray]) -> DecodedConformation:
         """Decode measurement counts and return the best conformation.
 
-        ``counts`` maps bitstrings to frequencies, or is the ``(codes,
-        counts)`` arrays the VQE's stage 2 groups its shots in: distinct
-        configuration codes (:meth:`FragmentEncoding.code_from_bits`) and
-        their frequencies.  A mapping's keys become codes in key order, so
-        keys differing only in interaction-register bits decode alike.
+        ``counts`` is the ``(codes, counts)`` arrays the VQE's stage 2 groups
+        its shots in: distinct configuration codes
+        (:meth:`FragmentEncoding.turns_from_codes`) and their frequencies.
 
         Preference order: the lowest-energy *valid* conformation; if every
         measured bitstring decodes to an invalid conformation, the lowest-energy
@@ -58,13 +53,7 @@ class ConformationDecoder:
         scanned in the given order: the 1e-9 energy tie-break is not
         transitive, so a vectorised argmin could pick a different winner.
         """
-        if isinstance(counts, Mapping):
-            codes = np.fromiter(
-                dict.fromkeys(self.encoding.code_from_bits(bits) for bits in counts),
-                dtype=np.int64,
-            )
-        else:
-            codes = np.asarray(counts[0], dtype=np.int64)
+        codes = np.asarray(counts[0], dtype=np.int64)
         if codes.size == 0:
             raise LatticeError("cannot decode an empty set of counts")
         turns = self.encoding.turns_from_codes(codes)

@@ -139,47 +139,16 @@ class FragmentEncoding:
         """Fragment length in residues."""
         return len(self.sequence)
 
-    def turns_from_bits(self, bits: str) -> list[int]:
-        """Decode a configuration-register bitstring into the full turn sequence.
-
-        ``bits`` must contain at least ``configuration_qubits`` characters; only
-        the first ``configuration_qubits`` are used (extra interaction-register
-        bits are ignored).  The first two turns are fixed to ``0`` and ``1``.
-        """
-        return self.turns_from_codes(np.array([self.code_from_bits(bits)]))[0].tolist()
-
-    def code_from_bits(self, bits: str) -> int:
-        """The configuration register of a bitstring as a binary number,
-        qubit 0 the most significant bit (as :func:`pack_rows` packs it)."""
-        width = self.configuration_qubits
-        key = bits[:width]
-        if len(key) < width or key.strip("01"):
-            raise EncodingError(
-                f"bitstring {bits!r} does not start with a {width}-bit "
-                "configuration register of 0/1 characters"
-            )
-        return int(key, 2)
-
     def turns_from_codes(self, codes: np.ndarray) -> np.ndarray:
         """Turn sequences ``[N, L-1]`` (fixed turns ``0, 1`` first) of
-        configuration codes; free turn ``t`` is the bit pair of qubits ``2t``
-        (high) and ``2t + 1``, filled one column at a time."""
+        configuration codes.  A code is the configuration register read as a
+        binary number, qubit 0 the most significant bit (as
+        :func:`~repro.quantum.backend.pack_rows` packs it); free turn ``t`` is
+        the bit pair of qubits ``2t`` (high) and ``2t + 1``, filled one
+        column at a time."""
         codes = np.asarray(codes, dtype=np.int64)
         turns = np.empty((codes.size, FIXED_TURNS + self.num_free_turns), dtype=np.uint8)
         turns[:, :FIXED_TURNS] = np.arange(FIXED_TURNS)
         for t in range(self.num_free_turns):
             turns[:, FIXED_TURNS + t] = (codes >> (self.configuration_qubits - 2 - 2 * t)) & 3
         return turns[:, : self.length - 1]
-
-    def bits_from_turns(self, turns: list[int]) -> str:
-        """Inverse of :meth:`turns_from_bits` (configuration register only)."""
-        if len(turns) != self.length - 1:
-            raise EncodingError(
-                f"expected {self.length - 1} turns, got {len(turns)}"
-            )
-        free = turns[FIXED_TURNS:] if self.length - 1 > FIXED_TURNS else turns[-1:]
-        free = free[: self.num_free_turns]
-        # Pad in case of very short fragments where num_free_turns > available.
-        while len(free) < self.num_free_turns:
-            free.append(0)
-        return "".join(format(t, "02b") for t in free)

@@ -29,10 +29,11 @@ scaling the penalty weights with the same offset.  The *physics* (which
 conformation is the ground state) is unaffected: the offset is constant and
 the penalty scaling preserves ordering.
 
-:meth:`LatticeHamiltonian.terms` is the one energy kernel (every other entry
-point is a batch of one).  Its sums over residues or pairs run strictly left
-to right, never through ``np.sum``/``np.dot``/``@`` (whose order depends on
-length, batch size and BLAS kernel), so a row's bits are batch-independent.
+:meth:`LatticeHamiltonian.terms` is the one energy kernel, over batches of
+turn rows; :meth:`~LatticeHamiltonian.energies` adds the offset.  Its sums
+over residues or pairs run strictly left to right, never through
+``np.sum``/``np.dot``/``@`` (whose order depends on length, batch size and
+BLAS kernel), so a row's bits are batch-independent.
 """
 
 from __future__ import annotations
@@ -89,39 +90,6 @@ class HamiltonianWeights:
     geometric: float = 1.0
     clash: float = 1.0
     interaction: float = 1.0
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Per-term energies of one conformation."""
-
-    chirality: float
-    geometric: float
-    clash: float
-    interaction: float
-    offset: float
-
-    @property
-    def total(self) -> float:
-        """Total energy including the encoding offset."""
-        return self.chirality + self.geometric + self.clash + self.interaction + self.offset
-
-    @property
-    def physical(self) -> float:
-        """Energy without the constant encoding offset."""
-        return self.chirality + self.geometric + self.clash + self.interaction
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view used by the metadata JSON files."""
-        return {
-            "chirality": self.chirality,
-            "geometric": self.geometric,
-            "clash": self.clash,
-            "interaction": self.interaction,
-            "offset": self.offset,
-            "physical": self.physical,
-            "total": self.total,
-        }
 
 
 class LatticeHamiltonian:
@@ -229,33 +197,10 @@ class LatticeHamiltonian:
         return raw * self._term_scale
 
     def total(self, terms: np.ndarray) -> np.ndarray:
-        """Total energies of :meth:`terms` rows, added in the order of
-        :attr:`EnergyBreakdown.total` (so both give the same bits)."""
+        """Total energies of :meth:`terms` rows: the four terms left to
+        right, then the encoding offset."""
         return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3] + self.offset
 
     def energies(self, turns: np.ndarray) -> np.ndarray:
         """Total (offset-included) energies ``[N]`` of a batch of conformations."""
         return self.total(self.terms(turns))
-
-    # -- one conformation: a batch of one ---------------------------------------
-
-    def breakdown(self, turns: np.ndarray | list[int]) -> EnergyBreakdown:
-        """Evaluate all four terms (plus offset) for a turn sequence."""
-        turns = np.asarray(turns, dtype=int)
-        if turns.size != len(self.sequence) - 1:
-            raise HamiltonianError(f"expected {len(self.sequence) - 1} turns, got {turns.size}")
-        chirality, geometric, clash, interaction = self.terms(turns.reshape(1, -1))[0].tolist()
-        return EnergyBreakdown(chirality, geometric, clash, interaction, offset=self.offset)
-
-    def energy(self, turns: np.ndarray | list[int]) -> float:
-        """Total (offset-included) energy of a conformation."""
-        return self.breakdown(turns).total
-
-    def energy_of_bits(self, bits: str) -> float:
-        """Total energy of the conformation encoded by a configuration bitstring."""
-        return self.energy(self.encoding.turns_from_bits(bits))
-
-    def is_valid(self, turns: np.ndarray | list[int]) -> bool:
-        """True when the conformation has no clashes and no backtracking."""
-        b = self.breakdown(turns)
-        return b.clash == 0.0 and b.geometric == 0.0

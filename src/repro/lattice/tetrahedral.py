@@ -63,37 +63,3 @@ def turns_to_coords(turns: np.ndarray | list[int], bond_length: float = CA_VIRTU
     if np.any((turns < 0) | (turns > 3)):
         raise LatticeError("turn indices must be in {0, 1, 2, 3}")
     return coords_from_turns(step_table(turns.size, bond_length), turns[None])[0]
-
-
-def is_self_avoiding(coords: np.ndarray, tol: float = 1e-6) -> bool:
-    """True when no two residues occupy the same lattice site."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        raise LatticeError(f"coords must have shape (L, 3), got {coords.shape}")
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    iu = np.triu_indices(coords.shape[0], k=1)
-    return bool(np.all(dist2[iu] > tol))
-
-
-def overlap_count(coords: np.ndarray, tol: float = 1e-6) -> int:
-    """Number of residue pairs occupying the same lattice site."""
-    coords = np.asarray(coords, dtype=float)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    iu = np.triu_indices(coords.shape[0], k=1)
-    return int(np.count_nonzero(dist2[iu] <= tol))
-
-
-def backtracking_count(turns: np.ndarray | list[int]) -> int:
-    """Number of immediate reversals (two consecutive identical turn indices).
-
-    On the diamond lattice, step ``k`` with turn ``t`` and step ``k+1`` with the
-    same turn ``t`` point in exactly opposite directions, i.e. the chain walks
-    straight back onto the previous site.
-    """
-    turns = np.asarray(turns, dtype=int)
-    if turns.size < 2:
-        return 0
-    return int(np.count_nonzero(turns[1:] == turns[:-1]))
-

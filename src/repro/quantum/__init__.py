@@ -1,6 +1,6 @@
 """Quantum computing substrate: circuits, ansatz, simulators, sampling."""
 
-from repro.quantum.gates import GATES, gate_matrix, rx_matrix, ry_matrix, rz_matrix
+from repro.quantum.gates import GATES, gate_matrix, ry_matrix, rz_matrix
 from repro.quantum.circuit import Parameter, Instruction, QuantumCircuit
 from repro.quantum.ansatz import EfficientSU2
 from repro.quantum.statevector import StatevectorSimulator
@@ -16,7 +16,6 @@ from repro.quantum.backend import (
 __all__ = [
     "GATES",
     "gate_matrix",
-    "rx_matrix",
     "ry_matrix",
     "rz_matrix",
     "Parameter",

@@ -40,7 +40,6 @@ class EfficientSU2:
         self.reps = int(reps)
         self.entanglement = entanglement
         self._circuit = self._build()
-        self._compiled = None
 
     # -- construction -----------------------------------------------------------
 
@@ -80,24 +79,3 @@ class EfficientSU2:
     def bound(self, values) -> QuantumCircuit:
         """Bind a parameter vector and return the executable circuit."""
         return self._circuit.bind(values)
-
-    def compiled(self, max_qubits: int | None = None):
-        """The ansatz's reusable statevector replay plan (built once, cached).
-
-        Evaluating the plan at a parameter vector is bit-identical to
-        ``bound(values)`` followed by :class:`StatevectorSimulator` execution.
-        """
-        if self._compiled is None:
-            from repro.quantum.compiled import CompiledCircuit
-
-            self._compiled = CompiledCircuit(self._circuit, max_qubits=max_qubits)
-        return self._compiled
-
-    def initial_point(self, rng=None, scale: float = 0.1):
-        """A small random initial parameter vector (zeros when ``rng`` is None)."""
-        import numpy as np
-
-        n = self.num_parameters
-        if rng is None:
-            return np.zeros(n)
-        return rng.normal(scale=scale, size=n)

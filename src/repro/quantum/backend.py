@@ -95,9 +95,8 @@ class Backend(ABC):
 
         This is the hot-loop entry point for optimisers that evaluate one
         circuit structure at many parameter vectors.  The template's replay
-        plan comes from the plan cache; backends without a plan compiler
-        (``_compile`` returns ``None``), and structures a compiler does not
-        cover, bind and call :meth:`sample_array` instead.  The contract is
+        plan comes from the plan cache; structures the plan compiler does not
+        cover bind and call :meth:`sample_array` instead.  The contract is
         strict bit-identity with ``sample_array(circuit.bind(values))``.
         """
         plan = self._plan_for(circuit)
@@ -105,10 +104,11 @@ class Backend(ABC):
             return self.sample_array(circuit.bind(values), shots, rng)
         return plan.sample(values, shots, rng)
 
+    @abstractmethod
     def _compile(self, circuit: QuantumCircuit):
         """A replay plan for ``circuit`` (an object with ``sample(values,
-        shots, rng)``), or ``None`` to bind on every call."""
-        return None
+        shots, rng)``); raises :class:`CircuitError` for a structure it does
+        not cover."""
 
     def _plan_for(self, circuit: QuantumCircuit):
         key = circuit_structure_key(circuit)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,15 +26,6 @@ class Parameter:
     def __init__(self, name: str | None = None):
         self.name = name if name is not None else f"θ{next(self._counter)}"
 
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"Parameter({self.name!r})"
-
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
 
 @dataclass(frozen=True)
 class Instruction:
@@ -48,11 +39,6 @@ class Instruction:
     def is_parameterised(self) -> bool:
         """True when any parameter is an unbound :class:`Parameter`."""
         return any(isinstance(p, Parameter) for p in self.params)
-
-    @property
-    def num_qubits(self) -> int:
-        """Number of qubits this instruction acts on."""
-        return len(self.qubits)
 
 
 @dataclass
@@ -151,6 +137,3 @@ class QuantumCircuit:
 
     def __len__(self) -> int:
         return len([i for i in self.instructions if i.name != "barrier"])
-
-    def __iter__(self) -> Iterable[Instruction]:
-        return iter(self.instructions)

@@ -45,12 +45,6 @@ GATES: dict[str, np.ndarray] = {
 }
 
 
-def rx_matrix(theta: float) -> np.ndarray:
-    """Rotation about X by ``theta``."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
 def ry_matrix(theta: float) -> np.ndarray:
     """Rotation about Y by ``theta``."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
@@ -64,11 +58,11 @@ def rz_matrix(theta: float) -> np.ndarray:
     )
 
 
-_PARAMETRIC = {"rx": rx_matrix, "ry": ry_matrix, "rz": rz_matrix}
+_PARAMETRIC = {"ry": ry_matrix, "rz": rz_matrix}
 
 #: Gate arities (number of qubits acted on) for every known gate name.
 GATE_ARITY: dict[str, int] = {name: int(round(np.log2(m.shape[0]))) for name, m in GATES.items()}
-GATE_ARITY.update({"rx": 1, "ry": 1, "rz": 1})
+GATE_ARITY.update({"ry": 1, "rz": 1})
 
 
 def gate_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
@@ -84,9 +78,3 @@ def gate_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
         return GATES[key]
     raise CircuitError(f"unknown gate: {name!r}")
 
-
-def is_unitary(matrix: np.ndarray, atol: float = 1e-10) -> bool:
-    """True when ``matrix`` is unitary to within ``atol``."""
-    matrix = np.asarray(matrix)
-    ident = np.eye(matrix.shape[0])
-    return bool(np.allclose(matrix.conj().T @ matrix, ident, atol=atol))

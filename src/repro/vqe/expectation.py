@@ -42,19 +42,9 @@ class DiagonalExpectation:
         self._hits = 0
         self._misses = 0
 
-    @property
-    def cache_size(self) -> int:
-        """Number of distinct configurations currently cached."""
-        return self._codes.size
-
     def cache_info(self) -> dict[str, int]:
         """Hit/miss counters for the energy cache."""
         return {"entries": self._codes.size, "hits": self._hits, "misses": self._misses}
-
-    def energy_of_bits(self, bits: str) -> float:
-        """Energy of one bitstring (configuration register prefix), cached."""
-        code = self.encoding.code_from_bits(bits)
-        return float(self._energies(np.array([code], dtype=np.int64))[0])
 
     def _energies(self, codes: np.ndarray) -> np.ndarray:
         """Cached energies of distinct, ascending configuration codes.
@@ -103,11 +93,6 @@ class DiagonalExpectation:
             pack_rows(samples[:, :width]), return_inverse=True, return_counts=True
         )
         return self._energies(codes), inverse, counts
-
-    def estimate_from_samples(self, samples: np.ndarray) -> float:
-        """Mean energy of a (shots, n) sample array."""
-        energies, _, counts = self._unique_config_energies(samples)
-        return float(np.dot(energies, counts) / counts.sum())
 
     def cvar_from_samples(self, samples: np.ndarray, alpha: float = 0.2) -> float:
         """Conditional value-at-risk of the sampled energies (CVaR-VQE objective).

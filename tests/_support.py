@@ -1,6 +1,6 @@
-"""Helpers shared by the engine, transport, scheduler and serve tests: driving
-a transport's batch stream from a thread, and watching processes through
-``/proc``."""
+"""Helpers shared by the tests: driving a transport's batch stream from a
+thread, watching processes through ``/proc``, a Cα-only structure and the
+configuration codes of turn rows."""
 
 from __future__ import annotations
 
@@ -11,6 +11,11 @@ import sys
 import threading
 import time
 from pathlib import Path
+
+import numpy as np
+
+from repro.bio.structure import Atom, Chain, Residue, Structure
+from repro.quantum.backend import pack_rows
 
 
 def drive(stream):
@@ -100,3 +105,19 @@ def orphans_of_killed_parent(script: str, *argv: str) -> list[int]:
     for pid in orphans:
         os.kill(pid, signal.SIGKILL)
     return orphans
+
+
+def ca_structure(sequence: str, ca_coords) -> Structure:
+    """A Cα-only structure of ``sequence`` on an ``(L, 3)`` trace, numbered from 1."""
+    residues = [
+        Residue(code, i, [Atom("CA", "C", xyz)])
+        for i, (code, xyz) in enumerate(zip(sequence, ca_coords), start=1)
+    ]
+    return Structure("FRAG", [Chain("A", residues)])
+
+
+def codes_of(rows) -> np.ndarray:
+    """Configuration codes of turn rows (fixed turns 0, 1 first): the inverse
+    of ``FragmentEncoding.turns_from_codes``."""
+    free = np.asarray(rows, dtype=np.uint8)[:, 2:]
+    return pack_rows(np.stack([free >> 1, free & 1], axis=2).reshape(len(free), -1))

@@ -6,7 +6,10 @@ build of the three S-group fragments under ``PipelineConfig.fast()`` at seed
 job's kind, its identity (pdb id, ``pdb:method`` or receptor id), its content
 hash and the SHA-256 of its canonical payload.  The record also stores the
 fingerprint of the machine that wrote it, because payload floats pass through
-BLAS and SciPy's COBYLA.
+BLAS and SciPy's COBYLA.  It also holds the result digest of one seed-1 build
+of perfbench's ``slice-cold`` and ``paper-fragment`` workloads, which CI's
+``bench-smoke`` compares with its own perfbench runs where the fingerprint
+matches.
 
 Usage (from the repository root)::
 
@@ -37,6 +40,8 @@ from repro.engine import Engine
 from repro.folding.baselines import BASELINE_PREDICTORS
 
 RECORD = Path(__file__).with_name("jobs.json")
+PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
+PERFBENCH_WORKLOADS = ("slice-cold", "paper-fragment")
 SCHEMA = "golden/v1"
 SEED = 1
 PDB_IDS = ("1e2k", "1hdq", "1ppi")
@@ -117,13 +122,31 @@ def build_rows() -> list[dict]:
     return _sort(rows)
 
 
-def record(rows: list[dict]) -> dict:
-    return {
+def perfbench_digests() -> dict[str, str]:
+    """The result digest of one seed-1 build of each of
+    :data:`PERFBENCH_WORKLOADS`, as ``perfbench/run.py --seed 1`` records it."""
+    sys.path.insert(0, str(PERFBENCH))
+    from workloads import WORKLOADS, make_builder, run_build
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in PERFBENCH_WORKLOADS:
+            work = Path(tmp) / name
+            builder = make_builder(WORKLOADS[name], SEED, work, None)
+            digests[name] = run_build(builder, WORKLOADS[name], work).digest
+    return digests
+
+
+def record(rows: list[dict], perfbench: dict[str, str] | None = None) -> dict:
+    new = {
         "schema": SCHEMA,
         "build": "S-group fragments, PipelineConfig.fast(), seed 1, serial",
         "fingerprint": fingerprint(),
         "rows": rows,
     }
+    if perfbench is not None:
+        new["perfbench_seed1"] = perfbench
+    return new
 
 
 def load() -> dict:
@@ -149,6 +172,11 @@ def diff(old: dict, new: dict) -> list[str]:
             for cell in ("content_hash", "payload_sha256"):
                 if before[key][cell] != after[key][cell]:
                     lines.append(f"~ {label} {cell}: {before[key][cell]} -> {after[key][cell]}")
+    if "perfbench_seed1" in new:
+        recorded = old.get("perfbench_seed1", {})
+        for name, digest in new["perfbench_seed1"].items():
+            if recorded.get(name) != digest:
+                lines.append(f"~ perfbench {name} digest: {recorded.get(name)} -> {digest}")
     return lines
 
 
@@ -156,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true", help="exit 1 when the record is stale")
     args = parser.parse_args(argv)
-    new = record(build_rows())
+    new = record(build_rows(), perfbench_digests())
     old = load() if RECORD.exists() else {"fingerprint": {}, "rows": []}
     lines = diff(old, new)
     print("\n".join(lines) if lines else "record is current")

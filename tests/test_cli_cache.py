@@ -161,10 +161,10 @@ def test_prune_round_trip(tmp_path, capsys):
 
     assert main(["prune", str(cache_dir), "--max-bytes", str(int(2.5 * entry_size))]) == 0
     assert "evicted 2 entries" in capsys.readouterr().out
-    assert len(LocalDirTier(cache_dir)) == 2
+    assert len(LocalDirTier(cache_dir).entries()) == 2
 
     # Pruning to zero empties the cache; a second prune is a no-op.
     assert main(["prune", str(cache_dir), "--max-bytes", "0"]) == 0
-    assert len(LocalDirTier(cache_dir)) == 0
+    assert len(LocalDirTier(cache_dir).entries()) == 0
     assert main(["prune", str(cache_dir), "--max-bytes", "0"]) == 0
     assert "evicted 0 entries" in capsys.readouterr().out

@@ -167,8 +167,7 @@ def test_comparison_and_reports_from_mini_bank(mini_bank):
     wins, total = af2.wins("rmsd", "All")
     assert total == 4
     assert 0 <= wins <= total
-    summary = af2.summary()
-    assert "rmsd" in summary and "affinity" in summary
+    assert {metric for metric, _ in af2.series} == {"rmsd", "affinity"}
 
     rows = winrate_report(comparisons)
     assert any(r["baseline"] == "AF3" and r["metric"] == "rmsd" for r in rows)

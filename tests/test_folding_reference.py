@@ -12,7 +12,10 @@ from repro.folding.baselines import (
     extended_strand_ca,
     secondary_structure_prior,
 )
-from repro.folding.predictor import ClassicalFoldingPredictor, QuantumFoldingPredictor
+from repro.folding.predictor import QuantumFoldingPredictor
+from repro.lattice.classical import ClassicalFoldingSolver
+from repro.lattice.hamiltonian import LatticeHamiltonian
+from repro.lattice.reconstruction import reconstruct_structure
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +143,10 @@ def test_quantum_predictor_beats_af2_on_small_fragments(tiny_config, refgen):
     assert wins >= 3  # the paper reports 19/20 S-group wins over AF2
 
 
-def test_classical_predictor_matches_ground_state(tiny_config, refgen):
-    classical = ClassicalFoldingPredictor(config=tiny_config)
-    prediction = classical.predict("3eax", "RYRDV")
-    assert prediction.metadata["exact"]
+def test_classical_predictor_matches_ground_state(refgen):
+    result = ClassicalFoldingSolver(LatticeHamiltonian("RYRDV")).solve()
+    assert result.exact
+    structure = reconstruct_structure("RYRDV", result.ca_coords, center=True)
     reference = refgen.generate("3eax", "RYRDV").structure
-    # The reference is the jittered ground state, so the classical solution is very close.
-    assert ca_rmsd(prediction.structure, reference) < 1.0
+    # The reference is the jittered ground state, so the exact solution is very close.
+    assert ca_rmsd(structure, reference) < 1.0

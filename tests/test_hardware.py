@@ -52,7 +52,7 @@ def test_routing_no_defects_no_swaps():
     result = router.route(102, margin=5)
     assert result.swap_count == 0
     assert len(result.physical_chain) == 102
-    assert result.used_margin == 5
+    assert result.allocated_qubits - result.logical_qubits == 5
 
 
 def test_margin_strategy_reduces_swaps_with_defects():

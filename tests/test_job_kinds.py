@@ -3,6 +3,7 @@ cross-kind hashing, LRU cache bounds, and the warm-cache batch guarantee."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import random
@@ -137,7 +138,7 @@ def test_dock_hash_covers_dock_knobs_and_inputs(job_config, dock_inputs):
         != base.content_hash()
     )
     reference, ligand = dock_inputs
-    moved = reference.structure.copy()
+    moved = copy.deepcopy(reference.structure)
     moved.atoms[0].coords[0] += 0.5
     other = DockSpec(
         pdb_id="3eax", receptor_id="3eax:QDock", receptor=moved, ligand=ligand, config=job_config
@@ -421,16 +422,15 @@ def test_prune_spares_a_same_tick_rewrite(tmp_path):
 
 
 def test_prune_tolerates_every_entry_vanishing(tmp_path):
-    """A racing ``clear()`` between scan and eviction must not error or
-    miscount: nothing is left, nothing was 'evicted' by this prune."""
+    """A racing deletion of every entry between scan and eviction must not
+    error or miscount: nothing is left, nothing was 'evicted' by this prune."""
     cache = LocalDirTier(tmp_path)
-    other = LocalDirTier(tmp_path)
     for key in _keys(3):
         cache.put(key, _fake_payload(key, 64))
-    cache._before_evict = lambda entry: other.clear()
+    cache._before_evict = lambda entry: [path.unlink() for path in tmp_path.glob("*/*.json")]
     assert cache.prune(0) == []
     assert cache.stats.evictions == 0
-    assert len(cache) == 0
+    assert cache.entries() == []
 
 
 def test_prune_rejects_negative_bound(tmp_path):

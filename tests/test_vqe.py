@@ -19,10 +19,10 @@ from repro.vqe.vqe import VQE
 def test_expectation_cache_grows_once_per_unique_config():
     h = LatticeHamiltonian("ACDEF")
     exp = DiagonalExpectation(h)
-    bits = h.encoding.bits_from_turns([0, 1, 2, 1])
-    exp.energy_of_bits(bits)
-    exp.energy_of_bits(bits)
-    assert exp.cache_size == 1
+    samples = np.array([[1, 0, 0, 1]] * 3, dtype=np.uint8)  # turns 0, 1, 2, 1
+    exp.per_shot_energies(samples)
+    exp.per_shot_energies(samples)
+    assert exp.cache_info() == {"entries": 1, "hits": 1, "misses": 1}
 
 
 def test_cvar_below_or_equal_mean():
@@ -30,7 +30,7 @@ def test_cvar_below_or_equal_mean():
     exp = DiagonalExpectation(h)
     rng = np.random.default_rng(0)
     samples = rng.integers(0, 2, size=(200, h.encoding.configuration_qubits)).astype(np.uint8)
-    mean = exp.estimate_from_samples(samples)
+    mean = exp.per_shot_energies(samples).mean()
     cvar = exp.cvar_from_samples(samples, alpha=0.1)
     assert cvar <= mean + 1e-9
     assert exp.cvar_from_samples(samples, alpha=1.0) == pytest.approx(mean)
@@ -139,7 +139,10 @@ def test_packed_grouping_matches_row_unique():
     ref_uniq, ref_inverse, ref_counts = np.unique(
         samples[:, :width], axis=0, return_inverse=True, return_counts=True
     )
-    ref_energies = np.array([h.energy_of_bits("".join(map(str, row))) for row in ref_uniq])
+    ref_energies = np.array([
+        h.energies(h.encoding.turns_from_codes([int("".join(map(str, row)), 2)]))[0]
+        for row in ref_uniq
+    ])
     assert np.array_equal(energies, ref_energies)
     assert np.array_equal(inverse, np.ravel(ref_inverse))
     assert np.array_equal(counts, ref_counts)
