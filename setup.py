@@ -3,9 +3,10 @@
 Kept as a plain setup.py (no PEP 517 build isolation required) so
 ``pip install -e .`` works offline.  Installs the ``repro`` package from
 ``src/`` and the ``repro-cache`` / ``repro-session`` / ``repro-worker`` /
-``repro-serve`` / ``repro-bench`` console tools (:mod:`repro.cli.cache`,
-:mod:`repro.cli.session`, :mod:`repro.cli.worker`, :mod:`repro.cli.serve`,
-:mod:`repro.cli.bench`).
+``repro-serve`` console tools (:mod:`repro.cli.cache`,
+:mod:`repro.cli.session`, :mod:`repro.cli.worker`, :mod:`repro.cli.serve`).
+Performance is measured by ``perfbench/`` at the repository root, which is
+not installed.
 """
 from setuptools import find_packages, setup
 
@@ -24,7 +25,6 @@ setup(
             "repro-session=repro.cli.session:main",
             "repro-worker=repro.cli.worker:main",
             "repro-serve=repro.cli.serve:main",
-            "repro-bench=repro.cli.bench:main",
         ],
     },
 )

@@ -12,9 +12,9 @@ All pairwise terms are evaluated with a single broadcast distance tensor and
 boolean masks — there is no per-atom Python loop on the scoring hot path.
 :meth:`VinaScoringFunction.score_coords_batch` scores a whole batch of poses
 in blocks of :data:`CHUNK_ROWS` (one distance tensor per block,
-transcendentals restricted to within-cutoff pairs via flat masked indexing),
-and the single-pose :meth:`score_coords` is a batch of one, so both paths are
-the same code and produce bit-identical scores.  The electrostatic
+transcendentals restricted to within-cutoff pairs via flat masked indexing);
+a pose's score does not depend on the batch it is scored in, so scoring it
+alone gives the same bits.  The electrostatic
 exponential is skipped entirely when its weight is 0.0 (the default): with a
 zero weight the term contributes an exact ±0.0 to every pair, and adding a
 signed zero to the partial sum never changes it, because the preceding
@@ -154,16 +154,6 @@ class VinaScoringFunction:
         else:
             self._hb_atoms = np.zeros(0, dtype=int)
             self._hb_starts = np.zeros(0, dtype=int)
-
-    def score_coords(self, ligand_coords: np.ndarray) -> float:
-        """Score a ligand pose given its transformed atom coordinates (kcal/mol)."""
-        ligand_coords = np.asarray(ligand_coords, dtype=float)
-        if ligand_coords.shape != self.ligand.coords.shape:
-            raise DockingError(
-                f"pose coordinates shape {ligand_coords.shape} does not match the ligand "
-                f"({self.ligand.coords.shape})"
-            )
-        return float(self.score_coords_batch(ligand_coords[None, :, :])[0])
 
     def _surface_distances(self, pose_coords: np.ndarray) -> np.ndarray:
         """Surface-distance tensor ``(P, A, R)`` for a batch of poses.

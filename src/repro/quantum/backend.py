@@ -1,10 +1,10 @@
 """Execution backends: a common interface over the simulators.
 
-A backend takes a *bound* circuit and a shot count and returns a
-``(shots, num_qubits)`` array of measured bits, mirroring the sampler
-primitive the paper uses on IBM hardware; :func:`counts_from_samples` turns
-it into a counts dictionary (bitstring → frequency).  Three backends are
-provided:
+A backend samples a parameterised *template* circuit at a parameter vector
+and returns a ``(shots, num_qubits)`` array of measured bits, mirroring the
+sampler primitive the paper uses on IBM hardware; :func:`counts_from_samples`
+turns it into a counts dictionary (bitstring → frequency).  Three backends
+are provided:
 
 * :class:`StatevectorBackend` — exact, for narrow circuits (tests, oracles);
 * :class:`MPSBackend` — bounded-bond-dimension MPS, exact for the linear
@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.exceptions import BackendError, CircuitError
+from repro.exceptions import BackendError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.compiled import CompiledCircuit, circuit_structure_key
 from repro.quantum.mps import MPSPlan, MPSSimulator
@@ -84,25 +84,17 @@ class Backend(ABC):
         self._plan_hits = 0
         self._plan_misses = 0
 
-    @abstractmethod
-    def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Return a (shots, num_qubits) array of measurement outcomes."""
-
     def sample_parameterised(
         self, circuit: QuantumCircuit, values, shots: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Sample a parameterised *template* circuit at ``values``.
 
         This is the hot-loop entry point for optimisers that evaluate one
-        circuit structure at many parameter vectors.  The template's replay
-        plan comes from the plan cache; structures the plan compiler does not
-        cover bind and call :meth:`sample_array` instead.  The contract is
-        strict bit-identity with ``sample_array(circuit.bind(values))``.
+        circuit structure at many parameter vectors: the template's replay
+        plan comes from the plan cache and is replayed at ``values``.  Raises
+        :class:`CircuitError` for a structure the plan compiler rejects.
         """
-        plan = self._plan_for(circuit)
-        if plan is None:
-            return self.sample_array(circuit.bind(values), shots, rng)
-        return plan.sample(values, shots, rng)
+        return self._plan_for(circuit).sample(values, shots, rng)
 
     @abstractmethod
     def _compile(self, circuit: QuantumCircuit):
@@ -111,17 +103,14 @@ class Backend(ABC):
         not cover."""
 
     def _plan_for(self, circuit: QuantumCircuit):
+        """The cached plan of ``circuit``'s structure, compiled on a miss.  A
+        structure :meth:`_compile` rejects raises and is not cached."""
         key = circuit_structure_key(circuit)
         if key in self._plans:
             self._plan_hits += 1
             return self._plans[key]
         self._plan_misses += 1
-        try:
-            plan = self._compile(circuit)
-        except CircuitError:
-            # Structures the plan compilers do not cover fall back to binding.
-            plan = None
-        self._plans[key] = plan
+        plan = self._plans[key] = self._compile(circuit)
         while len(self._plans) > PLAN_CACHE_SIZE:
             self._plans.pop(next(iter(self._plans)))
         return plan
@@ -145,9 +134,6 @@ class StatevectorBackend(Backend):
         super().__init__()
         self._sim = StatevectorSimulator(max_qubits=max_qubits)
 
-    def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
-        return self._sim.sample(circuit, shots, rng)
-
     def _compile(self, circuit: QuantumCircuit) -> CompiledCircuit:
         return self._sim.compile(circuit)
 
@@ -161,9 +147,6 @@ class MPSBackend(Backend):
         super().__init__()
         self._sim = MPSSimulator(max_bond_dimension=max_bond_dimension)
         self.max_bond_dimension = max_bond_dimension
-
-    def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
-        return self._sim.sample(circuit, shots, rng)
 
     def _compile(self, circuit: QuantumCircuit) -> MPSPlan:
         return self._sim.compile(circuit)
@@ -189,9 +172,6 @@ class AutoBackend(Backend):
 
     def _pick(self, circuit: QuantumCircuit) -> Backend:
         return self._sv if circuit.num_qubits <= self.max_statevector_qubits else self._mps
-
-    def sample_array(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
-        return self._pick(circuit).sample_array(circuit, shots, rng)
 
     def _compile(self, circuit: QuantumCircuit):
         return self._pick(circuit)._compile(circuit)

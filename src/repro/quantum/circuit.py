@@ -134,6 +134,3 @@ class QuantumCircuit:
     def is_bound(self) -> bool:
         """True when no instruction has a free parameter."""
         return not any(inst.is_parameterised for inst in self.instructions)
-
-    def __len__(self) -> int:
-        return len([i for i in self.instructions if i.name != "barrier"])

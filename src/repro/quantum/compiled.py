@@ -1,33 +1,34 @@
 """Compiled execution plans for parameterised circuits.
 
 The VQE hot loop evaluates the *same* ansatz structure hundreds of times with
-different parameter vectors.  The naive path re-pays structure costs on every
-iteration: ``bind`` walks the instruction list to collect parameters and
-builds a full copy of the circuit, and the simulator re-resolves every gate
-matrix and re-derives every ``tensordot`` contraction from scratch.
+different parameter vectors.  :class:`CompiledCircuit` walks the circuit
+**once** and records a replay plan: for every instruction it resolves the
+target qubits into the exact transpose/reshape/``dot`` decomposition that
+:func:`numpy.tensordot` performs internally, precomputes the unitary of every
+parameter-independent gate, and notes which parameter slot feeds each
+parameterised rotation.  Evaluating the plan is then just "refresh the
+parameterised gate matrices and replay": no circuit copy, no parameter scan,
+no per-gate axis bookkeeping.  :func:`resolve_gates` is the gate-resolution
+half of that walk, shared with the MPS replay plan
+(:class:`repro.quantum.mps.MPSPlan`).
 
-:class:`CompiledCircuit` walks the circuit **once** and records a replay plan:
-for every instruction it resolves the target qubits into the exact
-transpose/reshape/``dot`` decomposition that :func:`numpy.tensordot` performs
-internally, precomputes the unitary of every parameter-independent gate, and
-notes which parameter slot feeds each parameterised rotation.  Evaluating the
-plan is then just "refresh the parameterised gate matrices and replay":
-no circuit copy, no parameter scan, no per-gate axis bookkeeping.
-:func:`resolve_gates` is the gate-resolution half of that walk, shared with
-the MPS replay plan (:class:`repro.quantum.mps.MPSPlan`).
+The plan is the only statevector kernel: :class:`StatevectorSimulator`
+compiles a bound circuit and replays it, and every backend samples templates
+through cached plans.  A structure :func:`resolve_gates` rejects (a
+parameterised gate with other than one free parameter, or one without a
+parametric matrix builder) cannot be simulated at all.
 
 Bit-identity contract
 ---------------------
-A compiled replay performs the *same floating-point operations in the same
-order* as :meth:`StatevectorSimulator.run` on the bound circuit: fixed gate
-matrices are produced by the same :func:`~repro.quantum.gates.gate_matrix`
-calls, parameterised matrices are rebuilt per evaluation through the same
-scalar code path, and each gate application reproduces ``tensordot``'s
-internal ``transpose → reshape → dot → reshape → moveaxis`` sequence with
-identical operand shapes.  Statevectors, probabilities and sampled bitstrings
-are therefore bit-identical to the uncompiled path — the determinism harness
-asserts this, and it is what lets the engine enable plan reuse by default
-without invalidating any cached fold result.
+A replay performs the *same floating-point operations in the same order* as
+contracting each gate into the state with ``tensordot`` and moving its axes
+back: fixed gate matrices come from the same
+:func:`~repro.quantum.gates.gate_matrix` calls, parameterised matrices are
+rebuilt per evaluation through the same scalar builder a bound copy would
+use, and each gate application reproduces ``tensordot``'s internal
+``transpose → reshape → dot → reshape → moveaxis`` sequence with identical
+operand shapes.  ``tests/test_quantum.py`` keeps that gate-by-gate
+``tensordot`` evolution as the oracle the plan must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -164,8 +165,7 @@ class CompiledCircuit:
     # -- evaluation --------------------------------------------------------------
 
     def statevector(self, values=()) -> np.ndarray:
-        """Evolve |0...0> through the plan at ``values``; bit-identical to
-        binding the template and running :meth:`StatevectorSimulator.run`."""
+        """Evolve |0...0> through the plan at ``values``."""
         vals = parameter_values(values, self.num_parameters)
         n = self.num_qubits
         shape = (2,) * n
@@ -182,7 +182,7 @@ class CompiledCircuit:
         return np.ascontiguousarray(state).reshape(-1)
 
     def probabilities(self, values=()) -> np.ndarray:
-        """Measurement probabilities at ``values`` (same maths as the simulator)."""
+        """Measurement probabilities over the ``2**n`` basis states at ``values``."""
         amps = self.statevector(values)
         probs = np.abs(amps) ** 2
         total = probs.sum()
@@ -191,8 +191,8 @@ class CompiledCircuit:
         return probs / total
 
     def sample(self, values, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample measurement outcomes; bit-identical (including the RNG draw
-        pattern) to :meth:`StatevectorSimulator.sample` on the bound circuit."""
+        """Sample ``shots`` measurement outcomes at ``values``: one
+        ``rng.choice`` over the basis states; returns (shots, n) uint8 0/1."""
         if shots <= 0:
             raise BackendError(f"shots must be positive, got {shots}")
         probs = self.probabilities(values)

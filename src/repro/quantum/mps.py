@@ -221,7 +221,3 @@ class MPSSimulator:
         if not circuit.is_bound:
             raise BackendError("cannot simulate a circuit with unbound parameters")
         return self.compile(circuit).run()
-
-    def sample(self, circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Run and sample; returns (shots, n) uint8 array."""
-        return self.run(circuit).sample(shots, rng)

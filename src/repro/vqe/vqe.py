@@ -100,12 +100,8 @@ class VQE:
         return self.expectation.cvar_from_samples(samples, alpha=self.config.cvar_alpha)
 
     def _sample(self, parameters, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample the ansatz at ``parameters`` through the backend's plan-reuse path.
-
-        ``sample_parameterised`` is bit-identical to binding and calling
-        ``sample_array`` — backends without a compiled path fall back to
-        exactly that.
-        """
+        """Sample the ansatz at ``parameters`` by replaying the backend's
+        cached plan of the ansatz structure (compiled on the first call)."""
         return self.backend.sample_parameterised(self.ansatz.circuit, parameters, shots, rng)
 
     def initial_point(self, rng: np.random.Generator) -> np.ndarray:

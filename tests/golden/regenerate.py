@@ -8,8 +8,17 @@ hash and the SHA-256 of its canonical payload.  The record also stores the
 fingerprint of the machine that wrote it, because payload floats pass through
 BLAS and SciPy's COBYLA.  It also holds the result digest of one seed-1 build
 of perfbench's ``slice-cold`` and ``paper-fragment`` workloads, which CI's
-``bench-smoke`` compares with its own perfbench runs where the fingerprint
+``perfbench-smoke`` compares with its own perfbench runs where the fingerprint
 matches.
+
+The record's ``counts`` block holds exact work counts of the same build
+(jobs executed, docking scorer calls, poses and scoring blocks, VQE objective
+evaluations, plan compiles, lattice-energy rows), collected by wrappers this
+script patches onto the package's classes for the build.  ``counts.config``
+follows from the configuration and is compared on every machine;
+``counts.float`` follows float results and is compared only where the
+fingerprint matches.  A count that moves means the code did more or less
+work, whatever the timing noise.
 
 Usage (from the repository root)::
 
@@ -23,21 +32,30 @@ regenerates the record says why in CHANGES.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import platform
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import scipy
 
+from repro.bio import reference
 from repro.config import PipelineConfig
 from repro.dataset.builder import DatasetBuilder
 from repro.dataset.fragments import fragments_by_group
+from repro.docking.scoring import VinaScoringFunction
+from repro.docking.search import MonteCarloPoseSearch
 from repro.engine import Engine
 from repro.folding.baselines import BASELINE_PREDICTORS
+from repro.lattice.hamiltonian import LatticeHamiltonian
+from repro.quantum.backend import AutoBackend, MPSBackend, StatevectorBackend
+from repro.vqe.vqe import VQE
 
 RECORD = Path(__file__).with_name("jobs.json")
 PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
@@ -46,6 +64,41 @@ SCHEMA = "golden/v1"
 SEED = 1
 PDB_IDS = ("1e2k", "1hdq", "1ppi")
 KINDS = ("fold", "baseline_fold", "dock")
+
+#: The build's work counts and the kind of each.  A ``config`` count follows
+#: from the configuration and the fragments alone, so it is exact on every
+#: machine.  A ``float`` count follows float results, which BLAS and SciPy's
+#: COBYLA can move between machines, so it is compared only where the
+#: record's fingerprint matches.
+COUNTS = {
+    # Engine jobs executed, by kind: 3 fold, 6 baseline_fold, 9 dock.
+    "jobs.fold": "config",
+    "jobs.baseline_fold": "config",
+    "jobs.dock": "config",
+    # MonteCarloPoseSearch._score calls of the Metropolis walks: one per step
+    # plus the starts, as the docking knobs set them.
+    "dock.walk.score_calls": "config",
+    # Poses those calls score: walkers x streams per call, the streams being
+    # seeds x the receptors' binding sites.
+    "dock.walk.poses": "config",
+    # VinaScoringFunction._score_block calls of the walks: each call's poses
+    # in blocks of CHUNK_ROWS.
+    "dock.walk.blocks": "config",
+    # The same three counts of refinement: which candidates stay distinct,
+    # and so how many rounds run, follows the walk's float scores.
+    "dock.refine.score_calls": "float",
+    "dock.refine.poses": "float",
+    "dock.refine.blocks": "float",
+    # VQE._objective calls: COBYLA stops on float tolerances.
+    "vqe.objective_evals": "float",
+    # Backend._compile calls: one plan per ansatz structure, so one per fold.
+    "quantum.plan_compiles": "config",
+    # LatticeHamiltonian.energies calls and conformations scored: the
+    # reference solver's annealing moves and the distinct conformations the
+    # VQE samples both follow float results.
+    "lattice.energies.calls": "float",
+    "lattice.energies.rows": "float",
+}
 
 
 def config() -> PipelineConfig:
@@ -113,13 +166,89 @@ def _row(payload: dict) -> dict:
     }
 
 
-def build_rows() -> list[dict]:
-    """Build the S group serially into a fresh cache and read back every job."""
+def _wrapped(owner, name: str, enter, leave=None):
+    """Patch ``owner.name`` with a wrapper that calls ``enter(*args)`` before
+    the original and ``leave()`` after it returns or raises."""
+    original = getattr(owner, name)
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        enter(*args, **kwargs)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            if leave is not None:
+                leave()
+
+    return mock.patch.object(owner, name, wrapper)
+
+
+@contextlib.contextmanager
+def counting():
+    """Count the work of the :data:`COUNTS` callables while open.
+
+    Yields the counts dict, filled in as the build runs.  The ground-state
+    memo of the references is emptied first, so the counts do not depend on
+    what ran earlier in the process.
+    """
+    counts = dict.fromkeys(COUNTS, 0)
+    # The docking phase running ("walk" or "refine") and the _compile depth.
+    state = {"phase": None, "compiling": 0}
+
+    def add(name: str, value: int = 1) -> None:
+        counts[name] += value
+
+    def phase(name: str | None):
+        return lambda *args: state.update(phase=name)
+
+    def score(search, rotations, translations):
+        add(f"dock.{state['phase']}.score_calls")
+        add(f"dock.{state['phase']}.poses", len(rotations))
+
+    def compile_plan(*args):
+        # AutoBackend._compile hands the circuit to its inner backend's
+        # _compile: only the outermost call counts.
+        if not state["compiling"]:
+            add("quantum.plan_compiles")
+        state["compiling"] += 1
+
+    def compiled():
+        state["compiling"] -= 1
+
+    patches = [
+        _wrapped(MonteCarloPoseSearch, "_walk", phase("walk"), phase(None)),
+        _wrapped(MonteCarloPoseSearch, "_refine", phase("refine"), phase(None)),
+        _wrapped(MonteCarloPoseSearch, "_score", score),
+        _wrapped(VinaScoringFunction, "_score_block",
+                 lambda *args: add(f"dock.{state['phase']}.blocks")),
+        _wrapped(VQE, "_objective", lambda *args: add("vqe.objective_evals")),
+        _wrapped(LatticeHamiltonian, "energies", lambda hamiltonian, turns: (
+            add("lattice.energies.calls"), add("lattice.energies.rows", len(turns)))),
+        *(_wrapped(cls, "_compile", compile_plan, compiled)
+          for cls in (StatevectorBackend, MPSBackend, AutoBackend)),
+    ]
+    reference._ground_state.cache_clear()
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        yield counts
+
+
+def build() -> tuple[list[dict], dict[str, dict[str, int]]]:
+    """Build the S group serially into a fresh cache while :func:`counting`;
+    every job's row, and the counts split by kind as the record stores them."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = Path(tmp) / "cache"
-        DatasetBuilder(config(), cache_dir=cache).build(fragments())
+        builder = DatasetBuilder(config(), cache_dir=cache)
+        with counting() as counts:
+            builder.build(fragments())
+        for kind, executed in builder.engine.stats()["executed_by_kind"].items():
+            counts[f"jobs.{kind}"] = executed
         rows = [_row(json.loads(p.read_text())) for p in cache.glob("*/*.json")]
-    return _sort(rows)
+    split = {"config": {}, "float": {}}
+    for name, kind in COUNTS.items():
+        split[kind][name] = counts[name]
+    return _sort(rows), split
 
 
 def perfbench_digests() -> dict[str, str]:
@@ -137,12 +266,15 @@ def perfbench_digests() -> dict[str, str]:
     return digests
 
 
-def record(rows: list[dict], perfbench: dict[str, str] | None = None) -> dict:
+def record(
+    rows: list[dict], counts: dict[str, dict[str, int]], perfbench: dict[str, str] | None = None
+) -> dict:
     new = {
         "schema": SCHEMA,
         "build": "S-group fragments, PipelineConfig.fast(), seed 1, serial",
         "fingerprint": fingerprint(),
         "rows": rows,
+        "counts": counts,
     }
     if perfbench is not None:
         new["perfbench_seed1"] = perfbench
@@ -172,6 +304,7 @@ def diff(old: dict, new: dict) -> list[str]:
             for cell in ("content_hash", "payload_sha256"):
                 if before[key][cell] != after[key][cell]:
                     lines.append(f"~ {label} {cell}: {before[key][cell]} -> {after[key][cell]}")
+    lines += count_diff(old.get("counts", {}), new["counts"], ("config", "float"))
     if "perfbench_seed1" in new:
         recorded = old.get("perfbench_seed1", {})
         for name, digest in new["perfbench_seed1"].items():
@@ -180,11 +313,22 @@ def diff(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def count_diff(old: dict, new: dict, kinds: tuple[str, ...]) -> list[str]:
+    """One line per count of ``kinds`` that differs between two counts blocks."""
+    lines = []
+    for kind in kinds:
+        before, after = old.get(kind, {}), new.get(kind, {})
+        for name in sorted(before.keys() | after.keys()):
+            if before.get(name) != after.get(name):
+                lines.append(f"~ {kind} count {name}: {before.get(name)} -> {after.get(name)}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true", help="exit 1 when the record is stale")
     args = parser.parse_args(argv)
-    new = record(build_rows(), perfbench_digests())
+    new = record(*build(), perfbench_digests())
     old = load() if RECORD.exists() else {"fingerprint": {}, "rows": []}
     lines = diff(old, new)
     print("\n".join(lines) if lines else "record is current")

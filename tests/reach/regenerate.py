@@ -1,10 +1,9 @@
 """Write or check the reachability ledger of ``src/repro``.
 
 The ledger (``tests/reach/ledger.json``) lists the functions of the package
-that no scenario below runs, so only the tests reach them, and the functions
-that only the ``repro-bench`` scenario runs.  Every entry carries a one-line
-``why``: the test seam it serves, the CI step that reaches it outside this
-replay, or the roadmap item that retires it.  A function that loses its last
+that no scenario below runs, so only the tests reach them.  Every entry
+carries a one-line ``why``: the test seam it serves, the CI step that
+reaches it outside this replay, or the roadmap item that retires it.  A function that loses its last
 caller joins the ledger, so ``--check`` fails until it is removed or
 justified.
 
@@ -49,10 +48,7 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 LEDGER = Path(__file__).with_name("ledger.json")
 HOOK = Path(__file__).with_name("hook.py")
-SCHEMA = "reach/v1"
-#: The scenario whose functions get ledger entries of their own: roadmap
-#: direction 2 retires ``repro-bench`` and what only it reaches.
-BENCH = "repro-bench"
+SCHEMA = "reach/v2"
 
 
 # -- the functions of the package ----------------------------------------------------
@@ -179,25 +175,13 @@ def bench_warm_cache(s: Scenario) -> None:
 
 
 def perfbench(s: Scenario) -> None:
-    """CI bench-smoke's perfbench loop, plus one traced build (the tracer
+    """CI perfbench-smoke's perfbench loop, plus one traced build (the tracer
     swaps the registry's executors)."""
     for workload in ("slice-cold", "slice-warm", "slice-filequeue", "paper-fragment"):
         s.run(str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", "1",
               "--seconds", "1", "--trace", "0", cwd=ROOT)
     s.run(str(ROOT / "perfbench" / "run.py"), "--workload", "slice-warm", "--seed", "1",
           "--seconds", "1", "--trace", "1", cwd=ROOT)
-
-
-def repro_bench(s: Scenario) -> None:
-    """CI bench-smoke's repro-bench steps."""
-    report = str(s.work / "bench-smoke.json")
-    s.run("-m", "repro.cli.bench", "--root", str(ROOT), "--smoke", "--out", report)
-    latest = s.run(
-        "-c", "from repro.bench import find_previous_report; print(find_previous_report(%r))"
-        % str(ROOT)
-    ).strip()
-    s.run("-m", "repro.cli.bench", "--validate", report, "--against", latest,
-          "--max-regression", "2.0")
 
 
 def _sweep(s: Scenario, name: str, *extra: str) -> list[str]:
@@ -312,7 +296,6 @@ SCENARIOS: dict[str, Callable[[Scenario], None]] = {
     "examples": examples,
     "bench-warm-cache": bench_warm_cache,
     "perfbench": perfbench,
-    BENCH: repro_bench,
     "session-resume": session_resume,
     "distributed-sweep": distributed_sweep,
     "network-serve": network_serve,
@@ -335,36 +318,25 @@ def replay() -> dict[str, set[tuple[str, int, str]]]:
 # -- the ledger ------------------------------------------------------------------------
 
 
-def entries(reached: dict[str, set[tuple[str, int, str]]]) -> dict[str, str]:
-    """``"path:qualname" -> "tests" | "repro-bench"``: who alone reaches it."""
-    every = functions()
-    others = set().union(*(rows for name, rows in reached.items() if name != BENCH))
-    out = {}
-    for key, name in every.items():
-        if key in others:
-            continue
-        out[name] = BENCH if key in reached[BENCH] else "tests"
-    return out
+def entries(reached: dict[str, set[tuple[str, int, str]]]) -> set[str]:
+    """The ``"path:qualname"`` of every function no scenario reaches."""
+    reached_any = set().union(*reached.values())
+    return {name for key, name in functions().items() if key not in reached_any}
 
 
 def load() -> dict:
     return json.loads(LEDGER.read_text())
 
 
-def ledger(found: dict[str, str], old: dict) -> dict:
+def ledger(found: set[str], old: dict) -> dict:
     """The new ledger: the ``why`` of every entry that stays is kept, and a
     ``timing`` entry of a function that still exists stays even when reached."""
     before = {e["function"]: e for e in old.get("entries", [])}
     existing = set(functions().values())
     timing = {name for name, e in before.items() if e.get("timing") and name in existing}
     rows = []
-    for name in sorted(found.keys() | timing):
-        entry = before.get(name, {})
-        row = {
-            "function": name,
-            "only": found.get(name, entry.get("only")),
-            "why": entry.get("why", ""),
-        }
+    for name in sorted(found | timing):
+        row = {"function": name, "why": before.get(name, {}).get("why", "")}
         if name in timing:
             row["timing"] = True
         rows.append(row)
@@ -376,18 +348,16 @@ def ledger(found: dict[str, str], old: dict) -> dict:
 
 
 def diff(old: dict, new: dict) -> list[str]:
-    """Entries added, dropped or re-attributed, and entries without a ``why``
-    (``timing`` entries are not compared)."""
-    before = {e["function"]: e["only"] for e in old.get("entries", []) if not e.get("timing")}
-    after = {e["function"]: e["only"] for e in new["entries"] if not e.get("timing")}
+    """Entries added or dropped, and entries without a ``why`` (``timing``
+    entries are not compared)."""
+    before = {e["function"] for e in old.get("entries", []) if not e.get("timing")}
+    after = {e["function"] for e in new["entries"] if not e.get("timing")}
     lines = []
-    for name in sorted(before.keys() | after.keys()):
+    for name in sorted(before | after):
         if name not in after:
             lines.append(f"- {name} (now reached)")
         elif name not in before:
-            lines.append(f"+ {name} (only {after[name]} reach it)")
-        elif before[name] != after[name]:
-            lines.append(f"~ {name}: only {before[name]} -> only {after[name]}")
+            lines.append(f"+ {name} (only the tests reach it)")
     lines += [f"? {e['function']} has no why" for e in new["entries"] if not e["why"]]
     return lines
 
@@ -403,8 +373,8 @@ def main(argv: list[str] | None = None) -> int:
     new = ledger(entries(reached), old)
     lines = diff(old, new)
     total = len(functions())
-    print(f"{total - len(new['entries'])} of {total} functions reached outside the tests "
-          f"and {BENCH}; replay took {time.perf_counter() - start:.0f} s")
+    print(f"{total - len(new['entries'])} of {total} functions reached outside the tests; "
+          f"replay took {time.perf_counter() - start:.0f} s")
     print("\n".join(lines) if lines else "ledger is current")
     if args.check:
         return 1 if lines else 0

@@ -91,20 +91,26 @@ def test_find_pockets_distinct(reference_record):
 # -- scoring ---------------------------------------------------------------------------
 
 
+def score_coords(scorer, ligand_coords):
+    """One pose's score: a batch of one through ``score_coords_batch``."""
+    return float(scorer.score_coords_batch(np.asarray(ligand_coords, dtype=float)[None])[0])
+
+
+
 def test_scoring_clash_is_penalised(reference_record, ligand):
     scorer = VinaScoringFunction(reference_record.structure, ligand)
-    good = scorer.score_coords(ligand.coords)
+    good = score_coords(scorer, ligand.coords)
     # Slam the ligand into the receptor centre: heavy steric repulsion.
     centre = reference_record.structure.all_coords().mean(axis=0)
     clashed = ligand.coords - (ligand.coords.mean(axis=0) - centre)
-    bad = scorer.score_coords(clashed)
+    bad = score_coords(scorer, clashed)
     assert good < bad
 
 
 def test_scoring_far_away_is_zero(reference_record, ligand):
     scorer = VinaScoringFunction(reference_record.structure, ligand)
     far = ligand.coords + np.array([500.0, 0.0, 0.0])
-    assert scorer.score_coords(far) == pytest.approx(0.0, abs=1e-6)
+    assert score_coords(scorer, far) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_scoring_rotor_penalty_reduces_magnitude(reference_record, ligand):
@@ -116,15 +122,15 @@ def test_scoring_rotor_penalty_reduces_magnitude(reference_record, ligand):
         ligand.name, ligand.coords, list(ligand.elements), ligand.hydrophobic,
         ligand.donor, ligand.acceptor, ligand.charges, num_rotatable_bonds=10, anchor=ligand.anchor,
     )
-    s_rigid = VinaScoringFunction(reference_record.structure, rigid).score_coords(ligand.coords)
-    s_flex = VinaScoringFunction(reference_record.structure, flexible).score_coords(ligand.coords)
+    s_rigid = score_coords(VinaScoringFunction(reference_record.structure, rigid), ligand.coords)
+    s_flex = score_coords(VinaScoringFunction(reference_record.structure, flexible), ligand.coords)
     assert abs(s_flex) < abs(s_rigid)
 
 
 def test_scoring_shape_mismatch_raises(reference_record, ligand):
     scorer = VinaScoringFunction(reference_record.structure, ligand)
     with pytest.raises(DockingError):
-        scorer.score_coords(np.zeros((2, 3)))
+        score_coords(scorer, np.zeros((2, 3)))
 
 
 # -- batched scoring ----------------------------------------------------------------------
@@ -165,7 +171,7 @@ def test_batch_scoring_matches_scalar_exactly(reference_record, ligand):
     pocket = find_pocket(reference_record.structure)
     coords = _pose_batch(ligand.centered(), pocket.center, 17)
     batch = scorer.score_coords_batch(coords)
-    scalar = np.array([scorer.score_coords(pose) for pose in coords])
+    scalar = np.array([score_coords(scorer, pose) for pose in coords])
     assert np.array_equal(batch, scalar)
 
 
@@ -173,7 +179,7 @@ def test_batch_scoring_blocks_match_scalar_exactly(reference_record, ligand):
     scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
     pocket = find_pocket(reference_record.structure)
     coords = _pose_batch(ligand.centered(), pocket.center, 3 * CHUNK_ROWS, seed=4)
-    scalar = np.array([scorer.score_coords(pose) for pose in coords])
+    scalar = np.array([score_coords(scorer, pose) for pose in coords])
     for count in (CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS):
         assert np.array_equal(scorer.score_coords_batch(coords[:count]), scalar[:count])
 
@@ -304,7 +310,7 @@ def test_rotation_matrices_match_scalar_rodrigues_bitwise():
 
 
 def _score_pose(search, rotation, translation):
-    return search.scorer.score_coords(search.scorer.ligand.transformed(rotation, translation))
+    return score_coords(search.scorer, search.scorer.ligand.transformed(rotation, translation))
 
 
 def _perturb(search, pose, z, scale=1.0):

@@ -1,8 +1,10 @@
 """The committed golden job record (``tests/golden/jobs.json``).
 
 Rebuilding its 18 jobs must reproduce every row, so a change to any job hash
-or payload that is consistent within one tree still fails here.  Regenerate
-the record with ``PYTHONPATH=src python tests/golden/regenerate.py``.
+or payload that is consistent within one tree still fails here.  The same
+build must do exactly the recorded work: a count that moves means the code
+scored, evaluated or compiled more (or less) than before.  Regenerate the
+record with ``PYTHONPATH=src python tests/golden/regenerate.py``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,13 @@ def test_golden_job_record():
     # Fold and baseline hashes need no execution, so they hold everywhere.
     hashed = [{k: r[k] for k in ("kind", "identity", "content_hash")} for r in rows]
     assert regenerate.hash_rows() == [r for r in hashed if r["kind"] != "dock"]
-    # Payloads follow BLAS and SciPy's COBYLA, which can flip a discrete
-    # outcome between versions, so they are compared only where the record
-    # was written.
+    built, counts = regenerate.build()
+    # Counts that follow from the config hold everywhere too.
+    moved = regenerate.count_diff(golden["counts"], counts, ("config",))
+    assert not moved, "\n".join(moved)
+    # Payloads and the float counts follow BLAS and SciPy's COBYLA, which can
+    # flip a discrete outcome between versions, so they are compared only
+    # where the record was written.
     here = regenerate.fingerprint()
     if here != golden["fingerprint"]:
         differing = ", ".join(
@@ -29,5 +35,6 @@ def test_golden_job_record():
             for key, value in here.items()
             if golden["fingerprint"].get(key) != value
         )
-        pytest.skip(f"payload rows not compared: {differing}")
-    assert regenerate.diff(golden, regenerate.record(regenerate.build_rows())) == []
+        pytest.skip(f"payload rows and float counts not compared: {differing}")
+    changed = regenerate.diff(golden, regenerate.record(built, counts))
+    assert not changed, "\n".join(changed)

@@ -95,6 +95,32 @@ def test_efficient_su2_zero_params_gives_all_zero_state():
 # -- statevector simulator --------------------------------------------------------------
 
 
+def _tensordot_statevector(circuit: QuantumCircuit) -> np.ndarray:
+    """Reference evolution of a bound circuit: contract each gate into the
+    rank-n state tensor with ``tensordot`` and move its output legs back into
+    place.  The compiled plan replays this sequence and must equal it bit for
+    bit."""
+    n = circuit.num_qubits
+    state = np.zeros((2,) * n, dtype=complex)
+    state[(0,) * n] = 1.0
+    for inst in circuit.instructions:
+        if inst.name == "barrier":
+            continue
+        k = len(inst.qubits)
+        gate = gate_matrix(inst.name, tuple(float(p) for p in inst.params)).reshape((2,) * (2 * k))
+        moved = np.tensordot(gate, state, axes=(list(range(k, 2 * k)), list(inst.qubits)))
+        state = np.moveaxis(moved, list(range(k)), list(inst.qubits))
+    return state.reshape(-1)
+
+
+def _tensordot_sample(circuit: QuantumCircuit, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference sampler: one ``rng.choice`` over the reference probabilities."""
+    probs = np.abs(_tensordot_statevector(circuit)) ** 2
+    probs /= probs.sum()
+    return outcome_bits(rng.choice(probs.size, size=shots, p=probs), circuit.num_qubits)
+
+
+
 def test_bell_state():
     qc = QuantumCircuit(2)
     qc.append("h", (0,)).cx(0, 1)
@@ -284,7 +310,7 @@ def test_mps_sampling_distribution_on_product_state():
     # RY(pi) flips qubit 0 deterministically; qubit 1 stays 0.
     qc = QuantumCircuit(2)
     qc.ry(np.pi, 0)
-    samples = MPSSimulator().sample(qc, 200, np.random.default_rng(0))
+    samples = MPSSimulator().run(qc).sample(200, np.random.default_rng(0))
     assert np.all(samples[:, 0] == 1)
     assert np.all(samples[:, 1] == 0)
 
@@ -292,9 +318,9 @@ def test_mps_sampling_distribution_on_product_state():
 def test_mps_scales_to_100_qubits():
     ansatz = EfficientSU2(102, reps=1)
     rng = np.random.default_rng(1)
-    samples = MPSSimulator(max_bond_dimension=8).sample(
-        ansatz.bound(rng.normal(scale=0.3, size=ansatz.num_parameters)), 32, rng
-    )
+    samples = MPSSimulator(max_bond_dimension=8).run(
+        ansatz.bound(rng.normal(scale=0.3, size=ansatz.num_parameters))
+    ).sample(32, rng)
     assert samples.shape == (32, 102)
 
 
@@ -323,25 +349,26 @@ def test_counts_from_samples_matches_row_unique_reference(width):
 
 def test_backends_agree_statistically():
     ansatz = EfficientSU2(4, reps=1)
-    rng = np.random.default_rng(2)
-    circuit = ansatz.bound(rng.normal(size=ansatz.num_parameters))
-    sv_mean = StatevectorBackend().sample_array(circuit, 4000, np.random.default_rng(3)).mean(axis=0)
-    mps_mean = MPSBackend().sample_array(circuit, 4000, np.random.default_rng(4)).mean(axis=0)
-    assert np.allclose(sv_mean, mps_mean, atol=0.06)
+    values = np.random.default_rng(2).normal(size=ansatz.num_parameters)
+    means = [
+        backend.sample_parameterised(ansatz.circuit, values, 4000, np.random.default_rng(seed)).mean(axis=0)
+        for backend, seed in ((StatevectorBackend(), 3), (MPSBackend(), 4))
+    ]
+    assert np.allclose(*means, atol=0.06)
 
 
 @pytest.mark.parametrize(
-    "backend",
-    [MPSBackend(max_bond_dimension=4), AutoBackend(max_statevector_qubits=6)],
+    "backend,bond",
+    [(MPSBackend(max_bond_dimension=4), 4), (AutoBackend(max_statevector_qubits=6), 16)],
     ids=["mps", "auto"],
 )
-def test_mps_sample_parameterised_matches_sampling_the_bound_circuit(backend):
+def test_mps_sample_parameterised_matches_sampling_the_bound_circuit(backend, bond):
     ansatz = EfficientSU2(9, reps=2)
     for seed in range(3):
         values = _random_values(ansatz.num_parameters, seed) * 2.5
         planned = backend.sample_parameterised(ansatz.circuit, values, 500, np.random.default_rng(seed))
-        bound = backend.sample_array(ansatz.circuit.bind(values), 500, np.random.default_rng(seed))
-        assert np.array_equal(planned, bound)
+        state = MPSSimulator(max_bond_dimension=bond).run(ansatz.circuit.bind(values))
+        assert np.array_equal(planned, state.sample(500, np.random.default_rng(seed)))
     assert backend.plan_cache_info()["entries"] == 1
     assert backend.plan_cache_info()["hits"] == 2
 
@@ -366,14 +393,16 @@ def test_compiled_statevector_bit_identical_to_simulator(width, reps):
     simulator = StatevectorSimulator()
     for seed in range(3):
         values = _random_values(ansatz.num_parameters, seed)
-        assert np.array_equal(plan.statevector(values), simulator.run(ansatz.bound(values)))
+        reference = _tensordot_statevector(ansatz.bound(values))
+        assert np.array_equal(plan.statevector(values), reference)
+        assert np.array_equal(simulator.run(ansatz.bound(values)), reference)
 
 
 def test_compiled_sample_matches_simulator_rng_stream():
     ansatz = EfficientSU2(4, reps=2)
     plan = StatevectorSimulator().compile(ansatz.circuit)
     values = _random_values(ansatz.num_parameters, 7)
-    direct = StatevectorSimulator().sample(ansatz.bound(values), 64, np.random.default_rng(9))
+    direct = _tensordot_sample(ansatz.bound(values), 64, np.random.default_rng(9))
     replay = plan.sample(values, 64, np.random.default_rng(9))
     assert np.array_equal(direct, replay)
 
@@ -395,7 +424,7 @@ def test_compiled_handles_fixed_and_parameterised_gates():
     plan = CompiledCircuit(circuit)
     assert len(plan) == 5  # barriers excluded, everything else compiled
     values = [0.8]
-    assert np.array_equal(plan.statevector(values), StatevectorSimulator().run(circuit.bind(values)))
+    assert np.array_equal(plan.statevector(values), _tensordot_statevector(circuit.bind(values)))
 
 
 def test_compiled_circuit_errors():
@@ -455,6 +484,19 @@ def test_sample_parameterised_matches_sampling_the_bound_circuit():
     ansatz = EfficientSU2(5, reps=2)
     values = _random_values(ansatz.num_parameters, 4)
     compiled = backend.sample_parameterised(ansatz.circuit, values, 48, np.random.default_rng(2))
-    bound = backend.sample_array(ansatz.circuit.bind(values), 48, np.random.default_rng(2))
+    bound = _tensordot_sample(ansatz.circuit.bind(values), 48, np.random.default_rng(2))
     assert np.array_equal(compiled, bound)
+    assert backend.plan_cache_info()["entries"] == 1
+
+
+@pytest.mark.parametrize("backend", [StatevectorBackend, MPSBackend, AutoBackend])
+def test_sample_parameterised_rejects_a_structure_the_plan_compiler_rejects(backend):
+    backend = backend()
+    ansatz = EfficientSU2(3, reps=1)
+    backend.sample_parameterised(ansatz.circuit, np.zeros(ansatz.num_parameters), 8,
+                                 np.random.default_rng(0))
+    two_free = QuantumCircuit(2).append("ry", (0,), (Parameter("a"), Parameter("b")))
+    for _ in range(2):  # nothing is cached for it, so it raises every time
+        with pytest.raises(CircuitError, match="instruction 'ry'"):
+            backend.sample_parameterised(two_free, [0.1, 0.2], 8, np.random.default_rng(0))
     assert backend.plan_cache_info()["entries"] == 1
