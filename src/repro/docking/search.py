@@ -8,8 +8,8 @@ distinct poses it visits, and polishes each of them with a short greedy local
 refinement.  Every run is fully determined by its seed, which is how the
 paper's per-seed docking reproducibility is achieved.
 
-Streams in lock-step
---------------------
+Streams and runs in lock-step
+-----------------------------
 One search holds every binding site of a receptor.  One
 :meth:`MonteCarloPoseSearch.search` call runs a list of *streams*: a stream
 is one docking run at one site, with its own generator (the docking engine
@@ -18,8 +18,11 @@ has the same number of walkers, and every walker of every stream, across
 sites and runs, advances in lock-step: a Metropolis step is one batched
 proposal and one
 :meth:`~repro.docking.scoring.VinaScoringFunction.score_coords_batch` call.
-Refinement runs in rounds that span all streams: each stream picks its next
-candidate distinct from its refined poses, and all picks refine together.
+A *run* owns one or more streams, one per site, and is the unit of
+selection: its candidates are the walk visits of all its streams, best
+first.  Refinement runs in rounds that span all runs: each run picks its
+next candidate distinct from its refined poses, and all picks refine
+together.  By default every stream is its own run.
 
 Draws
 -----
@@ -28,10 +31,10 @@ spawned children (:func:`walker_rngs`).  Each walker draws its start, then
 its whole walk in two calls: ``standard_normal((steps, 7))`` for the
 proposals and ``random(steps)`` for the Metropolis test, which draws a
 uniform on every step, uphill or not.  The stream's generator then draws
-``standard_normal((num_poses, refine_steps, 7))``, and the stream's k-th
-refined pose uses block k.  So the number of draws follows from the knobs
-alone, a step runs no per-stream Python, and a stream's poses are the same
-whichever other streams share its search.
+``standard_normal((num_poses, refine_steps, 7))``, and the k-th candidate
+its run takes from that stream refines with block k.  So the number of
+draws follows from the knobs alone, a step runs no per-stream Python, and a
+run's poses are the same whichever other runs share its search.
 """
 
 from __future__ import annotations
@@ -193,13 +196,16 @@ class MonteCarloPoseSearch:
         num_poses: int = 10,
         restarts: int = 3,
         refine_steps: int = 25,
+        runs: list[int] | None = None,
     ) -> list[list[Pose]]:
-        """Search stream ``i`` at site ``sites[i]`` with generator ``rngs[i]``.
+        """Search stream ``i`` at site ``sites[i]`` with generator ``rngs[i]``
+        for run ``runs[i]`` (default: every stream is its own run).
 
-        Returns each stream's best distinct poses, best first.  Poses are
-        deduplicated on their translation (two poses closer than 1.0 Å are
-        considered the same binding mode and only the better one is kept),
-        mirroring how Vina clusters its output modes.
+        Runs are numbered from 0 and each owns at least one stream.  Returns
+        each run's best distinct poses over all its streams, best first.
+        Poses are deduplicated on their translation (two poses closer than
+        1.0 Å are considered the same binding mode and only the better one is
+        kept), mirroring how Vina clusters its output modes.
         """
         if steps <= 0:
             raise DockingError(f"steps must be positive, got {steps}")
@@ -209,22 +215,33 @@ class MonteCarloPoseSearch:
             raise DockingError(
                 f"need one site in [0, {len(self.site_centers)}) per stream, got {list(sites)}"
             )
+        runs = np.arange(len(rngs)) if runs is None else np.asarray(runs, dtype=int)
+        run_ids = np.unique(runs)
+        if len(runs) != len(rngs) or not np.array_equal(run_ids, np.arange(len(run_ids))):
+            raise DockingError(
+                f"need one run per stream, numbered from 0 with none left out, got {runs.tolist()}"
+            )
+        num_runs = len(run_ids)
         walkers = max(restarts, len(self.initial_rotations) + 1)
         row, *poses = self._walk(walkers, max(1, steps // walkers), rngs, sites)
         translations, scores = poses[1:]
-        # Each stream's candidates best first; ties keep walker-major visit order.
+        # Each run's candidates best first; ties keep stream-major, then
+        # walker-major visit order.
         stream = row // walkers
-        order = np.lexsort((row, scores, stream))
+        run = runs[stream]
+        order = np.lexsort((row, scores, run))
         queues = [
             iter(rows)
-            for rows in np.split(order, np.searchsorted(stream[order], np.arange(1, len(rngs))))
+            for rows in np.split(order, np.searchsorted(run[order], np.arange(1, num_runs)))
         ]
         refine_draws = np.stack(
             [rng.standard_normal((num_poses, max(0, refine_steps), 7)) for rng in rngs]
         )
-        # Every round picks each stream's next candidate that is distinct
-        # from its refined poses, then refines all picks together.
-        selected: list[list[Pose]] = [[] for _ in rngs]
+        # The candidates each stream has handed its run so far.
+        taken = np.zeros(len(rngs), dtype=int)
+        # Every round picks each run's next candidate that is distinct from
+        # its refined poses, then refines all picks together.
+        selected: list[list[Pose]] = [[] for _ in range(num_runs)]
         while True:
             picks: dict[int, int] = {}
             for index, (kept, queue) in enumerate(zip(selected, queues)):
@@ -234,8 +251,12 @@ class MonteCarloPoseSearch:
                         picks[index] = pick
             if not picks:
                 break
-            current = tuple(part[list(picks.values())] for part in poses)
-            z = refine_draws[list(picks), [len(selected[index]) for index in picks]]
+            rows = list(picks.values())
+            current = tuple(part[rows] for part in poses)
+            # One pick per run, so the picked streams are distinct.
+            streams = stream[rows]
+            z = refine_draws[streams, taken[streams]]
+            taken[streams] += 1
             for index, pose in zip(picks, self._refine(current, z)):
                 selected[index].append(pose)
         if not all(selected):

@@ -16,7 +16,8 @@ the dock-relevant :class:`~repro.config.PipelineConfig` knobs
 runs the full multi-seed search.  Every run's seed derives from the master
 seed plus the receptor identity plus the run index (``child_seed``), never
 from worker assignment, so results are bit-identical for any worker count;
-the run searches each binding site on its own stream derived from that seed.
+the run searches each binding site on its own stream derived from that seed
+and refines its best candidates over all its sites.
 :meth:`DockingResult.from_dict` rebuilds a result from its serialised summary,
 which is what the engine's persistent cache stores; a warm cache therefore
 replays docking results without a single Monte-Carlo step.
@@ -278,7 +279,9 @@ class DockingEngine:
         """Run every seed at every site of an already-prepared docking task in one search.
 
         Run ``seed`` searches site ``k`` on its own stream,
-        ``rng_for(seed, "run", k)``, so a recorded seed reproduces its run.
+        ``rng_for(seed, "run", k)``, so a recorded seed reproduces its run,
+        and refines its best ``num_poses`` distinct candidates over all its
+        sites.
         """
         result = DockingResult(
             receptor_id=receptor_id,
@@ -291,11 +294,10 @@ class DockingEngine:
             [rng_for(seed, "run", site) for seed in seeds for site in sites],
             [site for _ in seeds for site in sites],
             num_poses=self.num_poses,
+            runs=[run for run in range(len(seeds)) for _ in sites],
         )
-        for run, seed in enumerate(seeds):
-            run_poses = [pose for site in sites for pose in found[run * len(sites) + site]]
-            run_poses.sort(key=lambda p: p.score)
-            result.runs.append(self._build_run(seed, run_poses[: self.num_poses], prepared.ligand))
+        for seed, poses in zip(seeds, found):
+            result.runs.append(self._build_run(seed, poses, prepared.ligand))
         return result
 
     def _build_run(self, seed: int, poses: list[Pose], ligand: Ligand) -> DockingRun:

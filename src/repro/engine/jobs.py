@@ -41,13 +41,16 @@ from repro.lattice.hamiltonian import HamiltonianWeights
 #: energy metadata) can differ in the last bits from fold/v1 at equal knobs.
 FOLD_SCHEMA_VERSION = "fold/v2"
 BASELINE_SCHEMA_VERSION = "baseline_fold/v1"
-#: dock/v3: every (run, site) pair draws from its own stream, derived from
-#: the run's recorded seed and the site index, and the Metropolis test draws
-#: a uniform on every step, so one search can dock all sites of a job in
-#: lock-step.  Docking outputs differ from dock/v2 at equal knobs (dock/v2
-#: carried one stream per run from site to site; dock/v1 shared one stream
-#: among all restarts).
-DOCK_SCHEMA_VERSION = "dock/v3"
+#: dock/v4: a docking run refines its ``docking_poses`` best distinct walk
+#: candidates over all its sites, where dock/v3 refined that many at each
+#: site and kept the best of them.  Every (run, site) pair still draws from
+#: its own stream, derived from the run's recorded seed and the site index,
+#: with the Metropolis test drawing a uniform on every step (dock/v3); a
+#: candidate refines with the next refinement block of its site's stream.
+#: Docking outputs differ from dock/v3 at equal knobs (dock/v2 carried one
+#: stream per run from site to site; dock/v1 shared one stream among all
+#: restarts).
+DOCK_SCHEMA_VERSION = "dock/v4"
 
 #: The configuration fields that influence a quantum fold result (and
 #: therefore the fold job hash).  Everything else — docking knobs, worker

@@ -346,37 +346,49 @@ def _scalar_refine(search, pose, draws):
     return best
 
 
-def _reference_search(search, site, steps, rng, num_poses=10, restarts=3, refine_steps=25):
-    """Reference one-stream search: scalar walk, then sequential dedup-then-refine."""
+def _reference_run(search, streams, steps, num_poses=10, restarts=3, refine_steps=25):
+    """Reference one-run search over ``streams``, a list of ``(site, rng)``:
+    each stream's scalar walk, then the run's candidates of all its streams,
+    best first, deduplicated and refined one at a time.  The k-th candidate
+    the run takes from a stream refines with block k of that stream's draw."""
     walkers = max(restarts, len(search.initial_rotations) + 1)
-    candidates = _scalar_walk(search, site, max(1, steps // walkers), walker_rngs(rng, walkers))
-    candidates.sort(key=lambda p: p.score)
-    draws = rng.standard_normal((num_poses, refine_steps, 7))
+    candidates = []
+    for index, (site, rng) in enumerate(streams):
+        walk = _scalar_walk(search, site, max(1, steps // walkers), walker_rngs(rng, walkers))
+        candidates.extend((pose, index) for pose in walk)
+    # Stable: score ties keep stream order, then walker-major visit order.
+    candidates.sort(key=lambda candidate: candidate[0].score)
+    draws = [rng.standard_normal((num_poses, refine_steps, 7)) for _, rng in streams]
+    taken = [0] * len(streams)
     selected = []
-    for pose in candidates:
+    for pose, index in candidates:
         if len(selected) >= num_poses:
             break
         if all(np.linalg.norm(pose.translation - kept.translation) > 1.0 for kept in selected):
-            selected.append(_scalar_refine(search, pose, draws[len(selected)]))
+            selected.append(_scalar_refine(search, pose, draws[index][taken[index]]))
+            taken[index] += 1
     selected.sort(key=lambda p: p.score)
     return selected
 
 
+def _reference_search(search, site, steps, rng, num_poses=10, restarts=3, refine_steps=25):
+    """Reference one-stream search: scalar walk, then sequential dedup-then-refine."""
+    return _reference_run(search, [(site, rng)], steps, num_poses, restarts, refine_steps)
+
+
 def _reference_dock(engine, prepared, receptor_id):
-    """Reference engine loop: one run at a time, its sites in sequence, each on its own stream."""
+    """Reference engine loop: one run at a time over all its sites, each site on its own stream."""
     result = DockingResult(receptor_id=receptor_id, ligand_name=prepared.ligand.name)
+    sites = range(len(prepared.search.site_centers))
     for i in range(engine.num_seeds):
         seed = child_seed(engine.master_seed, "docking", receptor_id, i)
-        poses = []
-        for site in range(len(prepared.search.site_centers)):
-            poses.extend(
-                _reference_search(
-                    prepared.search, site, prepared.steps_per_site, rng_for(seed, "run", site),
-                    num_poses=engine.num_poses,
-                )
-            )
-        poses.sort(key=lambda p: p.score)
-        result.runs.append(engine._build_run(seed, poses[: engine.num_poses], prepared.ligand))
+        poses = _reference_run(
+            prepared.search,
+            [(site, rng_for(seed, "run", site)) for site in sites],
+            prepared.steps_per_site,
+            num_poses=engine.num_poses,
+        )
+        result.runs.append(engine._build_run(seed, poses, prepared.ligand))
     return result
 
 
@@ -477,6 +489,46 @@ def test_stream_poses_do_not_depend_on_the_other_sites(reference_record, ligand)
             _assert_same_poses(together[run * len(sites) + site], poses)
 
 
+def test_run_poses_do_not_depend_on_the_other_runs(reference_record, ligand):
+    scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
+    pocket = find_pocket(reference_record.structure)
+    # The second site lies beyond the scoring cutoff, so its candidates all
+    # score 0.0 and lose to the first site's.
+    far = pocket.center + np.array([100.0, 0.0, 0.0])
+    search = MonteCarloPoseSearch(scorer, [pocket.center, far, pocket.center + 3.0])
+
+    def streams(base):
+        return [np.random.default_rng(base + site) for site in range(3)], [0, 1, 2]
+
+    def run_alone(base):
+        rngs, sites = streams(base)
+        (poses,) = search.search(60, rngs, sites, num_poses=4, runs=[0, 0, 0])
+        return poses
+
+    for bases, order in (((10, 20, 30), (0, 1, 2)), ((30, 40), (1, 0)), ((20, 10), (0, 1))):
+        rngs, sites, runs = [], [], []
+        # Interleave the runs' streams: a run's streams need not be adjacent.
+        for site in range(3):
+            for run in order:
+                rngs.append(np.random.default_rng(bases[run] + site))
+                sites.append(site)
+                runs.append(run)
+        together = search.search(60, rngs, sites, num_poses=4, runs=runs)
+        assert len(together) == len(bases)
+        for base, poses in zip(bases, together):
+            _assert_same_poses(poses, run_alone(base))
+            rngs, sites = streams(base)
+            _assert_same_poses(poses, _reference_run(search, list(zip(sites, rngs)), 60, num_poses=4))
+
+
+def test_search_run_validation(reference_record, ligand):
+    scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
+    search = MonteCarloPoseSearch(scorer, find_pocket(reference_record.structure).center)
+    for runs in ([0], [0, 0, 2], [1, 1, 1], [0, -1, 0]):
+        with pytest.raises(DockingError):
+            search.search(20, _seed_rngs(3), [0, 0, 0], runs=runs)
+
+
 def test_dock_job_scorer_calls_follow_from_the_knobs(reference_record, ligand, monkeypatch):
     engine = DockingEngine(num_seeds=2, num_poses=3, mc_steps=150)
     prepared = engine.prepare(reference_record.structure, ligand)
@@ -500,7 +552,8 @@ def test_dock_job_scorer_calls_follow_from_the_knobs(reference_record, ligand, m
         assert widths[:walk_calls] == [streams * walkers] * walk_calls
         refine_calls = len(widths) - walk_calls
         assert refine_calls == engine.num_poses * 25
-        assert max(widths[walk_calls:]) == streams
+        # Refinement picks one candidate per run and round, whatever the sites.
+        assert max(widths[walk_calls:]) == engine.num_seeds
 
 
 def test_stream_generator_state_depends_only_on_the_knobs(reference_record, ligand):
