@@ -31,6 +31,7 @@ import json
 import signal
 import sys
 
+from repro.config import PipelineConfig
 from repro.serve.server import DEFAULT_MAX_INFLIGHT, ReproServer
 
 
@@ -41,11 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve engine jobs to network clients from one shared pool and cache.",
     )
     parser.add_argument(
-        "--host", default="127.0.0.1",
+        "--host", default=PipelineConfig.serve_host,
         help="bind address (default %(default)s; only bind networks you trust)",
     )
     parser.add_argument(
-        "--port", type=int, default=7377,
+        "--port", type=int, default=PipelineConfig.serve_port,
         help="bind port (default %(default)s; 0 picks an ephemeral port)",
     )
     parser.add_argument(

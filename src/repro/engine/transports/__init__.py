@@ -22,8 +22,9 @@ spec, so every transport produces bit-identical results.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
+from repro.config import PipelineConfig
 from repro.engine.transports.base import Completion, RemoteJobError, Transport
 from repro.engine.transports.filequeue import (
     DEFAULT_LEASE_TIMEOUT,
@@ -50,35 +51,33 @@ __all__ = [
 ]
 
 
-def _build_filequeue(config: Any, processes: int) -> FileQueueTransport:
-    spool_dir = getattr(config, "spool_dir", None)
-    if not spool_dir:
+def _build_filequeue(config: PipelineConfig, processes: int) -> FileQueueTransport:
+    if not config.spool_dir:
         raise EngineError(
             "transport 'filequeue' needs a spool directory: set config.spool_dir"
         )
-    workers = getattr(config, "transport_workers", None)
+    workers = config.transport_workers
     if workers is None:
         workers = max(0, int(processes))
     return FileQueueTransport(
-        spool_dir,
+        config.spool_dir,
         workers=workers,
-        lease_timeout=getattr(config, "transport_lease_timeout", DEFAULT_LEASE_TIMEOUT),
-        poll_interval=getattr(config, "transport_poll_interval", 0.05),
+        lease_timeout=config.transport_lease_timeout,
+        poll_interval=config.transport_poll_interval,
     )
 
 
-def _build_network(config: Any, processes: int) -> NetworkTransport:
-    port = getattr(config, "serve_port", 0)
-    if not port:
+def _build_network(config: PipelineConfig, processes: int) -> NetworkTransport:
+    if not config.serve_port:
         raise EngineError(
             "transport 'network' needs a server address: set config.serve_port "
             "(and serve_host) to a running repro-serve"
         )
-    return NetworkTransport(getattr(config, "serve_host", "127.0.0.1") or "127.0.0.1", port)
+    return NetworkTransport(config.serve_host, config.serve_port)
 
 
 #: Transport name -> builder of a new transport from ``(config, processes)``.
-_TRANSPORTS: dict[str, Callable[[Any, int], Transport]] = {
+_TRANSPORTS: dict[str, Callable[[PipelineConfig, int], Transport]] = {
     "serial": lambda config, processes: SerialTransport(),
     "pool": lambda config, processes: PoolTransport(processes=processes),
     "filequeue": _build_filequeue,
@@ -86,7 +85,7 @@ _TRANSPORTS: dict[str, Callable[[Any, int], Transport]] = {
 }
 
 
-def make_transport(name: str | None, config: Any, processes: int = 0) -> Transport:
+def make_transport(name: str | None, config: PipelineConfig, processes: int = 0) -> Transport:
     """Build a new transport (an engine keeps it for its lifetime).
 
     ``name`` of ``None`` or ``"auto"`` resolves from the worker count:
@@ -96,7 +95,7 @@ def make_transport(name: str | None, config: Any, processes: int = 0) -> Transpo
     daemons it spawns, or workers started by hand), and ``network`` needs a
     running ``repro-serve``.
     """
-    key = (name or getattr(config, "transport", None) or "auto").strip().lower()
+    key = (name or config.transport or "auto").strip().lower()
     if key == "auto":
         key = "pool" if processes > 1 else "serial"
     build = _TRANSPORTS.get(key)

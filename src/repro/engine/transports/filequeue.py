@@ -93,6 +93,7 @@ import uuid
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Generator
 
+from repro.config import PipelineConfig
 from repro.engine.registry import watch_parent
 from repro.engine.scheduler import (
     DEFAULT_PRIORITY,
@@ -116,8 +117,9 @@ from repro.utils.logging import get_logger
 logger = get_logger(__name__)
 
 #: Default lease timeout (seconds): a claim untouched this long is considered
-#: abandoned by a dead worker and its task is requeued.
-DEFAULT_LEASE_TIMEOUT = 30.0
+#: abandoned by a dead worker and its task is requeued.  The configuration
+#: owns it, so a worker and a submitter left at their defaults agree.
+DEFAULT_LEASE_TIMEOUT = PipelineConfig.transport_lease_timeout
 
 #: Default worker scan interval (seconds) between empty queue polls.
 DEFAULT_WORKER_POLL_INTERVAL = 0.2
@@ -748,7 +750,7 @@ class FileQueueTransport(Transport):
         spool_dir: str | Path,
         workers: int = 0,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        poll_interval: float = 0.05,
+        poll_interval: float = PipelineConfig.transport_poll_interval,
         respawn_limit: int = 5,
     ):
         self.lease_timeout = float(lease_timeout)
